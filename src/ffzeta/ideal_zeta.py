@@ -5,14 +5,15 @@ I^t := a^(t/e) with a the monic generator of I^e, and
 
     zeta(-t, X) = sum_d X^d sum_{deg I = d} I^t.
 
-Two computations are provided.  The direct path enumerates all ideals per
-degree up to a caller-supplied bound; it is the oracle.  The classwise path
-splits the sum by ideal class: the principal part is the element zeta, and
-the class-k part collects monic elements alpha of the representative I_k at
-degree d + d_k (those alpha are exactly the products I_k * I over integral I
-of degree d in the inverse class), divided by the constant prefactor
-f_k^(t/e_k).  Each class term has its own certified cutoff from the
-power-sum vanishing bound, so the classwise result is a complete polynomial.
+Two computations are provided, and the tests check that they agree.  The
+direct path enumerates all ideals per degree up to a caller-supplied bound.
+The classwise path splits the sum by ideal class: the principal part is the
+element zeta, and the class-k part collects monic elements alpha of the
+representative I_k at degree d + d_k (those alpha are exactly the products
+I_k * I over integral I of degree d in the inverse class), divided by the
+constant prefactor f_k^(t/e_k).  Each class term has its own certified
+cutoff from the power-sum vanishing bound, so the classwise result is a
+complete polynomial.
 """
 
 from __future__ import annotations
@@ -41,16 +42,14 @@ class PerClassTerm:
 
 
 class IdealZetaPolynomial:
-    __slots__ = ("spec", "t", "coeffs", "d_max", "per_class_terms", "fallback")
+    __slots__ = ("spec", "t", "coeffs", "d_max", "per_class_terms")
 
-    def __init__(self, spec, t, coeffs, d_max, per_class_terms=None,
-                 fallback=False):
+    def __init__(self, spec, t, coeffs, d_max, per_class_terms=None):
         self.spec = spec
         self.t = t
         self.coeffs = tuple(coeffs)
         self.d_max = d_max
         self.per_class_terms = per_class_terms
-        self.fallback = fallback
         if not self.coeffs or self.coeffs[0] != spec.one():
             raise ConsistencyError("ideal zeta constant term is not 1")
 
@@ -86,7 +85,8 @@ def ideal_power_value(I, t, report, spec=None):
 
 def ideal_zeta_direct(t, d_max, spec, *, report=None,
                       budget=DEFAULT_IDEAL_BUDGET):
-    """Oracle: enumerate every ideal of each degree and sum the power values."""
+    """Enumerate every ideal of each degree up to d_max and sum the power
+    values."""
     if report is None:
         from ffzeta.ideals import class_group
         report = class_group(spec, budget=budget)
@@ -118,9 +118,8 @@ def ideal_zeta_classwise(t, report, spec=None, *,
                          budget=DEFAULT_IDEAL_BUDGET):
     """Class-by-class evaluation with certified per-class cutoffs.
 
-    Falls back to ideal_zeta_direct (with the fallback flag set) if a class
-    term fails its exact-division postcondition, which would mean the
-    classwise rearrangement is not available for this ring.
+    A class term whose exact division leaves the ring raises
+    ConsistencyError.
     """
     spec = spec or report.spec
     if t <= 0 or t % report.e:
@@ -133,32 +132,27 @@ def ideal_zeta_classwise(t, report, spec=None, *,
     principal = zeta_neg(t, spec, budget=min(budget, DEFAULT_BUDGET))
     terms = []
     divided = []
-    try:
-        for k, cls in enumerate(report.classes):
-            if cls.order == 1:
-                continue
-            I = cls.rep
-            d_k = cls.degree
-            denom = cls.generator ** (t // cls.order)
-            ech, D = _class_cutoff(I, tau, genus)
-            cut = D - d_k - 1
-            numer = []
-            div_k = []
-            for d in range(cut + 1):
-                acc = spec.zero()
-                for alpha in monic_slice(I, ech, d + d_k):
-                    acc = acc + alpha.pow_digits(t)
-                numer.append(acc)
-                div_k.append(spec.zero() if acc.is_zero
-                             else elem_divexact(acc, denom))
-            terms.append(PerClassTerm(index=k, d_k=d_k, e_k=cls.order,
-                                      denominator=denom,
-                                      coeffs=tuple(numer), d_max=cut))
-            divided.append(div_k)
-    except ConsistencyError:
-        d_max = max([principal.d_max] + [len(dv) - 1 for dv in divided] + [2 * genus])
-        z = ideal_zeta_direct(t, d_max, spec, report=report, budget=budget)
-        return IdealZetaPolynomial(spec, t, z.coeffs, z.d_max, fallback=True)
+    for k, cls in enumerate(report.classes):
+        if cls.order == 1:
+            continue
+        I = cls.rep
+        d_k = cls.degree
+        denom = cls.generator ** (t // cls.order)
+        ech, D = _class_cutoff(I, tau, genus)
+        cut = D - d_k - 1
+        numer = []
+        div_k = []
+        for d in range(cut + 1):
+            acc = spec.zero()
+            for alpha in monic_slice(I, ech, d + d_k):
+                acc = acc + alpha ** t
+            numer.append(acc)
+            div_k.append(spec.zero() if acc.is_zero
+                         else elem_divexact(acc, denom))
+        terms.append(PerClassTerm(index=k, d_k=d_k, e_k=cls.order,
+                                  denominator=denom,
+                                  coeffs=tuple(numer), d_max=cut))
+        divided.append(div_k)
 
     d_max = max([principal.d_max] + [term.d_max for term in terms])
     coeffs = []
@@ -237,5 +231,4 @@ def remark_exact_check(t, report, spec=None, *, hypothesis_report=None,
                         u_at_one=u_at_one,
                         order_exactly_q=not u_at_one.is_zero,
                         h2_shortcut=report.h == 2,
-                        warning="classwise fell back to direct" if zc.fallback else None,
                         hypothesis=hypothesis_report)

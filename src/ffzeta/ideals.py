@@ -24,7 +24,7 @@ from math import lcm
 
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
 from ffzeta.gf import Poly, monic_polys, polys_below
-from ffzeta.ring import RingElement
+from ffzeta.ring import RingElement, affine_combinations, echelon_insert
 from ffzeta.semigroup import semigroup_from_ring
 
 DEFAULT_IDEAL_BUDGET = 4_000_000
@@ -241,20 +241,8 @@ def ideal_echelon(I, up_to):
     for j in range(m):
         col = I.col_elem(j)
         for t in range(F[j] + 1):
-            v = col if t == 0 else col * Poly.monomial(field, t)
-            while not v.is_zero:
-                d, _, c = v.leading()
-                w = ech.get(d)
-                if w is None:
-                    ech[d] = v.scale_const(field.inv(c))
-                    break
-                v = v - w.scale_const(c)
+            echelon_insert(ech, col if t == 0 else col * Poly.monomial(field, t))
     return ech
-
-
-def ideal_degrees(I, up_to):
-    """Attained element degrees of I up to the bound, ascending."""
-    return tuple(sorted(d for d in ideal_echelon(I, up_to) if d <= up_to))
 
 
 def ideal_is_principal(I):
@@ -275,22 +263,8 @@ def ideal_is_principal(I):
 
 def monic_slice(I, ech, d):
     """Monic elements of I of degree exactly d, from a prepared echelon."""
-    if d not in ech:
-        return
-    spec = I.spec
-    q = spec.field.q
-    lead = ech[d]
-    lower = [ech[e] for e in sorted(ech) if e < d]
-    for k in range(q ** len(lower)):
-        acc = lead
-        kk = k
-        for w in lower:
-            if kk == 0:
-                break
-            kk, c = divmod(kk, q)
-            if c:
-                acc = acc + w.scale_const(c)
-        yield acc
+    if d in ech:
+        yield from affine_combinations(ech[d], [ech[e] for e in sorted(ech) if e < d])
 
 
 # -- quotients and class equivalence ----------------------------------------

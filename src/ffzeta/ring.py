@@ -48,7 +48,7 @@ class RingSpec:
     """Presentation of a one-place affine coordinate ring."""
 
     __slots__ = ("field", "form", "m", "delta", "coeffs", "table", "name",
-                 "_report", "_ypow_rows", "_mul_mats", "_basis_qpow")
+                 "_report", "_ypow_rows", "_basis_qpow")
 
     def __init__(self, field, form, m, delta, coeffs=None, table=None, name=None):
         self.field = field
@@ -60,7 +60,6 @@ class RingSpec:
         self.name = name
         self._report = None
         self._ypow_rows = None
-        self._mul_mats = None
         self._basis_qpow = None
 
     # -- constructors -------------------------------------------------------
@@ -271,25 +270,13 @@ class RingSpec:
                         out[k] = out[k] + coef * cell[k]
         return tuple(out)
 
-    def mul_matrix(self, j):
-        """M with column k = coordinates of b_j * b_k (an m x m Poly matrix)."""
-        if self._mul_mats is None:
-            self._mul_mats = {}
-        mat = self._mul_mats.get(j)
-        if mat is None:
-            cols = [self._mul_vec(self.basis_vec(j), self.basis_vec(k))
-                    for k in range(self.m)]
-            mat = tuple(tuple(cols[k][i] for k in range(self.m)) for i in range(self.m))
-            self._mul_mats[j] = mat
-        return mat
-
     def basis_vec(self, j):
         vec = [Poly.zero(self.field)] * self.m
         vec[j] = Poly.one(self.field)
         return tuple(vec)
 
     def basis_qpow(self):
-        """Coordinate vectors of b_j^q, for the Frobenius product path."""
+        """Coordinate vectors of b_j^q, for `RingElement.frobenius_q`."""
         if self._basis_qpow is None:
             q = self.q
             out = []
@@ -318,20 +305,7 @@ class RingSpec:
             return
         if d < 0 or not self.degree_in_semigroup(d):
             return
-        lead = self.leading_monomial(d)
-        basis = self.basis_W(d)
-        q = self.field.q
-        total = q ** len(basis)
-        for k in range(total):
-            acc = lead
-            kk = k
-            for w in basis:
-                if kk == 0:
-                    break
-                kk, c = divmod(kk, q)
-                if c:
-                    acc = acc + w.scale_const(c)
-            yield acc
+        yield from affine_combinations(self.leading_monomial(d), self.basis_W(d))
 
     def count_monic(self, d):
         if d == 0:
@@ -437,11 +411,6 @@ class RingElement:
         self._same_spec(other)
         return RingElement(self.spec, self.spec._mul_vec(self.vec, other.vec))
 
-    def __rmul__(self, other):
-        if isinstance(other, Poly):
-            return self.scale(other)
-        return NotImplemented
-
     def scale(self, g):
         return RingElement(self.spec, tuple(a * g for a in self.vec))
 
@@ -449,16 +418,7 @@ class RingElement:
         return RingElement(self.spec, tuple(Poly._scale(a, c) for a in self.vec))
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative element power")
-        r = self.spec.one()
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return self.pow_digits(k)
 
     def frobenius_q(self):
         """The q-power, via a^q = sum spread(g_j) * b_j^q."""
@@ -477,21 +437,33 @@ class RingElement:
         return RingElement(spec, tuple(acc))
 
     def pow_digits(self, s):
-        """a^s through the base-q digits of s, reusing Frobenius powers."""
-        spec = self.spec
-        q = spec.q
-        r = spec.one()
+        """a^s = prod_i (a^(q^i))^(d_i) over the base-q digits d_i of s.
+
+        Successive a^(q^i) come from the cached Frobenius; each digit power
+        is taken by square-and-multiply.  No product has the identity as a
+        factor.
+        """
+        if s < 0:
+            raise ValueError("negative element power")
+        q = self.spec.q
+        r = None
         base = self
         while s:
             s, d = divmod(s, q)
             if d:
-                piece = base
-                for _ in range(d - 1):
-                    piece = piece * base
-                r = r * piece
+                piece = None
+                b = base
+                while True:
+                    if d & 1:
+                        piece = b if piece is None else piece * b
+                    d >>= 1
+                    if not d:
+                        break
+                    b = b * b
+                r = piece if r is None else r * piece
             if s:
                 base = base.frobenius_q()
-        return r
+        return self.spec.one() if r is None else r
 
     def __repr__(self):
         return f"RingElement[{elem_to_str(self)}]"
@@ -499,6 +471,36 @@ class RingElement:
 
 def elem_to_str(e):
     return ", ".join(poly_to_str(g) for g in e.vec)
+
+
+def affine_combinations(lead, basis):
+    """lead plus every F_q-combination of basis, in counting order of the
+    coefficient vector (first basis element least significant)."""
+    q = lead.spec.field.q
+    for k in range(q ** len(basis)):
+        acc = lead
+        kk = k
+        for w in basis:
+            if kk == 0:
+                break
+            kk, c = divmod(kk, q)
+            if c:
+                acc = acc + w.scale_const(c)
+        yield acc
+
+
+def echelon_insert(ech, v):
+    """Reduce v against the monic F_q-echelon `ech` (leading degree ->
+    element); store a nonzero remainder there made monic.  True when v was
+    independent of ech."""
+    while not v.is_zero:
+        d, _, c = v.leading()
+        w = ech.get(d)
+        if w is None:
+            ech[d] = v.scale_const(v.spec.field.inv(c))
+            return True
+        v = v - w.scale_const(c)
+    return False
 
 
 # -- validation -------------------------------------------------------------

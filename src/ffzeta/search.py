@@ -23,7 +23,7 @@ from ffzeta.ring import RingSpec
 from ffzeta.semigroup import r_gap_values, semigroup_from_ring
 
 STAGES = ("ring-valid", "gap-structure", "class-group", "hypotheses")
-FAMILIES = ("artin-schreier", "hyperelliptic-q2")
+FAMILIES = ("artin-schreier",)
 
 # multipliers k tried for s = k(q-1) before giving up on the digit condition
 _S_SCAN = 16
@@ -45,8 +45,6 @@ class SearchSpace:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "hyperelliptic-q2" and self.field.q != 2:
-            raise ValueError("hyperelliptic-q2 family needs q = 2")
         for lo, hi in (self.deg_a, self.deg_b):
             if lo < 0 or hi < lo:
                 raise ValueError("degree ranges must be 0 <= lo <= hi")

@@ -102,13 +102,6 @@ class NumericalSemigroup:
             return n + 1 - self.genus
         return ((self._mask & ((1 << (n + 1)) - 1))).bit_count()
 
-    def elements_upto(self, n):
-        return tuple(k for k in range(n + 1) if self.contains(k))
-
-    @property
-    def multiplicity(self):
-        return min((g for g in self.generators), default=1)
-
     def remove(self, e):
         """S without e; e must be a minimal generator above the Frobenius number."""
         if not self.contains(e) or e <= self.frobenius:

@@ -112,12 +112,6 @@ def check_dinesh(spec, s, *, budget=DEFAULT_BUDGET):
     return report
 
 
-def check_dinesh_semigroup(S, q, s):
-    """Semigroup-level reading: all hypotheses are gap data, so a report can
-    be issued for curves whose ring basis is not available."""
-    return _dinesh_checks(S, q, s)
-
-
 def _dinesh_checks(S, q, s):
     rr = r_gap_values(S, q)
     good = [r for r in rr.valid_r if r >= q - 1]

@@ -8,8 +8,7 @@ whose dimension never decreases).  The cutoff certifies every omitted
 coefficient is zero, so values and orders of vanishing at X = 1 are exact.
 
 Recentering at X = 1 uses binomials mod p via Lucas; the order of vanishing
-is the first nonzero recentered coefficient, and a repeated-division path is
-provided as an independent cross-check.
+is the first nonzero recentered coefficient.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from ffzeta.errors import BudgetError
-from ffzeta.ring import elem_to_str
+from ffzeta.ring import affine_combinations, echelon_insert, elem_to_str
 
 DEFAULT_BUDGET = 2 ** 20
 
@@ -71,54 +70,29 @@ def binom_mod_p(d, j, p):
     return r
 
 
-def _echelon_reduce(ech, v):
-    """Reduce v against monic echelon elements keyed by leading degree."""
-    while not v.is_zero:
-        d, _, c = v.leading()
-        w = ech.get(d)
-        if w is None:
-            return v
-        v = v - w.scale_const(c)
-    return v
-
-
 def affine_power_sum(f, basis, k, *, budget=DEFAULT_BUDGET):
     """Sum of (f + w)^k over the F_q-span of `basis`; f must lie outside it.
 
     Vanishes whenever len(basis) > l_q(k)/(q-1); the sharpness witnesses in
     the tests show the bound is tight.
     """
-    spec = f.spec
-    field = spec.field
     ech = {}
     for w in basis:
-        v = _echelon_reduce(ech, w)
-        if v.is_zero:
+        if not echelon_insert(ech, w):
             raise ValueError("the W basis is linearly dependent over F_q")
-        d, _, c = v.leading()
-        ech[d] = v.scale_const(field.inv(c))
-    if _echelon_reduce(ech, f).is_zero:
+    if not echelon_insert(ech, f):
         raise ValueError("f lies in the span of W; the theorem needs f outside it")
-    q = field.q
-    total = q ** len(basis)
+    total = f.spec.field.q ** len(basis)
     if total > budget:
         raise BudgetError(
             f"affine power sum over q^dim = {total} points exceeds the budget {budget}")
-    acc = spec.zero()
-    for idx in range(total):
-        e = f
-        kk = idx
-        for w in basis:
-            if kk == 0:
-                break
-            kk, c = divmod(kk, q)
-            if c:
-                e = e + w.scale_const(c)
+    acc = f.spec.zero()
+    for e in affine_combinations(f, basis):
         acc = acc + e ** k
     return acc
 
 
-def power_sum_S(d, s, spec, *, budget=DEFAULT_BUDGET, fast=False):
+def power_sum_S(d, s, spec, *, budget=DEFAULT_BUDGET):
     """S(d): sum of a^s over the monic elements of degree d (0 at gaps)."""
     count = spec.count_monic(d)
     if count > budget:
@@ -126,7 +100,7 @@ def power_sum_S(d, s, spec, *, budget=DEFAULT_BUDGET, fast=False):
             f"S({d}) sums over {count} monic elements, over the budget {budget}")
     acc = spec.zero()
     for e in spec.enumerate_monic(d):
-        acc = acc + (e.pow_digits(s) if fast else e ** s)
+        acc = acc + e ** s
     return acc
 
 
@@ -166,13 +140,8 @@ class ZetaPolynomial:
         return f"ZetaPolynomial[s={self.s}, {zeta_to_str(self.coeffs)}]"
 
 
-def zeta_neg(s, spec, *, budget=DEFAULT_BUDGET, fast=False):
-    """zeta(-s, X) over the monic elements of spec, with certified cutoff.
-
-    `fast=True` powers summands through base-q digits of s with reused
-    Frobenius powers; the default binary powering is the oracle path and the
-    two are cross-validated in the tests.
-    """
+def zeta_neg(s, spec, *, budget=DEFAULT_BUDGET):
+    """zeta(-s, X) over the monic elements of spec, with certified cutoff."""
     spec.require_valid()
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"s must be a positive integer, got {s!r}")
@@ -181,7 +150,7 @@ def zeta_neg(s, spec, *, budget=DEFAULT_BUDGET, fast=False):
     while spec.dim_W(d) <= tau:
         d += 1
     d_max = d - 1
-    coeffs = tuple(power_sum_S(dd, s, spec, budget=budget, fast=fast)
+    coeffs = tuple(power_sum_S(dd, s, spec, budget=budget)
                    for dd in range(d_max + 1))
     return ZetaPolynomial(spec, s, coeffs, d_max)
 
@@ -210,32 +179,6 @@ def ord_from_coeffs(coeffs, spec, centered=None):
         if not c.is_zero:
             return j
     raise ValueError("the zero polynomial has no finite order of vanishing at X = 1")
-
-
-def ord_at_one(z):
-    """Order of vanishing at X = 1 of a zeta polynomial."""
-    return z.ord_at_one()
-
-
-def ord_at_one_by_division(coeffs, spec):
-    """Cross-check path: strip factors of (X - 1) by synthetic division."""
-    cs = list(coeffs)
-    if all(c.is_zero for c in cs):
-        raise ValueError("the zero polynomial has no finite order of vanishing at X = 1")
-    order = 0
-    while True:
-        total = spec.zero()
-        for c in cs:
-            total = total + c
-        if not total.is_zero:
-            return order
-        n = len(cs) - 1
-        b = [spec.zero()] * n
-        b[n - 1] = cs[n]
-        for j in range(n - 1, 0, -1):
-            b[j - 1] = cs[j] + b[j]
-        cs = b
-        order += 1
 
 
 # -- rendering --------------------------------------------------------------

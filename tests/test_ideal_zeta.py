@@ -52,7 +52,6 @@ def test_h4g3_t2_frozen(h4g3, h4g3_classes):
     z = ideal_zeta_classwise(2, h4g3_classes, h4g3)
     assert str(z) == "1 + X + (x^2 + x + 1)*X^2 + X^3 + (x^2 + x)*X^4"
     assert z.d_max == 4
-    assert not z.fallback
     assert z.value_at_one.is_zero
     assert z.ord_at_one() == 2
 
@@ -102,7 +101,15 @@ def test_classwise_equals_direct(h4g3, ex26, ex36, elliptic, f4as,
             zc = ideal_zeta_classwise(t, rep, spec)
             zd = ideal_zeta_direct(t, zc.d_max, spec, report=rep)
             assert zc.coeffs == zd.coeffs[:zc.d_max + 1]
-            assert not zc.fallback
+
+
+def test_classwise_division_failure_raises(h4g3, h4g3_classes, monkeypatch):
+    def refuse(num, den):
+        raise ConsistencyError("element division left a remainder")
+
+    monkeypatch.setattr("ffzeta.ideal_zeta.elem_divexact", refuse)
+    with pytest.raises(ConsistencyError, match="remainder"):
+        ideal_zeta_classwise(2, h4g3_classes, h4g3)
 
 
 def test_direct_beyond_certified_cutoff_is_zero(h4g3, h4g3_classes):

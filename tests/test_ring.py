@@ -222,6 +222,43 @@ def test_pow_digits_matches_repeated_product(h4g3):
     assert e ** 11 == acc
 
 
+def binary_pow(e, k):
+    """Oracle: plain binary powering by repeated squaring."""
+    r = e.spec.one()
+    b = e
+    while k:
+        if k & 1:
+            r = r * b
+        b = b * b
+        k >>= 1
+    return r
+
+
+def test_power_matches_binary_oracle():
+    for field in (F2, F3, F4, GF(5), GF(7), GF(3, 2), GF(13)):
+        q = field.q
+        # y^2 = x^3 + x + 1, or y^2 + y = x^3 + x + 1 in characteristic 2
+        if field.p == 2:
+            curve = cab(field, "x^3 + x + 1", "1")
+        else:
+            c = field.p - 1
+            curve = cab(field, f"{c}*x^3 + {c}*x + {c}", "0")
+        # 0, digits below q, powers of q, and every digit up to q - 1
+        exps = {0, 1, q - 1, q, q * q, q * q - 1, q - 1 + q + min(2, q - 1) * q * q}
+        for spec in (RingSpec.polyring(field), curve):
+            e = spec.elem_from_str("x + 1; x" if spec.m == 2 else "x^2 + x + 1")
+            for s in sorted(exps):
+                assert e ** s == binary_pow(e, s), (q, spec.m, s)
+
+
+def test_negative_power_rejected(h4g3):
+    e = h4g3.elem_from_str("x + 1; 1")
+    with pytest.raises(ValueError, match="negative element power"):
+        e.pow_digits(-1)
+    with pytest.raises(ValueError, match="negative element power"):
+        e ** -1
+
+
 def test_frobenius_is_qth_power(ex36):
     e = ex36.elem_from_str("x + 2; 2*x")
     assert e.frobenius_q() == e * e * e

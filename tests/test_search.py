@@ -69,7 +69,7 @@ def test_unrestricted_size_formula():
 def test_space_validation():
     with pytest.raises(ValueError, match="unknown family"):
         SearchSpace(F2, family="elliptic")
-    with pytest.raises(ValueError, match="q = 2"):
+    with pytest.raises(ValueError, match="unknown family"):
         SearchSpace(GF(3), family="hyperelliptic-q2")
     with pytest.raises(ValueError, match="degree ranges"):
         SearchSpace(F2, deg_a=(2, 1))
@@ -198,13 +198,6 @@ def test_corrupt_checkpoint_refused(tmp_path, family_space):
     records, _ = search_run(dataclasses.replace(family_space, stop=1),
                             checkpoint=str(ckpt))
     assert not records[0].resumed     # blank lines fine, key unknown
-
-
-def test_hyperelliptic_q2_family_is_alias(family_space, family_run):
-    _, summary = family_run
-    alias = dataclasses.replace(family_space, family="hyperelliptic-q2")
-    _, alias_summary = search_run(alias)
-    assert alias_summary == summary
 
 
 def test_merge_summaries_empty():

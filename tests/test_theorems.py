@@ -4,7 +4,7 @@ from ffzeta.gf import GF, poly_from_str
 from ffzeta.ring import RingSpec
 from ffzeta.semigroup import NumericalSemigroup
 from ffzeta.theorems import (
-    check_dinesh, check_dinesh_semigroup, check_generalization, check_hiper,
+    _dinesh_checks, check_dinesh, check_generalization, check_hiper,
     check_hyperelliptic_rgap_proposition, check_tesismc,
 )
 
@@ -79,11 +79,11 @@ def test_dinesh_ex36_no_big_r(ex36):
 
 def test_dinesh_quintic_semigroup():
     S = NumericalSemigroup.from_gaps((1, 2, 4, 5, 7, 8))
-    rep = check_dinesh_semigroup(S, 3, 2)
+    rep = _dinesh_checks(S, 3, 2)
     assert rep.applicable
     assert rep.predicted == ("exact", 3)
     assert rep.computed is None      # semigroup level: nothing to sum
-    rep = check_dinesh_semigroup(S, 3, 3)
+    rep = _dinesh_checks(S, 3, 3)
     assert not rep.applicable        # 2 does not divide 3
 
 
