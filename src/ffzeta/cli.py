@@ -17,15 +17,14 @@ from fractions import Fraction
 
 from ffzeta.errors import ConsistencyError
 from ffzeta.gf import GF, Poly, poly_from_str, poly_to_str
-from ffzeta.ideal_zeta import (ideal_zeta_classwise, ideal_zeta_direct,
-                               remark_exact_check)
-from ffzeta.ideals import class_group
+from ffzeta.ideal_zeta import ideal_zeta_classwise, ideal_zeta_direct
+from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group
 from ffzeta.ring import RingElement, elem_to_str
 from ffzeta.ringfile import parse_ring_spec
 from ffzeta.search import (FAMILIES, SearchSpace, search_partition,
                            search_run)
-from ffzeta.semigroup import (NumericalSemigroup, enumerate_semigroups,
-                              r_gap_values, semigroup_from_ring)
+from ffzeta.semigroup import (enumerate_semigroups, r_gap_values,
+                              semigroup_from_ring)
 from ffzeta.theorems import (check_dinesh, check_generalization, check_hiper,
                              check_tesismc)
 from ffzeta.zeta import digit_sum, power_sum_S, zeta_neg, zeta_to_str
@@ -116,6 +115,12 @@ def _predicted_str(predicted):
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_zeta(args):
+    if args.direct and not args.all_ideals:
+        raise _UsageError("--direct applies with --all-ideals only")
+    if args.dmax is not None and not args.direct:
+        raise _UsageError("--dmax applies with --all-ideals --direct only")
+    if args.dmax is not None and args.dmax < 0:
+        raise _UsageError("--dmax must be >= 0")
     spec = parse_ring_spec(args.ring)
     if not args.all_ideals:
         z = zeta_neg(args.s, spec)
@@ -452,7 +457,7 @@ def build_parser():
     sp.add_argument("--deg-b", type=_range_pair, default=(3, 3),
                     metavar="LO..HI")
     sp.add_argument("--min-r", type=int)
-    sp.add_argument("--h-budget", type=int, default=None)
+    sp.add_argument("--h-budget", type=int, default=DEFAULT_IDEAL_BUDGET)
     sp.add_argument("--parts", type=int, help="split into N contiguous blocks")
     sp.add_argument("--part", type=int, help="run block I of N (1-based)")
     sp.add_argument("--checkpoint", help="append-only resume file")
@@ -479,8 +484,6 @@ def dispatch(argv):
         return CommandResult(2, str(exc))
     except SystemExit as exc:   # --help path: argparse already printed
         return CommandResult(exc.code or 0, "")
-    if args.handler is _cmd_search and args.h_budget is None:
-        args.h_budget = SearchSpace.__dataclass_fields__["h_budget"].default
     try:
         text, data = args.handler(args)
     except _UsageError as exc:

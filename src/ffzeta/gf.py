@@ -6,12 +6,12 @@ of the residue polynomial in the generator t, lowest power first, reduced by
 the field modulus.  All element operations go through tables precomputed on
 the `FF` instance, so values stay exact machine ints throughout.
 
-Polynomials are immutable `Poly` values: a field reference plus a tuple of
-coefficient codes, lowest degree first, no trailing zeros.  The zero
-polynomial has an empty tuple and degree `NEG_INF`.  Products of long
-polynomials run through numpy convolutions (per base-p digit plane for
-extension fields); everything is reduced mod p immediately, so no rounding
-ever enters.
+Polynomials are `Poly` values: a field reference plus a tuple of coefficient
+codes, lowest degree first, no trailing zeros, immutable by convention (no
+operation writes to an existing `Poly`).  The zero polynomial has an empty
+tuple and degree `NEG_INF`.  Products of long polynomials run through numpy
+convolutions (per base-p digit plane for extension fields); everything is
+reduced mod p immediately, so no rounding ever enters.
 
 Polynomial literals use one grammar everywhere (files, CLI, reprs): terms
 joined by `+`, each term `c`, `c*x^k`, `x^k` or `x`, coefficients are plain
@@ -21,8 +21,6 @@ integers reduced mod p, or for extension fields polynomials in `t` such as
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 NEG_INF = float("-inf")
@@ -30,9 +28,8 @@ NEG_INF = float("-inf")
 _PRIMES = (2, 3, 5, 7, 11, 13)
 _TABLE_CAP = 512
 
-# numpy paths pay off only past these sizes; below them plain loops with the
-# scalar tables win on constant factors.
-_ADD_NP_MIN = 64
+# the numpy product pays off only past this size; below it the plain loop
+# with the scalar tables wins on constant factors.
 _MUL_NP_MIN = 81
 
 
@@ -42,7 +39,7 @@ class FF:
     __slots__ = (
         "p", "n", "q", "modulus",
         "_addl", "_subl", "_mull", "_negl", "_invl", "_frobl",
-        "_add_np", "_mul_np", "_dig", "_red", "_powvec",
+        "_dig", "_red", "_powvec",
     )
 
     def __init__(self, p, n=1, modulus=None):
@@ -82,7 +79,6 @@ class FF:
         self._dig = dig
         self._powvec = powvec
         add = ((dig[:, None, :] + dig[None, :, :]) % p) @ powvec
-        self._add_np = add
         if n == 1:
             mul = (codes[:, None] * codes[None, :]) % p
             red = None
@@ -104,7 +100,6 @@ class FF:
             high = prod[:, :, n:]
             mul = ((low + high @ red) % p) @ powvec
         self._red = red
-        self._mul_np = mul
         self._addl = add.tolist()
         self._mull = mul.tolist()
         self._negl = (((-dig) % p) @ powvec).tolist()
@@ -266,9 +261,9 @@ def _digits_of(k, q, width):
 
 
 class Poly:
-    """Immutable dense polynomial over a fixed finite field."""
+    """Dense polynomial over a fixed finite field."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
         q = field.q
@@ -280,20 +275,15 @@ class Poly:
             cs.append(c)
         while cs and cs[-1] == 0:
             cs.pop()
-        self._init(field, tuple(cs))
-
-    def _init(self, field, coeffs):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        self.field = field
+        self.coeffs = tuple(cs)
 
     @classmethod
     def _raw(cls, field, coeffs):
+        """Unchecked constructor: coeffs is already a stripped code tuple."""
         self = object.__new__(cls)
-        self._init(field, coeffs)
+        self.field = field
+        self.coeffs = coeffs
         return self
 
     @classmethod
@@ -350,11 +340,7 @@ class Poly:
                 and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.coeffs, self.field.p, self.field.n))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.coeffs, self.field.p, self.field.n))
 
     def _same_field(self, other):
         if self.field is not other.field and self.field != other.field:
@@ -371,11 +357,6 @@ class Poly:
             return self
         if len(a) < len(b):
             a, b = b, a
-        if len(a) >= _ADD_NP_MIN:
-            f = self.field
-            arr = np.array(a, dtype=np.int64)
-            arr[: len(b)] = f._add_np[arr[: len(b)], np.array(b, dtype=np.int64)]
-            return Poly._raw(f, _strip(arr.tolist()))
         addl = self.field._addl
         out = list(a)
         for i, c in enumerate(b):
@@ -497,12 +478,6 @@ class Poly:
         if self.is_zero or self.is_monic:
             return self
         return Poly._scale(self, self.field.inv(self.lc))
-
-    def shift(self, k):
-        """Multiply by x^k."""
-        if self.is_zero or k == 0:
-            return self
-        return Poly._raw(self.field, (0,) * k + self.coeffs)
 
     def spread(self, stride):
         """Substitute x -> x^stride; equals the q-power Frobenius when stride = q."""

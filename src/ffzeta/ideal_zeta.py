@@ -87,6 +87,8 @@ def ideal_zeta_direct(t, d_max, spec, *, report=None,
                       budget=DEFAULT_IDEAL_BUDGET):
     """Enumerate every ideal of each degree up to d_max and sum the power
     values."""
+    if d_max < 0:
+        raise ValueError(f"coefficient cutoff d_max = {d_max} must be >= 0")
     if report is None:
         from ffzeta.ideals import class_group
         report = class_group(spec, budget=budget)

@@ -15,6 +15,9 @@ principal for any nonzero alpha in J.  Principality itself is read off the
 F_q-echelon of the ideal: I is principal exactly when it contains an element
 of degree deg I (such an element generates, since (alpha) sits inside I with
 the same codimension deg alpha = deg I).
+
+Ideals are `IdealHNF` values, immutable by convention like the `Poly` and
+`RingElement` values they are built from.
 """
 
 from __future__ import annotations
@@ -109,17 +112,13 @@ def _kernel_columns(mat_cols, nrows):
 # -- ideals -----------------------------------------------------------------
 
 class IdealHNF:
-    """Nonzero ideal in canonical Hermite form; immutable."""
+    """Nonzero ideal in canonical Hermite form."""
 
-    __slots__ = ("spec", "cols", "_hash")
+    __slots__ = ("spec", "cols")
 
     def __init__(self, spec, cols):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IdealHNF is immutable")
+        self.spec = spec
+        self.cols = cols
 
     @property
     def deg(self):
@@ -160,11 +159,7 @@ class IdealHNF:
                 and (self.spec is other.spec or self.spec == other.spec))
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(tuple(tuple(g.coeffs for g in col) for col in self.cols))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(tuple(tuple(g.coeffs for g in col) for col in self.cols))
 
     def __repr__(self):
         from ffzeta.gf import poly_to_str
@@ -411,7 +406,7 @@ def enumerate_ideals(spec, d, *, budget=DEFAULT_IDEAL_BUDGET):
             yield IdealHNF(spec, ((u,),))
         return
     if m == 2:
-        r0, r1 = _m2_relation(spec)
+        r0, r1 = spec.mul_table()[1][1]    # b_1^2 = r0 + r1 b_1
         for jw in range(d // 2 + 1):
             iu = d - 2 * jw
             for w in monic_polys(field, jw):
@@ -426,16 +421,6 @@ def enumerate_ideals(spec, d, *, budget=DEFAULT_IDEAL_BUDGET):
                         yield IdealHNF(spec, (col0, col1))
         return
     yield from _enumerate_ideals_general(spec, d)
-
-
-def _m2_relation(spec):
-    """(r0, r1) with b_1^2 = r0 + r1 b_1."""
-    if spec.form == "cab":
-        return -spec.coeffs[0], -spec.coeffs[1]
-    if spec.form == "custom":
-        t0, t1 = spec.table[1][1]
-        return t0, t1
-    raise ValueError("no rank-2 relation for this form")
 
 
 def _enumerate_ideals_general(spec, d):

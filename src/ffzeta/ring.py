@@ -13,17 +13,20 @@ degree offsets delta_j, and grades elements by deg(x^i b_j) = i*m + delta_j
   checks commutativity, associativity, identity row, degree compatibility and
   the gcd / distinct-residue conditions that make degrees well defined.
 
-Elements are immutable coordinate vectors of m polynomials.  The degree of a
-nonzero element is attained by a unique monomial (the delta_j are pairwise
-distinct mod m), which is what makes "monic" meaningful.
+Every form multiplies through one table of basis products b_i * b_j
+(`RingSpec.mul_table`): the custom table as given, and for cab and polyring
+the cells y^(i+j) reduced by F.
+
+Elements are coordinate vectors of m polynomials, immutable by convention.
+The degree of a nonzero element is attained by a unique monomial (the
+delta_j are pairwise distinct mod m), which is what makes "monic" meaningful.
 """
 
 from __future__ import annotations
 
 from ffzeta.errors import RingValidationError
 from ffzeta.gf import (
-    NEG_INF, Poly, is_squarefree, poly_factor, poly_gcd, poly_to_str,
-    poly_from_str,
+    NEG_INF, Poly, poly_factor, poly_gcd, poly_to_str, poly_from_str,
 )
 
 
@@ -48,7 +51,7 @@ class RingSpec:
     """Presentation of a one-place affine coordinate ring."""
 
     __slots__ = ("field", "form", "m", "delta", "coeffs", "table", "name",
-                 "_report", "_ypow_rows", "_basis_qpow")
+                 "_report", "_mul_plan", "_basis_qpow")
 
     def __init__(self, field, form, m, delta, coeffs=None, table=None, name=None):
         self.field = field
@@ -59,7 +62,7 @@ class RingSpec:
         self.table = table
         self.name = name
         self._report = None
-        self._ypow_rows = None
+        self._mul_plan = None
         self._basis_qpow = None
 
     # -- constructors -------------------------------------------------------
@@ -219,55 +222,37 @@ class RingSpec:
 
     # -- multiplication machinery -------------------------------------------
 
-    def _rows(self):
-        """Coordinate rows of y^m, .., y^{2m-2} for cab reduction."""
-        if self._ypow_rows is None:
-            self.require_valid()
-            m = self.m
-            first = tuple(-c for c in self.coeffs)
-            rows = [first]
-            zero = Poly.zero(self.field)
-            for _ in range(m - 2):
-                prev = rows[-1]
-                top = prev[-1]
-                shifted = (zero,) + prev[:-1]
-                rows.append(tuple(shifted[i] + top * first[i] for i in range(m)))
-            self._ypow_rows = tuple(rows)
-        return self._ypow_rows
+    def mul_table(self):
+        """table[i][j] = coordinate vector of b_i * b_j.  For cab and polyring
+        b_i = y^i, so the cell is y^(i+j) reduced by F."""
+        if self.table is not None:
+            return self.table
+        m = self.m
+        zero = Poly.zero(self.field)
+        top = tuple(-c for c in self.coeffs or ())    # y^m
+        ypow = [self.basis_vec(k) for k in range(m)]
+        for _ in range(m - 1):
+            prev = ypow[-1]
+            ypow.append(tuple((prev[i - 1] if i else zero) + prev[-1] * top[i]
+                              for i in range(m)))
+        return tuple(tuple(ypow[i + j] for j in range(m)) for i in range(m))
 
     def _mul_vec(self, a, b):
-        m = self.m
-        if m == 1:
-            return (a[0] * b[0],)
-        if self.form == "cab":
-            conv = [Poly.zero(self.field) for _ in range(2 * m - 1)]
-            for i, ga in enumerate(a):
-                if ga.is_zero:
-                    continue
-                for j, gb in enumerate(b):
-                    if not gb.is_zero:
-                        conv[i + j] = conv[i + j] + ga * gb
-            out = conv[:m]
-            rows = self._rows()
-            for k in range(m, 2 * m - 1):
-                extra = conv[k]
-                if extra.is_zero:
-                    continue
-                row = rows[k - m]
-                out = [out[i] + extra * row[i] for i in range(m)]
-            return tuple(out)
-        out = [Poly.zero(self.field) for _ in range(m)]
-        for i, ga in enumerate(a):
-            if ga.is_zero:
-                continue
-            for j, gb in enumerate(b):
-                if gb.is_zero:
-                    continue
-                coef = ga * gb
-                cell = self.table[i][j]
-                for k in range(m):
-                    if not cell[k].is_zero:
-                        out[k] = out[k] + coef * cell[k]
+        """Sum the products a_i * b_j sharing a table cell, then apply each
+        distinct cell once; a unit entry is added without a product."""
+        plan = self._mul_plan
+        if plan is None:
+            plan = self._mul_plan = _plan_cells(self.mul_table())
+        out = [Poly.zero(self.field)] * self.m
+        for pairs, terms in plan:
+            acc = None
+            for i, j in pairs:
+                ga, gb = a[i], b[j]
+                if ga.coeffs and gb.coeffs:
+                    acc = ga * gb if acc is None else acc + ga * gb
+            if acc is not None:
+                for k, g in terms:
+                    out[k] = out[k] + (acc if g is None else acc * g)
         return tuple(out)
 
     def basis_vec(self, j):
@@ -316,17 +301,13 @@ class RingSpec:
 
 
 class RingElement:
-    """Immutable element of a RingSpec, a coordinate vector of m polynomials."""
+    """Element of a RingSpec, a coordinate vector of m polynomials."""
 
-    __slots__ = ("spec", "vec", "_hash")
+    __slots__ = ("spec", "vec")
 
     def __init__(self, spec, vec):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "vec", vec)
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingElement is immutable")
+        self.spec = spec
+        self.vec = vec
 
     # -- structure ----------------------------------------------------------
 
@@ -382,11 +363,7 @@ class RingElement:
                 and (self.spec is other.spec or self.spec == other.spec))
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(tuple(g.coeffs for g in self.vec))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(tuple(g.coeffs for g in self.vec))
 
     def _same_spec(self, other):
         if self.spec is not other.spec and self.spec != other.spec:
@@ -473,6 +450,22 @@ def elem_to_str(e):
     return ", ".join(poly_to_str(g) for g in e.vec)
 
 
+def _plan_cells(table):
+    """Index pairs (i, j) grouped by equal cells table[i][j], each group with
+    its cell's nonzero entries (k, entry); entry None stands for the unit 1."""
+    groups = {}
+    for i, row in enumerate(table):
+        for j, cell in enumerate(row):
+            groups.setdefault(cell, []).append((i, j))
+    plan = []
+    for cell, pairs in groups.items():
+        terms = tuple((k, None if g.coeffs == (1,) else g)
+                      for k, g in enumerate(cell) if not g.is_zero)
+        if terms:
+            plan.append((tuple(pairs), terms))
+    return tuple(plan)
+
+
 def affine_combinations(lead, basis):
     """lead plus every F_q-combination of basis, in counting order of the
     coefficient vector (first basis element least significant)."""
@@ -506,20 +499,29 @@ def echelon_insert(ech, v):
 # -- validation -------------------------------------------------------------
 
 def ring_validate(spec):
-    """Check the invariants of the presented form; failures carry witnesses."""
+    """Check the invariants of the presented form; failures carry witnesses.
+
+    The finite singular locus is computed for valid specs of rank m <= 2,
+    from the relation b_1^2 = r0 + r1 b_1 when m = 2; it is None otherwise.
+    """
     failures = []
-    singular = None
     m = spec.m
     if spec.form == "polyring":
         if m != 1 or spec.delta != (0,):
             failures.append(("polyring-shape", f"m={m}, delta={spec.delta}"))
-        singular = ()
     elif spec.form == "cab":
-        singular = _validate_cab(spec, failures)
+        _validate_cab(spec, failures)
     elif spec.form == "custom":
-        singular = _validate_custom(spec, failures)
+        _validate_custom(spec, failures)
     else:
         failures.append(("form", f"unknown form {spec.form!r}"))
+    singular = None
+    if not failures and m == 1:
+        singular = ()
+    elif not failures and m == 2:
+        # b_1^2 = r0 + r1 b_1 means y^2 - r1 y - r0 = 0
+        r0, r1 = spec.mul_table()[1][1]
+        singular = _singular_locus_m2(spec.field, -r0, -r1)
     return RingValidationReport(not failures, failures, spec.form, m, spec.delta, singular)
 
 
@@ -529,11 +531,11 @@ def _validate_cab(spec, failures):
     for j, c in enumerate(coeffs):
         if not isinstance(c, Poly) or c.field != spec.field:
             failures.append(("coefficients", f"c_{j} is not a polynomial over the base field"))
-            return None
+            return
     c0 = coeffs[0]
     if c0.is_zero or (c0.degree < 1 and m > 1):
         failures.append(("c0-degree", f"c_0 = {poly_to_str(c0)} must have degree >= 1"))
-        return None
+        return
     N = c0.degree
     from math import gcd
     if gcd(m, N) != 1:
@@ -543,13 +545,6 @@ def _validate_cab(spec, failures):
         if not cj.is_zero and m * cj.degree + j * N >= m * N:
             failures.append(
                 ("weight", f"w(c_{j} y^{j}) = {m * cj.degree + j * N} >= m*N = {m * N}"))
-    if failures:
-        return None
-    if m == 1:
-        return ()
-    if m == 2:
-        return _singular_locus_m2(spec.field, coeffs[0], coeffs[1])
-    return None
 
 
 def _singular_locus_m2(field, c0, c1):
@@ -585,14 +580,14 @@ def _validate_custom(spec, failures):
         failures.append(("gcd", f"gcd(m, delta_1, ..) = {g} != 1"))
     if len(table) != m or any(len(row) != m for row in table):
         failures.append(("table-shape", f"need an {m}x{m} table"))
-        return None
+        return
     for i in range(m):
         for j in range(m):
             if len(table[i][j]) != m:
                 failures.append(("table-shape", f"entry ({i},{j}) has wrong length"))
-                return None
+                return
     if failures:
-        return None
+        return
     # identity row
     for j in range(m):
         if table[0][j] != spec.basis_vec(j):
@@ -610,7 +605,7 @@ def _validate_custom(spec, failures):
                 failures.append(
                     ("degree", f"deg(b_{i} b_{j}) = {prod.degree} != {delta[i] + delta[j]}"))
     if failures:
-        return None
+        return
     # associativity on basis triples
     for i in range(m):
         for j in range(m):
@@ -621,10 +616,3 @@ def _validate_custom(spec, failures):
                                       spec._mul_vec(spec.basis_vec(j), spec.basis_vec(k)))
                 if left != right:
                     failures.append(("associativity", f"(b_{i} b_{j}) b_{k} != b_{i} (b_{j} b_{k})"))
-    if failures:
-        return None
-    if m == 2:
-        # b_1^2 = t0 + t1 b_1 means y^2 - t1 y - t0 = 0
-        t0, t1 = table[1][1]
-        return _singular_locus_m2(spec.field, -t0, -t1)
-    return None

@@ -171,11 +171,10 @@ def evaluate_candidate(field, a, b, *, min_r=None,
     hyp = None
     for k in range(1, _S_SCAN + 1):
         s = k * (q - 1)
-        hyp = check_tesismc(spec, s, cg, budget=h_budget, with_remark=False)
+        hyp = check_tesismc(spec, s, cg, budget=h_budget)
         if hyp.applicable:
-            full = check_tesismc(spec, s, cg, budget=h_budget)
             return "hypotheses", "pass", {"gap": rr, "class": cg,
-                                          "hypothesis": full, "s": s}
+                                          "hypothesis": hyp, "s": s}
         bad = hyp.failed_check()
         if bad is not None and bad.name != "l_q(es)/(q-1) <= mu":
             return ("hypotheses", f"failed: {bad.name}",

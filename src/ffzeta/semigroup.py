@@ -178,9 +178,6 @@ class RGapReport:
     valid_r: tuple
     scanned: dict
 
-    def max_valid(self):
-        return max(self.valid_r) if self.valid_r else None
-
 
 def r_gap_values(S, q):
     """All r >= 1 with an r-gap structure for field size q, with witnesses."""

@@ -24,7 +24,7 @@ from ffzeta.errors import BudgetError, NonMaximalRingError
 from ffzeta.gf import (is_irreducible, is_squarefree, poly_factor,
                        poly_to_str, valuation_profile)
 from ffzeta.ideal_zeta import ideal_zeta_classwise, remark_exact_check
-from ffzeta.ideals import class_group, _m2_relation, DEFAULT_IDEAL_BUDGET
+from ffzeta.ideals import class_group, DEFAULT_IDEAL_BUDGET
 from ffzeta.semigroup import (NumericalSemigroup, r_gap_values,
                               semigroup_from_ring)
 from ffzeta.zeta import DEFAULT_BUDGET, digit_sum, zeta_neg
@@ -208,7 +208,7 @@ def _all_ideals_chain(spec, s, class_report, *, theorem, q_required,
         ok = spec.m == 2 and N % 2 == 1
         a = b = None
         if ok:
-            r0, r1 = _m2_relation(spec)
+            r0, r1 = spec.mul_table()[1][1]    # b_1^2 = r0 + r1 b_1
             a, b = r1, r0
             ok = not a.is_zero
         checks.append(CheckItem("form y^2 - a y = b, N odd", ok,

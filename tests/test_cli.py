@@ -70,6 +70,26 @@ def test_zeta_all_ideals_bad_exponent():
     assert "class-group exponent" in res.text
 
 
+def test_zeta_direct_needs_all_ideals():
+    res = run("zeta", "--ring", "h4g3.ring", "-s", "3", "--direct")
+    assert res.exit_code == 2
+    assert "--direct" in res.text
+
+
+def test_zeta_dmax_needs_direct():
+    res = run("zeta", "--ring", "h4g3.ring", "-s", "2", "--all-ideals",
+              "--dmax", "3")
+    assert res.exit_code == 2
+    assert "--dmax" in res.text
+
+
+def test_zeta_negative_dmax_is_usage_error():
+    res = run("zeta", "--ring", "h4g3.ring", "-s", "2", "--all-ideals",
+              "--direct", "--dmax", "-1")
+    assert res.exit_code == 2
+    assert "--dmax" in res.text
+
+
 def test_zeta_ring_file(tmp_path):
     p = tmp_path / "mine.ring"
     p.write_text(serialize_ring_spec(parse_ring_spec("ex36.ring")))

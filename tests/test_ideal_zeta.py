@@ -119,6 +119,11 @@ def test_direct_beyond_certified_cutoff_is_zero(h4g3, h4g3_classes):
         assert c.is_zero
 
 
+def test_direct_negative_cutoff_rejected(h4g3, h4g3_classes):
+    with pytest.raises(ValueError, match="d_max"):
+        ideal_zeta_direct(2, -1, h4g3, report=h4g3_classes)
+
+
 def test_trivial_zeros_extend(h4g3, ex36, f4as, h4g3_classes):
     # value at 1 vanishes whenever (q-1) | t, matching the monic-element law
     jobs = [(h4g3, h4g3_classes, (2, 4, 6)), (ex36, class_group(ex36), (2, 4)),

@@ -1,10 +1,11 @@
-import itertools
+import random
 
 import pytest
 
 from ffzeta.errors import RingValidationError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str, poly_to_str
-from ffzeta.ring import RingElement, RingSpec, elem_to_str
+from ffzeta.ideals import enumerate_ideals, ideal_from_generators, ideal_mul
+from ffzeta.ring import RingSpec, elem_to_str
 
 F2 = GF(2)
 F3 = GF(3)
@@ -268,3 +269,113 @@ def test_scale_and_neg(ex36):
     e = ex36.elem_from_str("x; 1")
     assert e.scale_const(2) == e + e
     assert e + (-e) == ex36.zero()
+
+
+# -- products against y-polynomial arithmetic -------------------------------
+
+def y_poly_product(spec, a, b):
+    """Oracle: a * b as polynomials in y over F_q[x], then long division by
+    the monic F = y^m + c_{m-1} y^{m-1} + .. + c_0."""
+    m = spec.m
+    zero = Poly.zero(spec.field)
+    prod = [zero] * (2 * m - 1)
+    for i, ga in enumerate(a):
+        for j, gb in enumerate(b):
+            prod[i + j] = prod[i + j] + ga * gb
+    for k in range(2 * m - 2, m - 1, -1):
+        top, prod[k] = prod[k], zero
+        for i, c in enumerate(spec.coeffs):
+            prod[k - m + i] = prod[k - m + i] - top * c
+    return tuple(prod[:m])
+
+
+def _random_vec(spec, rnd, deg):
+    """m random polynomials of degree < deg, some coordinates zero."""
+    f = spec.field
+    return tuple(Poly.zero(f) if rnd.random() < 0.2
+                 else Poly(f, [rnd.randrange(f.q) for _ in range(deg)])
+                 for _ in range(spec.m))
+
+
+# (field, F literals c_0 .. c_{m-1}) for m in {1, 2, 3} over q in {2, 3, 4}
+_CAB_RINGS = (
+    (F2, ("x^3 + x",)),
+    (F3, ("2*x^2 + 1",)),
+    (F4, ("x + t",)),
+    (F2, ("x^7 + x^6 + x^5 + x", "x^2 + x")),
+    (F3, ("2*x^5 + x", "0")),
+    (F4, ("x^3 + t", "1")),
+    (F2, ("x^4 + x + 1", "x", "1")),
+    (F3, ("2*x^4 + 2*x", "2", "0")),           # y^3 - y = x^4 + x
+    (F4, ("x^4 + t*x + 1", "x", "t")),
+)
+
+
+@pytest.mark.parametrize("field, cs", _CAB_RINGS,
+                         ids=[f"q{f.q}-m{len(cs)}" for f, cs in _CAB_RINGS])
+def test_products_match_y_polynomial_oracle(field, cs):
+    spec = RingSpec.cab(field, tuple(P(field, c) for c in cs))
+    assert spec.validate().ok
+    m = spec.m
+    basis = [spec.basis_vec(j) for j in range(m)]
+    # the custom-table twin: the same ring, its table taken from the oracle
+    twin = RingSpec.custom(field, spec.delta,
+                           [[y_poly_product(spec, bi, bj) for bj in basis]
+                            for bi in basis])
+    assert twin.validate().ok
+    assert twin.validate().singular_finite == spec.validate().singular_finite
+    rnd = random.Random(m * 100 + field.q)
+    vecs = [_random_vec(spec, rnd, 1 + rnd.randrange(6)) for _ in range(12)]
+    vecs += basis
+    for va in vecs:
+        for vb in vecs:
+            want = y_poly_product(spec, va, vb)
+            assert (spec.elem(va) * spec.elem(vb)).vec == want
+            assert (twin.elem(va) * twin.elem(vb)).vec == want
+
+
+# -- value contract ---------------------------------------------------------
+
+def test_values_equal_and_hash_equal_across_routes(h4g3):
+    p1 = Poly(F3, [1, 2, 0, 0])
+    p2 = P(F3, "2*x + 1")
+    p3 = P(F3, "x + 2") * P(F3, "2")
+    assert p1 == p2 == p3 and hash(p1) == hash(p2) == hash(p3)
+    assert {p1: "a"}[p3] == "a"
+
+    e1 = h4g3.x() * h4g3.y()
+    e2 = h4g3.elem_from_str("0; x")
+    assert e1 == e2 and hash(e1) == hash(e2)
+    assert {e1: "b"}[e2] == "b"
+
+    I, J = list(enumerate_ideals(h4g3, 1))[:2]
+    via_mul = ideal_mul(I, J)
+    via_gens = ideal_from_generators(
+        [g * k for g in I.generators() for k in J.generators()], h4g3)
+    assert via_mul == via_gens and hash(via_mul) == hash(via_gens)
+    assert {via_mul: "c"}[via_gens] == "c"
+    a, b = h4g3.elem_from_str("x + 1; 1"), h4g3.x()
+    principal = ideal_from_generators([a * b], h4g3)
+    product = ideal_mul(ideal_from_generators([a], h4g3),
+                        ideal_from_generators([b], h4g3))
+    assert principal == product and hash(principal) == hash(product)
+
+
+def test_operations_leave_operands_unchanged(h4g3):
+    big = Poly(F3, [(3 * i + 1) % 3 for i in range(90)])     # numpy product size
+    small = P(F3, "x^3 + 2*x + 1")
+    for a, b in ((big, small), (small, big), (big, big), (small, small)):
+        before = (a.coeffs, b.coeffs)
+        a + b, a - b, a * b, a ** 3, divmod(a, b), -a
+        assert (a.coeffs, b.coeffs) == before
+
+    ea = h4g3.elem_from_str("x^3 + x; x + 1")
+    eb = h4g3.elem_from_str("x^2; 1")
+    vecs = (ea.vec, eb.vec)
+    ea + eb, ea - eb, ea * eb, ea ** 5, eb * Poly.x(F2), -ea
+    assert (ea.vec, eb.vec) == vecs
+
+    I, J = list(enumerate_ideals(h4g3, 2))[:2]
+    cols = (I.cols, J.cols)
+    ideal_mul(I, J), ideal_mul(I, I)
+    assert (I.cols, J.cols) == cols
