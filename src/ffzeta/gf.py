@@ -26,7 +26,7 @@ import numpy as np
 NEG_INF = float("-inf")
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
-_TABLE_CAP = 512
+TABLE_CAP = 512
 
 # the numpy product pays off only past this size; below it the plain loop
 # with the scalar tables wins on constant factors.
@@ -48,8 +48,8 @@ class FF:
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
         q = p ** n
-        if q > _TABLE_CAP:
-            raise ValueError(f"q = p^n must be <= {_TABLE_CAP}, got {q}")
+        if q > TABLE_CAP:
+            raise ValueError(f"q = p^n must be <= {TABLE_CAP}, got {q}")
         self.p = p
         self.n = n
         self.q = q
@@ -368,7 +368,21 @@ class Poly:
         return Poly._raw(self.field, tuple(negl[c] for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._same_field(other)
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        f = self.field
+        subl = f._subl
+        if len(a) >= len(b):
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] = subl[out[i]][c]
+        else:
+            negl = f._negl
+            out = [subl[c][b[i]] for i, c in enumerate(a)]
+            out.extend(negl[c] for c in b[len(a):])
+        return Poly._raw(f, _strip(out))
 
     def __mul__(self, other):
         self._same_field(other)
@@ -511,6 +525,21 @@ def _strip(cs):
     while k and cs[k - 1] == 0:
         k -= 1
     return tuple(cs[:k])
+
+
+def poly_det(M):
+    """Determinant of a square matrix of Polys, by expansion along row 0."""
+    n = len(M)
+    if n == 1:
+        return M[0][0]
+    det = None
+    for j in range(n):
+        minor = [[M[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        term = M[0][j] * poly_det(minor)
+        if j % 2:
+            term = -term
+        det = term if det is None else det + term
+    return det
 
 
 def poly_gcd(a, b):

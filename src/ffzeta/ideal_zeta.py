@@ -14,6 +14,11 @@ I_k * I over integral I of degree d in the inverse class), divided by the
 constant prefactor f_k^(t/e_k).  Each class term has its own certified
 cutoff from the power-sum vanishing bound, so the classwise result is a
 complete polynomial.
+
+Both routes need a product of monic elements to be monic: the value of I^t
+is built from monic generators, and the classwise route multiplies them.
+Rings where some basis product b_i * b_j has a leading coefficient other
+than 1 are refused up front.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from ffzeta.errors import ConsistencyError
 from ffzeta.ideals import (elem_divexact, ideal_echelon, ideal_is_principal,
                            ideal_pow, monic_slice, DEFAULT_IDEAL_BUDGET,
                            enumerate_ideals)
-from ffzeta.ring import RingSpec
+from ffzeta.ring import RingElement, RingSpec
 from ffzeta.zeta import (digit_profile, ord_from_coeffs, zeta_neg,
                          zeta_to_str, DEFAULT_BUDGET)
 
@@ -72,6 +77,21 @@ class IdealZetaPolynomial:
                 and self.coeffs == other.coeffs)
 
 
+def require_monic_products(spec):
+    """Refuse a ring on which a product of monic elements can fail to be
+    monic, i.e. some basis product b_i * b_j has leading coefficient != 1."""
+    spec.require_valid()
+    for i, row in enumerate(spec.mul_table()):
+        for j, cell in enumerate(row):
+            c = RingElement(spec, cell).leading()[2]
+            if c != 1:
+                raise ValueError(
+                    f"b_{i} * b_{j} has leading coefficient "
+                    f"{spec.field.el_to_str(c)}, so products of monic elements "
+                    f"are not always monic; the all-ideals zeta is refused on "
+                    f"this ring")
+
+
 def ideal_power_value(I, t, report, spec=None):
     """I^t as a ring element: a^(t/e) for a the monic generator of I^e."""
     e = report.e
@@ -89,6 +109,7 @@ def ideal_zeta_direct(t, d_max, spec, *, report=None,
     values."""
     if d_max < 0:
         raise ValueError(f"coefficient cutoff d_max = {d_max} must be >= 0")
+    require_monic_products(spec)
     if report is None:
         from ffzeta.ideals import class_group
         report = class_group(spec, budget=budget)
@@ -124,6 +145,7 @@ def ideal_zeta_classwise(t, report, spec=None, *,
     ConsistencyError.
     """
     spec = spec or report.spec
+    require_monic_products(spec)
     if t <= 0 or t % report.e:
         raise ValueError("exponent not a multiple of class-group exponent")
     q = spec.field.q

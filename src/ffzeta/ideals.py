@@ -6,10 +6,14 @@ with monic diagonal and off-diagonal entries reduced mod the diagonal of
 their row; that form is unique per ideal, so equality is matrix equality.
 deg I = sum of the diagonal degrees = dim_{F_q} A/I.
 
-The class group pipeline enumerates ideal counts c_d up to degree 2g, forms
-the L-polynomial p_d = c_d - q c_{d-1}, checks the functional equation
-p_{2g-i} = q^{g-i} p_i as an internal-consistency certificate, reads off
-h = P(1), then classifies ideals in degree order until h classes are found.
+The class group pipeline enumerates the ideals of degree 0..g, forms the
+L-polynomial p_d = c_d - q c_{d-1} for d <= g, fills p_{g+1}..p_{2g} by the
+functional equation p_{2g-i} = q^{g-i} p_i and rebuilds c_{g+1}..c_{2g}
+from them.  The point counts N_k over F_{q^k}, k = 1..K (K = min(2g, largest
+k with q^k <= 512)), certify the result: below g they test the enumeration,
+beyond g the half the functional equation filled in.  It reads off h = P(1),
+then classifies the enumerated ideals in degree order until h classes are
+found; Riemann-Roch puts one of degree <= g in every class.
 Class equivalence follows the quotient route: I ~ J iff I * ((alpha) : J) is
 principal for any nonzero alpha in J.  Principality itself is read off the
 F_q-echelon of the ideal: I is principal exactly when it contains an element
@@ -23,11 +27,13 @@ Ideals are `IdealHNF` values, immutable by convention like the `Poly` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
-from ffzeta.gf import Poly, monic_polys, polys_below
-from ffzeta.ring import RingElement, affine_combinations, echelon_insert
+from ffzeta.gf import TABLE_CAP, Poly, monic_polys, poly_det, polys_below
+from ffzeta.ring import (RingElement, affine_combinations, count_affine_points,
+                         echelon_insert)
 from ffzeta.semigroup import semigroup_from_ring
 
 DEFAULT_IDEAL_BUDGET = 4_000_000
@@ -308,20 +314,6 @@ def _mult_matrix(e):
     return tuple(tuple(cols[k][i] for k in range(m)) for i in range(m))
 
 
-def _poly_det(M):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    det = None
-    for j in range(n):
-        minor = [[M[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = M[0][j] * _poly_det(minor)
-        if j % 2:
-            term = -term
-        det = term if det is None else det + term
-    return det
-
-
 def elem_divexact(num, den):
     """num / den inside the ring; Cramer solve against den's multiplication
     matrix, with a zero-remainder requirement at every division."""
@@ -332,12 +324,12 @@ def elem_divexact(num, den):
     if num.is_zero:
         return spec.zero()
     M = _mult_matrix(den)
-    D = _poly_det([list(row) for row in M])
+    D = poly_det([list(row) for row in M])
     sol = []
     for i in range(m):
         Mi = [[(num.vec[r] if c == i else M[r][c]) for c in range(m)]
               for r in range(m)]
-        qq, rr = divmod(_poly_det(Mi), D)
+        qq, rr = divmod(poly_det(Mi), D)
         if not rr.is_zero:
             raise ConsistencyError("element division left a remainder")
         sol.append(qq)
@@ -479,6 +471,7 @@ class ClassGroupReport:
     h: int
     e: int             # lcm of the class orders
     classes: tuple     # ClassData, classes[0] is the trivial class
+    points_checked: int    # K: N_1 .. N_K matched the point counts
 
     def nontrivial(self):
         return self.classes[1:]
@@ -495,34 +488,30 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     S = semigroup_from_ring(spec)
     g = S.genus
     q = spec.field.q
-    counts = []
-    for d in range(2 * g + 1):
-        counts.append(sum(1 for _ in enumerate_ideals(spec, d, budget=budget)))
-    lpoly = [counts[0]]
-    for d in range(1, 2 * g + 1):
-        lpoly.append(counts[d] - q * counts[d - 1])
-    if lpoly[0] != 1:
+    low = [list(enumerate_ideals(spec, d, budget=budget)) for d in range(g + 1)]
+    counts = [len(ideals) for ideals in low]
+    if counts[0] != 1:
         raise ConsistencyError(f"c_0 = {counts[0]} != 1")
-    for i in range(g + 1):
-        if lpoly[2 * g - i] != q ** (g - i) * lpoly[i]:
-            raise ConsistencyError(
-                f"functional equation fails at i={i}: "
-                f"p_{2*g-i} = {lpoly[2*g-i]} != q^{g-i} p_{i} = {q**(g-i)*lpoly[i]}")
+    lpoly = [1] + [counts[d] - q * counts[d - 1] for d in range(1, g + 1)]
+    for d in range(g + 1, 2 * g + 1):
+        lpoly.append(q ** (d - g) * lpoly[2 * g - d])
+        counts.append(q * counts[d - 1] + lpoly[d])
+    points_checked = _certify_by_points(spec, g, lpoly)
     h = sum(lpoly)
     if h < 1:
         raise ConsistencyError(f"P(1) = {h} < 1")
+    # Riemann-Roch: with a rational place at infinity every class holds an
+    # integral ideal of degree <= g
     reps = []
-    d = 0
-    while len(reps) < h:
-        if d > 2 * g + 2:
-            raise ConsistencyError(
-                f"found only {len(reps)} of {h} classes up to degree {d - 1}")
-        for I in enumerate_ideals(spec, d, budget=budget):
-            if not any(class_equivalent(I, J) for J in reps):
-                reps.append(I)
-                if len(reps) == h:
-                    break
-        d += 1
+    for I in chain.from_iterable(low):
+        if not any(class_equivalent(I, J) for J in reps):
+            reps.append(I)
+            if len(reps) == h:
+                break
+    if len(reps) < h:
+        raise ConsistencyError(
+            f"found only {len(reps)} of {h} classes among the ideals of "
+            f"degree <= g = {g}")
     classes = []
     for I in reps:
         order = None
@@ -538,4 +527,31 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
         classes.append(ClassData(rep=I, degree=I.deg, order=order, generator=gen))
     e = lcm(*(c.order for c in classes))
     return ClassGroupReport(spec=spec, genus=g, counts=tuple(counts),
-                            lpoly=tuple(lpoly), h=h, e=e, classes=tuple(classes))
+                            lpoly=tuple(lpoly), h=h, e=e, classes=tuple(classes),
+                            points_checked=points_checked)
+
+
+def _certify_by_points(spec, g, lpoly):
+    """Match N_k = q^k + 1 - S_k against 1 + the affine points over F_{q^k}
+    for k = 1..K, K = min(2g, largest k with q^k <= TABLE_CAP); returns K.
+
+    S_k, the k-th power sum of the inverse roots of P, follows from Newton's
+    identities k p_k + sum_{j=1}^{k} S_j p_{k-j} = 0.  Up to k = g this tests
+    the enumerated counts against the geometry; beyond g it tests the half
+    of P that the functional equation filled in.
+    """
+    q = spec.field.q
+    K = 0
+    while K < 2 * g and q ** (K + 1) <= TABLE_CAP:
+        K += 1
+    sums = []
+    for k in range(1, K + 1):
+        s_k = -k * lpoly[k] - sum(sums[j - 1] * lpoly[k - j] for j in range(1, k))
+        sums.append(s_k)
+        want = q ** k + 1 - s_k
+        got = count_affine_points(spec, k) + 1
+        if got != want:
+            raise ConsistencyError(
+                f"N_{k} = {got} points over GF({q}^{k}), but the L-polynomial "
+                f"gives {want}")
+    return K

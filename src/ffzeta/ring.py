@@ -24,9 +24,12 @@ delta_j are pairwise distinct mod m), which is what makes "monic" meaningful.
 
 from __future__ import annotations
 
+from itertools import product
+
 from ffzeta.errors import RingValidationError
 from ffzeta.gf import (
-    NEG_INF, Poly, poly_factor, poly_gcd, poly_to_str, poly_from_str,
+    GF, NEG_INF, Poly, poly_det, poly_factor, poly_gcd, poly_to_str,
+    poly_from_str,
 )
 
 
@@ -494,6 +497,92 @@ def echelon_insert(ech, v):
             return True
         v = v - w.scale_const(c)
     return False
+
+
+# -- points -----------------------------------------------------------------
+
+def count_affine_points(spec, k):
+    """Affine points of the ring over F_{q^k}: pairs of x0 in F_{q^k} and
+    basis images beta_0 = 1, beta_1 .. beta_{m-1} in F_{q^k} that satisfy
+    beta_i beta_j = sum_l T_ijl(x0) beta_l for every cell of the table.
+
+    Such a beta_j is an eigenvalue of multiplication by b_j at x0, so the
+    candidates are the roots of that characteristic polynomial (for m = 2,
+    the roots of beta^2 = r0(x0) + r1(x0) beta) and every tuple of them is
+    tested against all cells.  The table has coefficients in F_q, so x0 and
+    its conjugate x0^q carry equally many points: one x0 per Frobenius orbit
+    is solved and counted with the orbit's size.  F_{q^k} is GF(p, n k) with
+    F_q embedded by a root of F_q's modulus.
+    """
+    field = spec.field
+    E = GF(field.p, field.n * k)
+    addl, mull, negl = E._addl, E._mull, E._negl
+    emb = _embedding(field, E)
+    m = spec.m
+    table = [[[[emb[c] for c in g.coeffs] for g in cell] for cell in row]
+             for row in spec.mul_table()]
+    pairs = [(i, j) for i in range(m) for j in range(i, m)]
+    seen = bytearray(E.q)
+    count = 0
+    for x0 in range(E.q):
+        orbit = 0
+        y = x0
+        while not seen[y]:
+            seen[y] = 1
+            orbit += 1
+            y = E.pow(y, field.q)
+        if not orbit:
+            continue
+        cells = [[[_horner(cs, x0, addl, mull) for cs in cell] for cell in row]
+                 for row in table]
+        cands = [(1,)]
+        for j in range(1, m):
+            # T I - M_j, where column c of M_j is the cell b_j * b_c
+            mat = [[Poly._raw(E, (negl[cells[j][c][r]], 1)) if r == c
+                    else Poly.const(E, negl[cells[j][c][r]])
+                    for c in range(m)] for r in range(m)]
+            chi = poly_det(mat).coeffs
+            cands.append([b for b in range(E.q)
+                          if not _horner(chi, b, addl, mull)])
+        for beta in product(*cands):
+            if all(mull[beta[i]][beta[j]] == _dot(cells[i][j], beta, addl, mull)
+                   for i, j in pairs):
+                count += orbit
+    return count
+
+
+def _embedding(field, E):
+    """Codes of F_q in E, a field of order q^k: the identity on a prime field,
+    else t goes to the least root of F_q's modulus in E (F_p codes agree)."""
+    if field.n == 1:
+        return list(range(field.p))
+    addl, mull = E._addl, E._mull
+    theta = next(r for r in range(E.q)
+                 if not _horner(field.modulus, r, addl, mull))
+    powers = [1]
+    for _ in range(field.n - 1):
+        powers.append(mull[powers[-1]][theta])
+    emb = []
+    for a in range(field.q):
+        acc = 0
+        for d, tp in zip(field.digits(a), powers):
+            acc = addl[acc][mull[d][tp]]
+        emb.append(acc)
+    return emb
+
+
+def _horner(coeffs, x, addl, mull):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = addl[mull[acc][x]][c]
+    return acc
+
+
+def _dot(vec, beta, addl, mull):
+    acc = 0
+    for v, b in zip(vec, beta):
+        acc = addl[acc][mull[v][b]]
+    return acc
 
 
 # -- validation -------------------------------------------------------------

@@ -9,8 +9,6 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-import pytest
-
 from ffzeta.cli import dispatch
 from ffzeta.gf import GF, Poly, poly_from_str
 from ffzeta.ideal_zeta import (

@@ -139,6 +139,65 @@ def test_lpoly():
     assert doc["functional_equation"] is True
 
 
+def _ring_file(tmp_path, name, field, c0):
+    p = tmp_path / f"{name}.ring"
+    p.write_text(f"[field]\n{field}\n\n[ring]\nform = cab\nname = {name}\n"
+                 f"m = 2\nc0 = {c0}\nc1 = 0\n")
+    return str(p)
+
+
+def test_lpoly_reports_points_checked():
+    res = run("lpoly", "--ring", "h4g3.ring")
+    assert res.text.endswith("functional equation: verified")
+    code, doc = jrun("lpoly", "--ring", "h4g3.ring")
+    assert doc["points_checked"] == 6 and doc["functional_equation"] is True
+    code, doc = jrun("lpoly", "--ring", "fqx2.ring")
+    assert doc["points_checked"] == 0 and doc["functional_equation"] is True
+
+
+def test_lpoly_point_counts_below_2g(tmp_path):
+    # genus 2 over F_5: 5^4 > 512, so K = 3, still past g
+    ring = _ring_file(tmp_path, "g2f5", "p = 5",
+                      "4*x^5 + 2*x^4 + 4*x^3 + x^2 + 2")
+    code, doc = jrun("lpoly", "--ring", ring)
+    assert code == 0
+    assert doc["lpoly"] == [1, -5, 13, -25, 25]
+    assert doc["points_checked"] == 3
+    assert doc["functional_equation"] is True
+
+
+def test_lpoly_functional_equation_by_construction(tmp_path):
+    # genus 1 over F_25: 25^2 > 512, so K = 1 = g and the top half of P is
+    # never compared with a point count
+    ring = _ring_file(tmp_path, "e25", "p = 5\nn = 2\nmodulus = t^2 + 2",
+                      "4*x^3 + (2*t + 4)*x^2 + (3*t + 4)*x + 2*t + 4")
+    code, doc = jrun("lpoly", "--ring", ring)
+    assert code == 0
+    assert doc["lpoly"] == [1, -10, 25]
+    assert doc["points_checked"] == 1
+    assert doc["functional_equation"] is False
+    res = run("lpoly", "--ring", ring)
+    assert res.text.endswith(
+        "functional equation: holds by construction; point count N_1 checked")
+
+
+def test_all_ideals_refused_when_monic_not_multiplicative(tmp_path):
+    # y^2 = 2x^5 + ..: y is monic, y^2 is not, so the two all-ideals routes
+    # normalise generators differently; both are refused
+    ring = _ring_file(tmp_path, "h20g2", "p = 3", "x^5 + x^4 + x^2 + 2*x")
+    for extra in ([], ["--direct"]):
+        res = run("zeta", "--ring", ring, "--all-ideals", "-s", "10", *extra)
+        assert res.exit_code == 1
+        assert res.text.startswith("error: b_1 * b_1 has leading coefficient 2")
+        code, doc = jrun("zeta", "--ring", ring, "--all-ideals", "-s", "10",
+                         *extra)
+        assert code == 1 and doc["kind"] == "ValueError"
+    code, doc = jrun("classgroup", "--ring", ring)
+    assert code == 0 and doc["h"] == 20
+    code, doc = jrun("lpoly", "--ring", ring)
+    assert code == 0 and doc["value_at_one"] == 20
+
+
 def test_classgroup_refuses_singular(tmp_path):
     p = tmp_path / "cusp.ring"
     p.write_text("[field]\np = 3\n\n[ring]\nform = cab\nm = 2\n"

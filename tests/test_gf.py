@@ -115,6 +115,21 @@ def test_ring_axioms_random():
             assert a + (-a) == Poly.zero(field)
 
 
+@pytest.mark.parametrize("field", [F2, F3, F4, F9], ids=["F2", "F3", "F4", "F9"])
+def test_sub_matches_add_negation(field):
+    rng = random.Random(field.q)
+    polys = [Poly(field, [rng.randrange(field.q) for _ in range(n)])
+             for n in (0, 1, 2, 3, 5, 8) for _ in range(4)]
+    for a in polys:
+        for b in polys:
+            assert a - b == a + (-b)
+        # a copy of a with a different leading part: the top cancels
+        top = Poly.monomial(field, len(a.coeffs) + 2, 1)
+        assert (a + top) - top == a
+        assert a - a == Poly.zero(field)
+        assert Poly.zero(field) - a == -a
+
+
 def _naive_mul(a, b):
     f = a.field
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1) if a.coeffs and b.coeffs else []

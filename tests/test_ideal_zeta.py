@@ -112,6 +112,22 @@ def test_classwise_division_failure_raises(h4g3, h4g3_classes, monkeypatch):
         ideal_zeta_classwise(2, h4g3_classes, h4g3)
 
 
+def test_refused_where_monic_is_not_multiplicative(monkeypatch):
+    # y^2 = 2x^5 + 2x^4 + 2x^2 + x over F_3: y is monic, y * y is not
+    spec = RingSpec.cab(F3, (P(F3, "x^5 + x^4 + x^2 + 2*x"), P(F3, "0")))
+    rep = class_group(spec)
+    assert rep.h == 20 and rep.e == 10
+    with pytest.raises(ValueError, match=r"b_1 \* b_1 has leading coefficient 2"):
+        ideal_zeta_classwise(10, rep, spec)
+
+    def no_class_group(*args, **kwargs):
+        raise AssertionError("class group computed before the refusal")
+
+    monkeypatch.setattr("ffzeta.ideals.class_group", no_class_group)
+    with pytest.raises(ValueError, match="leading coefficient 2"):
+        ideal_zeta_direct(10, 3, spec)
+
+
 def test_direct_beyond_certified_cutoff_is_zero(h4g3, h4g3_classes):
     zc = ideal_zeta_classwise(2, h4g3_classes, h4g3)
     zd = ideal_zeta_direct(2, zc.d_max + 2, h4g3, report=h4g3_classes)

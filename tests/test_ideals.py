@@ -3,14 +3,15 @@ import random
 import pytest
 
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
-from ffzeta.gf import GF, poly_from_str
+from ffzeta.gf import GF, Poly, poly_from_str
 from ffzeta.ideals import (
     class_equivalent, class_group, count_ideal_candidates, elem_divexact,
     enumerate_ideals, ideal_echelon, ideal_from_generators,
     ideal_is_principal, ideal_mul, ideal_pow, ideal_quotient, monic_slice,
     unit_ideal, _enumerate_ideals_general,
 )
-from ffzeta.ring import RingSpec, elem_to_str
+from ffzeta.ring import RingSpec, count_affine_points, elem_to_str
+from ffzeta.semigroup import semigroup_from_ring
 
 F2 = GF(2)
 F3 = GF(3)
@@ -31,6 +32,21 @@ def elliptic():
 def f4as():
     """y^2 + y = x^3 + t over F_4: no affine points, h = 1."""
     return RingSpec.cab(F4, (P(F4, "x^3 + t"), P(F4, "1")), name="f4as")
+
+
+@pytest.fixture(scope="module")
+def h20g2():
+    """y^2 = 2x^5 + 2x^4 + 2x^2 + x over F_3: genus 2, h = 20."""
+    return RingSpec.cab(F3, (P(F3, "x^5 + x^4 + x^2 + 2*x"), P(F3, "0")),
+                        name="h20g2")
+
+
+@pytest.fixture(scope="module")
+def g2f5():
+    """y^2 = x^5 + 3x^4 + x^3 + 4x^2 + 3 over F_5: genus 2, h = 9, and
+    5^4 > 512, so the point counts stop at K = 3 < 2g."""
+    return RingSpec.cab(GF(5), (P(GF(5), "4*x^5 + 2*x^4 + 4*x^3 + x^2 + 2"),
+                                P(GF(5), "0")), name="g2f5")
 
 
 def prime_x(h4g3):
@@ -324,3 +340,86 @@ def test_class_orders_divide_h(h4g3_classes, elliptic):
         for c in rep.classes:
             assert rep.h % c.order == 0
         assert rep.classes[0].order == 1
+
+
+# -- counts up to degree g, functional equation, point-count certificate ----
+
+RINGS = ["h4g3", "ex26", "ex36", "elliptic", "f4as", "h20g2"]
+
+
+def full_enumeration(spec):
+    """Oracle: c_0..c_{2g} by enumerating every degree up to 2g, and
+    p_d = c_d - q c_{d-1}."""
+    g = semigroup_from_ring(spec).genus
+    q = spec.field.q
+    counts = [sum(1 for _ in enumerate_ideals(spec, d)) for d in range(2 * g + 1)]
+    lpoly = [counts[0]] + [counts[d] - q * counts[d - 1]
+                           for d in range(1, 2 * g + 1)]
+    return tuple(counts), tuple(lpoly)
+
+
+@pytest.mark.parametrize("name", RINGS)
+def test_counts_match_full_enumeration(name, request):
+    spec = request.getfixturevalue(name)
+    rep = class_group(spec)
+    assert (rep.counts, rep.lpoly) == full_enumeration(spec)
+
+
+@pytest.mark.parametrize("name", RINGS + ["g2f5"])
+def test_class_representatives_within_genus(name, request):
+    rep = class_group(request.getfixturevalue(name))
+    assert len(rep.classes) == rep.h
+    assert all(c.degree <= rep.genus for c in rep.classes)
+
+
+@pytest.mark.parametrize("name,K", [("h4g3", 6), ("ex36", 4), ("elliptic", 2),
+                                    ("f4as", 2), ("g2f5", 3)])
+def test_points_checked_up_to_field_cap(name, K, request):
+    # K = min(2g, largest k with q^k <= 512)
+    assert class_group(request.getfixturevalue(name)).points_checked == K
+
+
+def brute_points(spec, k):
+    """Solutions (x, y) over GF(p, k) of y^m + c_{m-1}(x) y^{m-1} + .. +
+    c_0(x) = 0 for a cab ring over a prime field."""
+    E = GF(spec.field.p, k)
+    cs = [Poly(E, c.coeffs) for c in spec.coeffs]
+    total = 0
+    for x0 in range(E.q):
+        vals = [c.eval(x0) for c in cs]
+        for y0 in range(E.q):
+            acc = 1
+            for c in reversed(vals):
+                acc = E.add(E.mul(acc, y0), c)
+            total += acc == 0
+    return total
+
+
+@pytest.mark.parametrize("name,k_max", [("ex36", 3), ("h4g3", 4),
+                                        ("elliptic", 2), ("m3", 2)])
+def test_point_count_matches_brute_force(name, k_max, request):
+    if name == "m3":      # y^3 - y = x^4 + x over F_3
+        spec = RingSpec.cab(F3, (P(F3, "2*x^4 + 2*x"), P(F3, "2"), P(F3, "0")))
+    else:
+        spec = request.getfixturevalue(name)
+    spec.require_valid()
+    twin = RingSpec.custom(spec.field, spec.delta, spec.mul_table())
+    for k in range(1, k_max + 1):
+        want = brute_points(spec, k)
+        assert count_affine_points(spec, k) == want
+        assert count_affine_points(twin, k) == want
+
+
+def test_point_count_polyring():
+    for k in (1, 2, 3):
+        assert count_affine_points(RingSpec.polyring(F4), k) == 4 ** k
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_point_count_mismatch_raises(k, ex36, monkeypatch):
+    import ffzeta.ideals as ideals
+    real = ideals.count_affine_points
+    monkeypatch.setattr(ideals, "count_affine_points",
+                        lambda spec, j: real(spec, j) + (j == k))
+    with pytest.raises(ConsistencyError, match=f"N_{k} = "):
+        class_group(ex36)

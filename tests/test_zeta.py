@@ -4,7 +4,7 @@ import random
 import pytest
 
 from ffzeta.errors import BudgetError
-from ffzeta.gf import GF, Poly, monic_polys, poly_from_str, polys_below
+from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
 from ffzeta.ring import RingSpec
 from ffzeta.zeta import (
     affine_power_sum, binom_mod_p, digit_profile, digit_sum, power_sum_S,
