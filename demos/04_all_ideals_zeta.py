@@ -10,7 +10,7 @@ ideal enumeration.
 
 from ffzeta import (
     check_generalization, class_group, ideal_zeta_classwise,
-    ideal_zeta_direct, parse_ring_spec, poly_to_str, remark_exact_check,
+    ideal_zeta_direct, parse_ring_spec, poly_to_str,
 )
 from ffzeta.zeta import zeta_to_str
 
@@ -32,7 +32,7 @@ print(f"generalization chain: applicable = {hyp.applicable},"
       f" mu = {hyp.mu}, predicted ord >= {hyp.predicted[1]},"
       f" computed = {hyp.computed}")
 
-rem = remark_exact_check(t, cg, spec, hypothesis_report=hyp)
+rem = hyp.remark  # checked against the chain's own classwise zeta
 print(f"exact factorization: U(X) = {zeta_to_str(rem.u_coeffs)}")
 print(f"  identity zeta(-t, X) = zeta_(F_2[x])(-t, X^2) * U:"
       f" {rem.identity_holds}")

@@ -123,57 +123,43 @@ def _cmd_zeta(args):
     if args.dmax is not None and args.dmax < 0:
         raise _UsageError("--dmax must be >= 0")
     spec = parse_ring_spec(args.ring)
+    data = {"ring": spec.name, "field": _field_doc(spec.field)}
+    lines = [_ring_header(spec)]
     if not args.all_ideals:
         z = zeta_neg(args.s, spec)
-        data = {
-            "ring": spec.name, "field": _field_doc(spec.field), "s": args.s,
-            "zeta": zeta_to_str(z.coeffs),
-            "coeffs": [_lit(c) for c in z.coeffs],
-            "d_max": z.d_max,
-            "value_at_one": _lit(z.value_at_one),
-            "ord": z.ord_at_one(),
-        }
-        text = "\n".join([
-            _ring_header(spec),
-            f"zeta(-{args.s}, X) = {data['zeta']}",
-            f"d_max = {data['d_max']} (certified cutoff)",
-            f"value at X = 1: {data['value_at_one']}",
-            f"ord at X = 1: {data['ord']}",
-        ])
-        return text, data
-
-    require_monic_products(spec)
-    report = class_group(spec)
-    t = args.s
-    if args.direct:
-        if args.dmax is not None:
-            d_max = args.dmax
-        else:
-            d_max = ideal_zeta_classwise(t, report, spec).d_max
-        z = ideal_zeta_direct(t, d_max, spec, report=report)
-        method = "direct"
+        data["s"] = args.s
     else:
-        z = ideal_zeta_classwise(t, report, spec)
-        method = "classwise"
-    data = {
-        "ring": spec.name, "field": _field_doc(spec.field), "t": t,
-        "all_ideals": True, "method": method,
-        "h": report.h, "e": report.e,
-        "zeta": zeta_to_str(z.coeffs),
+        require_monic_products(spec)
+        report = class_group(spec)
+        t = args.s
+        if args.direct:
+            if args.dmax is not None:
+                d_max = args.dmax
+            else:
+                d_max = ideal_zeta_classwise(t, report, spec).d_max
+            z = ideal_zeta_direct(t, d_max, spec, report=report)
+            method = "direct"
+        else:
+            z = ideal_zeta_classwise(t, report, spec)
+            method = "classwise"
+        data.update({"t": t, "all_ideals": True, "method": method,
+                     "h": report.h, "e": report.e})
+        lines.append(f"all-ideals zeta(-{t}, X), {method} "
+                     f"(h = {report.h}, e = {report.e})")
+    data.update({
+        "zeta": str(z),
         "coeffs": [_lit(c) for c in z.coeffs],
         "d_max": z.d_max,
         "value_at_one": _lit(z.value_at_one),
         "ord": z.ord_at_one(),
-    }
-    text = "\n".join([
-        _ring_header(spec),
-        f"all-ideals zeta(-{t}, X), {method} (h = {report.h}, e = {report.e})",
-        f"zeta(-{t}, X) = {data['zeta']}",
+    })
+    lines += [
+        f"zeta(-{z.s}, X) = {data['zeta']}",
         f"d_max = {data['d_max']} (certified cutoff)",
         f"value at X = 1: {data['value_at_one']}",
         f"ord at X = 1: {data['ord']}",
-    ])
-    return text, data
+    ]
+    return "\n".join(lines), data
 
 
 def _cmd_gaps(args):
@@ -296,24 +282,22 @@ def _cmd_check(args):
         lines.append(f"structural identity: {'holds' if rep.identity else 'FAILS'}")
     if rep.remark is not None:
         r = rep.remark
+        # "applicable" and "warning" are constant, kept for readers of the
+        # document: a remark is attached only to an applicable chain
         data["remark"] = {
-            "applicable": r.applicable,
+            "applicable": True,
             "identity_holds": r.identity_holds,
-            "u_coeffs": None if r.u_coeffs is None else [_lit(c) for c in r.u_coeffs],
+            "u_coeffs": [_lit(c) for c in r.u_coeffs],
             "u_at_one": _lit(r.u_at_one),
             "order_exactly_q": r.order_exactly_q,
             "h2_shortcut": r.h2_shortcut,
-            "warning": r.warning,
+            "warning": None,
         }
-        if r.applicable:
-            u_str = zeta_to_str(r.u_coeffs)
-            lines.append(f"exact factorization: U = {u_str}, "
-                         f"identity {'holds' if r.identity_holds else 'FAILS'}, "
-                         f"U(1) = {_lit(r.u_at_one)}"
-                         + (", order exactly q" if r.order_exactly_q
-                            else ", order may exceed q"))
-        else:
-            lines.append(f"exact factorization: not applicable ({r.warning})")
+        lines.append(f"exact factorization: U = {zeta_to_str(r.u_coeffs)}, "
+                     f"identity {'holds' if r.identity_holds else 'FAILS'}, "
+                     f"U(1) = {_lit(r.u_at_one)}"
+                     + (", order exactly q" if r.order_exactly_q
+                        else ", order may exceed q"))
     return "\n".join(lines), data
 
 

@@ -5,7 +5,8 @@ I^t := a^(t/e) with a the monic generator of I^e, and
 
     zeta(-t, X) = sum_d X^d sum_{deg I = d} I^t.
 
-Two computations are provided, and the tests check that they agree.  The
+Two computations are provided, and the tests check that they agree.  Both
+return a `zeta.ZetaPolynomial`, the value type of the element zeta.  The
 direct path enumerates all ideals per degree up to a caller-supplied bound.
 The classwise path splits the sum by ideal class: the principal part is the
 element zeta, and the class-k part collects monic elements alpha of the
@@ -13,7 +14,12 @@ representative I_k at degree d + d_k (those alpha are exactly the products
 I_k * I over integral I of degree d in the inverse class), divided by the
 constant prefactor f_k^(t/e_k).  Each class term has its own certified
 cutoff from the power-sum vanishing bound, so the classwise result is a
-complete polynomial.
+complete polynomial.  Every degree slice is summed by
+`zeta.affine_power_sum`, which checks the budget before the first power.
+
+`remark_exact_check` takes a classwise zeta already computed, for instance
+by the all-ideals hypothesis chain of `theorems`, and checks it against the
+exact factorization zeta(-t, X) = zeta_{F_q[x]}(-t, X^q) * U.
 
 Both routes need a product of monic elements to be monic: the value of I^t
 is built from monic generators, and the classwise route multiplies them.
@@ -26,55 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ffzeta.errors import ConsistencyError
-from ffzeta.ideals import (elem_divexact, ideal_echelon, ideal_is_principal,
-                           ideal_pow, monic_slice, DEFAULT_IDEAL_BUDGET,
-                           enumerate_ideals)
+from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, class_group, elem_divexact,
+                           enumerate_ideals, ideal_echelon, ideal_is_principal,
+                           ideal_pow)
 from ffzeta.ring import RingElement, RingSpec
-from ffzeta.zeta import (digit_profile, ord_from_coeffs, zeta_neg,
-                         zeta_to_str, DEFAULT_BUDGET)
-
-
-@dataclass(frozen=True)
-class PerClassTerm:
-    """One nontrivial class's contribution, numerator and prefactor kept
-    separate so that no division leaves the ring."""
-    index: int          # position in the class report
-    d_k: int
-    e_k: int
-    denominator: object     # f_k^(t/e_k), a monic RingElement
-    coeffs: tuple           # numerator series by output degree d
-    d_max: int              # certified cutoff in output degree
-
-
-class IdealZetaPolynomial:
-    __slots__ = ("spec", "t", "coeffs", "d_max", "per_class_terms")
-
-    def __init__(self, spec, t, coeffs, d_max, per_class_terms=None):
-        self.spec = spec
-        self.t = t
-        self.coeffs = tuple(coeffs)
-        self.d_max = d_max
-        self.per_class_terms = per_class_terms
-        if not self.coeffs or self.coeffs[0] != spec.one():
-            raise ConsistencyError("ideal zeta constant term is not 1")
-
-    @property
-    def value_at_one(self):
-        acc = self.spec.zero()
-        for c in self.coeffs:
-            acc = acc + c
-        return acc
-
-    def ord_at_one(self):
-        return ord_from_coeffs(self.coeffs, self.spec)
-
-    def __str__(self):
-        return zeta_to_str(self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, IdealZetaPolynomial)
-                and self.spec == other.spec and self.t == other.t
-                and self.coeffs == other.coeffs)
+from ffzeta.semigroup import semigroup_from_ring
+from ffzeta.zeta import (DEFAULT_BUDGET, ZetaPolynomial, affine_power_sum,
+                         digit_profile, zeta_neg)
 
 
 def require_monic_products(spec):
@@ -92,7 +56,7 @@ def require_monic_products(spec):
                     f"this ring")
 
 
-def ideal_power_value(I, t, report, spec=None):
+def ideal_power_value(I, t, report):
     """I^t as a ring element: a^(t/e) for a the monic generator of I^e."""
     e = report.e
     if t <= 0 or t % e:
@@ -111,7 +75,6 @@ def ideal_zeta_direct(t, d_max, spec, *, report=None,
         raise ValueError(f"coefficient cutoff d_max = {d_max} must be >= 0")
     require_monic_products(spec)
     if report is None:
-        from ffzeta.ideals import class_group
         report = class_group(spec, budget=budget)
     if t <= 0 or t % report.e:
         raise ValueError("exponent not a multiple of class-group exponent")
@@ -121,7 +84,7 @@ def ideal_zeta_direct(t, d_max, spec, *, report=None,
         for I in enumerate_ideals(spec, d, budget=budget):
             acc = acc + ideal_power_value(I, t, report)
         coeffs.append(acc)
-    return IdealZetaPolynomial(spec, t, coeffs, d_max)
+    return ZetaPolynomial(spec, t, coeffs, d_max)
 
 
 def _class_cutoff(I, tau, genus):
@@ -141,89 +104,57 @@ def ideal_zeta_classwise(t, report, spec=None, *,
                          budget=DEFAULT_IDEAL_BUDGET):
     """Class-by-class evaluation with certified per-class cutoffs.
 
-    A class term whose exact division leaves the ring raises
-    ConsistencyError.
+    Every degree slice, principal or not, is refused before its first
+    power when it holds more than min(budget, DEFAULT_BUDGET) elements.  A
+    class term whose exact division leaves the ring raises ConsistencyError.
     """
     spec = spec or report.spec
     require_monic_products(spec)
     if t <= 0 or t % report.e:
         raise ValueError("exponent not a multiple of class-group exponent")
-    q = spec.field.q
-    tau = digit_profile(t, q).threshold
-    from ffzeta.semigroup import semigroup_from_ring
+    budget = min(budget, DEFAULT_BUDGET)
+    tau = digit_profile(t, spec.field.q).threshold
     genus = semigroup_from_ring(spec).genus
 
-    principal = zeta_neg(t, spec, budget=min(budget, DEFAULT_BUDGET))
-    terms = []
-    divided = []
-    for k, cls in enumerate(report.classes):
+    coeffs = list(zeta_neg(t, spec, budget=budget).coeffs)
+    for cls in report.classes:
         if cls.order == 1:
             continue
-        I = cls.rep
         d_k = cls.degree
         denom = cls.generator ** (t // cls.order)
-        ech, D = _class_cutoff(I, tau, genus)
+        ech, D = _class_cutoff(cls.rep, tau, genus)
         cut = D - d_k - 1
-        numer = []
-        div_k = []
+        coeffs += [spec.zero()] * (cut + 1 - len(coeffs))
         for d in range(cut + 1):
-            acc = spec.zero()
-            for alpha in monic_slice(I, ech, d + d_k):
-                acc = acc + alpha ** t
-            numer.append(acc)
-            div_k.append(spec.zero() if acc.is_zero
-                         else elem_divexact(acc, denom))
-        terms.append(PerClassTerm(index=k, d_k=d_k, e_k=cls.order,
-                                  denominator=denom,
-                                  coeffs=tuple(numer), d_max=cut))
-        divided.append(div_k)
-
-    d_max = max([principal.d_max] + [term.d_max for term in terms])
-    coeffs = []
-    for d in range(d_max + 1):
-        acc = principal.coeffs[d] if d <= principal.d_max else spec.zero()
-        for term, div_k in zip(terms, divided):
-            if d <= term.d_max:
-                acc = acc + div_k[d]
-        coeffs.append(acc)
-    return IdealZetaPolynomial(spec, t, coeffs, d_max,
-                               per_class_terms=tuple(terms))
+            lead = ech.get(d + d_k)
+            if lead is None:
+                continue
+            below = [ech[e] for e in sorted(ech) if e < d + d_k]
+            acc = affine_power_sum(lead, below, t, budget=budget)
+            if not acc.is_zero:
+                coeffs[d] = coeffs[d] + elem_divexact(acc, denom)
+    return ZetaPolynomial(spec, t, coeffs, len(coeffs) - 1)
 
 
 @dataclass
 class RemarkReport:
     """Outcome of the exact-factorization identity check."""
     t: int
-    applicable: bool
-    mu: object = None
-    identity_holds: object = None
-    u_coeffs: object = None       # coefficients of U by X-degree
-    u_at_one: object = None
-    order_exactly_q: object = None
-    h2_shortcut: bool = False
-    warning: object = None
-    hypothesis: object = None
+    identity_holds: bool
+    u_coeffs: tuple       # coefficients of U by X-degree
+    u_at_one: object
+    order_exactly_q: bool
+    h2_shortcut: bool     # h = 2; no closed form is used
 
 
-def remark_exact_check(t, report, spec=None, *, hypothesis_report=None,
-                       budget=DEFAULT_IDEAL_BUDGET):
-    """Verify zeta(-t, X) = zeta_{F_q[x]}(-t, X^q) * U coefficientwise, with
+def remark_exact_check(zc, report, *, budget=DEFAULT_IDEAL_BUDGET):
+    """Check the classwise zeta zc = zeta(-t, X) against
+    zeta_{F_q[x]}(-t, X^q) * U coefficientwise, with
     U = 1 + sum_k f_k^((t/e_k)(e_k - 1)) X^((e_k - 1) d_k), and decide from
     U(1) whether the vanishing order is exactly q."""
-    spec = spec or report.spec
+    spec = zc.spec
+    t = zc.s
     q = spec.field.q
-    if t <= 0 or t % report.e:
-        return RemarkReport(t=t, applicable=False,
-                            warning="exponent not a multiple of class-group exponent")
-    if hypothesis_report is None:
-        from ffzeta.theorems import check_tesismc
-        hypothesis_report = check_tesismc(spec, t // report.e, report,
-                                          budget=budget, with_remark=False)
-    if not hypothesis_report.applicable:
-        return RemarkReport(t=t, applicable=False,
-                            warning="hypothesis chain not satisfied",
-                            hypothesis=hypothesis_report)
-
     u = {0: spec.one()}
     for cls in report.classes:
         if cls.order == 1:
@@ -237,7 +168,6 @@ def remark_exact_check(t, report, spec=None, *, hypothesis_report=None,
     for c in u_coeffs:
         u_at_one = u_at_one + c
 
-    zc = ideal_zeta_classwise(t, report, spec, budget=budget)
     base = zeta_neg(t, RingSpec.polyring(spec.field),
                     budget=min(budget, DEFAULT_BUDGET))
     prod_len = q * base.d_max + u_deg + 1
@@ -250,9 +180,7 @@ def remark_exact_check(t, report, spec=None, *, hypothesis_report=None,
     ident = all((zc.coeffs[d] if d <= zc.d_max else spec.zero()) == prod[d]
                 for d in range(width))
 
-    return RemarkReport(t=t, applicable=True, mu=hypothesis_report.mu,
-                        identity_holds=ident, u_coeffs=u_coeffs,
+    return RemarkReport(t=t, identity_holds=ident, u_coeffs=u_coeffs,
                         u_at_one=u_at_one,
                         order_exactly_q=not u_at_one.is_zero,
-                        h2_shortcut=report.h == 2,
-                        hypothesis=hypothesis_report)
+                        h2_shortcut=report.h == 2)

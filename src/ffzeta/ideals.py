@@ -15,7 +15,8 @@ beyond g the half the functional equation filled in.  It reads off h = P(1),
 then classifies the enumerated ideals in degree order until h classes are
 found; Riemann-Roch puts one of degree <= g in every class.
 Class equivalence follows the quotient route: I ~ J iff I * ((alpha) : J) is
-principal for any nonzero alpha in J.  Principality itself is read off the
+principal for any nonzero alpha in J; the quotient is computed once per
+class representative.  Principality itself is read off the
 F_q-echelon of the ideal: I is principal exactly when it contains an element
 of degree deg I (such an element generates, since (alpha) sits inside I with
 the same codimension deg alpha = deg I).
@@ -27,13 +28,13 @@ Ideals are `IdealHNF` values, immutable by convention like the `Poly` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from math import lcm
 
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
-from ffzeta.gf import TABLE_CAP, Poly, monic_polys, poly_det, polys_below
-from ffzeta.ring import (RingElement, affine_combinations, count_affine_points,
-                         echelon_insert)
+from ffzeta.gf import (TABLE_CAP, Poly, monic_polys, poly_det, poly_to_str,
+                       polys_below)
+from ffzeta.ring import RingElement, count_affine_points, echelon_insert
 from ffzeta.semigroup import semigroup_from_ring
 
 DEFAULT_IDEAL_BUDGET = 4_000_000
@@ -168,7 +169,6 @@ class IdealHNF:
         return hash(tuple(tuple(g.coeffs for g in col) for col in self.cols))
 
     def __repr__(self):
-        from ffzeta.gf import poly_to_str
         rows = self.rows()
         body = "; ".join("[" + ", ".join(poly_to_str(g) for g in row) + "]" for row in rows)
         return f"Ideal[{body}]"
@@ -262,12 +262,6 @@ def ideal_is_principal(I):
     return True, gen
 
 
-def monic_slice(I, ech, d):
-    """Monic elements of I of degree exactly d, from a prepared echelon."""
-    if d in ech:
-        yield from affine_combinations(ech[d], [ech[e] for e in sorted(ech) if e < d])
-
-
 # -- quotients and class equivalence ----------------------------------------
 
 def ideal_quotient(alpha, J):
@@ -339,13 +333,10 @@ def elem_divexact(num, den):
     return out
 
 
-def class_equivalent(I, J):
-    """I ~ J in the class group: I * ((alpha) : J) principal, alpha in J."""
-    if I == J:
-        return True
-    alpha = J.col_elem(0)  # the diagonal polynomial u * 1, never zero
-    Q = ideal_quotient(alpha, J)
-    return ideal_is_principal(ideal_mul(I, Q))[0]
+def class_equivalent(I, J_inv):
+    """I ~ J in the class group, given J_inv = (alpha) : J for a nonzero
+    alpha in J (an ideal of the inverse class): I * J_inv is principal."""
+    return ideal_is_principal(ideal_mul(I, J_inv))[0]
 
 
 # -- enumeration ------------------------------------------------------------
@@ -354,8 +345,6 @@ def count_ideal_candidates(spec, d):
     """Size of the candidate matrix family scanned for degree d."""
     m = spec.m
     q = spec.field.q
-    if m == 1:
-        return q ** d
     if m == 2:
         return sum(q ** (2 * d - 3 * j) for j in range(d // 2 + 1))
     total = 0
@@ -418,11 +407,9 @@ def enumerate_ideals(spec, d, *, budget=DEFAULT_IDEAL_BUDGET):
 def _enumerate_ideals_general(spec, d):
     """Reference path: scan all canonical triangular matrices, filter by
     A-stability against the module generators."""
-    from itertools import product
-
     m = spec.m
     field = spec.field
-    check = range(1, 2) if spec.form in ("cab", "polyring") else range(1, m)
+    check = range(1, 2) if spec.form == "cab" else range(1, m)
     for comp in _compositions(d, m):
         diag_iters = [list(monic_polys(field, di)) for di in comp]
         off_positions = [(i, j) for j in range(m) for i in range(j)]
@@ -481,7 +468,6 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     """Certified class group data; refuses rings with finite singular points."""
     rep = spec.require_valid()
     if rep.singular_finite:
-        from ffzeta.gf import poly_to_str
         locus = ", ".join(poly_to_str(p) for p in rep.singular_finite)
         raise NonMaximalRingError(
             f"finite singular locus at {locus}; the ring is not maximal")
@@ -501,13 +487,17 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     if h < 1:
         raise ConsistencyError(f"P(1) = {h} < 1")
     # Riemann-Roch: with a rational place at infinity every class holds an
-    # integral ideal of degree <= g
+    # integral ideal of degree <= g.  Each representative J is inverted once,
+    # by (alpha) : J with alpha = J's first column, the diagonal polynomial
+    # u * 1, never zero
     reps = []
+    inverses = []
     for I in chain.from_iterable(low):
-        if not any(class_equivalent(I, J) for J in reps):
+        if not any(class_equivalent(I, J_inv) for J_inv in inverses):
             reps.append(I)
             if len(reps) == h:
                 break
+            inverses.append(ideal_quotient(I.col_elem(0), I))
     if len(reps) < h:
         raise ConsistencyError(
             f"found only {len(reps)} of {h} classes among the ideals of "

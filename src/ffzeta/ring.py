@@ -25,6 +25,7 @@ delta_j are pairwise distinct mod m), which is what makes "monic" meaningful.
 from __future__ import annotations
 
 from itertools import product
+from math import gcd
 
 from ffzeta.errors import RingValidationError
 from ffzeta.gf import (
@@ -626,7 +627,6 @@ def _validate_cab(spec, failures):
         failures.append(("c0-degree", f"c_0 = {poly_to_str(c0)} must have degree >= 1"))
         return
     N = c0.degree
-    from math import gcd
     if gcd(m, N) != 1:
         failures.append(("gcd", f"gcd(m, N) = gcd({m}, {N}) != 1"))
     for j in range(1, m):
@@ -661,7 +661,6 @@ def _validate_custom(spec, failures):
         failures.append(("delta-sign", f"negative degree offset in {delta}"))
     if len({d % m for d in delta}) != m:
         failures.append(("delta-residues", f"delta residues mod m collide: {delta}"))
-    from math import gcd
     g = m
     for d in delta[1:]:
         g = gcd(g, d)

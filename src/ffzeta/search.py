@@ -21,6 +21,7 @@ from ffzeta.gf import Poly, monic_polys, poly_to_str
 from ffzeta.ideals import class_group, DEFAULT_IDEAL_BUDGET
 from ffzeta.ring import RingSpec
 from ffzeta.semigroup import r_gap_values, semigroup_from_ring
+from ffzeta.theorems import check_tesismc
 
 STAGES = ("ring-valid", "gap-structure", "class-group", "hypotheses")
 FAMILIES = ("artin-schreier",)
@@ -140,8 +141,6 @@ def candidate_key(a, b):
 def evaluate_candidate(field, a, b, *, min_r=None,
                        h_budget=DEFAULT_IDEAL_BUDGET):
     """Run the staged pipeline on one (a, b); returns (stage, verdict, reports)."""
-    from ffzeta.theorems import check_tesismc
-
     q = field.q
     coeffs = [-b, -(a ** (q - 1))] + [Poly.zero(field)] * (q - 2)
     try:

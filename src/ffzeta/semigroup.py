@@ -15,6 +15,7 @@ cross-checks it in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from ffzeta.errors import BudgetError
 
@@ -38,7 +39,6 @@ class NumericalSemigroup:
         gens = sorted({int(g) for g in gens if int(g) > 0})
         if not gens:
             raise ValueError("a numerical semigroup needs a positive generator")
-        from math import gcd
         g = 0
         for e in gens:
             g = gcd(g, e)

@@ -5,7 +5,8 @@ and the machine-computed order when the zeta is in budget.
 The chain stops at the first failing condition; applicable means every
 condition was evaluated and passed.  Orders are predicted per theorem
 wording: exact for the principal-ideal theorems, lower bounds for the
-all-ideals ones.
+all-ideals ones.  An applicable all-ideals chain computes its classwise
+zeta once and attaches the exact-factorization remark checked on that value.
 
 One deliberate deviation: the all-ideals theorems ask for each class-power
 generator f_k to be an irreducible polynomial dividing b(x), but a class
@@ -21,10 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ffzeta.errors import BudgetError, NonMaximalRingError
-from ffzeta.gf import (is_irreducible, is_squarefree, poly_factor,
+from ffzeta.gf import (Poly, is_irreducible, is_squarefree, poly_factor,
                        poly_to_str, valuation_profile)
 from ffzeta.ideal_zeta import ideal_zeta_classwise, remark_exact_check
 from ffzeta.ideals import class_group, DEFAULT_IDEAL_BUDGET
+from ffzeta.ring import RingSpec
 from ffzeta.semigroup import (NumericalSemigroup, r_gap_values,
                               semigroup_from_ring)
 from ffzeta.zeta import DEFAULT_BUDGET, digit_sum, zeta_neg
@@ -83,7 +85,6 @@ def check_hiper(spec, s, *, budget=DEFAULT_BUDGET):
 
 def _identity_base_substituted(spec, s, budget):
     """zeta_A(-s, X) == zeta_{F_q[x]}(-s, X^q), compared coefficientwise."""
-    from ffzeta.ring import RingSpec
     q = spec.field.q
     zA = zeta_neg(s, spec, budget=budget)
     zx = zeta_neg(s, RingSpec.polyring(spec.field), budget=budget)
@@ -148,7 +149,6 @@ def _recover_artin_schreier(spec):
     unit, factors = poly_factor(neg_c1)
     if any(mult % (q - 1) for _, mult in factors):
         return None, "-c_1 has a factor multiplicity not divisible by q-1"
-    from ffzeta.gf import Poly
     a = Poly.one(spec.field)
     for f, mult in factors:
         a = a * f ** (mult // (q - 1))
@@ -156,16 +156,15 @@ def _recover_artin_schreier(spec):
 
 
 def check_tesismc(spec, s, class_report=None, *, mu=None,
-                  budget=DEFAULT_IDEAL_BUDGET, with_remark=True):
+                  budget=DEFAULT_IDEAL_BUDGET):
     """Full all-ideals chain for y^q - a^{q-1}y = b: order at least q."""
     spec.require_valid()
     return _all_ideals_chain(spec, s, class_report, theorem="tesismc",
-                             q_required=None, mu_override=mu, budget=budget,
-                             with_remark=with_remark)
+                             q_required=None, mu_override=mu, budget=budget)
 
 
 def check_generalization(spec, s, class_report=None, *, mu=None,
-                         budget=DEFAULT_IDEAL_BUDGET, with_remark=True):
+                         budget=DEFAULT_IDEAL_BUDGET):
     """The q = 2 all-ideals theorem for y^2 - a y = b: order at least 2.
 
     Same chain as check_tesismc minus the ramification conditions the q = 2
@@ -175,12 +174,11 @@ def check_generalization(spec, s, class_report=None, *, mu=None,
     """
     spec.require_valid()
     return _all_ideals_chain(spec, s, class_report, theorem="generalization",
-                             q_required=2, mu_override=mu, budget=budget,
-                             with_remark=with_remark)
+                             q_required=2, mu_override=mu, budget=budget)
 
 
 def _all_ideals_chain(spec, s, class_report, *, theorem, q_required,
-                      mu_override, budget, with_remark):
+                      mu_override, budget):
     q = spec.field.q
     p = spec.field.p
     N = spec.N
@@ -308,14 +306,15 @@ def _all_ideals_chain(spec, s, class_report, *, theorem, q_required,
         predicted=("at_least", q) if applicable else None,
         mu=mu_eff, exponent=es)
     if applicable:
+        # one classwise zeta gives the order and feeds the remark; if either
+        # zeta is over its budget, both stay None
         try:
-            report.computed = ideal_zeta_classwise(
-                es, class_report, spec, budget=budget).ord_at_one()
+            zc = ideal_zeta_classwise(es, class_report, spec, budget=budget)
+            remark = remark_exact_check(zc, class_report, budget=budget)
         except BudgetError:
-            report.computed = None
-        if with_remark:
-            report.remark = remark_exact_check(
-                es, class_report, spec, hypothesis_report=report, budget=budget)
+            return report
+        report.computed = zc.ord_at_one()
+        report.remark = remark
     return report
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from ffzeta.errors import BudgetError
+from ffzeta.errors import BudgetError, ConsistencyError
+from ffzeta.gf import poly_to_str
 from ffzeta.ring import affine_combinations, echelon_insert, elem_to_str
 
 DEFAULT_BUDGET = 2 ** 20
@@ -105,16 +106,21 @@ def power_sum_S(d, s, spec, *, budget=DEFAULT_BUDGET):
 
 
 class ZetaPolynomial:
-    """zeta(-s, X) with exact coefficients and a certified cutoff d_max."""
+    """zeta(-s, X) with exact coefficients and a certified cutoff d_max.
 
-    __slots__ = ("spec", "s", "coeffs", "d_max", "_centered")
+    One value type for both sums: over the monic elements (`zeta_neg`) and
+    over all ideals (`ideal_zeta`).  Either way the constant term is 1.
+    """
+
+    __slots__ = ("spec", "s", "coeffs", "d_max")
 
     def __init__(self, spec, s, coeffs, d_max):
         self.spec = spec
         self.s = s
-        self.coeffs = coeffs
+        self.coeffs = tuple(coeffs)
         self.d_max = d_max
-        self._centered = None
+        if not self.coeffs or self.coeffs[0] != spec.one():
+            raise ConsistencyError("zeta constant term is not 1")
 
     @property
     def value_at_one(self):
@@ -123,21 +129,18 @@ class ZetaPolynomial:
             acc = acc + c
         return acc
 
-    def centered(self):
-        """Coefficients in powers of (X - 1)."""
-        if self._centered is None:
-            self._centered = centered_coeffs(self.coeffs, self.spec)
-        return self._centered
-
     def ord_at_one(self):
-        return ord_from_coeffs(self.coeffs, self.spec, centered=self.centered())
+        return ord_from_coeffs(self.coeffs, self.spec)
 
     def __eq__(self, other):
         return (isinstance(other, ZetaPolynomial)
                 and (self.spec, self.s, self.coeffs) == (other.spec, other.s, other.coeffs))
 
+    def __str__(self):
+        return zeta_to_str(self.coeffs)
+
     def __repr__(self):
-        return f"ZetaPolynomial[s={self.s}, {zeta_to_str(self.coeffs)}]"
+        return f"ZetaPolynomial[s={self.s}, {self}]"
 
 
 def zeta_neg(s, spec, *, budget=DEFAULT_BUDGET):
@@ -171,11 +174,9 @@ def centered_coeffs(coeffs, spec):
     return tuple(out)
 
 
-def ord_from_coeffs(coeffs, spec, centered=None):
+def ord_from_coeffs(coeffs, spec):
     """Multiplicity of the root X = 1; identically zero input is an error."""
-    if centered is None:
-        centered = centered_coeffs(coeffs, spec)
-    for j, c in enumerate(centered):
+    for j, c in enumerate(centered_coeffs(coeffs, spec)):
         if not c.is_zero:
             return j
     raise ValueError("the zero polynomial has no finite order of vanishing at X = 1")
@@ -188,7 +189,6 @@ def _coeff_str(c):
     pp = c.poly_part()
     if pp is None:
         return "[" + elem_to_str(c).replace(", ", "; ") + "]", False
-    from ffzeta.gf import poly_to_str
     s = poly_to_str(pp)
     return s, (" + " in s or "*" in s)
 

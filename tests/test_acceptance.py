@@ -11,9 +11,7 @@ from fractions import Fraction
 
 from ffzeta.cli import dispatch
 from ffzeta.gf import GF, Poly, poly_from_str
-from ffzeta.ideal_zeta import (
-    ideal_zeta_classwise, ideal_zeta_direct, remark_exact_check,
-)
+from ffzeta.ideal_zeta import ideal_zeta_classwise, ideal_zeta_direct
 from ffzeta.ideals import class_group
 from ffzeta.ring import RingSpec
 from ffzeta.ringfile import parse_ring_spec
@@ -208,8 +206,8 @@ def test_criterion_8_all_ideals_zeta():
             zd = ideal_zeta_direct(es, zc.d_max, h4g3, report=cg)
             assert zc.coeffs == zd.coeffs    # every computed coefficient
 
-            rem = remark_exact_check(es, cg, h4g3, hypothesis_report=hyp)
-            assert rem.applicable and rem.identity_holds
+            rem = hyp.remark    # attached only to an applicable chain
+            assert rem is not None and rem.identity_holds
             # re-expand zeta_{F_2[x]}(-es, X^2) * U independently
             zb = [poly_of(c) for c in zeta_neg(es, base_ring).coeffs]
             u = [poly_of(c) for c in rem.u_coeffs]

@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ffzeta.cli import _jsonable, dispatch
 from ffzeta.ringfile import serialize_ring_spec, parse_ring_spec
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def run(*argv):
@@ -235,6 +238,27 @@ def test_check_tesismc_json_remark():
     assert doc["remark"]["identity_holds"] is True
     assert doc["remark"]["u_coeffs"] == ["1", "1", "x^2 + x"]
     assert doc["remark"]["order_exactly_q"] is True
+
+
+GOLDEN = {
+    "check_tesismc_h4g3_s1":
+        ["check", "--theorem", "tesismc", "--ring", "h4g3", "-s", "1"],
+    "check_generalization_ex26_s1":
+        ["check", "--theorem", "generalization", "--ring", "ex26", "-s", "1"],
+    "zeta_all_ideals_h4g3_s2":
+        ["zeta", "--all-ideals", "--ring", "h4g3", "-s", "2"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(name, fmt):
+    # files under tests/golden hold the exact stdout, text and --json
+    argv = GOLDEN[name] + (["--json"] if fmt == "json" else [])
+    res = dispatch(argv)
+    assert res.exit_code == 0
+    want = (GOLDEN_DIR / f"{name}.{fmt}").read_text(encoding="utf-8")
+    assert res.text + "\n" == want
 
 
 def test_check_mu_forbidden_for_hiper():

@@ -1,5 +1,5 @@
 """Source hygiene: every name a library module or test module imports is
-used there."""
+used there, and library modules import at module level only."""
 
 import ast
 from pathlib import Path
@@ -8,8 +8,8 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ffzeta"
-MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-           + sorted(TESTS.glob("*.py")))
+LIBRARY = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = LIBRARY + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source):
@@ -41,3 +41,25 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def function_level_imports(source):
+    """(line, function name) of every import statement inside a function."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.append((inner.lineno, node.name))
+    return sorted(found)
+
+
+def test_detects_a_function_level_import():
+    src = ("import os\n\nclass C:\n    def f(self):\n        import sys\n"
+           "        def g():\n            from math import gcd\n")
+    assert function_level_imports(src) == [(5, "f"), (7, "f"), (7, "g")]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.name for p in LIBRARY])
+def test_no_function_level_imports(path):
+    assert function_level_imports(path.read_text(encoding="utf-8")) == []

@@ -1,14 +1,15 @@
 import pytest
 
-from ffzeta.errors import ConsistencyError
+from ffzeta.errors import BudgetError, ConsistencyError
 from ffzeta.gf import GF, poly_from_str
 from ffzeta.ideal_zeta import (
-    IdealZetaPolynomial, ideal_power_value, ideal_zeta_classwise,
-    ideal_zeta_direct, remark_exact_check,
+    ideal_power_value, ideal_zeta_classwise, ideal_zeta_direct,
+    remark_exact_check,
 )
 from ffzeta.ideals import class_group, ideal_from_generators
-from ffzeta.ring import RingSpec, elem_to_str
-from ffzeta.zeta import zeta_to_str
+from ffzeta.ring import RingSpec, affine_combinations, elem_to_str
+from ffzeta.theorems import check_tesismc
+from ffzeta.zeta import ZetaPolynomial, zeta_neg, zeta_to_str
 
 F2 = GF(2)
 F3 = GF(3)
@@ -84,7 +85,7 @@ def test_refuses_non_multiple(h4g3, h4g3_classes):
 
 def test_constant_term_enforced(h4g3):
     with pytest.raises(ConsistencyError):
-        IdealZetaPolynomial(h4g3, 2, (h4g3.zero(), h4g3.one()), 1)
+        ZetaPolynomial(h4g3, 2, (h4g3.zero(), h4g3.one()), 1)
 
 
 # -- agreement with the direct enumeration oracle ---------------------------
@@ -123,7 +124,7 @@ def test_refused_where_monic_is_not_multiplicative(monkeypatch):
     def no_class_group(*args, **kwargs):
         raise AssertionError("class group computed before the refusal")
 
-    monkeypatch.setattr("ffzeta.ideals.class_group", no_class_group)
+    monkeypatch.setattr("ffzeta.ideal_zeta.class_group", no_class_group)
     with pytest.raises(ValueError, match="leading coefficient 2"):
         ideal_zeta_direct(10, 3, spec)
 
@@ -152,46 +153,50 @@ def test_trivial_zeros_extend(h4g3, ex36, f4as, h4g3_classes):
             assert z.value_at_one.is_zero
 
 
-def test_per_class_terms_certified(h4g3, h4g3_classes):
-    z = ideal_zeta_classwise(2, h4g3_classes, h4g3)
-    assert z.per_class_terms
-    for term in z.per_class_terms:
-        assert term.e_k > 1
-        assert term.denominator.is_monic
-        assert term.d_max <= z.d_max
+def test_class_slice_over_budget_refused_before_first_power(
+        h4g3, h4g3_classes, monkeypatch):
+    # the principal and class slices of the bundled rings are equally large,
+    # so the principal part comes precomputed to reach a class slice at all
+    principal = zeta_neg(2, h4g3)
+    monkeypatch.setattr("ffzeta.ideal_zeta.zeta_neg",
+                        lambda *args, **kwargs: principal)
+    sizes = []
+
+    def recording(lead, basis):
+        sizes.append(len(basis))
+        return affine_combinations(lead, basis)
+
+    monkeypatch.setattr("ffzeta.zeta.affine_combinations", recording)
+    with pytest.raises(BudgetError, match=r"q\^dim = 2 points exceeds the budget 1"):
+        ideal_zeta_classwise(2, h4g3_classes, h4g3, budget=1)
+    # slices within the budget (one element) were summed; the one over it
+    # (two elements) was refused before any of its powers
+    assert sizes and set(sizes) == {0}
 
 
-# -- exact factorization (h = 2 shortcut and beyond) ------------------------
+# -- exact factorization (h = 2 and beyond) ---------------------------------
 
 def test_remark_h4g3(h4g3, h4g3_classes):
-    r = remark_exact_check(2, h4g3_classes, h4g3)
-    assert r.applicable
+    zc = ideal_zeta_classwise(2, h4g3_classes, h4g3)
+    r = remark_exact_check(zc, h4g3_classes)
+    assert r.t == 2
     assert r.identity_holds
     assert zeta_to_str(r.u_coeffs) == "1 + X + (x^2 + x)*X^2"
     assert elem_to_str(r.u_at_one) == "x^2 + x, 0"
     assert r.order_exactly_q
     assert not r.h2_shortcut
-    assert r.warning is None
 
 
 def test_remark_ex26(ex26):
     rep = class_group(ex26)
-    r = remark_exact_check(2, rep, ex26)
-    assert r.applicable and r.identity_holds
+    r = remark_exact_check(ideal_zeta_classwise(2, rep, ex26), rep)
+    assert r.identity_holds
     assert zeta_to_str(r.u_coeffs) == "1 + (x^2 + x + 1)*X^2"
     assert r.order_exactly_q
     assert r.h2_shortcut          # h = 2
 
 
 def test_remark_not_applicable(ex36, elliptic):
-    r = remark_exact_check(2, class_group(ex36), ex36)
-    assert not r.applicable
-    assert r.warning == "hypothesis chain not satisfied"
-    r = remark_exact_check(7, class_group(elliptic), elliptic)
-    assert not r.applicable
-
-
-def test_remark_bad_exponent(h4g3, h4g3_classes):
-    r = remark_exact_check(3, h4g3_classes, h4g3)
-    assert not r.applicable
-    assert r.warning == "exponent not a multiple of class-group exponent"
+    # the remark belongs to an applicable all-ideals chain only
+    assert check_tesismc(ex36, 1).remark is None
+    assert check_tesismc(elliptic, 1).remark is None

@@ -7,10 +7,11 @@ from ffzeta.gf import GF, Poly, poly_from_str
 from ffzeta.ideals import (
     class_equivalent, class_group, count_ideal_candidates, elem_divexact,
     enumerate_ideals, ideal_echelon, ideal_from_generators,
-    ideal_is_principal, ideal_mul, ideal_pow, ideal_quotient, monic_slice,
-    unit_ideal, _enumerate_ideals_general,
+    ideal_is_principal, ideal_mul, ideal_pow, ideal_quotient, unit_ideal,
+    _enumerate_ideals_general,
 )
-from ffzeta.ring import RingSpec, count_affine_points, elem_to_str
+from ffzeta.ring import (RingSpec, affine_combinations, count_affine_points,
+                         elem_to_str)
 from ffzeta.semigroup import semigroup_from_ring
 
 F2 = GF(2)
@@ -188,10 +189,14 @@ def test_ideal_degrees(h4g3):
 
 
 def test_monic_slice_matches_filter(h4g3):
+    # the monic elements of I of degree d: the echelon element of degree d
+    # plus every combination of those below it
     I = ideal_mul(prime_x(h4g3), prime_x1(h4g3))
     ech = ideal_echelon(I, 9)
     for d in range(2, 10):
-        got = sorted(elem_to_str(e) for e in monic_slice(I, ech, d))
+        lower = [ech[e] for e in sorted(ech) if e < d]
+        slice_d = affine_combinations(ech[d], lower) if d in ech else ()
+        got = sorted(elem_to_str(e) for e in slice_d)
         brute = sorted(elem_to_str(e) for e in h4g3.enumerate_monic(d)
                        if I.contains(e))
         assert got == brute
@@ -207,18 +212,41 @@ def test_quotient_inverts_prime(h4g3):
     assert Q == Px     # self-inverse ramified prime
 
 
+def inverse(J):
+    """(alpha) : J for alpha = J's first column, an ideal of the inverse
+    class, as class_group builds it once per representative."""
+    return ideal_quotient(J.col_elem(0), J)
+
+
 def test_class_equivalence_h4g3(h4g3):
     Px, P1 = prime_x(h4g3), prime_x1(h4g3)
-    assert class_equivalent(Px, Px)
-    assert not class_equivalent(Px, P1)
-    assert not class_equivalent(Px, unit_ideal(h4g3))
+    unit = unit_ideal(h4g3)
+    assert class_equivalent(Px, inverse(Px))
+    assert not class_equivalent(Px, inverse(P1))
+    assert not class_equivalent(Px, inverse(unit))
     # P_x * P_{x+1} sits in the third nontrivial class
     both = ideal_mul(Px, P1)
-    assert not class_equivalent(both, Px)
-    assert not class_equivalent(both, unit_ideal(h4g3))
+    assert not class_equivalent(both, inverse(Px))
+    assert not class_equivalent(both, inverse(unit))
     # multiplying by a principal ideal stays in the class
     shifted = ideal_mul(Px, ideal_from_generators([h4g3.y()], h4g3))
-    assert class_equivalent(shifted, Px)
+    assert class_equivalent(shifted, inverse(Px))
+
+
+def test_class_group_inverts_each_representative_once(h20g2, monkeypatch):
+    import ffzeta.ideals as ideals
+    calls = []
+    real = ideals.ideal_quotient
+
+    def counting(alpha, J):
+        calls.append(J)
+        return real(alpha, J)
+
+    monkeypatch.setattr(ideals, "ideal_quotient", counting)
+    rep = class_group(h20g2)
+    assert rep.h == 20
+    assert 0 < len(calls) <= rep.h
+    assert len(set(calls)) == len(calls)
 
 
 def test_divexact(h4g3):
@@ -260,6 +288,13 @@ def test_enumeration_polyring():
     for d in range(4):
         got = list(enumerate_ideals(spec, d))
         assert len(got) == 3 ** d   # monic polynomials of degree d
+
+
+def test_polyring_candidates_are_monic_polys():
+    for field in (F2, F3, F4):
+        spec = RingSpec.polyring(field)
+        for d in range(6):
+            assert count_ideal_candidates(spec, d) == field.q ** d
 
 
 def test_enumeration_budget(h4g3):

@@ -1,6 +1,7 @@
 import pytest
 
 from ffzeta.gf import GF, poly_from_str
+from ffzeta.ideal_zeta import ideal_zeta_classwise
 from ffzeta.ring import RingSpec
 from ffzeta.semigroup import NumericalSemigroup
 from ffzeta.theorems import (
@@ -181,9 +182,26 @@ def test_generalization_q3_rejected(ex36):
     assert rep.failed_check().name == "q = 2"
 
 
-def test_without_remark_flag(h4g3, h4g3_classes):
-    rep = check_tesismc(h4g3, 1, h4g3_classes, with_remark=False)
-    assert rep.applicable and rep.remark is None
+def test_chain_computes_classwise_zeta_once(h4g3, h4g3_classes, monkeypatch):
+    calls = []
+
+    def counting(t, *args, **kwargs):
+        calls.append(t)
+        return ideal_zeta_classwise(t, *args, **kwargs)
+
+    for module in ("ffzeta.ideal_zeta", "ffzeta.theorems"):
+        monkeypatch.setattr(f"{module}.ideal_zeta_classwise", counting)
+    rep = check_tesismc(h4g3, 1, h4g3_classes)
+    assert rep.applicable and rep.computed == 2
+    assert rep.remark.identity_holds
+    assert calls == [2]
+
+
+def test_chain_over_budget_leaves_order_and_remark_unset(h4g3, h4g3_classes):
+    # budget 1 refuses the first zeta slice with more than one element
+    rep = check_tesismc(h4g3, 1, h4g3_classes, budget=1)
+    assert rep.applicable
+    assert rep.computed is None and rep.remark is None
 
 
 # -- hyperelliptic r-gap proposition ----------------------------------------
