@@ -133,11 +133,7 @@ def _cmd_zeta(args):
         report = class_group(spec)
         t = args.s
         if args.direct:
-            if args.dmax is not None:
-                d_max = args.dmax
-            else:
-                d_max = ideal_zeta_classwise(t, report, spec).d_max
-            z = ideal_zeta_direct(t, d_max, spec, report=report)
+            z = ideal_zeta_direct(t, args.dmax, spec, report=report)
             method = "direct"
         else:
             z = ideal_zeta_classwise(t, report, spec)

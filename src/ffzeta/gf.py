@@ -9,9 +9,10 @@ the `FF` instance, so values stay exact machine ints throughout.
 Polynomials are `Poly` values: a field reference plus a tuple of coefficient
 codes, lowest degree first, no trailing zeros, immutable by convention (no
 operation writes to an existing `Poly`).  The zero polynomial has an empty
-tuple and degree `NEG_INF`.  Products of long polynomials run through numpy
-convolutions (per base-p digit plane for extension fields); everything is
-reduced mod p immediately, so no rounding ever enters.
+tuple and degree `NEG_INF`.  Products of long polynomials are one Kronecker
+substitution on Python ints: each base-p digit plane is packed into an int
+with slots wide enough for every coefficient sum, so the big-int product is
+exact and only its slots are reduced mod p.  No floats enter anywhere.
 
 Polynomial literals use one grammar everywhere (files, CLI, reprs): terms
 joined by `+`, each term `c`, `c*x^k`, `x^k` or `x`, coefficients are plain
@@ -21,16 +22,18 @@ integers reduced mod p, or for extension fields polynomials in `t` such as
 
 from __future__ import annotations
 
-import numpy as np
+from struct import unpack
 
 NEG_INF = float("-inf")
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
 TABLE_CAP = 512
 
-# the numpy product pays off only past this size; below it the plain loop
-# with the scalar tables wins on constant factors.
-_MUL_NP_MIN = 81
+# the table loop beats the fixed cost of a Kronecker product below this size
+_KRONECKER_MIN = 81
+# v * 256^j mod p at [p][j][v], for byte j of a Kronecker slot (8 bytes suffice)
+_BYTE_MOD = {p: [bytes(v * 256 ** j % p for v in range(256)) for j in range(8)]
+             for p in _PRIMES}
 
 
 class FF:
@@ -39,7 +42,7 @@ class FF:
     __slots__ = (
         "p", "n", "q", "modulus",
         "_addl", "_subl", "_mull", "_negl", "_invl", "_frobl",
-        "_dig", "_red", "_powvec",
+        "_dig",
     )
 
     def __init__(self, p, n=1, modulus=None):
@@ -73,51 +76,28 @@ class FF:
 
     def _build_tables(self):
         p, n, q = self.p, self.n, self.q
-        codes = np.arange(q, dtype=np.int64)
-        powvec = p ** np.arange(n, dtype=np.int64)
-        dig = (codes[:, None] // powvec[None, :]) % p
-        self._dig = dig
-        self._powvec = powvec
-        add = ((dig[:, None, :] + dig[None, :, :]) % p) @ powvec
-        if n == 1:
-            mul = (codes[:, None] * codes[None, :]) % p
-            red = None
-        else:
-            # rows of `red` express t^(n+j) in the power basis
-            mod = np.array(self.modulus[:-1], dtype=np.int64)
-            red = np.zeros((n - 1, n), dtype=np.int64)
-            row = (-mod) % p
-            for j in range(n - 1):
-                red[j] = row
-                row = np.concatenate(([0], row[:-1])) + row[-1] * ((-mod) % p)
-                row %= p
-            # coefficients of the product of two digit vectors, then reduce
-            prod = np.zeros((q, q, 2 * n - 1), dtype=np.int64)
-            for a in range(n):
-                for b in range(n):
-                    prod[:, :, a + b] += np.outer(dig[:, a], dig[:, b])
-            low = prod[:, :, :n]
-            high = prod[:, :, n:]
-            mul = ((low + high @ red) % p) @ powvec
-        self._red = red
-        self._addl = add.tolist()
-        self._mull = mul.tolist()
-        self._negl = (((-dig) % p) @ powvec).tolist()
-        sub = ((dig[:, None, :] - dig[None, :, :]) % p) @ powvec
-        self._subl = sub.tolist()
-        inv = [0] * q
-        for a in range(1, q):
-            # q is tiny, a linear scan per element is fine
-            row = self._mull[a]
-            inv[a] = row.index(1)
-        self._invl = inv
-        frob = [0] * q
-        for a in range(q):
-            acc = a
-            for _ in range(1, p):
-                acc = self._mull[acc][a]
-            frob[a] = acc
-        self._frobl = frob
+        codes = range(q)
+        # a code is a base-p digit vector: digit i of a is a // p^i % p
+        self._dig = dig = [tuple(a // p ** i % p for i in range(n)) for a in codes]
+        self._addl = add = [list(codes)]
+        for a in codes[1:]:
+            up = add[a // p]
+            add.append([p * up[b // p] + (a + b) % p for b in codes])
+        self._negl = neg = [self.from_digits(-c for c in ds) for ds in dig]
+        # scalars d < p act digitwise
+        self._mull = mul = [[self.from_digits(d * c for c in ds) for ds in dig]
+                            for d in range(p)]
+        if n > 1:
+            # multiplication by t: shift the digits up, fold t^n back in
+            top = p ** (n - 1)
+            t_n = self.from_digits(-c for c in self.modulus[:-1])
+            tmul = [add[b % top * p][mul[b // top][t_n]] for b in codes]
+            # Horner's rule: a = (a // p) t + a % p
+            for a in codes[p:]:
+                mul.append([add[tmul[x]][y] for x, y in zip(mul[a // p], mul[a % p])])
+        self._subl = [[row[c] for c in neg] for row in add]
+        self._invl = [0] + [mul[a].index(1) for a in codes[1:]]
+        self._frobl = [self.pow(a, p) for a in codes]
 
     # -- scalar operations --------------------------------------------------
 
@@ -155,7 +135,7 @@ class FF:
 
     def digits(self, a):
         """Base-p digit tuple of the code, lowest power of t first."""
-        return tuple(int(d) for d in self._dig[a])
+        return self._dig[a]
 
     def from_digits(self, ds):
         c = 0
@@ -394,7 +374,7 @@ class Poly:
             return self._scale(other, a[0])
         if len(b) == 1:
             return self._scale(self, b[0])
-        if len(a) * len(b) < _MUL_NP_MIN:
+        if len(a) * len(b) < _KRONECKER_MIN:
             mull, addl = f._mull, f._addl
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
@@ -405,7 +385,7 @@ class Poly:
                     if cb:
                         out[i + j] = addl[out[i + j]][row[cb]]
             return Poly._raw(f, _strip(out))
-        return self._mul_np(other)
+        return self._mul_kronecker(other)
 
     @staticmethod
     def _scale(poly, c):
@@ -416,32 +396,43 @@ class Poly:
         row = poly.field._mull[c]
         return Poly._raw(poly.field, tuple(row[v] for v in poly.coeffs))
 
-    def _mul_np(self, other):
-        # float64 convolution is exact here: every partial sum is bounded by
-        # min(len) * (p-1)^2 which stays far below 2^53 at any usable size
+    def _mul_kronecker(self, other):
+        # Kronecker substitution: each base-p digit plane of an operand is
+        # packed into one int, a digit per k-byte slot, and the planes
+        # multiply as big ints.  Once plane n-1+j, j >= 1, is folded back into
+        # the low planes by the digits of t^(n-1+j), no slot exceeds
+        # `bound` < 256^k, so no carry crosses a slot.
         f = self.field
-        p = f.p
-        la, lb = len(self.coeffs), len(other.coeffs)
-        dtype = np.float64 if min(la, lb) * (p - 1) * (p - 1) < 2**52 else np.int64
-        if f.n == 1:
-            a = np.array(self.coeffs, dtype=dtype)
-            b = np.array(other.coeffs, dtype=dtype)
-            out = np.convolve(a, b).astype(np.int64) % p
-            return Poly._raw(f, _strip(out.tolist()))
-        A = f._dig[np.array(self.coeffs, dtype=np.int64)].astype(dtype)
-        B = f._dig[np.array(other.coeffs, dtype=np.int64)].astype(dtype)
-        n = f.n
-        prod = np.zeros((la + lb - 1, 2 * n - 1), dtype=np.int64)
-        for a in range(n):
-            col = A[:, a]
-            if not col.any():
-                continue
-            for b in range(n):
-                if B[:, b].any():
-                    prod[:, a + b] += np.convolve(col, B[:, b]).astype(np.int64)
-        digs = (prod[:, :n] + prod[:, n:] @ f._red) % p
-        codes = digs @ f._powvec
-        return Poly._raw(f, _strip(codes.tolist()))
+        p, n = f.p, f.n
+        a, b = self.coeffs, other.coeffs
+        bound = min(len(a), len(b)) * n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
+        k = (bound.bit_length() + 7) // 8
+
+        def pack(coeffs):
+            planes = zip(*map(f._dig.__getitem__, coeffs)) if n > 1 else (coeffs,)
+            return [_spread(bytes(ds), k) for ds in planes]
+
+        prod = [0] * (2 * n - 1)
+        B = pack(b)
+        for i, ai in enumerate(pack(a)):
+            for j, bj in enumerate(B):
+                prod[i + j] += ai * bj
+        for j, high in enumerate(prod[n:], start=1):
+            for i, r in enumerate(f.digits(f.mul(p ** (n - 1), p ** j))):
+                prod[i] += r * high
+        size = len(a) + len(b) - 1
+        w = 1 if f.q <= 256 else 2    # bytes per code
+        codes = 0
+        for i, plane in enumerate(prod[:n]):
+            # byte j of a slot weighs 256^j mod p; k such terms stay below 256
+            raw = plane.to_bytes(k * size, "little")
+            digits = 0
+            for j in range(k):
+                digits += int.from_bytes(raw[j::k].translate(_BYTE_MOD[p][j]), "little")
+            digits = digits.to_bytes(size, "little").translate(_BYTE_MOD[p][0])
+            codes += _spread(digits, w) * p ** i
+        codes = codes.to_bytes(w * size, "little")
+        return Poly._raw(f, _strip(codes if w == 1 else unpack(f"<{size}H", codes)))
 
     def __divmod__(self, other):
         self._same_field(other)
@@ -518,6 +509,15 @@ class Poly:
 
     def __repr__(self):
         return f"Poly[{poly_to_str(self)}]"
+
+
+def _spread(data, width):
+    """The int whose little-endian width-byte slots hold the bytes of data."""
+    if width > 1:
+        slots = bytearray(width * len(data))
+        slots[::width] = data
+        data = slots
+    return int.from_bytes(data, "little")
 
 
 def _strip(cs):

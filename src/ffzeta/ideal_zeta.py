@@ -7,19 +7,21 @@ I^t := a^(t/e) with a the monic generator of I^e, and
 
 Two computations are provided, and the tests check that they agree.  Both
 return a `zeta.ZetaPolynomial`, the value type of the element zeta.  The
-direct path enumerates all ideals per degree up to a caller-supplied bound.
-The classwise path splits the sum by ideal class: the principal part is the
-element zeta, and the class-k part collects monic elements alpha of the
-representative I_k at degree d + d_k (those alpha are exactly the products
-I_k * I over integral I of degree d in the inverse class), divided by the
-constant prefactor f_k^(t/e_k).  Each class term has its own certified
-cutoff from the power-sum vanishing bound, so the classwise result is a
-complete polynomial.  Every degree slice is summed by
-`zeta.affine_power_sum`, which checks the budget before the first power.
+direct path enumerates all ideals per degree up to a bound, by default the
+classwise path's certified cutoff.  The classwise path splits the sum by
+ideal class: the principal part is the element zeta, and the class-k part
+collects monic elements alpha of the representative I_k at degree d + d_k
+(those alpha are exactly the products I_k * I over integral I of degree d in
+the inverse class), divided by the constant prefactor f_k^(t/e_k).  Each
+class term has its own certified cutoff from the power-sum vanishing bound
+(`_class_cuts`, shared by both paths), so the classwise result is a complete
+polynomial.  Every degree slice is summed by `zeta.affine_power_sum`, which
+checks the budget before the first power.
 
 `remark_exact_check` takes a classwise zeta already computed, for instance
 by the all-ideals hypothesis chain of `theorems`, and checks it against the
-exact factorization zeta(-t, X) = zeta_{F_q[x]}(-t, X^q) * U.
+exact factorization zeta(-t, X) = zeta_{F_q[x]}(-t, X^q) * U through
+`matches_base_substituted`, which `theorems.check_dinesh` uses with U = 1.
 
 Both routes need a product of monic elements to be monic: the value of I^t
 is built from monic generators, and the classwise route multiplies them.
@@ -38,7 +40,7 @@ from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, class_group, elem_divexact,
 from ffzeta.ring import RingElement, RingSpec
 from ffzeta.semigroup import semigroup_from_ring
 from ffzeta.zeta import (DEFAULT_BUDGET, ZetaPolynomial, affine_power_sum,
-                         digit_profile, zeta_neg)
+                         digit_profile, zeta_cutoff, zeta_neg)
 
 
 def require_monic_products(spec):
@@ -67,17 +69,22 @@ def ideal_power_value(I, t, report):
     return a ** (t // e)
 
 
-def ideal_zeta_direct(t, d_max, spec, *, report=None,
+def ideal_zeta_direct(t, d_max=None, spec=None, *, report=None,
                       budget=DEFAULT_IDEAL_BUDGET):
     """Enumerate every ideal of each degree up to d_max and sum the power
-    values."""
-    if d_max < 0:
+    values.  d_max defaults to the classwise route's certified cutoff, which
+    needs no power; spec defaults to report.spec."""
+    if d_max is not None and d_max < 0:
         raise ValueError(f"coefficient cutoff d_max = {d_max} must be >= 0")
+    spec = spec or report.spec
     require_monic_products(spec)
     if report is None:
         report = class_group(spec, budget=budget)
     if t <= 0 or t % report.e:
         raise ValueError("exponent not a multiple of class-group exponent")
+    if d_max is None:
+        d_max = max([zeta_cutoff(t, spec)]
+                    + [cut for _, _, cut in _class_cuts(t, report, spec)])
     coeffs = []
     for d in range(d_max + 1):
         acc = spec.zero()
@@ -87,17 +94,24 @@ def ideal_zeta_direct(t, d_max, spec, *, report=None,
     return ZetaPolynomial(spec, t, coeffs, d_max)
 
 
-def _class_cutoff(I, tau, genus):
-    """Echelon of I together with the least D such that the space of
-    elements of I of degree < D has dimension above tau."""
-    need = int(tau) + 1
-    U = I.deg + 2 * genus + I.spec.m * (need + 1) + 2
-    while True:
-        ech = ideal_echelon(I, U)
-        degs = sorted(d for d in ech if d <= U)
-        if len(degs) >= need:
-            return ech, degs[need - 1] + 1
-        U += 2 * (I.spec.m + 2)
+def _class_cuts(t, report, spec):
+    """Yield (class, echelon of I_k, cut) for each nontrivial class: its term
+    of zeta(-t, X) vanishes beyond X-degree cut = D - d_k - 1, D the least
+    degree with dim{alpha in I_k : deg alpha < D} > l_q(t)/(q-1)."""
+    need = int(digit_profile(t, spec.field.q).threshold) + 1
+    genus = semigroup_from_ring(spec).genus
+    for cls in report.classes:
+        if cls.order == 1:
+            continue
+        I = cls.rep
+        U = I.deg + 2 * genus + spec.m * (need + 1) + 2
+        while True:
+            ech = ideal_echelon(I, U)
+            degs = sorted(d for d in ech if d <= U)
+            if len(degs) >= need:
+                break
+            U += 2 * (spec.m + 2)
+        yield cls, ech, degs[need - 1] - cls.degree
 
 
 def ideal_zeta_classwise(t, report, spec=None, *,
@@ -113,17 +127,11 @@ def ideal_zeta_classwise(t, report, spec=None, *,
     if t <= 0 or t % report.e:
         raise ValueError("exponent not a multiple of class-group exponent")
     budget = min(budget, DEFAULT_BUDGET)
-    tau = digit_profile(t, spec.field.q).threshold
-    genus = semigroup_from_ring(spec).genus
 
     coeffs = list(zeta_neg(t, spec, budget=budget).coeffs)
-    for cls in report.classes:
-        if cls.order == 1:
-            continue
+    for cls, ech, cut in _class_cuts(t, report, spec):
         d_k = cls.degree
         denom = cls.generator ** (t // cls.order)
-        ech, D = _class_cutoff(cls.rep, tau, genus)
-        cut = D - d_k - 1
         coeffs += [spec.zero()] * (cut + 1 - len(coeffs))
         for d in range(cut + 1):
             lead = ech.get(d + d_k)
@@ -134,6 +142,23 @@ def ideal_zeta_classwise(t, report, spec=None, *,
             if not acc.is_zero:
                 coeffs[d] = coeffs[d] + elem_divexact(acc, denom)
     return ZetaPolynomial(spec, t, coeffs, len(coeffs) - 1)
+
+
+def matches_base_substituted(z, u_coeffs, *, budget=DEFAULT_BUDGET):
+    """Whether z = zeta(-s, X) equals zeta_{F_q[x]}(-s, X^q) * U
+    coefficientwise, U given by its coefficients in z's ring.  The F_q[x]
+    zeta is computed under min(budget, DEFAULT_BUDGET); over it, BudgetError."""
+    spec = z.spec
+    q = spec.field.q
+    base = zeta_neg(z.s, RingSpec.polyring(spec.field),
+                    budget=min(budget, DEFAULT_BUDGET))
+    width = max(z.d_max + 1, q * base.d_max + len(u_coeffs))
+    want = [spec.zero()] * width
+    for j, cj in enumerate(base.coeffs):
+        emb = spec.elem_from_poly(cj.vec[0])
+        for i, ui in enumerate(u_coeffs):
+            want[q * j + i] = want[q * j + i] + emb * ui
+    return list(z.coeffs) + [spec.zero()] * (width - len(z.coeffs)) == want
 
 
 @dataclass
@@ -154,7 +179,6 @@ def remark_exact_check(zc, report, *, budget=DEFAULT_IDEAL_BUDGET):
     U(1) whether the vanishing order is exactly q."""
     spec = zc.spec
     t = zc.s
-    q = spec.field.q
     u = {0: spec.one()}
     for cls in report.classes:
         if cls.order == 1:
@@ -162,24 +186,9 @@ def remark_exact_check(zc, report, *, budget=DEFAULT_IDEAL_BUDGET):
         dX = (cls.order - 1) * cls.degree
         f_pow = cls.generator ** ((t // cls.order) * (cls.order - 1))
         u[dX] = u.get(dX, spec.zero()) + f_pow
-    u_deg = max(u)
-    u_coeffs = tuple(u.get(d, spec.zero()) for d in range(u_deg + 1))
-    u_at_one = spec.zero()
-    for c in u_coeffs:
-        u_at_one = u_at_one + c
-
-    base = zeta_neg(t, RingSpec.polyring(spec.field),
-                    budget=min(budget, DEFAULT_BUDGET))
-    prod_len = q * base.d_max + u_deg + 1
-    width = max(prod_len, zc.d_max + 1)
-    prod = [spec.zero()] * width
-    for j, cj in enumerate(base.coeffs):
-        emb = spec.elem_from_poly(cj.vec[0])
-        for i, ui in enumerate(u_coeffs):
-            prod[q * j + i] = prod[q * j + i] + emb * ui
-    ident = all((zc.coeffs[d] if d <= zc.d_max else spec.zero()) == prod[d]
-                for d in range(width))
-
+    u_coeffs = tuple(u.get(d, spec.zero()) for d in range(max(u) + 1))
+    u_at_one = sum(u_coeffs, spec.zero())
+    ident = matches_base_substituted(zc, u_coeffs, budget=budget)
     return RemarkReport(t=t, identity_holds=ident, u_coeffs=u_coeffs,
                         u_at_one=u_at_one,
                         order_exactly_q=not u_at_one.is_zero,

@@ -24,9 +24,9 @@ from fractions import Fraction
 from ffzeta.errors import BudgetError, NonMaximalRingError
 from ffzeta.gf import (Poly, is_irreducible, is_squarefree, poly_factor,
                        poly_to_str, valuation_profile)
-from ffzeta.ideal_zeta import ideal_zeta_classwise, remark_exact_check
+from ffzeta.ideal_zeta import (ideal_zeta_classwise, matches_base_substituted,
+                               remark_exact_check)
 from ffzeta.ideals import class_group, DEFAULT_IDEAL_BUDGET
-from ffzeta.ring import RingSpec
 from ffzeta.semigroup import (NumericalSemigroup, r_gap_values,
                               semigroup_from_ring)
 from ffzeta.zeta import DEFAULT_BUDGET, digit_sum, zeta_neg
@@ -83,33 +83,22 @@ def check_hiper(spec, s, *, budget=DEFAULT_BUDGET):
         computed=_ord_principal(spec, s, budget), exponent=s)
 
 
-def _identity_base_substituted(spec, s, budget):
-    """zeta_A(-s, X) == zeta_{F_q[x]}(-s, X^q), compared coefficientwise."""
-    q = spec.field.q
-    zA = zeta_neg(s, spec, budget=budget)
-    zx = zeta_neg(s, RingSpec.polyring(spec.field), budget=budget)
-    width = max(zA.d_max, q * zx.d_max) + 1
-    want = [spec.zero()] * width
-    for j, cj in enumerate(zx.coeffs):
-        want[q * j] = spec.elem_from_poly(cj.vec[0])
-    have = list(zA.coeffs) + [spec.zero()] * (width - len(zA.coeffs))
-    return all(a == b for a, b in zip(have, want))
-
-
 def check_dinesh(spec, s, *, budget=DEFAULT_BUDGET):
-    """r-gap structure with r >= q-1 and l_q(s)/(q-1) <= r: order exactly q."""
+    """r-gap structure with r >= q-1 and l_q(s)/(q-1) <= r: order exactly q;
+    with m = q, also zeta_A(-s, X) = zeta_{F_q[x]}(-s, X^q) on the same zeta."""
     spec.require_valid()
     q = spec.field.q
-    S = semigroup_from_ring(spec)
-    report = _dinesh_checks(S, q, s)
-    identity = None
+    report = _dinesh_checks(semigroup_from_ring(spec), q, s)
+    try:
+        z = zeta_neg(s, spec, budget=budget)
+    except BudgetError:
+        return report
+    report.computed = z.ord_at_one()
     if report.applicable and spec.m == q:
         try:
-            identity = _identity_base_substituted(spec, s, budget)
+            report.identity = matches_base_substituted(z, (spec.one(),), budget=budget)
         except BudgetError:
-            identity = None
-    report.identity = identity
-    report.computed = _ord_principal(spec, s, budget)
+            pass
     return report
 
 

@@ -124,10 +124,7 @@ class ZetaPolynomial:
 
     @property
     def value_at_one(self):
-        acc = self.spec.zero()
-        for c in self.coeffs:
-            acc = acc + c
-        return acc
+        return sum(self.coeffs, self.spec.zero())
 
     def ord_at_one(self):
         return ord_from_coeffs(self.coeffs, self.spec)
@@ -143,16 +140,22 @@ class ZetaPolynomial:
         return f"ZetaPolynomial[s={self.s}, {self}]"
 
 
+def zeta_cutoff(s, spec):
+    """Certified d_max of zeta(-s, X): the last degree d with
+    dim W_d <= l_q(s)/(q-1); every S(d') beyond it vanishes."""
+    tau = digit_profile(s, spec.q).threshold
+    d = 0
+    while spec.dim_W(d) <= tau:
+        d += 1
+    return d - 1
+
+
 def zeta_neg(s, spec, *, budget=DEFAULT_BUDGET):
     """zeta(-s, X) over the monic elements of spec, with certified cutoff."""
     spec.require_valid()
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"s must be a positive integer, got {s!r}")
-    tau = digit_profile(s, spec.q).threshold
-    d = 0
-    while spec.dim_W(d) <= tau:
-        d += 1
-    d_max = d - 1
+    d_max = zeta_cutoff(s, spec)
     coeffs = tuple(power_sum_S(dd, s, spec, budget=budget)
                    for dd in range(d_max + 1))
     return ZetaPolynomial(spec, s, coeffs, d_max)

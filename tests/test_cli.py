@@ -67,6 +67,22 @@ def test_zeta_all_ideals_direct_agrees():
     assert direct["coeffs"] == classwise["coeffs"]
 
 
+def test_zeta_direct_default_cutoff_computes_no_classwise_zeta(monkeypatch):
+    _, classwise = jrun("zeta", "--ring", "h4g3", "-s", "4", "--all-ideals")
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a classwise zeta was computed on the direct route")
+
+    monkeypatch.setattr("ffzeta.cli.ideal_zeta_classwise", refuse)
+    monkeypatch.setattr("ffzeta.ideal_zeta.ideal_zeta_classwise", refuse)
+    res = dispatch(["zeta", "--all-ideals", "--direct", "--ring", "h4g3",
+                    "-s", "4", "--json"])
+    assert res.exit_code == 0, res.text
+    direct = json.loads(res.text)
+    assert direct["d_max"] == classwise["d_max"]
+    assert direct["coeffs"] == classwise["coeffs"]
+
+
 def test_zeta_all_ideals_bad_exponent():
     res = run("zeta", "--ring", "h4g3.ring", "-s", "3", "--all-ideals")
     assert res.exit_code == 1

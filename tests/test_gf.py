@@ -51,17 +51,58 @@ def test_field_scalar_ops():
     assert F4.pow(2, 3) == 1  # multiplicative order 3
 
 
+def _digits(a, p, n):
+    return [a // p ** i % p for i in range(n)]
+
+
+def _code(ds, p):
+    return sum(d % p * p ** i for i, d in enumerate(ds))
+
+
+def _slow_mul(field, a, b):
+    """a * b from the product of the digit polynomials, reduced mod the
+    field modulus by long division."""
+    p, n = field.p, field.n
+    prod = [0] * (2 * n - 1)
+    for i, x in enumerate(_digits(a, p, n)):
+        for j, y in enumerate(_digits(b, p, n)):
+            prod[i + j] += x * y
+    for top in range(2 * n - 2, n - 1, -1):
+        c = prod[top]
+        for i, m in enumerate(field.modulus):
+            prod[top - n + i] -= c * m
+    return _code(prod[:n], p)
+
+
+# every default-modulus field with q <= 512, and two other moduli
+ALL_FIELDS = [GF(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 10)
+              if p ** n <= 512] + [GF(2, 3, (1, 0, 1, 1)), GF(3, 2, (2, 2, 1))]
+
+
 def test_field_scalar_ops_exhaustive():
-    for field in (F4, F9, GF(2, 3)):
-        p, q = field.p, field.q
+    rng = random.Random(512)
+    for field in ALL_FIELDS:
+        p, n, q = field.p, field.n, field.q
         for a in range(q):
-            da = field.digits(a)
+            da = _digits(a, p, n)
+            assert field.digits(a) == tuple(da)
             assert field.from_digits(da) == a
-            assert field.add(a, field.neg(a)) == 0
+            assert field.neg(a) == _code([-d for d in da], p)
             if a:
-                assert field.mul(a, field.inv(a)) == 1
-            # frobenius is the p-th power
-            assert field.frob(a) == field.pow(a, p)
+                assert _slow_mul(field, a, field.inv(a)) == 1
+            x = a
+            for _ in range(p - 1):
+                x = _slow_mul(field, x, a)
+            assert field.frob(a) == x
+        if q <= 64:
+            pairs = [(a, b) for a in range(q) for b in range(q)]
+        else:
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(1000)]
+        for a, b in pairs:
+            da, db = _digits(a, p, n), _digits(b, p, n)
+            assert field.add(a, b) == _code([x + y for x, y in zip(da, db)], p)
+            assert field.sub(a, b) == _code([x - y for x, y in zip(da, db)], p)
+            assert field.mul(a, b) == _slow_mul(field, a, b)
 
 
 # -- polynomial basics ------------------------------------------------------
@@ -139,13 +180,27 @@ def _naive_mul(a, b):
     return Poly(f, out)
 
 
-def test_numpy_mul_matches_naive():
+def test_kronecker_mul_matches_naive():
+    # slot bound min(la, lb) * n (p-1)^2 (1 + (n-1)(p-1)) on each side of
+    # 2^8 and 2^16 where the lengths allow, and unequal lengths; operands
+    # with every digit p-1 give the largest slot sums
     rng = random.Random(5)
-    for field in (F2, F3, GF(13), F4, F9, GF(2, 3)):
-        for ln in (3, 40, 120):
-            a = Poly(field, [rng.randrange(field.q) for _ in range(ln)])
-            b = Poly(field, [rng.randrange(field.q) for _ in range(ln + 7)])
+    for field in (F2, F3, GF(13), F4, F9, GF(2, 3), GF(2, 9), GF(7, 3)):
+        p, n, q = field.p, field.n, field.q
+        per_term = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
+        top = field.mul(q - 1, q - 1)
+        lengths = [(3, 400), (400, 3), (40, 47), (120, 120)]
+        for limit in (2 ** 8, 2 ** 16):
+            below = (limit - 1) // per_term
+            lengths += [(m, m + 9) for m in (below, below + 1) if 1 <= m <= 900]
+        for la, lb in lengths:
+            a = Poly(field, [rng.randrange(q) for _ in range(la - 1)] + [1])
+            b = Poly(field, [rng.randrange(q) for _ in range(lb - 1)] + [1])
             assert a * b == _naive_mul(a, b)
+            # coefficient k of the all-(q-1) product counts its terms mod p
+            want = [field.mul(min(k + 1, la, lb, la + lb - 1 - k) % p, top)
+                    for k in range(la + lb - 1)]
+            assert Poly(field, [q - 1] * la) * Poly(field, [q - 1] * lb) == Poly(field, want)
 
 
 def test_degrees_multiply():

@@ -1,14 +1,17 @@
 """Source hygiene: every name a library module or test module imports is
-used there, and library modules import at module level only."""
+used there, and library modules import at module level only and nothing
+beyond ffzeta and the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ffzeta"
-LIBRARY = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+LIBRARY = [p for p in SOURCES if p.name != "__init__.py"]
 MODULES = LIBRARY + sorted(TESTS.glob("*.py"))
 
 
@@ -63,3 +66,32 @@ def test_detects_a_function_level_import():
 @pytest.mark.parametrize("path", LIBRARY, ids=[p.name for p in LIBRARY])
 def test_no_function_level_imports(path):
     assert function_level_imports(path.read_text(encoding="utf-8")) == []
+
+
+def third_party_imports(source):
+    """(line, module) of every absolute import outside ffzeta and the
+    standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top != "ffzeta" and top not in sys.stdlib_module_names:
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_detects_a_third_party_import():
+    src = ("import os.path\nimport numpy as np\nfrom ffzeta.gf import GF\n"
+           "from . import ring\nfrom scipy.linalg import det\n")
+    assert third_party_imports(src) == [(2, "numpy"), (5, "scipy.linalg")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_stdlib_only(path):
+    assert third_party_imports(path.read_text(encoding="utf-8")) == []

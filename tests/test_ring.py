@@ -362,7 +362,7 @@ def test_values_equal_and_hash_equal_across_routes(h4g3):
 
 
 def test_operations_leave_operands_unchanged(h4g3):
-    big = Poly(F3, [(3 * i + 1) % 3 for i in range(90)])     # numpy product size
+    big = Poly(F3, [(3 * i + 1) % 3 for i in range(90)])     # Kronecker product size
     small = P(F3, "x^3 + 2*x + 1")
     for a, b in ((big, small), (small, big), (big, big), (small, small)):
         before = (a.coeffs, b.coeffs)
