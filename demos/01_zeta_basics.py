@@ -8,7 +8,6 @@ at X = 1.
 """
 
 from ffzeta import GF, RingSpec, parse_ring_spec, poly_to_str, zeta_neg
-from ffzeta.zeta import zeta_to_str
 
 for q, field in ((2, GF(2)), (3, GF(3)), (4, GF(2, 2))):
     ring = RingSpec.polyring(field)
@@ -19,13 +18,13 @@ print()
 ring = RingSpec.polyring(GF(3))
 for s in (2, 4, 6):
     z = zeta_neg(s, ring)
-    print(f"zeta_(F_3[x])(-{s}, X) = {zeta_to_str(z.coeffs)}"
+    print(f"zeta_(F_3[x])(-{s}, X) = {z}"
           f"   ord at X=1: {z.ord_at_one()}")
 
 print()
 ex36 = parse_ring_spec("ex36.ring")
 z = zeta_neg(2, ex36)
 print("ex36 (y^2 = x^5 + 2x over F_3):")
-print(f"  zeta(-2, X) = {zeta_to_str(z.coeffs)}")
+print(f"  zeta(-2, X) = {z}")
 print(f"  value at 1  = {poly_to_str(z.value_at_one.poly_part())}")
 print(f"  ord at X=1  = {z.ord_at_one()}")

@@ -12,7 +12,7 @@ from ffzeta import (
     check_generalization, class_group, ideal_zeta_classwise,
     ideal_zeta_direct, parse_ring_spec, poly_to_str,
 )
-from ffzeta.zeta import zeta_to_str
+from ffzeta.zeta import coeff_lit, zeta_to_str
 
 spec = parse_ring_spec("h4g3.ring")
 cg = class_group(spec)
@@ -20,7 +20,7 @@ t = cg.e  # smallest admissible exponent
 
 z = ideal_zeta_classwise(t, cg, spec)
 print(f"all-ideals zeta(-{t}, X) on {spec.name}:")
-print(f"  classwise: {zeta_to_str(z.coeffs)}   (d_max {z.d_max})")
+print(f"  classwise: {z}   (d_max {z.d_max})")
 
 direct = ideal_zeta_direct(t, z.d_max, spec, report=cg)
 print(f"  direct enumeration agrees: {z.coeffs == direct.coeffs}")
@@ -33,7 +33,7 @@ print(f"generalization chain: applicable = {hyp.applicable},"
       f" computed = {hyp.computed}")
 
 rem = hyp.remark  # checked against the chain's own classwise zeta
-print(f"exact factorization: U(X) = {zeta_to_str(rem.u_coeffs)}")
+print(f"exact factorization: U(X) = {zeta_to_str(map(coeff_lit, rem.u_coeffs))}")
 print(f"  identity zeta(-t, X) = zeta_(F_2[x])(-t, X^2) * U:"
       f" {rem.identity_holds}")
 print(f"  U(1) = {poly_to_str(rem.u_at_one.poly_part())}"

@@ -20,7 +20,7 @@ from ffzeta.gf import GF, Poly, poly_from_str, poly_to_str
 from ffzeta.ideal_zeta import (ideal_zeta_classwise, ideal_zeta_direct,
                                require_monic_products)
 from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group
-from ffzeta.ring import RingElement, elem_to_str
+from ffzeta.ring import RingElement
 from ffzeta.ringfile import parse_ring_spec
 from ffzeta.search import (FAMILIES, SearchSpace, search_partition,
                            search_run)
@@ -28,7 +28,8 @@ from ffzeta.semigroup import (enumerate_semigroups, r_gap_values,
                               semigroup_from_ring)
 from ffzeta.theorems import (check_dinesh, check_generalization, check_hiper,
                              check_tesismc)
-from ffzeta.zeta import digit_sum, power_sum_S, zeta_neg, zeta_to_str
+from ffzeta.zeta import (coeff_lit, digit_sum, power_sum_S, zeta_neg,
+                         zeta_to_str)
 
 _THEOREMS = ("hiper", "dinesh", "generalization", "tesismc")
 
@@ -56,8 +57,7 @@ class _Parser(argparse.ArgumentParser):
 def _lit(v):
     """Re-ingestible literal for a coefficient-like value."""
     if isinstance(v, RingElement):
-        pp = v.poly_part()
-        return poly_to_str(pp) if pp is not None else elem_to_str(v).replace(", ", "; ")
+        return coeff_lit(v)
     if isinstance(v, Poly):
         return poly_to_str(v)
     if isinstance(v, Fraction):
@@ -142,9 +142,10 @@ def _cmd_zeta(args):
                      "h": report.h, "e": report.e})
         lines.append(f"all-ideals zeta(-{t}, X), {method} "
                      f"(h = {report.h}, e = {report.e})")
+    lits = [coeff_lit(c) for c in z.coeffs]
     data.update({
-        "zeta": str(z),
-        "coeffs": [_lit(c) for c in z.coeffs],
+        "zeta": zeta_to_str(lits),
+        "coeffs": lits,
         "d_max": z.d_max,
         "value_at_one": _lit(z.value_at_one),
         "ord": z.ord_at_one(),
@@ -278,18 +279,19 @@ def _cmd_check(args):
         lines.append(f"structural identity: {'holds' if rep.identity else 'FAILS'}")
     if rep.remark is not None:
         r = rep.remark
+        u_lits = [coeff_lit(c) for c in r.u_coeffs]
         # "applicable" and "warning" are constant, kept for readers of the
         # document: a remark is attached only to an applicable chain
         data["remark"] = {
             "applicable": True,
             "identity_holds": r.identity_holds,
-            "u_coeffs": [_lit(c) for c in r.u_coeffs],
+            "u_coeffs": u_lits,
             "u_at_one": _lit(r.u_at_one),
             "order_exactly_q": r.order_exactly_q,
             "h2_shortcut": r.h2_shortcut,
             "warning": None,
         }
-        lines.append(f"exact factorization: U = {zeta_to_str(r.u_coeffs)}, "
+        lines.append(f"exact factorization: U = {zeta_to_str(u_lits)}, "
                      f"identity {'holds' if r.identity_holds else 'FAILS'}, "
                      f"U(1) = {_lit(r.u_at_one)}"
                      + (", order exactly q" if r.order_exactly_q

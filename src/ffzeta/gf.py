@@ -6,13 +6,31 @@ of the residue polynomial in the generator t, lowest power first, reduced by
 the field modulus.  All element operations go through tables precomputed on
 the `FF` instance, so values stay exact machine ints throughout.
 
-Polynomials are `Poly` values: a field reference plus a tuple of coefficient
-codes, lowest degree first, no trailing zeros, immutable by convention (no
-operation writes to an existing `Poly`).  The zero polynomial has an empty
-tuple and degree `NEG_INF`.  Products of long polynomials are one Kronecker
-substitution on Python ints: each base-p digit plane is packed into an int
-with slots wide enough for every coefficient sum, so the big-int product is
-exact and only its slots are reduced mod p.  No floats enter anywhere.
+Polynomials are `Poly` values: a field reference plus one packed Python int,
+immutable by convention (no operation writes to an existing `Poly`).  The
+int holds one little-endian byte per base-p digit: byte n*j + i is digit i
+of the code of c_j, so a prime field has one byte per coefficient, and the
+bytes i, i + n, i + 2n, ... form digit plane i.  The int has no leading zero
+bytes, so the zero polynomial is 0 (degree `NEG_INF`) and the degree follows
+from the bit length.  Packed ints order like the coefficient vectors read
+from the top, which is `sort_key`; `coeffs` decodes the tuple of codes.
+
+Every digit is below p <= 13, and every operation keeps each byte slot below
+256 until `bytes.translate` reduces it mod p, so no carry ever crosses a
+slot:
+* add and sub sum two digits, at most 2(p-1); at p = 2 they are XOR.
+  Negation and scaling by a prime-field code are one translate; scaling by
+  another code adds the n digit planes times the digits of c t^i, one
+  reduction per plane.
+* a product spreads each digit plane into k-byte slots and multiplies plane
+  pairs as big ints (Kronecker substitution; Karatsuba over the two planes
+  of F_{p^2}).  A slot then sums at most min(la, lb) n (p-1)^2
+  (1 + (n-1)(p-1)) once the planes above t^(n-1) are folded back, and k is
+  the least byte count above that bound; k = 1 needs no spreading.
+* divmod adds negated multiples of the divisor, digits at most p-1 each,
+  and reduces every 255 // (p-1) - 1 steps, so a slot stays at most
+  (steps + 1)(p-1) <= 255.
+No floats enter anywhere.
 
 Polynomial literals use one grammar everywhere (files, CLI, reprs): terms
 joined by `+`, each term `c`, `c*x^k`, `x^k` or `x`, coefficients are plain
@@ -22,18 +40,12 @@ integers reduced mod p, or for extension fields polynomials in `t` such as
 
 from __future__ import annotations
 
-from struct import unpack
+from itertools import product
 
 NEG_INF = float("-inf")
 
 _PRIMES = (2, 3, 5, 7, 11, 13)
 TABLE_CAP = 512
-
-# the table loop beats the fixed cost of a Kronecker product below this size
-_KRONECKER_MIN = 81
-# v * 256^j mod p at [p][j][v], for byte j of a Kronecker slot (8 bytes suffice)
-_BYTE_MOD = {p: [bytes(v * 256 ** j % p for v in range(256)) for j in range(8)]
-             for p in _PRIMES}
 
 
 class FF:
@@ -41,8 +53,9 @@ class FF:
 
     __slots__ = (
         "p", "n", "q", "modulus",
-        "_addl", "_subl", "_mull", "_negl", "_invl", "_frobl",
-        "_dig",
+        "_addl", "_mull", "_negl", "_invl", "_frobl",
+        "_dig", "_codeb", "_packl", "_unpack", "_mulb", "_mods", "_fold",
+        "_slot_bound",
     )
 
     def __init__(self, p, n=1, modulus=None):
@@ -83,7 +96,7 @@ class FF:
         for a in codes[1:]:
             up = add[a // p]
             add.append([p * up[b // p] + (a + b) % p for b in codes])
-        self._negl = neg = [self.from_digits(-c for c in ds) for ds in dig]
+        self._negl = [self.from_digits(-c for c in ds) for ds in dig]
         # scalars d < p act digitwise
         self._mull = mul = [[self.from_digits(d * c for c in ds) for ds in dig]
                             for d in range(p)]
@@ -95,9 +108,20 @@ class FF:
             # Horner's rule: a = (a // p) t + a % p
             for a in codes[p:]:
                 mul.append([add[tmul[x]][y] for x, y in zip(mul[a // p], mul[a % p])])
-        self._subl = [[row[c] for c in neg] for row in add]
         self._invl = [0] + [mul[a].index(1) for a in codes[1:]]
         self._frobl = [self.pow(a, p) for a in codes]
+        # the packed form of Poly: one byte per digit; _codeb is big-endian
+        self._codeb = [bytes(reversed(ds)) for ds in dig]
+        self._packl = [int.from_bytes(bs, "big") for bs in self._codeb]
+        self._unpack = {v: a for a, v in enumerate(self._packl)}
+        # byte v -> d v mod p: scaling by the prime-field code d
+        self._mulb = [_times_mod(d, p) for d in range(p)]
+        # byte v -> v 256^j mod p, for byte j of a Kronecker slot (8 suffice)
+        self._mods = [_times_mod(pow(256, j, p), p) for j in range(8)]
+        # digits of t^(n-1+j), j = 1 .. n-1, and the slot bound per term of
+        # a Kronecker product (see Poly.__mul__)
+        self._fold = [dig[mul[p ** (n - 1)][p ** j]] for j in range(1, n)]
+        self._slot_bound = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
 
     # -- scalar operations --------------------------------------------------
 
@@ -105,7 +129,7 @@ class FF:
         return self._addl[a][b]
 
     def sub(self, a, b):
-        return self._subl[a][b]
+        return self._addl[a][self._negl[b]]
 
     def mul(self, a, b):
         return self._mull[a][b]
@@ -208,6 +232,11 @@ class FF:
         return f"GF({self.p}^{self.n}, {poly_to_str(mod, 't')})"
 
 
+def _times_mod(r, p):
+    """The `bytes.translate` table of v -> r v mod p; it has period p."""
+    return (bytes(r * v % p for v in range(p)) * (256 // p + 1))[:256]
+
+
 _FIELDS: dict = {}
 
 
@@ -224,26 +253,14 @@ def GF(p, n=1, modulus=None):
 
 def default_modulus(p, n):
     """Smallest monic irreducible of degree n over F_p in counting order."""
-    base = GF(p)
-    for k in range(p ** n):
-        cand = Poly(base, _digits_of(k, p, n) + (1,))
-        if is_irreducible(cand):
-            return cand.coeffs
-    raise AssertionError("no irreducible polynomial found")  # unreachable
-
-
-def _digits_of(k, q, width):
-    ds = []
-    for _ in range(width):
-        k, r = divmod(k, q)
-        ds.append(r)
-    return tuple(ds)
+    return next(f for f in monic_polys(GF(p), n) if is_irreducible(f)).coeffs
 
 
 class Poly:
-    """Dense polynomial over a fixed finite field."""
+    """Dense polynomial over a fixed finite field, packed into one int as the
+    module docstring describes."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "packed")
 
     def __init__(self, field, coeffs):
         q = field.q
@@ -253,74 +270,81 @@ class Poly:
             if not 0 <= c < q:
                 raise ValueError(f"coefficient {c!r} is not a code in [0, {q})")
             cs.append(c)
-        while cs and cs[-1] == 0:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def _raw(cls, field, coeffs):
-        """Unchecked constructor: coeffs is already a stripped code tuple."""
-        self = object.__new__(cls)
-        self.field = field
-        self.coeffs = coeffs
-        return self
+        self.packed = int.from_bytes(
+            b"".join(map(field._codeb.__getitem__, reversed(cs))), "big")
 
     @classmethod
     def zero(cls, field):
-        return cls._raw(field, ())
+        return _poly(field, 0)
 
     @classmethod
     def one(cls, field):
-        return cls._raw(field, (1,))
+        return _poly(field, 1)
 
     @classmethod
     def x(cls, field):
-        return cls._raw(field, (0, 1))
+        return _poly(field, 1 << 8 * field.n)
 
     @classmethod
     def const(cls, field, c):
-        return cls._raw(field, (c,) if c else ())
+        return _poly(field, field._packl[c])
 
     @classmethod
     def monomial(cls, field, k, c=1):
-        return cls._raw(field, (0,) * k + (c,)) if c else cls.zero(field)
+        return _poly(field, field._packl[c] << 8 * field.n * k)
 
     # -- structure ----------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """Tuple of coefficient codes, lowest degree first, no trailing zeros."""
+        f = self.field
+        n = f.n
+        v = self.packed
+        raw = v.to_bytes(n * _length(v, n), "little")
+        if n == 1:
+            return tuple(raw)
+        unpack = f._unpack
+        return tuple(unpack[int.from_bytes(raw[i:i + n], "little")]
+                     for i in range(0, len(raw), n))
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        v = self.packed
+        return (v.bit_length() - 1) // (8 * self.field.n) if v else NEG_INF
 
     @property
     def is_zero(self):
-        return not self.coeffs
+        return not self.packed
 
     @property
     def lc(self):
-        if not self.coeffs:
+        v = self.packed
+        if not v:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field._unpack[v >> 8 * self.field.n * self.degree]
 
     @property
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.packed) and self.lc == 1
 
     @property
     def sort_key(self):
-        """Orders by degree, then by counting order of the coefficient vector."""
-        return (len(self.coeffs), tuple(reversed(self.coeffs)))
+        """Orders by degree, then by counting order of the coefficient vector
+        read from the top; the packed ints order exactly so."""
+        return self.packed
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.packed)
 
     def __eq__(self, other):
         return (isinstance(other, Poly)
-                and self.coeffs == other.coeffs
+                and self.packed == other.packed
                 and (self.field is other.field or self.field == other.field))
 
     def __hash__(self):
-        return hash((self.coeffs, self.field.p, self.field.n))
+        return hash((self.packed, self.field.p, self.field.n))
 
     def _same_field(self, other):
         if self.field is not other.field and self.field != other.field:
@@ -329,135 +353,160 @@ class Poly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        self._same_field(other)
-        a, b = self.coeffs, other.coeffs
+        f = self.field
+        if other.field is not f:
+            self._same_field(other)
+        a, b = self.packed, other.packed
+        if not b:
+            return self
         if not a:
             return other
-        if not b:
-            return self
-        if len(a) < len(b):
-            a, b = b, a
-        addl = self.field._addl
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = addl[out[i]][c]
-        return Poly._raw(self.field, _strip(out))
+        if f.p == 2:
+            return _poly(f, a ^ b)
+        # slots a_i + b_i <= 2(p-1) < 256
+        return _poly(f, _translate(a + b, f._mods[0]))
 
     def __neg__(self):
-        negl = self.field._negl
-        return Poly._raw(self.field, tuple(negl[c] for c in self.coeffs))
+        f = self.field
+        if f.p == 2:
+            return self
+        return _poly(f, _translate(self.packed, f._mulb[f.p - 1]))
 
     def __sub__(self, other):
-        self._same_field(other)
-        a, b = self.coeffs, other.coeffs
+        f = self.field
+        if other.field is not f:
+            self._same_field(other)
+        a, b = self.packed, other.packed
         if not b:
             return self
-        f = self.field
-        subl = f._subl
-        if len(a) >= len(b):
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] = subl[out[i]][c]
-        else:
-            negl = f._negl
-            out = [subl[c][b[i]] for i, c in enumerate(a)]
-            out.extend(negl[c] for c in b[len(a):])
-        return Poly._raw(f, _strip(out))
+        if not a:
+            return -other
+        p = f.p
+        if p == 2:
+            return _poly(f, a ^ b)
+        # -b has digits <= p-1, so slots a_i + (-b)_i <= 2(p-1) < 256
+        return _poly(f, _translate(a + _translate(b, f._mulb[p - 1]), f._mods[0]))
 
     def __mul__(self, other):
-        self._same_field(other)
         f = self.field
-        a, b = self.coeffs, other.coeffs
+        if other.field is not f:
+            self._same_field(other)
+        a, b = self.packed, other.packed
         if not a or not b:
-            return Poly.zero(f)
-        if len(a) == 1:
-            return self._scale(other, a[0])
-        if len(b) == 1:
-            return self._scale(self, b[0])
-        if len(a) * len(b) < _KRONECKER_MIN:
-            mull, addl = f._mull, f._addl
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca == 0:
-                    continue
-                row = mull[ca]
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] = addl[out[i + j]][row[cb]]
-            return Poly._raw(f, _strip(out))
-        return self._mul_kronecker(other)
+            return _poly(f, 0)
+        n = f.n
+        w = 8 * n
+        mods = f._mods
+        # Kronecker substitution: each digit plane is spread into k-byte
+        # slots and plane pairs multiply as big ints.  A slot of one plane
+        # product sums at most min(la, lb) digit products <= (p-1)^2; plane r
+        # of the digit-polynomial product sums at most n plane products, and
+        # folding t^(n-1+j) = sum_r c_jr t^r (c_jr <= p-1) adds the n-1 high
+        # planes to each low one.  So no slot exceeds
+        # min(la, lb) n (p-1)^2 (1 + (n-1)(p-1)) < 256^k and no carry crosses
+        # a slot.  At n = 2 the Karatsuba middle product (A0+A1)(B0+B1) has
+        # slots <= min(la, lb) 4(p-1)^2, within that bound, and subtracting
+        # the outer products from it leaves slotwise sums >= 0.
+        shorter = (min(a, b).bit_length() + w - 1) // w
+        k = ((shorter * f._slot_bound).bit_length() + 7) // 8
+        if n == k == 1:
+            return _poly(f, _translate(a * b, mods[0]))
+        if shorter == 1:
+            # a constant factor scales digit plane by digit plane
+            c, g = (a, other) if a <= b else (b, self)
+            return Poly._scale(g, f._unpack[c])
+        la = (a.bit_length() + w - 1) // w
+        lb = (b.bit_length() + w - 1) // w
+        ra = a.to_bytes(n * la, "little")
+        rb = b.to_bytes(n * lb, "little")
+        A = [_spread(ra[i::n], k) for i in range(n)]
+        B = [_spread(rb[i::n], k) for i in range(n)]
+        if n == 2:
+            lo, hi = A[0] * B[0], A[1] * B[1]
+            prod = [lo, (A[0] + A[1]) * (B[0] + B[1]) - lo - hi, hi]
+        else:
+            prod = [0] * (2 * n - 1)
+            for i, ai in enumerate(A):
+                for j, bj in enumerate(B):
+                    prod[i + j] += ai * bj
+        for high, fold in zip(prod[n:], f._fold):
+            for r, c in enumerate(fold):
+                if c:
+                    prod[r] += c * high
+        size = la + lb - 1
+        out = bytearray(n * size)
+        for i, plane in enumerate(prod[:n]):
+            out[i::n] = _reduce_slots(plane, k, size, mods)
+        return _poly(f, int.from_bytes(out, "little"))
 
     @staticmethod
     def _scale(poly, c):
+        f = poly.field
         if c == 0:
-            return Poly.zero(poly.field)
+            return _poly(f, 0)
         if c == 1:
             return poly
-        row = poly.field._mull[c]
-        return Poly._raw(poly.field, tuple(row[v] for v in poly.coeffs))
-
-    def _mul_kronecker(self, other):
-        # Kronecker substitution: each base-p digit plane of an operand is
-        # packed into one int, a digit per k-byte slot, and the planes
-        # multiply as big ints.  Once plane n-1+j, j >= 1, is folded back into
-        # the low planes by the digits of t^(n-1+j), no slot exceeds
-        # `bound` < 256^k, so no carry crosses a slot.
-        f = self.field
-        p, n = f.p, f.n
-        a, b = self.coeffs, other.coeffs
-        bound = min(len(a), len(b)) * n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
-        k = (bound.bit_length() + 7) // 8
-
-        def pack(coeffs):
-            planes = zip(*map(f._dig.__getitem__, coeffs)) if n > 1 else (coeffs,)
-            return [_spread(bytes(ds), k) for ds in planes]
-
-        prod = [0] * (2 * n - 1)
-        B = pack(b)
-        for i, ai in enumerate(pack(a)):
-            for j, bj in enumerate(B):
-                prod[i + j] += ai * bj
-        for j, high in enumerate(prod[n:], start=1):
-            for i, r in enumerate(f.digits(f.mul(p ** (n - 1), p ** j))):
-                prod[i] += r * high
-        size = len(a) + len(b) - 1
-        w = 1 if f.q <= 256 else 2    # bytes per code
-        codes = 0
-        for i, plane in enumerate(prod[:n]):
-            # byte j of a slot weighs 256^j mod p; k such terms stay below 256
-            raw = plane.to_bytes(k * size, "little")
-            digits = 0
-            for j in range(k):
-                digits += int.from_bytes(raw[j::k].translate(_BYTE_MOD[p][j]), "little")
-            digits = digits.to_bytes(size, "little").translate(_BYTE_MOD[p][0])
-            codes += _spread(digits, w) * p ** i
-        codes = codes.to_bytes(w * size, "little")
-        return Poly._raw(f, _strip(codes if w == 1 else unpack(f"<{size}H", codes)))
+        p = f.p
+        if c < p:
+            # a prime-field code scales every digit alike
+            return _poly(f, _translate(poly.packed, f._mulb[c]))
+        # c sum_i d_i t^i = sum_i d_i (c t^i): digit plane i, masked to the
+        # low byte of each n-byte coefficient slot, times the packed digits of
+        # c t^i puts d_i times digit r of c t^i, at most (p-1)^2, in byte r.
+        # Reducing after each term keeps a byte at most p(p-1) < 256.
+        v = poly.packed
+        n = f.n
+        low = int.from_bytes(b"\xff".ljust(n, b"\0") * _length(v, n), "little")
+        mod = f._mods[0]
+        acc = 0
+        for i in range(n):
+            acc = _translate(acc + ((v >> 8 * i) & low) * f._packl[f._mull[c][p ** i]], mod)
+        return _poly(f, acc)
 
     def __divmod__(self, other):
-        self._same_field(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        db = other.degree
-        if self.degree < db:
-            return Poly.zero(f), self
-        inv_lb = f.inv(other.lc)
-        mull, subl = f._mull, f._subl
-        rem = list(self.coeffs)
-        b = other.coeffs
-        qcs = [0] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == 0:
+        if other.field is not f:
+            self._same_field(other)
+        b = other.packed
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        p, n = f.p, f.n
+        w = 8 * n
+        rem = self.packed
+        da = (rem.bit_length() - 1) // w
+        db = (b.bit_length() - 1) // w
+        if da < db:
+            return _poly(f, 0), self
+        unpack, packl, mull, negl = f._unpack, f._packl, f._mull, f._negl
+        inv = f._invl[unpack[b >> w * db]]
+        mod = f._mods[0]
+        mask = (1 << w) - 1
+        # Each step adds a negated multiple of the divisor, digits <= p-1, to
+        # a window of slots.  A reduced slot holds <= p-1, so after s steps
+        # without reduction it holds <= (s+1)(p-1); reducing every
+        # 255 // (p-1) - 1 steps keeps (s+1)(p-1) <= 255.
+        lazy = 255 // (p - 1) - 1
+        negs = {}
+        quo = 0
+        steps = 0
+        for i in range(da, db - 1, -1):
+            top = (rem >> w * i) & mask
+            c = top % p if n == 1 else unpack[_translate(top, mod)]
+            if not c:
                 continue
-            qc = mull[c][inv_lb]
-            qcs[i - db] = qc
-            row = mull[qc]
-            off = i - db
-            for j in range(db + 1):
-                rem[off + j] = subl[rem[off + j]][row[b[j]]]
-        return Poly._raw(f, _strip(qcs)), Poly._raw(f, _strip(rem[:db]))
+            qc = mull[c][inv]
+            neg = negs.get(qc)
+            if neg is None:
+                neg = negs[qc] = Poly._scale(other, negl[qc]).packed
+            shift = w * (i - db)
+            rem += neg << shift
+            quo += packl[qc] << shift
+            steps += 1
+            if steps == lazy:
+                rem = _translate(rem, mod)
+                steps = 0
+        rem = _translate(rem & ((1 << w * db) - 1), mod)
+        return _poly(f, quo), _poly(f, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -486,19 +535,23 @@ class Poly:
 
     def spread(self, stride):
         """Substitute x -> x^stride; equals the q-power Frobenius when stride = q."""
-        if stride == 1 or self.is_zero:
+        v = self.packed
+        if stride == 1 or not v:
             return self
-        out = [0] * (stride * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            out[stride * i] = c
-        return Poly._raw(self.field, tuple(out))
+        n = self.field.n
+        length = _length(v, n)
+        raw = v.to_bytes(n * length, "little")
+        out = bytearray(n * (stride * (length - 1) + 1))
+        for i in range(n):
+            out[i::n * stride] = raw[i::n]
+        return _poly(self.field, int.from_bytes(out, "little"))
 
     def derivative(self):
         f = self.field
         mull = f._mull
+        cs = self.coeffs
         # the integer i mod p is its own code in every F_{p^n}
-        out = [mull[i % f.p][self.coeffs[i]] for i in range(1, len(self.coeffs))]
-        return Poly._raw(f, _strip(out))
+        return Poly(f, [mull[i % f.p][cs[i]] for i in range(1, len(cs))])
 
     def eval(self, a):
         f = self.field
@@ -511,6 +564,29 @@ class Poly:
         return f"Poly[{poly_to_str(self)}]"
 
 
+def _poly(field, packed):
+    """Unchecked constructor: packed holds reduced digits only."""
+    self = _new(Poly)
+    self.field = field
+    self.packed = packed
+    return self
+
+
+_new = object.__new__
+
+
+def _length(v, n):
+    """Number of coefficients of the packed int v over a field of degree n."""
+    w = 8 * n
+    return (v.bit_length() + w - 1) // w
+
+
+def _translate(v, table):
+    """The int whose little-endian bytes are those of v mapped through table."""
+    return int.from_bytes(
+        v.to_bytes((v.bit_length() + 7) // 8, "little").translate(table), "little")
+
+
 def _spread(data, width):
     """The int whose little-endian width-byte slots hold the bytes of data."""
     if width > 1:
@@ -520,11 +596,17 @@ def _spread(data, width):
     return int.from_bytes(data, "little")
 
 
-def _strip(cs):
-    k = len(cs)
-    while k and cs[k - 1] == 0:
-        k -= 1
-    return tuple(cs[:k])
+def _reduce_slots(v, k, size, mods):
+    """The size k-byte slots of v reduced mod p, one byte each; mods[j] maps
+    a byte to its value times 256^j mod p."""
+    raw = v.to_bytes(k * size, "little")
+    if k > 1:
+        # k <= 8 reduced terms sum to at most 8(p-1) < 256
+        acc = 0
+        for j in range(k):
+            acc += int.from_bytes(raw[j::k].translate(mods[j]), "little")
+        raw = acc.to_bytes(size, "little")
+    return raw.translate(mods[0])
 
 
 def poly_det(M):
@@ -560,16 +642,20 @@ def monic_polys(field, degree):
     """
     if degree < 0:
         return
-    q = field.q
-    for k in range(q ** degree):
-        yield Poly._raw(field, _digits_of(k, q, degree) + (1,))
+    yield from _counting(field, degree, field._codeb[1])
 
 
 def polys_below(field, degree):
     """All polynomials of degree < `degree` (q^degree of them), counting order."""
-    q = field.q
-    for k in range(q ** max(degree, 0)):
-        yield Poly._raw(field, _strip(_digits_of(k, q, degree)))
+    yield from _counting(field, max(degree, 0), b"")
+
+
+def _counting(field, width, lead):
+    """lead followed by every vector of width codes, in counting order.  The
+    packed int is read big-endian, top coefficient first, so `product`,
+    whose last factor runs fastest, counts with c_0 least significant."""
+    for low in product(field._codeb, repeat=width):
+        yield _poly(field, int.from_bytes(lead + b"".join(low), "big"))
 
 
 # -- factorization ----------------------------------------------------------
@@ -733,9 +819,10 @@ def poly_to_str(f, var="x"):
     if f.is_zero:
         return "0"
     field = f.field
+    coeffs = f.coeffs
     terms = []
-    for k in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[k]
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
         if c == 0:
             continue
         cs = field.el_to_str(c)

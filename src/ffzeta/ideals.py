@@ -166,7 +166,7 @@ class IdealHNF:
                 and (self.spec is other.spec or self.spec == other.spec))
 
     def __hash__(self):
-        return hash(tuple(tuple(g.coeffs for g in col) for col in self.cols))
+        return hash(tuple(g.packed for col in self.cols for g in col))
 
     def __repr__(self):
         rows = self.rows()

@@ -24,7 +24,7 @@ delta_j are pairwise distinct mod m), which is what makes "monic" meaningful.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 from ffzeta.errors import RingValidationError
@@ -247,16 +247,19 @@ class RingSpec:
         plan = self._mul_plan
         if plan is None:
             plan = self._mul_plan = _plan_cells(self.mul_table())
-        out = [Poly.zero(self.field)] * self.m
+        zero = Poly.zero(self.field)
+        out = [zero] * self.m
         for pairs, terms in plan:
             acc = None
             for i, j in pairs:
                 ga, gb = a[i], b[j]
-                if ga.coeffs and gb.coeffs:
+                if ga.packed and gb.packed:
                     acc = ga * gb if acc is None else acc + ga * gb
             if acc is not None:
                 for k, g in terms:
-                    out[k] = out[k] + (acc if g is None else acc * g)
+                    term = acc if g is None else acc * g
+                    # the first term of a slot is stored, not added to zero
+                    out[k] = term if out[k] is zero else out[k] + term
         return tuple(out)
 
     def basis_vec(self, j):
@@ -367,7 +370,7 @@ class RingElement:
                 and (self.spec is other.spec or self.spec == other.spec))
 
     def __hash__(self):
-        return hash(tuple(g.coeffs for g in self.vec))
+        return hash(tuple(g.packed for g in self.vec))
 
     def _same_spec(self, other):
         if self.spec is not other.spec and self.spec != other.spec:
@@ -406,15 +409,16 @@ class RingElement:
         spec = self.spec
         q = spec.q
         rows = spec.basis_qpow()
-        acc = [Poly.zero(spec.field)] * spec.m
+        zero = Poly.zero(spec.field)
+        acc = [zero] * spec.m
         for j, g in enumerate(self.vec):
-            if g.is_zero:
+            if not g.packed:
                 continue
             gq = g.spread(q)
-            row = rows[j]
-            for i in range(spec.m):
-                if not row[i].is_zero:
-                    acc[i] = acc[i] + gq * row[i]
+            for i, r in enumerate(rows[j]):
+                if r.packed:
+                    term = gq * r
+                    acc[i] = term if acc[i] is zero else acc[i] + term
         return RingElement(spec, tuple(acc))
 
     def pow_digits(self, s):
@@ -463,7 +467,7 @@ def _plan_cells(table):
             groups.setdefault(cell, []).append((i, j))
     plan = []
     for cell, pairs in groups.items():
-        terms = tuple((k, None if g.coeffs == (1,) else g)
+        terms = tuple((k, None if g.packed == 1 else g)
                       for k, g in enumerate(cell) if not g.is_zero)
         if terms:
             plan.append((tuple(pairs), terms))
@@ -474,15 +478,17 @@ def affine_combinations(lead, basis):
     """lead plus every F_q-combination of basis, in counting order of the
     coefficient vector (first basis element least significant)."""
     q = lead.spec.field.q
+    # multiples[i][c] = c * basis[i], built once for every combination
+    multiples = [[None] + [w.scale_const(c) for c in range(1, q)] for w in basis]
     for k in range(q ** len(basis)):
         acc = lead
         kk = k
-        for w in basis:
+        for mult in multiples:
             if kk == 0:
                 break
             kk, c = divmod(kk, q)
             if c:
-                acc = acc + w.scale_const(c)
+                acc = acc + mult[c]
         yield acc
 
 
@@ -510,18 +516,20 @@ def count_affine_points(spec, k):
     Such a beta_j is an eigenvalue of multiplication by b_j at x0, so the
     candidates are the roots of that characteristic polynomial (for m = 2,
     the roots of beta^2 = r0(x0) + r1(x0) beta) and every tuple of them is
-    tested against all cells.  The table has coefficients in F_q, so x0 and
-    its conjugate x0^q carry equally many points: one x0 per Frobenius orbit
-    is solved and counted with the orbit's size.  F_{q^k} is GF(p, n k) with
-    F_q embedded by a root of F_q's modulus.
+    tested against all cells.  The characteristic polynomials are taken once
+    over F_q[x] and evaluated at each x0.  The table has coefficients in
+    F_q, so x0 and its conjugate x0^q carry equally many points: one x0 per
+    Frobenius orbit is solved and counted with the orbit's size.  F_{q^k} is
+    GF(p, n k) with F_q embedded by a root of F_q's modulus.
     """
     field = spec.field
     E = GF(field.p, field.n * k)
-    addl, mull, negl = E._addl, E._mull, E._negl
+    addl, mull = E._addl, E._mull
     emb = _embedding(field, E)
     m = spec.m
     table = [[[[emb[c] for c in g.coeffs] for g in cell] for cell in row]
              for row in spec.mul_table()]
+    chis = [[[emb[c] for c in e.coeffs] for e in chi] for chi in _char_polys(spec)]
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
     seen = bytearray(E.q)
     count = 0
@@ -537,19 +545,34 @@ def count_affine_points(spec, k):
         cells = [[[_horner(cs, x0, addl, mull) for cs in cell] for cell in row]
                  for row in table]
         cands = [(1,)]
-        for j in range(1, m):
-            # T I - M_j, where column c of M_j is the cell b_j * b_c
-            mat = [[Poly._raw(E, (negl[cells[j][c][r]], 1)) if r == c
-                    else Poly.const(E, negl[cells[j][c][r]])
-                    for c in range(m)] for r in range(m)]
-            chi = poly_det(mat).coeffs
-            cands.append([b for b in range(E.q)
-                          if not _horner(chi, b, addl, mull)])
+        for chi in chis:
+            cs = [_horner(e, x0, addl, mull) for e in chi]
+            cands.append([b for b in range(E.q) if not _horner(cs, b, addl, mull)])
         for beta in product(*cands):
             if all(mull[beta[i]][beta[j]] == _dot(cells[i][j], beta, addl, mull)
                    for i, j in pairs):
                 count += orbit
     return count
+
+
+def _char_polys(spec):
+    """For j = 1 .. m-1, det(T I - M_j) as its coefficients in F_q[x], lowest
+    power of T first, where column c of M_j is the cell b_j * b_c.  The
+    coefficient of T^(m-k) is (-1)^k times the sum of the k x k principal
+    minors of M_j."""
+    m = spec.m
+    table = spec.mul_table()
+    zero, one = Poly.zero(spec.field), Poly.one(spec.field)
+    out = []
+    for j in range(1, m):
+        M = [[table[j][c][r] for c in range(m)] for r in range(m)]
+        chi = []
+        for k in range(m, -1, -1):
+            e = sum((poly_det([[M[r][c] for c in S] for r in S])
+                     for S in combinations(range(m), k)), zero) if k else one
+            chi.append(-e if k % 2 else e)
+        out.append(chi)
+    return out
 
 
 def _embedding(field, E):

@@ -134,7 +134,7 @@ class ZetaPolynomial:
                 and (self.spec, self.s, self.coeffs) == (other.spec, other.s, other.coeffs))
 
     def __str__(self):
-        return zeta_to_str(self.coeffs)
+        return zeta_to_str(map(coeff_lit, self.coeffs))
 
     def __repr__(self):
         return f"ZetaPolynomial[s={self.s}, {self}]"
@@ -187,21 +187,24 @@ def ord_from_coeffs(coeffs, spec):
 
 # -- rendering --------------------------------------------------------------
 
-def _coeff_str(c):
-    """(text, needs_parens) for one zeta coefficient."""
+def coeff_lit(c):
+    """Re-ingestible literal of a ring element: its F_q[x] part when it has
+    no other coordinate, else its coordinates joined by '; '."""
     pp = c.poly_part()
-    if pp is None:
-        return "[" + elem_to_str(c).replace(", ", "; ") + "]", False
-    s = poly_to_str(pp)
-    return s, (" + " in s or "*" in s)
+    return poly_to_str(pp) if pp is not None else elem_to_str(c).replace(", ", "; ")
 
 
-def zeta_to_str(coeffs, var="X"):
+def zeta_to_str(lits, var="X"):
+    """The polynomial in X whose coefficients have the literals `lits`
+    (`coeff_lit`), constant term first."""
     terms = []
-    for d, c in enumerate(coeffs):
-        if c.is_zero:
+    for d, cs in enumerate(lits):
+        if cs == "0":
             continue
-        cs, parens = _coeff_str(c)
+        if ";" in cs:
+            cs, parens = f"[{cs}]", False
+        else:
+            parens = " + " in cs or "*" in cs
         if d == 0:
             terms.append(cs)
             continue

@@ -171,13 +171,70 @@ def test_sub_matches_add_negation(field):
         assert Poly.zero(field) - a == -a
 
 
+# -- tuple-of-codes oracle --------------------------------------------------
+# Plain coefficient tuples, lowest degree first, worked coefficient by
+# coefficient through the field tables (checked exhaustively above).
+
+def t_strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def t_add(f, a, b):
+    n = max(len(a), len(b))
+    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    return t_strip(f.add(x, y) for x, y in zip(a, b))
+
+
+def t_neg(f, a):
+    return tuple(f.neg(x) for x in a)
+
+
+def t_scale(f, a, c):
+    return t_strip(f.mul(c, x) for x in a)
+
+
+def t_mul(f, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = f.add(out[i + j], f.mul(x, y))
+    return t_strip(out)
+
+
+def t_divmod(f, a, b):
+    rem = list(a)
+    quo = [0] * max(len(a) - len(b) + 1, 0)
+    inv = f.inv(b[-1])
+    for i in range(len(quo) - 1, -1, -1):
+        c = f.mul(rem[i + len(b) - 1], inv)
+        quo[i] = c
+        for j, y in enumerate(b):
+            rem[i + j] = f.sub(rem[i + j], f.mul(c, y))
+    return t_strip(quo), t_strip(rem[:len(b) - 1])
+
+
+def t_spread(a, stride):
+    out = [0] * (stride * (len(a) - 1) + 1) if a else []
+    for i, x in enumerate(a):
+        out[stride * i] = x
+    return tuple(out)
+
+
+def t_derivative(f, a):
+    return t_strip(f.mul(i % f.p, x) for i, x in enumerate(a) if i)
+
+
+def t_sort_key(a):
+    return (len(a), tuple(reversed(a)))
+
+
 def _naive_mul(a, b):
-    f = a.field
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1) if a.coeffs and b.coeffs else []
-    for i, ca in enumerate(a.coeffs):
-        for j, cb in enumerate(b.coeffs):
-            out[i + j] = f.add(out[i + j], f.mul(ca, cb))
-    return Poly(f, out)
+    return Poly(a.field, t_mul(a.field, a.coeffs, b.coeffs))
 
 
 def test_kronecker_mul_matches_naive():
@@ -397,3 +454,84 @@ def test_poly_constructor_validation():
     with pytest.raises(ValueError):
         Poly(F2, [0, 2])
     assert Poly(F2, [1, 1, 0, 0]).coeffs == (1, 1)
+
+
+# -- the packed form against the oracle -------------------------------------
+
+def _slot_steps(field):
+    """Lengths on both sides of the shorter-operand lengths at which the
+    Kronecker slot grows past 1 and 2 bytes (256 and 2^16)."""
+    p, n = field.p, field.n
+    per_term = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
+    out = []
+    for limit in (2 ** 8, 2 ** 16):
+        below = (limit - 1) // per_term
+        out += [m for m in (below, below + 1) if 1 <= m <= 900]
+    return out
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_packed_ops_match_oracle(field):
+    rng = random.Random(field.q * 31 + field.n)
+    q = field.q
+    polys = [tuple(rng.randrange(q) for _ in range(n)) for n in (0, 1, 2, 3, 5, 9, 24)]
+    polys += [(q - 1,) * 6, (0, 0, 1), (1,) + (0,) * 7]
+    for a in polys:
+        pa = Poly(field, a)
+        a = t_strip(a)
+        assert pa.coeffs == a
+        assert (-pa).coeffs == t_neg(field, a)
+        assert pa.derivative().coeffs == t_derivative(field, a)
+        for stride in (2, q):
+            assert pa.spread(stride).coeffs == t_spread(a, stride)
+        for c in {0, 1, field.p - 1, q - 1, rng.randrange(q)}:
+            assert Poly._scale(pa, c).coeffs == t_scale(field, a, c)
+        for b in polys:
+            pb = Poly(field, b)
+            b = t_strip(b)
+            assert (pa + pb).coeffs == t_add(field, a, b)
+            assert (pa - pb).coeffs == t_add(field, a, t_neg(field, b))
+            assert (pa * pb).coeffs == t_mul(field, a, b)
+            assert (pa == pb) == (a == b)
+            if a == b:
+                assert hash(pa) == hash(pb)
+            assert ((pa.sort_key < pb.sort_key)
+                    == (t_sort_key(a) < t_sort_key(b)))
+            if b:
+                qq, r = divmod(pa, pb)
+                assert (qq.coeffs, r.coeffs) == t_divmod(field, a, b)
+
+
+@pytest.mark.parametrize("field", ALL_FIELDS, ids=repr)
+def test_packed_mul_across_slot_widths(field):
+    # random operands, and all-(q-1) operands, which give the largest slot
+    # sums: coefficient k of their product counts its terms mod p
+    rng = random.Random(field.q)
+    p, q = field.p, field.q
+    top = field.mul(q - 1, q - 1)
+    for m in _slot_steps(field):
+        a = tuple(rng.randrange(q) for _ in range(m - 1)) + (1,)
+        b = tuple(rng.randrange(q) for _ in range(m + 8)) + (q - 1,)
+        assert (Poly(field, a) * Poly(field, b)).coeffs == t_mul(field, a, b)
+        la, lb = m, m + 9
+        want = [field.mul(min(k + 1, la, lb, la + lb - 1 - k) % p, top)
+                for k in range(la + lb - 1)]
+        assert Poly(field, [q - 1] * la) * Poly(field, [q - 1] * lb) == Poly(field, want)
+
+
+@pytest.mark.parametrize("p", [2, 11, 13])
+def test_divmod_long_quotient_lazy_reduction(p):
+    # divmod reduces its slots every 255 // (p-1) - 1 steps (20 at p = 13,
+    # 24 at p = 11).  With an all-ones divisor longer than that and an
+    # all-ones quotient, every step adds p-1 to each slot of a window that
+    # covers the steps since the last reduction, so slots reach the bound.
+    field = GF(p)
+    ones = Poly(field, [1] * 40)
+    quo = Poly(field, [1] * 300)
+    assert divmod(ones * quo, ones) == (quo, Poly.zero(field))
+    rng = random.Random(p)
+    for _ in range(5):
+        a = tuple(rng.randrange(p) for _ in range(400)) + (1,)
+        b = tuple(rng.randrange(p) for _ in range(rng.randrange(1, 60))) + (rng.randrange(1, p),)
+        qq, r = divmod(Poly(field, a), Poly(field, b))
+        assert (qq.coeffs, r.coeffs) == t_divmod(field, a, b)
