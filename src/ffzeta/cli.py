@@ -28,8 +28,8 @@ from ffzeta.semigroup import (enumerate_semigroups, r_gap_values,
                               semigroup_from_ring)
 from ffzeta.theorems import (check_dinesh, check_generalization, check_hiper,
                              check_tesismc)
-from ffzeta.zeta import (coeff_lit, digit_sum, power_sum_S, zeta_neg,
-                         zeta_to_str)
+from ffzeta.zeta import (coeff_lit, power_sum_S, vanishing_threshold,
+                         zeta_neg, zeta_to_str)
 
 _THEOREMS = ("hiper", "dinesh", "generalization", "tesismc")
 
@@ -118,10 +118,6 @@ def _predicted_str(predicted):
 def _cmd_zeta(args):
     if args.direct and not args.all_ideals:
         raise _UsageError("--direct applies with --all-ideals only")
-    if args.dmax is not None and not args.direct:
-        raise _UsageError("--dmax applies with --all-ideals --direct only")
-    if args.dmax is not None and args.dmax < 0:
-        raise _UsageError("--dmax must be >= 0")
     spec = parse_ring_spec(args.ring)
     data = {"ring": spec.name, "field": _field_doc(spec.field)}
     lines = [_ring_header(spec)]
@@ -133,7 +129,7 @@ def _cmd_zeta(args):
         report = class_group(spec)
         t = args.s
         if args.direct:
-            z = ideal_zeta_direct(t, args.dmax, spec, report=report)
+            z = ideal_zeta_direct(t, spec=spec, report=report)
             method = "direct"
         else:
             z = ideal_zeta_classwise(t, report, spec)
@@ -302,7 +298,7 @@ def _cmd_check(args):
 def _cmd_powsum(args):
     spec = parse_ring_spec(args.ring)
     val = power_sum_S(args.d, args.s, spec)
-    tau = Fraction(digit_sum(args.s, spec.q), spec.q - 1)
+    tau = vanishing_threshold(args.s, spec.q)
     data = {
         "ring": spec.name, "d": args.d, "s": args.s,
         "S": _lit(val), "is_zero": val.is_zero,
@@ -413,8 +409,6 @@ def build_parser():
                     help="sum over all nonzero ideals instead of monic elements")
     sp.add_argument("--direct", action="store_true",
                     help="with --all-ideals: enumerate ideals degree by degree")
-    sp.add_argument("--dmax", type=int,
-                    help="with --direct: coefficient cutoff (default: certified)")
     sp.set_defaults(handler=_cmd_zeta)
 
     sp = sub("gaps", "Weierstrass gap data of the semigroup at infinity")

@@ -38,9 +38,8 @@ from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, class_group, elem_divexact,
                            enumerate_ideals, ideal_echelon, ideal_is_principal,
                            ideal_pow)
 from ffzeta.ring import RingElement, RingSpec
-from ffzeta.semigroup import semigroup_from_ring
 from ffzeta.zeta import (DEFAULT_BUDGET, ZetaPolynomial, affine_power_sum,
-                         digit_profile, zeta_cutoff, zeta_neg)
+                         vanishing_threshold, zeta_cutoff, zeta_neg)
 
 
 def require_monic_products(spec):
@@ -73,18 +72,21 @@ def ideal_zeta_direct(t, d_max=None, spec=None, *, report=None,
                       budget=DEFAULT_IDEAL_BUDGET):
     """Enumerate every ideal of each degree up to d_max and sum the power
     values.  d_max defaults to the classwise route's certified cutoff, which
-    needs no power; spec defaults to report.spec."""
-    if d_max is not None and d_max < 0:
-        raise ValueError(f"coefficient cutoff d_max = {d_max} must be >= 0")
+    needs no power; below that cutoff the result would not be certified
+    complete, so a smaller d_max is refused.  spec defaults to report.spec."""
     spec = spec or report.spec
     require_monic_products(spec)
     if report is None:
         report = class_group(spec, budget=budget)
     if t <= 0 or t % report.e:
         raise ValueError("exponent not a multiple of class-group exponent")
+    cutoff = max([zeta_cutoff(t, spec)]
+                 + [cut for _, _, cut in _class_cuts(t, report, spec)])
     if d_max is None:
-        d_max = max([zeta_cutoff(t, spec)]
-                    + [cut for _, _, cut in _class_cuts(t, report, spec)])
+        d_max = cutoff
+    elif d_max < cutoff:
+        raise ValueError(f"coefficient cutoff d_max = {d_max} is below the "
+                         f"certified cutoff {cutoff}")
     coeffs = []
     for d in range(d_max + 1):
         acc = spec.zero()
@@ -97,20 +99,22 @@ def ideal_zeta_direct(t, d_max=None, spec=None, *, report=None,
 def _class_cuts(t, report, spec):
     """Yield (class, echelon of I_k, cut) for each nontrivial class: its term
     of zeta(-t, X) vanishes beyond X-degree cut = D - d_k - 1, D the least
-    degree with dim{alpha in I_k : deg alpha < D} > l_q(t)/(q-1)."""
-    need = int(digit_profile(t, spec.field.q).threshold) + 1
-    genus = semigroup_from_ring(spec).genus
+    degree with dim{alpha in I_k : deg alpha < D} > l_q(t)/(q-1).
+
+    By Riemann's inequality the elements of I_k of degree <= n span at least
+    n - d_k - g + 1 dimensions, so one echelon up to d_k + g + need - 1
+    holds the `need` least degrees."""
+    need = int(vanishing_threshold(t, spec.field.q)) + 1
     for cls in report.classes:
         if cls.order == 1:
             continue
-        I = cls.rep
-        U = I.deg + 2 * genus + spec.m * (need + 1) + 2
-        while True:
-            ech = ideal_echelon(I, U)
-            degs = sorted(d for d in ech if d <= U)
-            if len(degs) >= need:
-                break
-            U += 2 * (spec.m + 2)
+        U = cls.degree + report.genus + need - 1
+        ech = ideal_echelon(cls.rep, U)
+        degs = sorted(d for d in ech if d <= U)
+        if len(degs) < need:
+            raise ConsistencyError(
+                f"only {len(degs)} element degrees <= {U} in a degree-"
+                f"{cls.degree} ideal, fewer than Riemann's inequality gives")
         yield cls, ech, degs[need - 1] - cls.degree
 
 

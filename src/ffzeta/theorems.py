@@ -19,7 +19,6 @@ squarefree-and-divides; irreducibility is recorded per class as a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ffzeta.errors import BudgetError, NonMaximalRingError
 from ffzeta.gf import (Poly, is_irreducible, is_squarefree, poly_factor,
@@ -29,7 +28,8 @@ from ffzeta.ideal_zeta import (ideal_zeta_classwise, matches_base_substituted,
 from ffzeta.ideals import class_group, DEFAULT_IDEAL_BUDGET
 from ffzeta.semigroup import (NumericalSemigroup, r_gap_values,
                               semigroup_from_ring)
-from ffzeta.zeta import DEFAULT_BUDGET, digit_sum, zeta_neg
+from ffzeta.zeta import (DEFAULT_BUDGET, digit_sum, vanishing_threshold,
+                         zeta_neg)
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def check_dinesh(spec, s, *, budget=DEFAULT_BUDGET):
 def _dinesh_checks(S, q, s):
     rr = r_gap_values(S, q)
     good = [r for r in rr.valid_r if r >= q - 1]
-    ratio = Fraction(digit_sum(s, q), q - 1)
+    ratio = vanishing_threshold(s, q)
     checks = (
         CheckItem("(q-1) | s", s % (q - 1) == 0, {"q": q, "s": s}),
         CheckItem("r-gap structure with r >= q-1", bool(good),
@@ -285,7 +285,7 @@ def _all_ideals_chain(spec, s, class_report, *, theorem, q_required,
             return fail()
 
     es = class_report.e * s
-    ratio = Fraction(digit_sum(es, q), q - 1)
+    ratio = vanishing_threshold(es, q)
     checks.append(CheckItem("l_q(es)/(q-1) <= mu", ratio <= mu_eff,
                             {"es": es, "ratio": str(ratio)}))
     applicable = checks[-1].passed

@@ -13,7 +13,6 @@ is the first nonzero recentered coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -35,28 +34,10 @@ def digit_sum(k, q):
     return total
 
 
-@dataclass(frozen=True)
-class DigitProfile:
-    q: int
-    k: int
-    digits: tuple
-    digit_sum: int
-    threshold: Fraction  # l_q(k) / (q - 1); dim W above this forces the sum to 0
-
-
-def digit_profile(k, q):
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    if k < 0:
-        raise ValueError("negative exponent")
-    digits = []
-    kk = k
-    while kk:
-        kk, r = divmod(kk, q)
-        digits.append(r)
-    total = sum(digits)
-    return DigitProfile(q=q, k=k, digits=tuple(digits), digit_sum=total,
-                        threshold=Fraction(total, q - 1))
+def vanishing_threshold(s, q):
+    """l_q(s)/(q-1): a power sum over an affine F_q-space of larger
+    dimension vanishes."""
+    return Fraction(digit_sum(s, q), q - 1)
 
 
 def binom_mod_p(d, j, p):
@@ -143,7 +124,7 @@ class ZetaPolynomial:
 def zeta_cutoff(s, spec):
     """Certified d_max of zeta(-s, X): the last degree d with
     dim W_d <= l_q(s)/(q-1); every S(d') beyond it vanishes."""
-    tau = digit_profile(s, spec.q).threshold
+    tau = vanishing_threshold(s, spec.q)
     d = 0
     while spec.dim_W(d) <= tau:
         d += 1

@@ -61,9 +61,9 @@ def test_zeta_all_ideals_direct_agrees():
     _, classwise = jrun("zeta", "--ring", "h4g3.ring", "-s", "2",
                         "--all-ideals")
     _, direct = jrun("zeta", "--ring", "h4g3.ring", "-s", "2",
-                     "--all-ideals", "--direct",
-                     "--dmax", str(classwise["d_max"]))
+                     "--all-ideals", "--direct")
     assert direct["method"] == "direct"
+    assert direct["d_max"] == classwise["d_max"]
     assert direct["coeffs"] == classwise["coeffs"]
 
 
@@ -95,16 +95,11 @@ def test_zeta_direct_needs_all_ideals():
     assert "--direct" in res.text
 
 
-def test_zeta_dmax_needs_direct():
-    res = run("zeta", "--ring", "h4g3.ring", "-s", "2", "--all-ideals",
-              "--dmax", "3")
-    assert res.exit_code == 2
-    assert "--dmax" in res.text
-
-
-def test_zeta_negative_dmax_is_usage_error():
-    res = run("zeta", "--ring", "h4g3.ring", "-s", "2", "--all-ideals",
-              "--direct", "--dmax", "-1")
+def test_zeta_dmax_is_usage_error():
+    # the direct route always stops at the certified cutoff; there is no
+    # option to cut it shorter
+    res = run("zeta", "--ring", "h4g3", "-s", "4", "--all-ideals",
+              "--direct", "--dmax", "1")
     assert res.exit_code == 2
     assert "--dmax" in res.text
 

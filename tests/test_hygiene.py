@@ -1,12 +1,15 @@
 """Source hygiene: every name a library module or test module imports is
-used there, and library modules import at module level only and nothing
-beyond ffzeta and the standard library."""
+used there, every module-level function and class of the library is read
+somewhere in it or exported, and library modules import at module level only
+and nothing beyond ffzeta and the standard library."""
 
 import ast
 import sys
 from pathlib import Path
 
 import pytest
+
+import ffzeta
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ffzeta"
@@ -95,3 +98,56 @@ def test_detects_a_third_party_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_stdlib_only(path):
     assert third_party_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_definitions(sources, exported):
+    """(module, name) of every module-level function or class that no
+    module reads outside its own definition and `exported` does not name.
+
+    sources maps module name -> source text.  A read is a loaded name, an
+    attribute or a from-import; the import test above keeps from-imports
+    honest."""
+    defined = []
+    readers = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                owner = (module, node.name)
+                defined.append(owner)
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
+                    names = [inner.id]
+                elif isinstance(inner, ast.Attribute):
+                    names = [inner.attr]
+                elif isinstance(inner, ast.ImportFrom):
+                    names = [alias.name for alias in inner.names]
+                else:
+                    continue
+                for name in names:
+                    readers.setdefault(name, set()).add(owner)
+    return sorted((module, name) for module, name in defined
+                  if name not in exported
+                  and not readers.get(name, set()) - {(module, name)})
+
+
+def test_detects_an_unread_definition():
+    sources = {
+        "a": "def used():\n    pass\n\ndef dead():\n    dead()\n\n"
+             "class Shown:\n    pass\n\ndef _helper():\n    pass\n",
+        "b": "from a import used\nimport a\n\ndef main():\n"
+             "    used()\n    a._helper()\n",
+    }
+    assert unread_definitions(sources, {"Shown"}) == [("a", "dead"),
+                                                      ("b", "main")]
+
+
+# ideals.class_equivalent: perfbench/tracing.py wraps it by name, so it stays
+# in the library although only the tests call it
+UNREAD_ALLOWED = [("ideals", "class_equivalent")]
+
+
+def test_every_definition_is_read_or_exported():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert unread_definitions(sources, set(ffzeta.__all__)) == UNREAD_ALLOWED

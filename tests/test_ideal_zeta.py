@@ -137,6 +137,14 @@ def test_direct_beyond_certified_cutoff_is_zero(h4g3, h4g3_classes):
         assert c.is_zero
 
 
+def test_direct_below_certified_cutoff_rejected(h4g3, h4g3_classes):
+    # at t = 4 the certified cutoff is 4 and ord at X = 1 is 2; cut at 1,
+    # the sum would read 1 + X with ord 1
+    assert ideal_zeta_direct(4, None, h4g3, report=h4g3_classes).d_max == 4
+    with pytest.raises(ValueError, match="d_max = 1 is below"):
+        ideal_zeta_direct(4, 1, h4g3, report=h4g3_classes)
+
+
 def test_direct_negative_cutoff_rejected(h4g3, h4g3_classes):
     with pytest.raises(ValueError, match="d_max"):
         ideal_zeta_direct(2, -1, h4g3, report=h4g3_classes)

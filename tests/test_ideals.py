@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import ffzeta.ideals as ideals
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
 from ffzeta.gf import GF, Poly, poly_from_str
 from ffzeta.ideals import (
@@ -40,6 +41,28 @@ def h20g2():
     """y^2 = 2x^5 + 2x^4 + 2x^2 + x over F_3: genus 2, h = 20."""
     return RingSpec.cab(F3, (P(F3, "x^5 + x^4 + x^2 + 2*x"), P(F3, "0")),
                         name="h20g2")
+
+
+@pytest.fixture(scope="module")
+def m3f2():
+    """y^3 + y = x^2 + x over F_2: rank 3, h = 5."""
+    return RingSpec.cab(F2, (P(F2, "x^2 + x"), P(F2, "1"), P(F2, "0")),
+                        name="m3f2")
+
+
+@pytest.fixture(scope="module")
+def m3f5():
+    """y^3 = x^2 + 2 over F_5: rank 3, h = 6."""
+    F5 = GF(5)
+    return RingSpec.cab(F5, (P(F5, "4*x^2 + 3"), P(F5, "0"), P(F5, "0")),
+                        name="m3f5")
+
+
+@pytest.fixture(scope="module")
+def m3f2b():
+    """y^3 + xy = x^4 + 1 over F_2: rank 3, genus 3, h = 24."""
+    return RingSpec.cab(F2, (P(F2, "x^4 + 1"), P(F2, "x"), P(F2, "0")),
+                        name="m3f2b")
 
 
 @pytest.fixture(scope="module")
@@ -233,8 +256,7 @@ def test_class_equivalence_h4g3(h4g3):
     assert class_equivalent(shifted, inverse(Px))
 
 
-def test_class_group_inverts_each_representative_once(h20g2, monkeypatch):
-    import ffzeta.ideals as ideals
+def test_class_group_quotients_each_examined_ideal_once(h20g2, monkeypatch):
     calls = []
     real = ideals.ideal_quotient
 
@@ -245,8 +267,56 @@ def test_class_group_inverts_each_representative_once(h20g2, monkeypatch):
     monkeypatch.setattr(ideals, "ideal_quotient", counting)
     rep = class_group(h20g2)
     assert rep.h == 20
-    assert 0 < len(calls) <= rep.h
     assert len(set(calls)) == len(calls)
+    assert {c.rep for c in rep.classes} <= set(calls)
+    assert len(calls) <= sum(rep.counts[:rep.genus + 1])
+
+
+def test_class_group_makes_no_pairwise_class_test(h20g2, monkeypatch):
+    def refuse(I, J_inv):
+        raise AssertionError("class_group called class_equivalent")
+
+    monkeypatch.setattr(ideals, "class_equivalent", refuse)
+    assert class_group(h20g2).h == 20
+
+
+def pairwise_class_search(spec, report):
+    """Oracle for class_group's representatives, orders and generators: the
+    first ideal of each class in degree order, found by testing every ideal
+    against an inverse of each class found so far; the order of I is the
+    least k with I^k principal."""
+    reps, inverses = [], []
+    for d in range(report.genus + 1):
+        for I in enumerate_ideals(spec, d):
+            if len(reps) < report.h and not any(
+                    class_equivalent(I, J_inv) for J_inv in inverses):
+                reps.append(I)
+                inverses.append(inverse(I))
+    out = []
+    for I in reps:
+        k, (ok, gen) = 1, ideal_is_principal(I)
+        while not ok:
+            k += 1
+            ok, gen = ideal_is_principal(ideal_pow(I, k))
+        out.append((I, k, gen))
+    return out
+
+
+@pytest.mark.parametrize("name,h", [
+    ("h4g3", 4), ("ex26", 2), ("ex36", 8), ("elliptic", 7), ("f4as", 1),
+    ("h20g2", 20), ("m3f2", 5), ("m3f5", 6), ("m3f2b", 24)])
+def test_class_group_matches_pairwise_search(name, h, request):
+    spec = request.getfixturevalue(name)
+    rep = class_group(spec)
+    assert rep.h == h
+    got = [(c.rep, c.order, c.generator) for c in rep.classes]
+    assert got == pairwise_class_search(spec, rep)
+    # each representative is the least-degree integral ideal of its class
+    for c in rep.classes:
+        J_inv = inverse(c.rep)
+        for d in range(c.degree):
+            assert not any(class_equivalent(I, J_inv)
+                           for I in enumerate_ideals(spec, d))
 
 
 def test_divexact(h4g3):
@@ -258,6 +328,21 @@ def test_divexact(h4g3):
         elem_divexact(a * b + h4g3.one(), b)
     with pytest.raises(ZeroDivisionError):
         elem_divexact(a, h4g3.zero())
+
+
+@pytest.mark.parametrize("name", ["h4g3", "ex36", "elliptic", "h20g2",
+                                  "m3f2", "m3f5"])
+def test_is_reduced_marks_exactly_the_representatives(name, request):
+    # over every ideal of degree <= g, not only those class_group examines
+    # before it has h representatives
+    spec = request.getfixturevalue(name)
+    rep = class_group(spec)
+    inverses = [inverse(c.rep) for c in rep.classes]
+    reps = {c.rep for c in rep.classes}
+    for d in range(rep.genus + 1):
+        for I in enumerate_ideals(spec, d):
+            assert sum(class_equivalent(I, J_inv) for J_inv in inverses) == 1
+            assert ideals._is_reduced(I, rep.genus) == (I in reps)
 
 
 # -- enumeration ------------------------------------------------------------
@@ -452,7 +537,6 @@ def test_point_count_polyring():
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_point_count_mismatch_raises(k, ex36, monkeypatch):
-    import ffzeta.ideals as ideals
     real = ideals.count_affine_points
     monkeypatch.setattr(ideals, "count_affine_points",
                         lambda spec, j: real(spec, j) + (j == k))

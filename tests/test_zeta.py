@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from ffzeta.errors import BudgetError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
 from ffzeta.ring import RingSpec
 from ffzeta.zeta import (
-    affine_power_sum, binom_mod_p, digit_profile, digit_sum, power_sum_S,
+    affine_power_sum, binom_mod_p, digit_sum, power_sum_S, vanishing_threshold,
     zeta_neg,
 )
 
@@ -37,11 +38,10 @@ def test_digit_sum_subadditive():
         assert digit_sum(a + b, q) <= digit_sum(a, q) + digit_sum(b, q)
 
 
-def test_digit_profile_threshold():
-    from fractions import Fraction
-    prof = digit_profile(7, 2)
-    assert prof.threshold == Fraction(3, 1)
-    assert digit_profile(8, 3).threshold == Fraction(2, 1)
+def test_vanishing_threshold():
+    assert vanishing_threshold(7, 2) == Fraction(3, 1)
+    assert vanishing_threshold(8, 3) == Fraction(2, 1)
+    assert vanishing_threshold(5, 4) == Fraction(2, 3)
 
 
 def test_binom_mod_p_is_lucas():
