@@ -18,11 +18,11 @@ spec = parse_ring_spec("h4g3.ring")
 cg = class_group(spec)
 t = cg.e  # smallest admissible exponent
 
-z = ideal_zeta_classwise(t, cg, spec)
+z = ideal_zeta_classwise(t, cg)
 print(f"all-ideals zeta(-{t}, X) on {spec.name}:")
 print(f"  classwise: {z}   (d_max {z.d_max})")
 
-direct = ideal_zeta_direct(t, z.d_max, spec, report=cg)
+direct = ideal_zeta_direct(t, cg)
 print(f"  direct enumeration agrees: {z.coeffs == direct.coeffs}")
 print(f"  ord at X = 1: {z.ord_at_one()}")
 

@@ -10,6 +10,7 @@ which is what the test suite exercises; main() is the console entry point.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -129,10 +130,10 @@ def _cmd_zeta(args):
         report = class_group(spec)
         t = args.s
         if args.direct:
-            z = ideal_zeta_direct(t, spec=spec, report=report)
+            z = ideal_zeta_direct(t, report)
             method = "direct"
         else:
-            z = ideal_zeta_classwise(t, report, spec)
+            z = ideal_zeta_classwise(t, report)
             method = "classwise"
         data.update({"t": t, "all_ideals": True, "method": method,
                      "h": report.h, "e": report.e})
@@ -235,16 +236,14 @@ def _cmd_lpoly(args):
 
 def _cmd_check(args):
     spec = parse_ring_spec(args.ring)
-    if args.mu is not None and args.theorem in ("hiper", "dinesh"):
-        raise _UsageError("--mu applies to generalization and tesismc only")
     if args.theorem == "hiper":
         rep = check_hiper(spec, args.s)
     elif args.theorem == "dinesh":
         rep = check_dinesh(spec, args.s)
     elif args.theorem == "generalization":
-        rep = check_generalization(spec, args.s, mu=args.mu)
+        rep = check_generalization(spec, args.s)
     else:
-        rep = check_tesismc(spec, args.s, mu=args.mu)
+        rep = check_tesismc(spec, args.s)
 
     data = {
         "theorem": rep.theorem, "ring": spec.name, "s": args.s,
@@ -392,6 +391,8 @@ def _range_pair(text):
     return (lo, hi)
 
 
+# parse_args keeps no state between calls, so one parser serves every dispatch
+@functools.cache
 def build_parser():
     parser = _Parser(prog="ffzeta", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
@@ -427,8 +428,6 @@ def build_parser():
     sp.add_argument("--ring", required=True)
     sp.add_argument("-s", type=int, required=True)
     sp.add_argument("--theorem", required=True, choices=_THEOREMS)
-    sp.add_argument("--mu", type=int,
-                    help="override the derived mu (generalization/tesismc)")
     sp.set_defaults(handler=_cmd_check)
 
     sp = sub("powsum", "power sum S(d) = sum of a^s over monic a of degree d")

@@ -53,7 +53,7 @@ class FF:
 
     __slots__ = (
         "p", "n", "q", "modulus",
-        "_addl", "_mull", "_negl", "_invl", "_frobl",
+        "_addl", "_mull", "_negl", "_invl",
         "_dig", "_codeb", "_packl", "_unpack", "_mulb", "_mods", "_fold",
         "_slot_bound",
     )
@@ -109,7 +109,6 @@ class FF:
             for a in codes[p:]:
                 mul.append([add[tmul[x]][y] for x, y in zip(mul[a // p], mul[a % p])])
         self._invl = [0] + [mul[a].index(1) for a in codes[1:]]
-        self._frobl = [self.pow(a, p) for a in codes]
         # the packed form of Poly: one byte per digit; _codeb is big-endian
         self._codeb = [bytes(reversed(ds)) for ds in dig]
         self._packl = [int.from_bytes(bs, "big") for bs in self._codeb]
@@ -128,9 +127,6 @@ class FF:
     def add(self, a, b):
         return self._addl[a][b]
 
-    def sub(self, a, b):
-        return self._addl[a][self._negl[b]]
-
     def mul(self, a, b):
         return self._mull[a][b]
 
@@ -141,10 +137,6 @@ class FF:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a finite field")
         return self._invl[a]
-
-    def frob(self, a):
-        """a^p."""
-        return self._frobl[a]
 
     def pow(self, a, k):
         if k < 0:
@@ -552,13 +544,6 @@ class Poly:
         cs = self.coeffs
         # the integer i mod p is its own code in every F_{p^n}
         return Poly(f, [mull[i % f.p][cs[i]] for i in range(1, len(cs))])
-
-    def eval(self, a):
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, a), c)
-        return acc
 
     def __repr__(self):
         return f"Poly[{poly_to_str(self)}]"

@@ -7,8 +7,8 @@ I^t := a^(t/e) with a the monic generator of I^e, and
 
 Two computations are provided, and the tests check that they agree.  Both
 return a `zeta.ZetaPolynomial`, the value type of the element zeta.  The
-direct path enumerates all ideals per degree up to a bound, by default the
-classwise path's certified cutoff.  The classwise path splits the sum by
+direct path enumerates all ideals per degree up to the classwise path's
+certified cutoff.  The classwise path splits the sum by
 ideal class: the principal part is the element zeta, and the class-k part
 collects monic elements alpha of the representative I_k at degree d + d_k
 (those alpha are exactly the products I_k * I over integral I of degree d in
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ffzeta.errors import ConsistencyError
-from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, class_group, elem_divexact,
+from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, elem_divexact,
                            enumerate_ideals, ideal_echelon, ideal_is_principal,
                            ideal_pow)
 from ffzeta.ring import RingElement, RingSpec
@@ -68,25 +68,16 @@ def ideal_power_value(I, t, report):
     return a ** (t // e)
 
 
-def ideal_zeta_direct(t, d_max=None, spec=None, *, report=None,
-                      budget=DEFAULT_IDEAL_BUDGET):
-    """Enumerate every ideal of each degree up to d_max and sum the power
-    values.  d_max defaults to the classwise route's certified cutoff, which
-    needs no power; below that cutoff the result would not be certified
-    complete, so a smaller d_max is refused.  spec defaults to report.spec."""
-    spec = spec or report.spec
+def ideal_zeta_direct(t, report, *, budget=DEFAULT_IDEAL_BUDGET):
+    """Enumerate every ideal of each degree up to the classwise route's
+    certified cutoff, which needs no power, and sum the power values.
+    budget bounds the candidates scanned per degree."""
+    spec = report.spec
     require_monic_products(spec)
-    if report is None:
-        report = class_group(spec, budget=budget)
     if t <= 0 or t % report.e:
         raise ValueError("exponent not a multiple of class-group exponent")
-    cutoff = max([zeta_cutoff(t, spec)]
-                 + [cut for _, _, cut in _class_cuts(t, report, spec)])
-    if d_max is None:
-        d_max = cutoff
-    elif d_max < cutoff:
-        raise ValueError(f"coefficient cutoff d_max = {d_max} is below the "
-                         f"certified cutoff {cutoff}")
+    d_max = max([zeta_cutoff(t, spec)]
+                + [cut for _, _, cut in _class_cuts(t, report, spec)])
     coeffs = []
     for d in range(d_max + 1):
         acc = spec.zero()
@@ -118,19 +109,17 @@ def _class_cuts(t, report, spec):
         yield cls, ech, degs[need - 1] - cls.degree
 
 
-def ideal_zeta_classwise(t, report, spec=None, *,
-                         budget=DEFAULT_IDEAL_BUDGET):
+def ideal_zeta_classwise(t, report, *, budget=DEFAULT_BUDGET):
     """Class-by-class evaluation with certified per-class cutoffs.
 
     Every degree slice, principal or not, is refused before its first
-    power when it holds more than min(budget, DEFAULT_BUDGET) elements.  A
-    class term whose exact division leaves the ring raises ConsistencyError.
+    power when it holds more than budget elements.  A class term whose
+    exact division leaves the ring raises ConsistencyError.
     """
-    spec = spec or report.spec
+    spec = report.spec
     require_monic_products(spec)
     if t <= 0 or t % report.e:
         raise ValueError("exponent not a multiple of class-group exponent")
-    budget = min(budget, DEFAULT_BUDGET)
 
     coeffs = list(zeta_neg(t, spec, budget=budget).coeffs)
     for cls, ech, cut in _class_cuts(t, report, spec):
@@ -151,11 +140,10 @@ def ideal_zeta_classwise(t, report, spec=None, *,
 def matches_base_substituted(z, u_coeffs, *, budget=DEFAULT_BUDGET):
     """Whether z = zeta(-s, X) equals zeta_{F_q[x]}(-s, X^q) * U
     coefficientwise, U given by its coefficients in z's ring.  The F_q[x]
-    zeta is computed under min(budget, DEFAULT_BUDGET); over it, BudgetError."""
+    zeta is computed under budget elements; over it, BudgetError."""
     spec = z.spec
     q = spec.field.q
-    base = zeta_neg(z.s, RingSpec.polyring(spec.field),
-                    budget=min(budget, DEFAULT_BUDGET))
+    base = zeta_neg(z.s, RingSpec.polyring(spec.field), budget=budget)
     width = max(z.d_max + 1, q * base.d_max + len(u_coeffs))
     want = [spec.zero()] * width
     for j, cj in enumerate(base.coeffs):
@@ -176,11 +164,11 @@ class RemarkReport:
     h2_shortcut: bool     # h = 2; no closed form is used
 
 
-def remark_exact_check(zc, report, *, budget=DEFAULT_IDEAL_BUDGET):
+def remark_exact_check(zc, report, *, budget=DEFAULT_BUDGET):
     """Check the classwise zeta zc = zeta(-t, X) against
     zeta_{F_q[x]}(-t, X^q) * U coefficientwise, with
-    U = 1 + sum_k f_k^((t/e_k)(e_k - 1)) X^((e_k - 1) d_k), and decide from
-    U(1) whether the vanishing order is exactly q."""
+    U = 1 + sum_k f_k^((t/e_k)(e_k - 1)) X^((e_k - 1) d_k); the vanishing
+    order is exactly q when the identity holds and U(1) != 0."""
     spec = zc.spec
     t = zc.s
     u = {0: spec.one()}
@@ -195,5 +183,5 @@ def remark_exact_check(zc, report, *, budget=DEFAULT_IDEAL_BUDGET):
     ident = matches_base_substituted(zc, u_coeffs, budget=budget)
     return RemarkReport(t=t, identity_holds=ident, u_coeffs=u_coeffs,
                         u_at_one=u_at_one,
-                        order_exactly_q=not u_at_one.is_zero,
+                        order_exactly_q=ident and not u_at_one.is_zero,
                         h2_shortcut=report.h == 2)

@@ -372,10 +372,10 @@ def _compositions(d, m):
 def enumerate_ideals(spec, d, *, budget=DEFAULT_IDEAL_BUDGET):
     """All ideals of degree d, in a fixed documented order.
 
-    m = 1: monic generators in counting order.  m = 2: stability prunes the
-    triangular candidates to w | u, w | v and u' | F(-v') (u = w u',
-    v = w v'), scanned by ascending deg w, then w, u', v' in counting order.
-    Larger m: full candidate scan with stability filtering.
+    m = 2: stability prunes the triangular candidates to w | u, w | v and
+    u' | F(-v') (u = w u', v = w v'), scanned by ascending deg w, then w,
+    u', v' in counting order.  Other m: full candidate scan with stability
+    filtering (for m = 1, the monic generators in counting order).
     """
     spec.require_valid()
     if d < 0:
@@ -384,13 +384,8 @@ def enumerate_ideals(spec, d, *, budget=DEFAULT_IDEAL_BUDGET):
         raise BudgetError(
             f"degree-{d} ideal enumeration scans "
             f"{count_ideal_candidates(spec, d)} candidates, over the budget {budget}")
-    m = spec.m
     field = spec.field
-    if m == 1:
-        for u in monic_polys(field, d):
-            yield IdealHNF(spec, ((u,),))
-        return
-    if m == 2:
+    if spec.m == 2:
         r0, r1 = spec.mul_table()[1][1]    # b_1^2 = r0 + r1 b_1
         for jw in range(d // 2 + 1):
             iu = d - 2 * jw
@@ -413,7 +408,8 @@ def _enumerate_ideals_general(spec, d):
     A-stability against the module generators."""
     m = spec.m
     field = spec.field
-    check = range(1, 2) if spec.form == "cab" else range(1, m)
+    # a cab ring is generated over F_q[x] by y = b_1 alone
+    check = range(1, min(m, 2) if spec.form == "cab" else m)
     for comp in _compositions(d, m):
         diag_iters = [list(monic_polys(field, di)) for di in comp]
         off_positions = [(i, j) for j in range(m) for i in range(j)]

@@ -170,7 +170,7 @@ def evaluate_candidate(field, a, b, *, min_r=None,
     hyp = None
     for k in range(1, _S_SCAN + 1):
         s = k * (q - 1)
-        hyp = check_tesismc(spec, s, cg, budget=h_budget)
+        hyp = check_tesismc(spec, s, cg)
         if hyp.applicable:
             return "hypotheses", "pass", {"gap": rr, "class": cg,
                                           "hypothesis": hyp, "s": s}

@@ -144,15 +144,16 @@ def _recover_artin_schreier(spec):
     return (a, b), None
 
 
-def check_tesismc(spec, s, class_report=None, *, mu=None,
+def check_tesismc(spec, s, class_report=None, *,
                   budget=DEFAULT_IDEAL_BUDGET):
-    """Full all-ideals chain for y^q - a^{q-1}y = b: order at least q."""
+    """Full all-ideals chain for y^q - a^{q-1}y = b: order at least q.
+    budget bounds the class group when class_report is not given."""
     spec.require_valid()
     return _all_ideals_chain(spec, s, class_report, theorem="tesismc",
-                             q_required=None, mu_override=mu, budget=budget)
+                             budget=budget)
 
 
-def check_generalization(spec, s, class_report=None, *, mu=None,
+def check_generalization(spec, s, class_report=None, *,
                          budget=DEFAULT_IDEAL_BUDGET):
     """The q = 2 all-ideals theorem for y^2 - a y = b: order at least 2.
 
@@ -163,11 +164,10 @@ def check_generalization(spec, s, class_report=None, *, mu=None,
     """
     spec.require_valid()
     return _all_ideals_chain(spec, s, class_report, theorem="generalization",
-                             q_required=2, mu_override=mu, budget=budget)
+                             budget=budget)
 
 
-def _all_ideals_chain(spec, s, class_report, *, theorem, q_required,
-                      mu_override, budget):
+def _all_ideals_chain(spec, s, class_report, *, theorem, budget):
     q = spec.field.q
     p = spec.field.p
     N = spec.N
@@ -178,11 +178,6 @@ def _all_ideals_chain(spec, s, class_report, *, theorem, q_required,
         return HypothesisReport(theorem=theorem, checks=tuple(checks),
                                 applicable=False, exponent=None)
 
-    if q_required is not None:
-        checks.append(CheckItem(f"q = {q_required}", q == q_required, {"q": q}))
-        if q != q_required:
-            return fail()
-
     if full:
         ab, reason = _recover_artin_schreier(spec)
         checks.append(CheckItem("form y^q - a^{q-1} y = b", ab is not None,
@@ -192,6 +187,9 @@ def _all_ideals_chain(spec, s, class_report, *, theorem, q_required,
             return fail()
         a, b = ab
     else:
+        checks.append(CheckItem("q = 2", q == 2, {"q": q}))
+        if q != 2:
+            return fail()
         ok = spec.m == 2 and N % 2 == 1
         a = b = None
         if ok:
@@ -263,20 +261,11 @@ def _all_ideals_chain(spec, s, class_report, *, theorem, q_required,
 
     mu_parts = [(N - cls.order * cls.degree - 1) // q for cls in nontrivial]
     cap = max(good_r) if full else S.genus
-    if mu_override is not None:
-        mu_eff = mu_override
-        consistent = all(N > q * mu_eff + cls.order * cls.degree
-                         for cls in nontrivial)
-        checks.append(CheckItem("mu override satisfies N > q mu + e_k d_k",
-                                consistent, {"mu": mu_eff}))
-        if not consistent:
-            return fail()
-    else:
-        mu_eff = min([cap] + mu_parts)
-    checks.append(CheckItem("mu >= 1", mu_eff >= 1,
-                            {"mu": mu_eff, "cap": cap,
+    mu = min([cap] + mu_parts)
+    checks.append(CheckItem("mu >= 1", mu >= 1,
+                            {"mu": mu, "cap": cap,
                              "per_class": mu_parts}))
-    if mu_eff < 1:
+    if mu < 1:
         return fail()
 
     if full:
@@ -286,20 +275,20 @@ def _all_ideals_chain(spec, s, class_report, *, theorem, q_required,
 
     es = class_report.e * s
     ratio = vanishing_threshold(es, q)
-    checks.append(CheckItem("l_q(es)/(q-1) <= mu", ratio <= mu_eff,
+    checks.append(CheckItem("l_q(es)/(q-1) <= mu", ratio <= mu,
                             {"es": es, "ratio": str(ratio)}))
     applicable = checks[-1].passed
 
     report = HypothesisReport(
         theorem=theorem, checks=tuple(checks), applicable=applicable,
         predicted=("at_least", q) if applicable else None,
-        mu=mu_eff, exponent=es)
+        mu=mu, exponent=es)
     if applicable:
         # one classwise zeta gives the order and feeds the remark; if either
-        # zeta is over its budget, both stay None
+        # zeta is over its element budget, both stay None
         try:
-            zc = ideal_zeta_classwise(es, class_report, spec, budget=budget)
-            remark = remark_exact_check(zc, class_report, budget=budget)
+            zc = ideal_zeta_classwise(es, class_report)
+            remark = remark_exact_check(zc, class_report)
         except BudgetError:
             return report
         report.computed = zc.ord_at_one()

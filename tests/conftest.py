@@ -23,6 +23,12 @@ def ex36():
 
 
 @pytest.fixture(scope="session")
+def e1():
+    """y^2 + y = x^3 + x + 1 over F_2: genus 1, h = 1."""
+    return _cab(GF(2), "x^3 + x + 1", "1", "e1")
+
+
+@pytest.fixture(scope="session")
 def h4g3():
     """y^2 + (x^2+x) y = (x^2+x)(x^5+x^3+x^2+x+1) over F_2: h = 4, g = 3."""
     return _cab(GF(2), "x^7 + x^6 + x^5 + x", "x^2 + x", "h4g3")

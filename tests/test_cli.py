@@ -195,17 +195,27 @@ def test_lpoly_functional_equation_by_construction(tmp_path):
         "functional equation: holds by construction; point count N_1 checked")
 
 
-def test_all_ideals_refused_when_monic_not_multiplicative(tmp_path):
+def test_all_ideals_refused_when_monic_not_multiplicative(tmp_path,
+                                                         monkeypatch):
     # y^2 = 2x^5 + ..: y is monic, y^2 is not, so the two all-ideals routes
-    # normalise generators differently; both are refused
+    # normalise generators differently; both are refused before any class
+    # group is computed
     ring = _ring_file(tmp_path, "h20g2", "p = 3", "x^5 + x^4 + x^2 + 2*x")
-    for extra in ([], ["--direct"]):
-        res = run("zeta", "--ring", ring, "--all-ideals", "-s", "10", *extra)
-        assert res.exit_code == 1
-        assert res.text.startswith("error: b_1 * b_1 has leading coefficient 2")
-        code, doc = jrun("zeta", "--ring", ring, "--all-ideals", "-s", "10",
-                         *extra)
-        assert code == 1 and doc["kind"] == "ValueError"
+
+    def no_class_group(*args, **kwargs):
+        raise AssertionError("class group computed before the refusal")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("ffzeta.cli.class_group", no_class_group)
+        for extra in ([], ["--direct"]):
+            res = run("zeta", "--ring", ring, "--all-ideals", "-s", "10",
+                      *extra)
+            assert res.exit_code == 1
+            assert res.text.startswith(
+                "error: b_1 * b_1 has leading coefficient 2")
+            code, doc = jrun("zeta", "--ring", ring, "--all-ideals", "-s",
+                             "10", *extra)
+            assert code == 1 and doc["kind"] == "ValueError"
     code, doc = jrun("classgroup", "--ring", ring)
     assert code == 0 and doc["h"] == 20
     code, doc = jrun("lpoly", "--ring", ring)
@@ -272,9 +282,12 @@ def test_golden_output(name, fmt):
     assert res.text + "\n" == want
 
 
-def test_check_mu_forbidden_for_hiper():
+@pytest.mark.parametrize("theorem",
+                         ["hiper", "dinesh", "generalization", "tesismc"])
+def test_check_mu_is_usage_error(theorem):
+    # mu is derived by the all-ideals chains; there is no option to set it
     res = run("check", "--ring", "ex26.ring", "-s", "7",
-              "--theorem", "hiper", "--mu", "1")
+              "--theorem", theorem, "--mu", "1")
     assert res.exit_code == 2
     assert "--mu" in res.text
 

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from oracles import poly_eval
 
 import ffzeta.ideals as ideals
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
-from ffzeta.gf import GF, Poly, poly_from_str
+from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
 from ffzeta.ideals import (
     class_equivalent, class_group, count_ideal_candidates, elem_divexact,
     enumerate_ideals, ideal_echelon, ideal_from_generators,
@@ -375,6 +376,17 @@ def test_enumeration_polyring():
         assert len(got) == 3 ** d   # monic polynomials of degree d
 
 
+def test_rank_one_ideals_are_monic_generators():
+    # rank one goes through the general scan: one ideal per monic generator,
+    # in counting order, also for a cab ring y + c_0(x) = 0
+    specs = [RingSpec.polyring(F) for F in (F2, F3, F4)]
+    specs.append(RingSpec.cab(F3, (P(F3, "x^2 + 1"),)))
+    for spec in specs:
+        for d in range(5):
+            got = [I.cols for I in enumerate_ideals(spec, d)]
+            assert got == [((u,),) for u in monic_polys(spec.field, d)]
+
+
 def test_polyring_candidates_are_monic_polys():
     for field in (F2, F3, F4):
         spec = RingSpec.polyring(field)
@@ -506,7 +518,7 @@ def brute_points(spec, k):
     cs = [Poly(E, c.coeffs) for c in spec.coeffs]
     total = 0
     for x0 in range(E.q):
-        vals = [c.eval(x0) for c in cs]
+        vals = [poly_eval(c, x0) for c in cs]
         for y0 in range(E.q):
             acc = 1
             for c in reversed(vals):

@@ -1,7 +1,9 @@
 import pytest
 
+from ffzeta.errors import BudgetError
 from ffzeta.gf import GF, poly_from_str
 from ffzeta.ideal_zeta import ideal_zeta_classwise
+from ffzeta.ideals import class_group
 from ffzeta.ring import RingSpec
 from ffzeta.semigroup import NumericalSemigroup
 from ffzeta.theorems import (
@@ -136,15 +138,6 @@ def test_tesismc_not_artin_schreier(ex36):
     assert rep.failed_check().name == "form y^q - a^{q-1} y = b"
 
 
-def test_tesismc_mu_override(h4g3, h4g3_classes):
-    # mu = 2 breaks N > q mu + e_k d_k on the degree-2 class: 7 < 4 + 4
-    rep = check_tesismc(h4g3, 1, h4g3_classes, mu=2)
-    assert not rep.applicable
-    assert rep.failed_check().name == "mu override satisfies N > q mu + e_k d_k"
-    rep = check_tesismc(h4g3, 1, h4g3_classes, mu=1)
-    assert rep.applicable and rep.mu == 1
-
-
 def test_tesismc_digit_condition(h4g3, h4g3_classes):
     # l_2(es) <= mu = 1 forces es to a power of two; s = 3 gives es = 6
     rep = check_tesismc(h4g3, 3, h4g3_classes)
@@ -162,6 +155,32 @@ def test_generalization_h4g3(h4g3, h4g3_classes):
     names = [c.name for c in rep.checks]
     assert "negative exponents of u = b/a^q coprime to p" not in names
     assert "r-gap structure with r >= q-1" not in names
+
+
+def test_generalization_e1_digit_condition(e1):
+    # genus 1 caps mu at 1, and l_2(7) = 3 exceeds it; a larger mu would
+    # predict ord >= 2 where the computed order is 1
+    rep = check_generalization(e1, 7)
+    assert not rep.applicable
+    assert rep.failed_check().name == "l_q(es)/(q-1) <= mu"
+    assert rep.mu == 1 and rep.computed is None
+
+
+@pytest.mark.parametrize("name", ["h4g3", "ex26", "e1"])
+def test_all_ideals_predictions_hold(name, request):
+    # every applicable all-ideals chain with a computed order meets its
+    # lower bound ord >= q
+    spec = request.getfixturevalue(name)
+    cg = class_group(spec)
+    seen = 0
+    for check in (check_generalization, check_tesismc):
+        for s in range(1, 9):
+            rep = check(spec, s, cg)
+            if rep.applicable and rep.computed is not None:
+                assert rep.predicted == ("at_least", spec.field.q)
+                assert rep.computed >= spec.field.q
+                seen += 1
+    assert seen
 
 
 def test_generalization_wild_fails_elsewhere(wild):
@@ -197,9 +216,13 @@ def test_chain_computes_classwise_zeta_once(h4g3, h4g3_classes, monkeypatch):
     assert calls == [2]
 
 
-def test_chain_over_budget_leaves_order_and_remark_unset(h4g3, h4g3_classes):
-    # budget 1 refuses the first zeta slice with more than one element
-    rep = check_tesismc(h4g3, 1, h4g3_classes, budget=1)
+def test_chain_over_budget_leaves_order_and_remark_unset(h4g3, h4g3_classes,
+                                                        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise BudgetError("over the element budget")
+
+    monkeypatch.setattr("ffzeta.theorems.ideal_zeta_classwise", refuse)
+    rep = check_tesismc(h4g3, 1, h4g3_classes)
     assert rep.applicable
     assert rep.computed is None and rep.remark is None
 
