@@ -23,8 +23,7 @@ from ffzeta.ideal_zeta import (ideal_zeta_classwise, ideal_zeta_direct,
 from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group
 from ffzeta.ring import RingElement
 from ffzeta.ringfile import parse_ring_spec
-from ffzeta.search import (FAMILIES, SearchSpace, search_partition,
-                           search_run)
+from ffzeta.search import FAMILIES, SearchSpace, search_block, search_run
 from ffzeta.semigroup import (enumerate_semigroups, r_gap_values,
                               semigroup_from_ring)
 from ffzeta.theorems import (check_dinesh, check_generalization, check_hiper,
@@ -327,7 +326,7 @@ def _cmd_search(args):
     if args.parts is not None:
         if not 1 <= args.part <= args.parts:
             raise _UsageError(f"--part must be in 1..{args.parts}")
-        space = search_partition(space, args.parts)[args.part - 1]
+        space = search_block(space, args.parts, args.part - 1)
     records, summary = search_run(space, checkpoint=args.checkpoint)
     data = {
         "space": space.describe(),

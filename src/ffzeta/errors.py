@@ -7,7 +7,7 @@ at a bug or a broken ring assumption raise ConsistencyError.
 
 
 class BudgetError(ValueError):
-    """An enumeration would exceed its configured budget."""
+    """Work would exceed a fixed budget; refused before any of it is done."""
 
 
 class RingValidationError(ValueError):

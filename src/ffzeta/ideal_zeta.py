@@ -15,8 +15,8 @@ collects monic elements alpha of the representative I_k at degree d + d_k
 the inverse class), divided by the constant prefactor f_k^(t/e_k).  Each
 class term has its own certified cutoff from the power-sum vanishing bound
 (`_class_cuts`, shared by both paths), so the classwise result is a complete
-polynomial.  Every degree slice is summed by `zeta.affine_power_sum`, which
-checks the budget before the first power.
+polynomial.  The cutoffs fix every slice in advance, and each path checks
+them all against its budget before the first power or enumeration.
 
 `remark_exact_check` takes a classwise zeta already computed, for instance
 by the all-ideals hypothesis chain of `theorems`, and checks it against the
@@ -34,11 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ffzeta.errors import ConsistencyError
-from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, elem_divexact,
-                           enumerate_ideals, ideal_echelon, ideal_is_principal,
-                           ideal_pow)
+from ffzeta.ideals import (elem_divexact, enumerate_ideals, ideal_echelon,
+                           ideal_is_principal, ideal_pow)
 from ffzeta.ring import RingElement, RingSpec
-from ffzeta.zeta import (DEFAULT_BUDGET, ZetaPolynomial, affine_power_sum,
+from ffzeta.zeta import (ZetaPolynomial, affine_power_sum,
+                         require_monic_in_budget, require_points_in_budget,
                          vanishing_threshold, zeta_cutoff, zeta_neg)
 
 
@@ -57,44 +57,47 @@ def require_monic_products(spec):
                     f"this ring")
 
 
-def ideal_power_value(I, t, report):
-    """I^t as a ring element: a^(t/e) for a the monic generator of I^e."""
-    e = report.e
-    if t <= 0 or t % e:
-        raise ValueError("exponent not a multiple of class-group exponent")
-    ok, a = ideal_is_principal(ideal_pow(I, e))
-    if not ok:
-        raise ConsistencyError("I^e is not principal; class data inconsistent")
-    return a ** (t // e)
-
-
-def ideal_zeta_direct(t, report, *, budget=DEFAULT_IDEAL_BUDGET):
-    """Enumerate every ideal of each degree up to the classwise route's
-    certified cutoff, which needs no power, and sum the power values.
-    budget bounds the candidates scanned per degree."""
-    spec = report.spec
-    require_monic_products(spec)
+def _require_exponent(t, report):
     if t <= 0 or t % report.e:
         raise ValueError("exponent not a multiple of class-group exponent")
+
+
+def ideal_power_value(I, t, report):
+    """I^t as a ring element: a^(t/e) for a the monic generator of I^e."""
+    _require_exponent(t, report)
+    ok, a = ideal_is_principal(ideal_pow(I, report.e))
+    if not ok:
+        raise ConsistencyError("I^e is not principal; class data inconsistent")
+    return a ** (t // report.e)
+
+
+def ideal_zeta_direct(t, report):
+    """Enumerate every ideal of each degree up to the classwise route's
+    certified cutoff, which needs no power, and sum the power values.
+    Every degree is checked against the budget before any is enumerated."""
+    spec = report.spec
+    require_monic_products(spec)
+    _require_exponent(t, report)
     d_max = max([zeta_cutoff(t, spec)]
-                + [cut for _, _, cut in _class_cuts(t, report, spec)])
+                + [cut for *_, cut in _class_cuts(t, report, spec)])
     coeffs = []
-    for d in range(d_max + 1):
+    for ideals in [enumerate_ideals(spec, d) for d in range(d_max + 1)]:
         acc = spec.zero()
-        for I in enumerate_ideals(spec, d, budget=budget):
+        for I in ideals:
             acc = acc + ideal_power_value(I, t, report)
         coeffs.append(acc)
     return ZetaPolynomial(spec, t, coeffs, d_max)
 
 
 def _class_cuts(t, report, spec):
-    """Yield (class, echelon of I_k, cut) for each nontrivial class: its term
+    """Yield (class, echelon of I_k, leads, cut) per nontrivial class: its term
     of zeta(-t, X) vanishes beyond X-degree cut = D - d_k - 1, D the least
     degree with dim{alpha in I_k : deg alpha < D} > l_q(t)/(q-1).
 
     By Riemann's inequality the elements of I_k of degree <= n span at least
     n - d_k - g + 1 dimensions, so one echelon up to d_k + g + need - 1
-    holds the `need` least degrees."""
+    holds the `need` least degrees.  Those are the leads: the slice at X^d,
+    d = lead - d_k <= cut, sums over the span of the entries below its lead."""
     need = int(vanishing_threshold(t, spec.field.q)) + 1
     for cls in report.classes:
         if cls.order == 1:
@@ -106,44 +109,43 @@ def _class_cuts(t, report, spec):
             raise ConsistencyError(
                 f"only {len(degs)} element degrees <= {U} in a degree-"
                 f"{cls.degree} ideal, fewer than Riemann's inequality gives")
-        yield cls, ech, degs[need - 1] - cls.degree
+        yield cls, ech, degs[:need], degs[need - 1] - cls.degree
 
 
-def ideal_zeta_classwise(t, report, *, budget=DEFAULT_BUDGET):
+def ideal_zeta_classwise(t, report):
     """Class-by-class evaluation with certified per-class cutoffs.
 
-    Every degree slice, principal or not, is refused before its first
-    power when it holds more than budget elements.  A class term whose
-    exact division leaves the ring raises ConsistencyError.
+    Every slice, principal or not, is checked against the element budget
+    before the first power.  A class term whose exact division leaves the
+    ring raises ConsistencyError.
     """
     spec = report.spec
     require_monic_products(spec)
-    if t <= 0 or t % report.e:
-        raise ValueError("exponent not a multiple of class-group exponent")
+    _require_exponent(t, report)
+    require_monic_in_budget(spec, range(zeta_cutoff(t, spec) + 1))
+    cuts = list(_class_cuts(t, report, spec))
+    for _, _, leads, _ in cuts:
+        for i in range(len(leads)):
+            require_points_in_budget(spec.field.q, i)
 
-    coeffs = list(zeta_neg(t, spec, budget=budget).coeffs)
-    for cls, ech, cut in _class_cuts(t, report, spec):
-        d_k = cls.degree
+    coeffs = list(zeta_neg(t, spec).coeffs)
+    for cls, ech, leads, cut in cuts:
         denom = cls.generator ** (t // cls.order)
         coeffs += [spec.zero()] * (cut + 1 - len(coeffs))
-        for d in range(cut + 1):
-            lead = ech.get(d + d_k)
-            if lead is None:
-                continue
-            below = [ech[e] for e in sorted(ech) if e < d + d_k]
-            acc = affine_power_sum(lead, below, t, budget=budget)
+        for i, e in enumerate(leads):
+            acc = affine_power_sum(ech[e], [ech[b] for b in leads[:i]], t)
             if not acc.is_zero:
-                coeffs[d] = coeffs[d] + elem_divexact(acc, denom)
+                coeffs[e - cls.degree] += elem_divexact(acc, denom)
     return ZetaPolynomial(spec, t, coeffs, len(coeffs) - 1)
 
 
-def matches_base_substituted(z, u_coeffs, *, budget=DEFAULT_BUDGET):
+def matches_base_substituted(z, u_coeffs):
     """Whether z = zeta(-s, X) equals zeta_{F_q[x]}(-s, X^q) * U
     coefficientwise, U given by its coefficients in z's ring.  The F_q[x]
-    zeta is computed under budget elements; over it, BudgetError."""
+    zeta is computed under the element budget; over it, BudgetError."""
     spec = z.spec
     q = spec.field.q
-    base = zeta_neg(z.s, RingSpec.polyring(spec.field), budget=budget)
+    base = zeta_neg(z.s, RingSpec.polyring(spec.field))
     width = max(z.d_max + 1, q * base.d_max + len(u_coeffs))
     want = [spec.zero()] * width
     for j, cj in enumerate(base.coeffs):
@@ -164,7 +166,7 @@ class RemarkReport:
     h2_shortcut: bool     # h = 2; no closed form is used
 
 
-def remark_exact_check(zc, report, *, budget=DEFAULT_BUDGET):
+def remark_exact_check(zc, report):
     """Check the classwise zeta zc = zeta(-t, X) against
     zeta_{F_q[x]}(-t, X^q) * U coefficientwise, with
     U = 1 + sum_k f_k^((t/e_k)(e_k - 1)) X^((e_k - 1) d_k); the vanishing
@@ -180,7 +182,7 @@ def remark_exact_check(zc, report, *, budget=DEFAULT_BUDGET):
         u[dX] = u.get(dX, spec.zero()) + f_pow
     u_coeffs = tuple(u.get(d, spec.zero()) for d in range(max(u) + 1))
     u_at_one = sum(u_coeffs, spec.zero())
-    ident = matches_base_substituted(zc, u_coeffs, budget=budget)
+    ident = matches_base_substituted(zc, u_coeffs)
     return RemarkReport(t=t, identity_holds=ident, u_coeffs=u_coeffs,
                         u_at_one=u_at_one,
                         order_exactly_q=ident and not u_at_one.is_zero,

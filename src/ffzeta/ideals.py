@@ -133,10 +133,6 @@ class IdealHNF:
     def deg(self):
         return sum(self.cols[i][i].degree for i in range(self.spec.m))
 
-    @property
-    def diagonal(self):
-        return tuple(self.cols[i][i] for i in range(self.spec.m))
-
     def rows(self):
         m = self.spec.m
         return tuple(tuple(self.cols[j][i] for j in range(m)) for i in range(m))
@@ -370,7 +366,8 @@ def _compositions(d, m):
 
 
 def enumerate_ideals(spec, d, *, budget=DEFAULT_IDEAL_BUDGET):
-    """All ideals of degree d, in a fixed documented order.
+    """All ideals of degree d in a fixed documented order; the call checks
+    the budget before the first candidate, and returns an iterator.
 
     m = 2: stability prunes the triangular candidates to w | u, w | v and
     u' | F(-v') (u = w u', v = w v'), scanned by ascending deg w, then w,
@@ -379,28 +376,31 @@ def enumerate_ideals(spec, d, *, budget=DEFAULT_IDEAL_BUDGET):
     """
     spec.require_valid()
     if d < 0:
-        return
+        return iter(())
     if count_ideal_candidates(spec, d) > budget:
         raise BudgetError(
             f"degree-{d} ideal enumeration scans "
             f"{count_ideal_candidates(spec, d)} candidates, over the budget {budget}")
-    field = spec.field
     if spec.m == 2:
-        r0, r1 = spec.mul_table()[1][1]    # b_1^2 = r0 + r1 b_1
-        for jw in range(d // 2 + 1):
-            iu = d - 2 * jw
-            for w in monic_polys(field, jw):
-                for up in monic_polys(field, iu):
-                    u = w * up
-                    for vp in polys_below(field, iu):
-                        # u' | v'^2 - r1 v' - r0  certifies A-stability
-                        if (vp * vp - r1 * vp - r0) % up:
-                            continue
-                        col0 = (u, Poly.zero(field))
-                        col1 = (w * vp, w)
-                        yield IdealHNF(spec, (col0, col1))
-        return
-    yield from _enumerate_ideals_general(spec, d)
+        return _enumerate_ideals_m2(spec, d)
+    return _enumerate_ideals_general(spec, d)
+
+
+def _enumerate_ideals_m2(spec, d):
+    field = spec.field
+    r0, r1 = spec.mul_table()[1][1]    # b_1^2 = r0 + r1 b_1
+    for jw in range(d // 2 + 1):
+        iu = d - 2 * jw
+        for w in monic_polys(field, jw):
+            for up in monic_polys(field, iu):
+                u = w * up
+                for vp in polys_below(field, iu):
+                    # u' | v'^2 - r1 v' - r0  certifies A-stability
+                    if (vp * vp - r1 * vp - r0) % up:
+                        continue
+                    col0 = (u, Poly.zero(field))
+                    col1 = (w * vp, w)
+                    yield IdealHNF(spec, (col0, col1))
 
 
 def _enumerate_ideals_general(spec, d):
@@ -474,7 +474,9 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     S = semigroup_from_ring(spec)
     g = S.genus
     q = spec.field.q
-    low = [list(enumerate_ideals(spec, d, budget=budget)) for d in range(g + 1)]
+    # every degree is checked against the budget before any is enumerated
+    planned = [enumerate_ideals(spec, d, budget=budget) for d in range(g + 1)]
+    low = [list(ideals) for ideals in planned]
     counts = [len(ideals) for ideals in low]
     if counts[0] != 1:
         raise ConsistencyError(f"c_0 = {counts[0]} != 1")

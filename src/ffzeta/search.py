@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ffzeta.errors import BudgetError, CheckpointError, NonMaximalRingError
+from ffzeta.errors import BudgetError, CheckpointError
 from ffzeta.gf import Poly, monic_polys, poly_to_str
 from ffzeta.ideals import class_group, DEFAULT_IDEAL_BUDGET
 from ffzeta.ring import RingSpec
@@ -164,8 +164,6 @@ def evaluate_candidate(field, a, b, *, min_r=None,
         cg = class_group(spec, budget=h_budget)
     except BudgetError:
         return "class-group", "budget-exceeded", {"gap": rr}
-    except NonMaximalRingError:
-        return "ring-valid", "singular", None
 
     hyp = None
     for k in range(1, _S_SCAN + 1):
@@ -253,16 +251,18 @@ def merge_summaries(summaries):
                          passing=tuple(passing))
 
 
+def search_block(space, parts, i):
+    """Block i (0-based) of `search_partition(space, parts)`, made alone."""
+    if not 0 <= i < parts:
+        raise ValueError(f"block {i} is not one of {parts} blocks")
+    start, stop = space.window()
+    size, extra = divmod(stop - start, parts)
+    at = start + i * size + min(i, extra)
+    return dataclasses.replace(space, start=at, stop=at + size + (i < extra))
+
+
 def search_partition(space, parts):
     """Split the window into `parts` contiguous index blocks, near-equal."""
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    start, stop = space.window()
-    n = stop - start
-    sizes = [n // parts + (1 if i < n % parts else 0) for i in range(parts)]
-    pieces = []
-    at = start
-    for sz in sizes:
-        pieces.append(dataclasses.replace(space, start=at, stop=at + sz))
-        at += sz
-    return pieces
+    return [search_block(space, parts, i) for i in range(parts)]

@@ -229,13 +229,13 @@ def degree_q_theorem_check(S, q, r):
 
 # -- enumeration by genus ---------------------------------------------------
 
-def enumerate_semigroups(genus, cap=GENUS_CAP):
+def enumerate_semigroups(genus):
     """All numerical semigroups of the given genus via the removal tree."""
     if genus < 0:
         raise ValueError("genus must be nonnegative")
-    if genus > cap:
+    if genus > GENUS_CAP:
         raise BudgetError(
-            f"genus {genus} exceeds the enumeration cap {cap}; pass cap= to raise it")
+            f"genus {genus} exceeds the enumeration cap {GENUS_CAP}")
     level = {NumericalSemigroup.from_generators((1,))}
     for _ in range(genus):
         nxt = set()

@@ -1,6 +1,6 @@
 """Hypothesis checkers: each theorem becomes a report listing its conditions
 in order, the certified constants (r, mu), the predicted vanishing order,
-and the machine-computed order when the zeta is in budget.
+and the machine-computed order when every slice of the zeta is in budget.
 
 The chain stops at the first failing condition; applicable means every
 condition was evaluated and passed.  Orders are predicted per theorem
@@ -25,11 +25,10 @@ from ffzeta.gf import (Poly, is_irreducible, is_squarefree, poly_factor,
                        poly_to_str, valuation_profile)
 from ffzeta.ideal_zeta import (ideal_zeta_classwise, matches_base_substituted,
                                remark_exact_check)
-from ffzeta.ideals import class_group, DEFAULT_IDEAL_BUDGET
+from ffzeta.ideals import class_group
 from ffzeta.semigroup import (NumericalSemigroup, r_gap_values,
                               semigroup_from_ring)
-from ffzeta.zeta import (DEFAULT_BUDGET, digit_sum, vanishing_threshold,
-                         zeta_neg)
+from ffzeta.zeta import digit_sum, vanishing_threshold, zeta_neg
 
 
 @dataclass(frozen=True)
@@ -58,14 +57,7 @@ class HypothesisReport:
         return None
 
 
-def _ord_principal(spec, s, budget):
-    try:
-        return zeta_neg(s, spec, budget=budget).ord_at_one()
-    except BudgetError:
-        return None
-
-
-def check_hiper(spec, s, *, budget=DEFAULT_BUDGET):
+def check_hiper(spec, s):
     """q = 2, hyperelliptic, l_2(s) <= g: order of vanishing exactly 2."""
     spec.require_valid()
     q = spec.field.q
@@ -77,28 +69,30 @@ def check_hiper(spec, s, *, budget=DEFAULT_BUDGET):
         CheckItem("l_2(s) <= g", l2 <= S.genus, {"l_2(s)": l2, "g": S.genus}),
     )
     applicable = all(c.passed for c in checks)
-    return HypothesisReport(
+    report = HypothesisReport(
         theorem="hiper", checks=checks, applicable=applicable,
-        predicted=("exact", 2) if applicable else None,
-        computed=_ord_principal(spec, s, budget), exponent=s)
+        predicted=("exact", 2) if applicable else None, exponent=s)
+    try:
+        report.computed = zeta_neg(s, spec).ord_at_one()
+    except BudgetError:
+        pass
+    return report
 
 
-def check_dinesh(spec, s, *, budget=DEFAULT_BUDGET):
+def check_dinesh(spec, s):
     """r-gap structure with r >= q-1 and l_q(s)/(q-1) <= r: order exactly q;
     with m = q, also zeta_A(-s, X) = zeta_{F_q[x]}(-s, X^q) on the same zeta."""
     spec.require_valid()
     q = spec.field.q
     report = _dinesh_checks(semigroup_from_ring(spec), q, s)
     try:
-        z = zeta_neg(s, spec, budget=budget)
+        z = zeta_neg(s, spec)
     except BudgetError:
         return report
     report.computed = z.ord_at_one()
     if report.applicable and spec.m == q:
-        try:
-            report.identity = matches_base_substituted(z, (spec.one(),), budget=budget)
-        except BudgetError:
-            pass
+        # its F_q[x] zeta's largest slice equals z's, so it is within budget
+        report.identity = matches_base_substituted(z, (spec.one(),))
     return report
 
 
@@ -144,17 +138,12 @@ def _recover_artin_schreier(spec):
     return (a, b), None
 
 
-def check_tesismc(spec, s, class_report=None, *,
-                  budget=DEFAULT_IDEAL_BUDGET):
-    """Full all-ideals chain for y^q - a^{q-1}y = b: order at least q.
-    budget bounds the class group when class_report is not given."""
-    spec.require_valid()
-    return _all_ideals_chain(spec, s, class_report, theorem="tesismc",
-                             budget=budget)
+def check_tesismc(spec, s, class_report=None):
+    """Full all-ideals chain for y^q - a^{q-1}y = b: order at least q."""
+    return _all_ideals_chain(spec, s, class_report, theorem="tesismc")
 
 
-def check_generalization(spec, s, class_report=None, *,
-                         budget=DEFAULT_IDEAL_BUDGET):
+def check_generalization(spec, s, class_report=None):
     """The q = 2 all-ideals theorem for y^2 - a y = b: order at least 2.
 
     Same chain as check_tesismc minus the ramification conditions the q = 2
@@ -162,12 +151,11 @@ def check_generalization(spec, s, class_report=None, *,
     u = b / a^q); mu is capped by the genus since the principal part relies
     on the q = 2 hyperelliptic theorem.
     """
+    return _all_ideals_chain(spec, s, class_report, theorem="generalization")
+
+
+def _all_ideals_chain(spec, s, class_report, *, theorem):
     spec.require_valid()
-    return _all_ideals_chain(spec, s, class_report, theorem="generalization",
-                             budget=budget)
-
-
-def _all_ideals_chain(spec, s, class_report, *, theorem, budget):
     q = spec.field.q
     p = spec.field.p
     N = spec.N
@@ -232,7 +220,7 @@ def _all_ideals_chain(spec, s, class_report, *, theorem, budget):
 
     if class_report is None:
         try:
-            class_report = class_group(spec, budget=budget)
+            class_report = class_group(spec)
         except (BudgetError, NonMaximalRingError) as err:
             checks.append(CheckItem("class group computed", False,
                                     {"error": str(err)}))
@@ -284,15 +272,14 @@ def _all_ideals_chain(spec, s, class_report, *, theorem, budget):
         predicted=("at_least", q) if applicable else None,
         mu=mu, exponent=es)
     if applicable:
-        # one classwise zeta gives the order and feeds the remark; if either
-        # zeta is over its element budget, both stay None
+        # one classwise zeta gives the order and feeds the remark, whose F_q[x]
+        # zeta is then within budget too; over it, both stay None
         try:
             zc = ideal_zeta_classwise(es, class_report)
-            remark = remark_exact_check(zc, class_report)
         except BudgetError:
             return report
         report.computed = zc.ord_at_one()
-        report.remark = remark
+        report.remark = remark_exact_check(zc, class_report)
     return report
 
 

@@ -6,6 +6,7 @@ vanishing theorem for power sums over affine subspaces forces S(d') = 0 for
 every d' >= d (each S(d') is a sum of (lead + w)^s over the F_q-space W_{d'},
 whose dimension never decreases).  The cutoff certifies every omitted
 coefficient is zero, so values and orders of vanishing at X = 1 are exact.
+The cutoff fixes every slice in advance; `zeta_neg` checks them all first.
 
 Recentering at X = 1 uses binomials mod p via Lucas; the order of vanishing
 is the first nonzero recentered coefficient.
@@ -20,7 +21,7 @@ from ffzeta.errors import BudgetError, ConsistencyError
 from ffzeta.gf import poly_to_str
 from ffzeta.ring import affine_combinations, echelon_insert, elem_to_str
 
-DEFAULT_BUDGET = 2 ** 20
+DEFAULT_BUDGET = 2 ** 20    # elements summed per power-sum slice
 
 
 def digit_sum(k, q):
@@ -52,7 +53,22 @@ def binom_mod_p(d, j, p):
     return r
 
 
-def affine_power_sum(f, basis, k, *, budget=DEFAULT_BUDGET):
+def require_monic_in_budget(spec, degrees):
+    """Refuse the first S(d), d in degrees, over DEFAULT_BUDGET elements."""
+    for d in degrees:
+        if spec.count_monic(d) > DEFAULT_BUDGET:
+            raise BudgetError(f"S({d}) sums over {spec.count_monic(d)} monic "
+                              f"elements, over the budget {DEFAULT_BUDGET}")
+
+
+def require_points_in_budget(q, dim):
+    """Refuse an affine power sum over more than DEFAULT_BUDGET points."""
+    if q ** dim > DEFAULT_BUDGET:
+        raise BudgetError(f"affine power sum over q^dim = {q ** dim} points "
+                          f"exceeds the budget {DEFAULT_BUDGET}")
+
+
+def affine_power_sum(f, basis, k):
     """Sum of (f + w)^k over the F_q-span of `basis`; f must lie outside it.
 
     Vanishes whenever len(basis) > l_q(k)/(q-1); the sharpness witnesses in
@@ -64,22 +80,16 @@ def affine_power_sum(f, basis, k, *, budget=DEFAULT_BUDGET):
             raise ValueError("the W basis is linearly dependent over F_q")
     if not echelon_insert(ech, f):
         raise ValueError("f lies in the span of W; the theorem needs f outside it")
-    total = f.spec.field.q ** len(basis)
-    if total > budget:
-        raise BudgetError(
-            f"affine power sum over q^dim = {total} points exceeds the budget {budget}")
+    require_points_in_budget(f.spec.field.q, len(basis))
     acc = f.spec.zero()
     for e in affine_combinations(f, basis):
         acc = acc + e ** k
     return acc
 
 
-def power_sum_S(d, s, spec, *, budget=DEFAULT_BUDGET):
+def power_sum_S(d, s, spec):
     """S(d): sum of a^s over the monic elements of degree d (0 at gaps)."""
-    count = spec.count_monic(d)
-    if count > budget:
-        raise BudgetError(
-            f"S({d}) sums over {count} monic elements, over the budget {budget}")
+    require_monic_in_budget(spec, (d,))
     acc = spec.zero()
     for e in spec.enumerate_monic(d):
         acc = acc + e ** s
@@ -131,14 +141,14 @@ def zeta_cutoff(s, spec):
     return d - 1
 
 
-def zeta_neg(s, spec, *, budget=DEFAULT_BUDGET):
+def zeta_neg(s, spec):
     """zeta(-s, X) over the monic elements of spec, with certified cutoff."""
     spec.require_valid()
     if not isinstance(s, int) or s < 1:
         raise ValueError(f"s must be a positive integer, got {s!r}")
     d_max = zeta_cutoff(s, spec)
-    coeffs = tuple(power_sum_S(dd, s, spec, budget=budget)
-                   for dd in range(d_max + 1))
+    require_monic_in_budget(spec, range(d_max + 1))
+    coeffs = tuple(power_sum_S(dd, s, spec) for dd in range(d_max + 1))
     return ZetaPolynomial(spec, s, coeffs, d_max)
 
 

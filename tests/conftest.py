@@ -1,7 +1,7 @@
 import pytest
 
 from ffzeta.gf import GF, poly_from_str
-from ffzeta.ring import RingSpec
+from ffzeta.ring import RingElement, RingSpec
 
 
 def _cab(field, c0, c1, name):
@@ -38,3 +38,12 @@ def h4g3():
 def h4g3_classes(h4g3):
     from ffzeta.ideals import class_group
     return class_group(h4g3)
+
+
+@pytest.fixture
+def no_powers(monkeypatch):
+    """Fail the test at the first ring-element power."""
+    def refuse(self, s):
+        raise AssertionError("a ring-element power was taken")
+
+    monkeypatch.setattr(RingElement, "pow_digits", refuse)

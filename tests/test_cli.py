@@ -83,6 +83,13 @@ def test_zeta_direct_default_cutoff_computes_no_classwise_zeta(monkeypatch):
     assert direct["coeffs"] == classwise["coeffs"]
 
 
+def test_zeta_over_budget_refused_before_first_power(no_powers):
+    res = run("zeta", "--ring", "fqx2", "-s", "2097151")
+    assert res.exit_code == 1
+    assert res.text == ("error: S(21) sums over 2097152 monic elements, "
+                        "over the budget 1048576")
+
+
 def test_zeta_all_ideals_bad_exponent():
     res = run("zeta", "--ring", "h4g3.ring", "-s", "3", "--all-ideals")
     assert res.exit_code == 1

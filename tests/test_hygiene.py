@@ -151,3 +151,41 @@ UNREAD_ALLOWED = [("ideals", "class_equivalent")]
 def test_every_definition_is_read_or_exported():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
     assert unread_definitions(sources, set(ffzeta.__all__)) == UNREAD_ALLOWED
+
+
+def budget_knobs(sources):
+    """`owner.name` of every function parameter and class-level annotated
+    field (a dataclass field) named budget, h_budget or cap."""
+    names = {"budget", "h_budget", "cap"}
+    found = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                found += [f"{node.name}.{p.arg}" for p in params
+                          if p is not None and p.arg in names]
+            elif isinstance(node, ast.ClassDef):
+                found += [f"{node.name}.{s.target.id}" for s in node.body
+                          if isinstance(s, ast.AnnAssign)
+                          and isinstance(s.target, ast.Name)
+                          and s.target.id in names]
+    return sorted(found)
+
+
+def test_detects_a_budget_knob():
+    src = ("def f(x, *, budget=4):\n    cap = 2\n\n"
+           "@dataclass\nclass C:\n    h_budget: int = 1\n    size: int = 2\n"
+           "    cap = 3\n\n    def g(self, *cap):\n        pass\n")
+    assert budget_knobs([src]) == ["C.h_budget", "f.budget", "g.cap"]
+
+
+# budgets are module constants; the one limit a user sets, search --h-budget,
+# reaches the ideal enumeration through these four
+BUDGET_KNOBS = ["SearchSpace.h_budget", "class_group.budget",
+                "enumerate_ideals.budget", "evaluate_candidate.h_budget"]
+
+
+def test_no_per_call_budget_knobs():
+    sources = [p.read_text(encoding="utf-8") for p in LIBRARY]
+    assert budget_knobs(sources) == BUDGET_KNOBS

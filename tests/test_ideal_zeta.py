@@ -7,9 +7,9 @@ from ffzeta.ideal_zeta import (
     remark_exact_check,
 )
 from ffzeta.ideals import class_group, enumerate_ideals, ideal_from_generators
-from ffzeta.ring import RingSpec, affine_combinations, elem_to_str
+from ffzeta.ring import RingSpec, elem_to_str
 from ffzeta.theorems import check_tesismc
-from ffzeta.zeta import ZetaPolynomial, coeff_lit, zeta_neg, zeta_to_str
+from ffzeta.zeta import ZetaPolynomial, coeff_lit, zeta_to_str
 
 F2 = GF(2)
 F3 = GF(3)
@@ -148,24 +148,36 @@ def test_trivial_zeros_extend(h4g3, ex36, f4as, h4g3_classes):
 
 
 def test_class_slice_over_budget_refused_before_first_power(
-        h4g3, h4g3_classes, monkeypatch):
-    # the principal and class slices of the bundled rings are equally large,
-    # so the principal part comes precomputed to reach a class slice at all
-    principal = zeta_neg(2, h4g3)
-    monkeypatch.setattr("ffzeta.ideal_zeta.zeta_neg",
-                        lambda *args, **kwargs: principal)
-    sizes = []
-
-    def recording(lead, basis):
-        sizes.append(len(basis))
-        return affine_combinations(lead, basis)
-
-    monkeypatch.setattr("ffzeta.zeta.affine_combinations", recording)
+        h4g3, h4g3_classes, monkeypatch, no_powers):
+    # a class slice is never larger than the largest principal slice, so the
+    # principal check is bypassed to reach a class slice at all; the first
+    # slice over the budget (two elements) is refused before any power
+    monkeypatch.setattr("ffzeta.ideal_zeta.require_monic_in_budget",
+                        lambda *args: None)
+    monkeypatch.setattr("ffzeta.zeta.DEFAULT_BUDGET", 1)
     with pytest.raises(BudgetError, match=r"q\^dim = 2 points exceeds the budget 1"):
-        ideal_zeta_classwise(2, h4g3_classes, budget=1)
-    # slices within the budget (one element) were summed; the one over it
-    # (two elements) was refused before any of its powers
-    assert sizes and set(sizes) == {0}
+        ideal_zeta_classwise(2, h4g3_classes)
+
+
+def test_classwise_over_budget_refused_before_first_power(h4g3_classes,
+                                                          no_powers):
+    # t = 2 (2^21 - 1) plans principal slices of up to 2^24 elements
+    with pytest.raises(BudgetError, match=r"^S\(\d+\) sums over \d+ monic "
+                       r"elements, over the budget 1048576$"):
+        ideal_zeta_classwise(2 * (2 ** 21 - 1), h4g3_classes)
+
+
+def test_direct_over_budget_refused_before_first_ideal(h4g3_classes,
+                                                       monkeypatch, no_powers):
+    # t = 510 plans degrees 0..11, and degree 11 scans over 4M candidates
+    def refuse(*args):
+        raise AssertionError("an ideal was enumerated")
+
+    monkeypatch.setattr("ffzeta.ideals.monic_polys", refuse)
+    monkeypatch.setattr("ffzeta.ideal_zeta.ideal_power_value", refuse)
+    with pytest.raises(BudgetError, match=r"^degree-11 ideal enumeration scans "
+                       r"\d+ candidates, over the budget 4000000$"):
+        ideal_zeta_direct(510, h4g3_classes)
 
 
 # -- exact factorization (h = 2 and beyond) ---------------------------------

@@ -400,6 +400,18 @@ def test_enumeration_budget(h4g3):
         list(enumerate_ideals(h4g3, 6, budget=4))
 
 
+def test_class_group_over_budget_refused_before_enumerating(h4g3,
+                                                           monkeypatch):
+    # degrees 0..2 of h4g3 (g = 3) are within 71 candidates, degree 3 is not
+    def refuse(*args):
+        raise AssertionError("an ideal candidate was enumerated")
+
+    monkeypatch.setattr(ideals, "monic_polys", refuse)
+    with pytest.raises(BudgetError, match=r"^degree-3 ideal enumeration scans "
+                       r"72 candidates, over the budget 71$"):
+        class_group(h4g3, budget=71)
+
+
 # -- class groups -----------------------------------------------------------
 
 def test_class_group_h4g3(h4g3_classes):

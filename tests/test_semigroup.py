@@ -155,7 +155,8 @@ def test_enumeration_matches_subset_filter():
 
 
 def test_cap_refused():
-    with pytest.raises(BudgetError, match="cap"):
+    with pytest.raises(BudgetError,
+                       match="^genus 13 exceeds the enumeration cap 12$"):
         enumerate_semigroups(13)
 
 

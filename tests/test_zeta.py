@@ -190,9 +190,17 @@ def test_ord_two_paths_agree(ex26, ex36, h4g3):
         assert z.ord_at_one() == ord_at_one_by_division(z.coeffs, spec)
 
 
-def test_budget_refusal(ex26):
+def test_budget_refusal(ex26, monkeypatch):
+    monkeypatch.setattr("ffzeta.zeta.DEFAULT_BUDGET", 4)
     with pytest.raises(BudgetError):
-        zeta_neg(21, ex26, budget=4)
+        zeta_neg(21, ex26)
+
+
+def test_over_budget_refused_before_first_power(no_powers):
+    # s = 2^21 - 1 plans S(0..21); S(21) holds 2^21 monic elements
+    with pytest.raises(BudgetError, match=r"^S\(21\) sums over 2097152 monic "
+                       r"elements, over the budget 1048576$"):
+        zeta_neg(2 ** 21 - 1, RingSpec.polyring(F2))
 
 
 def test_gap_degrees_skip_terms(ex26):
