@@ -40,6 +40,7 @@ integers reduced mod p, or for extension fields polynomials in `t` such as
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 
 NEG_INF = float("-inf")
@@ -141,13 +142,7 @@ class FF:
     def pow(self, a, k):
         if k < 0:
             a, k = self.inv(a), -k
-        r = 1
-        while k:
-            if k & 1:
-                r = self._mull[r][a]
-            a = self._mull[a][a]
-            k >>= 1
-        return r
+        return square_and_multiply(a, k, self.mul) if k else 1
 
     def digits(self, a):
         """Base-p digit tuple of the code, lowest power of t first."""
@@ -222,6 +217,24 @@ class FF:
             return f"GF({self.p})"
         mod = Poly(GF(self.p), self.modulus)
         return f"GF({self.p}^{self.n}, {poly_to_str(mod, 't')})"
+
+
+def square_and_multiply(x, k, mul):
+    """x^k for k >= 1 under the product `mul`, by the binary digits of k.
+
+    Takes bit_length(k) + popcount(k) - 2 products, and none of them has an
+    identity factor, so no caller needs an identity to start from.
+    """
+    if k < 1:
+        raise ValueError(f"square-and-multiply needs k >= 1, got {k}")
+    r = None
+    while True:
+        if k & 1:
+            r = x if r is None else mul(r, x)
+        k >>= 1
+        if not k:
+            return r
+        x = mul(x, x)
 
 
 def _times_mod(r, p):
@@ -509,14 +522,7 @@ class Poly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative polynomial power")
-        r = Poly.one(self.field)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
+        return square_and_multiply(self, k, operator.mul) if k else Poly.one(self.field)
 
     # -- derived operations -------------------------------------------------
 
@@ -628,6 +634,13 @@ def monic_polys(field, degree):
     if degree < 0:
         return
     yield from _counting(field, degree, field._codeb[1])
+
+
+def monic_poly_at(field, degree, k):
+    """Entry k of `monic_polys(field, degree)`, built alone: the base-q
+    digits of k are its coefficients below the leading 1."""
+    q = field.q
+    return Poly(field, [k // q ** i % q for i in range(degree)] + [1])
 
 
 def polys_below(field, degree):

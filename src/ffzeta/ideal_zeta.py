@@ -7,16 +7,18 @@ I^t := a^(t/e) with a the monic generator of I^e, and
 
 Two computations are provided, and the tests check that they agree.  Both
 return a `zeta.ZetaPolynomial`, the value type of the element zeta.  The
-direct path enumerates all ideals per degree up to the classwise path's
-certified cutoff.  The classwise path splits the sum by
-ideal class: the principal part is the element zeta, and the class-k part
-collects monic elements alpha of the representative I_k at degree d + d_k
-(those alpha are exactly the products I_k * I over integral I of degree d in
-the inverse class), divided by the constant prefactor f_k^(t/e_k).  Each
-class term has its own certified cutoff from the power-sum vanishing bound
-(`_class_cuts`, shared by both paths), so the classwise result is a complete
-polynomial.  The cutoffs fix every slice in advance, and each path checks
-them all against its budget before the first power or enumeration.
+direct path enumerates all ideals per degree up to the largest class
+cutoff.  The classwise path splits the sum by ideal class, and sums every
+class the same way: the class-k part collects monic elements alpha of the
+representative I_k at degree d + d_k (those alpha are exactly the products
+I_k * I over integral I of degree d in the inverse class), divided by the
+constant prefactor f_k^(t/e_k).  The principal class is one of them: its
+representative is (1), with d = 0 and f = 1, so its part is the element
+zeta, slice by slice S(d).  Each class term has its own certified cutoff
+from the power-sum vanishing bound (`_class_cuts`, shared by both paths;
+the principal one is `zeta.zeta_cutoff`), so the classwise result is a
+complete polynomial.  The cutoffs fix every slice in advance, and each path
+checks them all against its budget before the first power or enumeration.
 
 `remark_exact_check` takes a classwise zeta already computed, for instance
 by the all-ideals hypothesis chain of `theorems`, and checks it against the
@@ -38,8 +40,8 @@ from ffzeta.ideals import (elem_divexact, enumerate_ideals, ideal_echelon,
                            ideal_is_principal, ideal_pow)
 from ffzeta.ring import RingElement, RingSpec
 from ffzeta.zeta import (ZetaPolynomial, affine_power_sum,
-                         require_monic_in_budget, require_points_in_budget,
-                         vanishing_threshold, zeta_cutoff, zeta_neg)
+                         require_points_in_budget, vanishing_threshold,
+                         zeta_neg)
 
 
 def require_monic_products(spec):
@@ -72,27 +74,27 @@ def ideal_power_value(I, t, report):
 
 
 def ideal_zeta_direct(t, report):
-    """Enumerate every ideal of each degree up to the classwise route's
-    certified cutoff, which needs no power, and sum the power values.
+    """Enumerate every ideal of each degree up to the largest class cutoff,
+    which needs no power, and sum the power values.
     Every degree is checked against the budget before any is enumerated."""
     spec = report.spec
     require_monic_products(spec)
     _require_exponent(t, report)
-    d_max = max([zeta_cutoff(t, spec)]
-                + [cut for *_, cut in _class_cuts(t, report, spec)])
+    d_max = max(cut for *_, cut in _class_cuts(t, report, spec))
     coeffs = []
     for ideals in [enumerate_ideals(spec, d) for d in range(d_max + 1)]:
         acc = spec.zero()
         for I in ideals:
             acc = acc + ideal_power_value(I, t, report)
         coeffs.append(acc)
-    return ZetaPolynomial(spec, t, coeffs, d_max)
+    return ZetaPolynomial(spec, t, coeffs)
 
 
 def _class_cuts(t, report, spec):
-    """Yield (class, echelon of I_k, leads, cut) per nontrivial class: its term
-    of zeta(-t, X) vanishes beyond X-degree cut = D - d_k - 1, D the least
-    degree with dim{alpha in I_k : deg alpha < D} > l_q(t)/(q-1).
+    """Yield (class, echelon of I_k, leads, cut) per class: its term of
+    zeta(-t, X) vanishes beyond X-degree cut = D - d_k - 1, D the least
+    degree with dim{alpha in I_k : deg alpha < D} > l_q(t)/(q-1).  For the
+    principal class, I_k = (1) and the cut is `zeta_cutoff(t, spec)`.
 
     By Riemann's inequality the elements of I_k of degree <= n span at least
     n - d_k - g + 1 dimensions, so one echelon up to d_k + g + need - 1
@@ -100,8 +102,6 @@ def _class_cuts(t, report, spec):
     d = lead - d_k <= cut, sums over the span of the entries below its lead."""
     need = int(vanishing_threshold(t, spec.field.q)) + 1
     for cls in report.classes:
-        if cls.order == 1:
-            continue
         U = cls.degree + report.genus + need - 1
         ech = ideal_echelon(cls.rep, U)
         degs = sorted(d for d in ech if d <= U)
@@ -115,20 +115,19 @@ def _class_cuts(t, report, spec):
 def ideal_zeta_classwise(t, report):
     """Class-by-class evaluation with certified per-class cutoffs.
 
-    Every slice, principal or not, is checked against the element budget
-    before the first power.  A class term whose exact division leaves the
-    ring raises ConsistencyError.
+    Every slice of every class, the principal one included, is checked
+    against the element budget before the first power.  A class term whose
+    exact division leaves the ring raises ConsistencyError.
     """
     spec = report.spec
     require_monic_products(spec)
     _require_exponent(t, report)
-    require_monic_in_budget(spec, range(zeta_cutoff(t, spec) + 1))
     cuts = list(_class_cuts(t, report, spec))
     for _, _, leads, _ in cuts:
         for i in range(len(leads)):
             require_points_in_budget(spec.field.q, i)
 
-    coeffs = list(zeta_neg(t, spec).coeffs)
+    coeffs = []
     for cls, ech, leads, cut in cuts:
         denom = cls.generator ** (t // cls.order)
         coeffs += [spec.zero()] * (cut + 1 - len(coeffs))
@@ -136,7 +135,7 @@ def ideal_zeta_classwise(t, report):
             acc = affine_power_sum(ech[e], [ech[b] for b in leads[:i]], t)
             if not acc.is_zero:
                 coeffs[e - cls.degree] += elem_divexact(acc, denom)
-    return ZetaPolynomial(spec, t, coeffs, len(coeffs) - 1)
+    return ZetaPolynomial(spec, t, coeffs)
 
 
 def matches_base_substituted(z, u_coeffs):
@@ -169,14 +168,13 @@ class RemarkReport:
 def remark_exact_check(zc, report):
     """Check the classwise zeta zc = zeta(-t, X) against
     zeta_{F_q[x]}(-t, X^q) * U coefficientwise, with
-    U = 1 + sum_k f_k^((t/e_k)(e_k - 1)) X^((e_k - 1) d_k); the vanishing
-    order is exactly q when the identity holds and U(1) != 0."""
+    U = sum_k f_k^((t/e_k)(e_k - 1)) X^((e_k - 1) d_k) over every class, the
+    principal one giving the constant term 1; the vanishing order is
+    exactly q when the identity holds and U(1) != 0."""
     spec = zc.spec
     t = zc.s
-    u = {0: spec.one()}
+    u = {}
     for cls in report.classes:
-        if cls.order == 1:
-            continue
         dX = (cls.order - 1) * cls.degree
         f_pow = cls.generator ** ((t // cls.order) * (cls.order - 1))
         u[dX] = u.get(dX, spec.zero()) + f_pow

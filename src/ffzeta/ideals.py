@@ -35,7 +35,7 @@ from math import lcm
 
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
 from ffzeta.gf import (TABLE_CAP, Poly, monic_polys, poly_det, poly_to_str,
-                       polys_below)
+                       polys_below, square_and_multiply)
 from ffzeta.ring import RingElement, count_affine_points, echelon_insert
 from ffzeta.semigroup import semigroup_from_ring
 
@@ -195,17 +195,8 @@ def ideal_mul(I, J):
 
 
 def ideal_pow(I, k):
-    if k < 1:
-        raise ValueError("ideal powers need k >= 1")
-    r = None
-    b = I
-    while k:
-        if k & 1:
-            r = b if r is None else ideal_mul(r, b)
-        k >>= 1
-        if k:
-            b = ideal_mul(b, b)
-    return r
+    """I^k for k >= 1."""
+    return square_and_multiply(I, k, ideal_mul)
 
 
 def unit_ideal(spec):

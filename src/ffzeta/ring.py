@@ -24,13 +24,14 @@ delta_j are pairwise distinct mod m), which is what makes "monic" meaningful.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations, product
 from math import gcd
 
 from ffzeta.errors import RingValidationError
 from ffzeta.gf import (
     GF, NEG_INF, Poly, poly_det, poly_factor, poly_gcd, poly_to_str,
-    poly_from_str,
+    poly_from_str, square_and_multiply,
 )
 
 
@@ -270,19 +271,9 @@ class RingSpec:
     def basis_qpow(self):
         """Coordinate vectors of b_j^q, for `RingElement.frobenius_q`."""
         if self._basis_qpow is None:
-            q = self.q
-            out = []
-            for j in range(self.m):
-                acc = self.basis_vec(0)
-                base = self.basis_vec(j)
-                k = q
-                while k:
-                    if k & 1:
-                        acc = self._mul_vec(acc, base)
-                    base = self._mul_vec(base, base)
-                    k >>= 1
-                out.append(acc)
-            self._basis_qpow = tuple(out)
+            self._basis_qpow = tuple(
+                square_and_multiply(self.basis_vec(j), self.q, self._mul_vec)
+                for j in range(self.m))
         return self._basis_qpow
 
     # -- enumeration --------------------------------------------------------
@@ -424,9 +415,9 @@ class RingElement:
     def pow_digits(self, s):
         """a^s = prod_i (a^(q^i))^(d_i) over the base-q digits d_i of s.
 
-        Successive a^(q^i) come from the cached Frobenius; each digit power
-        is taken by square-and-multiply.  No product has the identity as a
-        factor.
+        Successive a^(q^i) come from the cached Frobenius, and each nonzero
+        digit power (a^(q^i))^(d_i) is one `gf.square_and_multiply`.  No
+        product has the identity as a factor; a^0 is the identity itself.
         """
         if s < 0:
             raise ValueError("negative element power")
@@ -436,15 +427,7 @@ class RingElement:
         while s:
             s, d = divmod(s, q)
             if d:
-                piece = None
-                b = base
-                while True:
-                    if d & 1:
-                        piece = b if piece is None else piece * b
-                    d >>= 1
-                    if not d:
-                        break
-                    b = b * b
+                piece = square_and_multiply(base, d, operator.mul)
                 r = piece if r is None else r * piece
             if s:
                 base = base.frobenius_q()

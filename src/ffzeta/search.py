@@ -17,7 +17,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from ffzeta.errors import BudgetError, CheckpointError
-from ffzeta.gf import Poly, monic_polys, poly_to_str
+from ffzeta.gf import Poly, monic_poly_at, poly_to_str
 from ffzeta.ideals import class_group, DEFAULT_IDEAL_BUDGET
 from ffzeta.ring import RingSpec
 from ffzeta.semigroup import r_gap_values, semigroup_from_ring
@@ -52,27 +52,27 @@ class SearchSpace:
         if self.fixed_a is not None and self.fixed_a.is_zero:
             raise ValueError("fixed a must be nonzero")
 
-    def _a_choices(self):
+    def _grid(self):
+        """The degree grid in scan order: per deg a, the number of a's and
+        the (deg c, q^deg c) cells each a spans, where c = b, or c = b/a
+        when b is restricted to multiples of a."""
+        q = self.field.q
         if self.fixed_a is not None:
-            return [(self.fixed_a.degree, [self.fixed_a])]
-        lo, hi = self.deg_a
-        return [(d, None) for d in range(lo, hi + 1)]
+            rows = [(self.fixed_a.degree, 1)]
+        else:
+            rows = [(d, q ** d) for d in range(self.deg_a[0], self.deg_a[1] + 1)]
+        grid = []
+        for da, n_a in rows:
+            shift = da if self.b_multiple_of_a else 0
+            cells = [(db - shift, q ** (db - shift))
+                     for db in range(max(self.deg_b[0], shift), self.deg_b[1] + 1)]
+            grid.append((da, n_a, cells))
+        return grid
 
     def size(self):
-        """Unwindowed candidate count: the product of coefficient counts,
-        summed over the degree grid."""
-        q = self.field.q
-        total = 0
-        for da, fixed in self._a_choices():
-            n_a = 1 if fixed is not None else q ** da
-            for db in range(self.deg_b[0], self.deg_b[1] + 1):
-                if self.b_multiple_of_a:
-                    if db < da:
-                        continue
-                    total += n_a * q ** (db - da)
-                else:
-                    total += n_a * q ** db
-        return total
+        """Unwindowed candidate count, summed over the degree grid."""
+        return sum(n_a * sum(n for _, n in cells)
+                   for _, n_a, cells in self._grid())
 
     def window(self):
         n = self.size()
@@ -80,25 +80,26 @@ class SearchSpace:
         return self.start, stop
 
     def candidates(self):
-        """(index, a, b) triples inside this space's window, in order."""
+        """(index, a, b) triples inside this space's window, in order.
+
+        Whole (a, deg b) cells and the prefix of the first cell below the
+        window are skipped by count, so of the candidates only the window's
+        own are built."""
         field = self.field
         start, stop = self.window()
         idx = 0
-        for da, fixed in self._a_choices():
-            a_iter = fixed if fixed is not None else monic_polys(field, da)
-            for a in a_iter:
-                for db in range(self.deg_b[0], self.deg_b[1] + 1):
-                    if self.b_multiple_of_a:
-                        if db < da:
-                            continue
-                        b_iter = (a * c for c in monic_polys(field, db - da))
-                    else:
-                        b_iter = monic_polys(field, db)
-                    for b in b_iter:
+        for da, n_a, cells in self._grid():
+            for i in range(n_a):
+                a = (self.fixed_a if self.fixed_a is not None
+                     else monic_poly_at(field, da, i))
+                for dc, n in cells:
+                    skip = min(max(start - idx, 0), n)
+                    idx += skip
+                    for k in range(skip, n):
                         if idx >= stop:
                             return
-                        if idx >= start:
-                            yield idx, a, b
+                        c = monic_poly_at(field, dc, k)
+                        yield idx, a, (a * c if self.b_multiple_of_a else c)
                         idx += 1
 
     def describe(self):

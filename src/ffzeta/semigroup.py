@@ -5,6 +5,13 @@ so membership, l(n) counts and gap sets are exact bit arithmetic.  l(n) here
 always means the count #(S intersect [0, n]), which for a one-place ring
 equals dim W_{n+1}, the space of elements of degree <= n.
 
+Every semigroup is built from its gap tuple by one constructor, which sets
+the bits 0..F except the gaps and reads off the minimal generators.
+`from_generators` finds the gaps by closing the generators under addition
+up to a_1 * a_k, which holds every gap by Schur's bound
+F <= (a_1 - 1)(a_k - 1) - 1; `from_gaps` checks that the gaps are co-closed;
+`remove` appends one gap.
+
 The r-gap structure of a semigroup, for a fixed field size q: r >= 1 is valid
 when l(iq) = i+1 for 1 <= i <= r, l(g+r) = r+1 and rq <= g+r, where g is the
 genus.  Enumeration by genus uses the removal tree (remove one minimal
@@ -23,64 +30,62 @@ GENUS_CAP = 12
 
 
 class NumericalSemigroup:
-    """Cofinite additive submonoid of the naturals."""
+    """Cofinite additive submonoid of the naturals, given by its sorted,
+    co-closed tuple of gaps."""
 
     __slots__ = ("generators", "gaps", "genus", "frobenius", "_mask")
 
-    def __init__(self, generators, gaps, mask):
-        self.generators = generators
+    def __init__(self, gaps):
         self.gaps = gaps
         self.genus = len(gaps)
-        self.frobenius = gaps[-1] if gaps else -1
-        self._mask = mask
+        F = self.frobenius = gaps[-1] if gaps else -1
+        self._mask = (1 << (F + 1)) - 1 - sum(1 << n for n in gaps)
+        # the minimal generators are the positive elements that are no sum
+        # of two; with m the least positive element they lie in [m, F + m]
+        # (above, n - m is an element too).  pos holds the positive elements
+        # up to there, and one shift per element of it gives every sum
+        pos = (self._mask | -(1 << (F + 1))) & ~1   # every n > F is in S
+        m = (pos & -pos).bit_length() - 1
+        top = max(F + m, m)
+        pos &= (1 << (top + 1)) - 1
+        sums = 0
+        for e in range(m, top - m + 1):
+            if (pos >> e) & 1:
+                sums |= pos << e
+        gens = pos & ~sums
+        self.generators = tuple(n for n in range(m, top + 1) if (gens >> n) & 1)
 
     @classmethod
     def from_generators(cls, gens):
         gens = sorted({int(g) for g in gens if int(g) > 0})
         if not gens:
             raise ValueError("a numerical semigroup needs a positive generator")
-        g = 0
-        for e in gens:
-            g = gcd(g, e)
+        g = gcd(*gens)
         if g != 1:
             raise ValueError(f"gcd of generators is {g}; the complement would be infinite")
-        a = gens[0]
-        bound = max(gens) * a + 1
-        while True:
-            mask = _closure_mask(gens, bound)
-            run = _full_run_start(mask, bound, a)
-            if run is not None:
-                break
-            bound *= 2
-        gaps = tuple(n for n in range(run) if not (mask >> n) & 1)
-        frob = gaps[-1] if gaps else -1
-        mask &= (1 << (frob + 1)) - 1 if frob >= 0 else 1
-        S = cls(tuple(gens), gaps, mask)
-        S = cls(minimal_generators(S), gaps, mask)
-        return S
+        bound = gens[0] * gens[-1]
+        mask = 1
+        for e in gens:
+            # close under +e: the shifts e, 2e, 4e, .. add every multiple
+            while e < bound:
+                mask |= mask << e
+                e *= 2
+        return cls(tuple(n for n in range(bound) if not (mask >> n) & 1))
 
     @classmethod
     def from_gaps(cls, gaps):
         gaps = tuple(sorted({int(n) for n in gaps}))
-        if not gaps:
-            return cls.from_generators((1,))
-        if gaps[0] < 1:
+        if gaps and gaps[0] < 1:
             raise ValueError("0 cannot be a gap")
-        frob = gaps[-1]
         gapset = set(gaps)
-        elems = [n for n in range(1, frob + 1) if n not in gapset]
+        elems = [n for n in range(1, gaps[-1] + 1 if gaps else 1)
+                 if n not in gapset]
         for i, aa in enumerate(elems):
             for bb in elems[i:]:
-                if aa + bb <= frob and aa + bb in gapset:
+                if aa + bb in gapset:
                     raise ValueError(
                         f"gap set is not co-closed: {aa} + {bb} = {aa + bb} is a gap")
-        mask = 0
-        for n in range(frob + 1):
-            if n not in gapset:
-                mask |= 1 << n
-        mask |= 1  # 0 always present
-        S = cls((), gaps, mask)
-        return cls(minimal_generators(S), gaps, mask)
+        return cls(gaps)
 
     # -- queries ------------------------------------------------------------
 
@@ -104,13 +109,9 @@ class NumericalSemigroup:
 
     def remove(self, e):
         """S without e; e must be a minimal generator above the Frobenius number."""
-        if not self.contains(e) or e <= self.frobenius:
+        if e <= self.frobenius or e not in self.generators:
             raise ValueError(f"{e} is not removable")
-        gaps = self.gaps + (e,)
-        mask = self._mask | (((1 << (e - self.frobenius)) - 1) << (self.frobenius + 1))
-        mask &= ~(1 << e)
-        S = NumericalSemigroup((), gaps, mask)
-        return NumericalSemigroup(minimal_generators(S), gaps, mask)
+        return NumericalSemigroup(self.gaps + (e,))
 
     def __eq__(self, other):
         return isinstance(other, NumericalSemigroup) and self.gaps == other.gaps
@@ -121,48 +122,6 @@ class NumericalSemigroup:
     def __repr__(self):
         gens = ", ".join(map(str, self.generators))
         return f"<S = <{gens}> genus {self.genus}>"
-
-
-def _closure_mask(gens, bound):
-    limit = (1 << bound) - 1
-    mask = 1
-    changed = True
-    while changed:
-        changed = False
-        for g in gens:
-            new = (mask | (mask << g)) & limit
-            if new != mask:
-                mask = new
-                changed = True
-    return mask
-
-
-def _full_run_start(mask, bound, a):
-    """Smallest n with [n, n+a) all present, which makes everything >= n present."""
-    run = 0
-    for n in range(bound):
-        if (mask >> n) & 1:
-            run += 1
-            if run == a:
-                return n - a + 1
-        else:
-            run = 0
-    return None
-
-
-def minimal_generators(S):
-    """Elements of S* not expressible as a sum of two positive elements."""
-    a = 1
-    while not S.contains(a):
-        a += 1
-    out = []
-    # minimal generators live in [a, F + a], except that a itself always counts
-    for e in range(1, max(S.frobenius + a, a) + 1):
-        if not S.contains(e):
-            continue
-        if not any(S.contains(k) and S.contains(e - k) for k in range(1, e // 2 + 1)):
-            out.append(e)
-    return tuple(out)
 
 
 def semigroup_from_ring(spec):
@@ -236,7 +195,7 @@ def enumerate_semigroups(genus):
     if genus > GENUS_CAP:
         raise BudgetError(
             f"genus {genus} exceeds the enumeration cap {GENUS_CAP}")
-    level = {NumericalSemigroup.from_generators((1,))}
+    level = {NumericalSemigroup(())}
     for _ in range(genus):
         nxt = set()
         for S in level:

@@ -97,21 +97,25 @@ def power_sum_S(d, s, spec):
 
 
 class ZetaPolynomial:
-    """zeta(-s, X) with exact coefficients and a certified cutoff d_max.
+    """zeta(-s, X) with exact coefficients up to its certified cutoff d_max.
 
     One value type for both sums: over the monic elements (`zeta_neg`) and
     over all ideals (`ideal_zeta`).  Either way the constant term is 1.
     """
 
-    __slots__ = ("spec", "s", "coeffs", "d_max")
+    __slots__ = ("spec", "s", "coeffs")
 
-    def __init__(self, spec, s, coeffs, d_max):
+    def __init__(self, spec, s, coeffs):
         self.spec = spec
         self.s = s
         self.coeffs = tuple(coeffs)
-        self.d_max = d_max
         if not self.coeffs or self.coeffs[0] != spec.one():
             raise ConsistencyError("zeta constant term is not 1")
+
+    @property
+    def d_max(self):
+        """The certified cutoff: every coefficient beyond it is zero."""
+        return len(self.coeffs) - 1
 
     @property
     def value_at_one(self):
@@ -149,7 +153,7 @@ def zeta_neg(s, spec):
     d_max = zeta_cutoff(s, spec)
     require_monic_in_budget(spec, range(d_max + 1))
     coeffs = tuple(power_sum_S(dd, s, spec) for dd in range(d_max + 1))
-    return ZetaPolynomial(spec, s, coeffs, d_max)
+    return ZetaPolynomial(spec, s, coeffs)
 
 
 # -- recentering at X = 1 ---------------------------------------------------

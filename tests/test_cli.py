@@ -88,6 +88,10 @@ def test_zeta_over_budget_refused_before_first_power(no_powers):
     assert res.exit_code == 1
     assert res.text == ("error: S(21) sums over 2097152 monic elements, "
                         "over the budget 1048576")
+    res = run("zeta", "--ring", "h4g3", "-s", "4194302", "--all-ideals")
+    assert res.exit_code == 1
+    assert res.text == ("error: affine power sum over q^dim = 2097152 points "
+                        "exceeds the budget 1048576")
 
 
 def test_zeta_all_ideals_bad_exponent():

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -6,8 +7,9 @@ from oracles import poly_eval
 from ffzeta.gf import (
     GF, NEG_INF, Poly, default_modulus, is_irreducible, is_squarefree,
     monic_polys, poly_factor, poly_from_str, poly_gcd, poly_to_str,
-    polys_below, valuation_profile,
+    polys_below, square_and_multiply, valuation_profile,
 )
+from ffzeta.ideals import ideal_from_generators, ideal_mul
 
 F2 = GF(2)
 F3 = GF(3)
@@ -278,6 +280,33 @@ def powmod(a, k, modulus):
         b = (b * b) % modulus
         k >>= 1
     return r
+
+
+@pytest.mark.parametrize("kind", ["code", "poly", "element", "ideal"])
+def test_square_and_multiply_counts_products(kind, h4g3):
+    # k = 1..40 against repeated products, with exactly
+    # bit_length(k) + popcount(k) - 2 products and no identity to start from
+    x, mul = {
+        "code": (5, F9.mul),
+        "poly": (P(F3, "x^2 + 2*x + 2"), operator.mul),
+        "element": (h4g3.elem_from_str("x + 1; 1"), operator.mul),
+        "ideal": (ideal_from_generators([h4g3.elem_from_str("x"), h4g3.y()],
+                                        h4g3), ideal_mul),
+    }[kind]
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    acc = x
+    for k in range(1, 41):
+        calls.clear()
+        assert square_and_multiply(x, k, counted) == acc, k
+        assert len(calls) == k.bit_length() + k.bit_count() - 2, k
+        acc = mul(acc, x)
+    with pytest.raises(ValueError, match="k >= 1"):
+        square_and_multiply(x, 0, mul)
 
 
 def test_pow_and_powmod():

@@ -1,7 +1,8 @@
 """Source hygiene: every name a library module or test module imports is
 used there, every module-level function and class of the library is read
-somewhere in it or exported, and library modules import at module level only
-and nothing beyond ffzeta and the standard library."""
+somewhere in it or exported, library modules import at module level only
+and nothing beyond ffzeta and the standard library, and one function holds
+the library's only square-and-multiply loop."""
 
 import ast
 import sys
@@ -151,6 +152,40 @@ UNREAD_ALLOWED = [("ideals", "class_equivalent")]
 def test_every_definition_is_read_or_exported():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
     assert unread_definitions(sources, set(ffzeta.__all__)) == UNREAD_ALLOWED
+
+
+def square_and_multiply_loops(sources):
+    """(module, function) of every function that shifts a variable right by
+    one (`k >>= 1`) inside a loop: a square-and-multiply written by hand."""
+    found = set()
+    for module, source in sources.items():
+        for fn in ast.walk(ast.parse(source)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for loop in ast.walk(fn):
+                if not isinstance(loop, (ast.For, ast.While)):
+                    continue
+                if any(isinstance(n, ast.AugAssign)
+                       and isinstance(n.op, ast.RShift)
+                       and isinstance(n.value, ast.Constant) and n.value.value == 1
+                       for n in ast.walk(loop)):
+                    found.add((module, fn.name))
+    return sorted(found)
+
+
+def test_detects_a_square_and_multiply_loop():
+    sources = {
+        "a": "def power(x, k):\n    r = 1\n    while k:\n        if k & 1:\n"
+             "            r *= x\n        x *= x\n        k >>= 1\n    return r\n",
+        "b": "def halve(k):\n    k >>= 1\n    return k\n\n"
+             "def digits(k):\n    for _ in range(3):\n        k >>= 2\n",
+    }
+    assert square_and_multiply_loops(sources) == [("a", "power")]
+
+
+def test_one_square_and_multiply():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert square_and_multiply_loops(sources) == [("gf", "square_and_multiply")]
 
 
 def budget_knobs(sources):

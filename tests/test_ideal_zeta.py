@@ -1,15 +1,18 @@
+from pathlib import Path
+
 import pytest
 
 from ffzeta.errors import BudgetError, ConsistencyError
 from ffzeta.gf import GF, poly_from_str
 from ffzeta.ideal_zeta import (
-    ideal_power_value, ideal_zeta_classwise, ideal_zeta_direct,
+    _class_cuts, ideal_power_value, ideal_zeta_classwise, ideal_zeta_direct,
     remark_exact_check,
 )
 from ffzeta.ideals import class_group, enumerate_ideals, ideal_from_generators
 from ffzeta.ring import RingSpec, elem_to_str
+from ffzeta.ringfile import parse_ring_spec
 from ffzeta.theorems import check_tesismc
-from ffzeta.zeta import ZetaPolynomial, coeff_lit, zeta_to_str
+from ffzeta.zeta import ZetaPolynomial, coeff_lit, zeta_cutoff, zeta_to_str
 
 F2 = GF(2)
 F3 = GF(3)
@@ -85,7 +88,7 @@ def test_refuses_non_multiple(h4g3_classes):
 
 def test_constant_term_enforced(h4g3):
     with pytest.raises(ConsistencyError):
-        ZetaPolynomial(h4g3, 2, (h4g3.zero(), h4g3.one()), 1)
+        ZetaPolynomial(h4g3, 2, (h4g3.zero(), h4g3.one()))
 
 
 # -- agreement with the direct enumeration oracle ---------------------------
@@ -135,6 +138,24 @@ def test_direct_beyond_certified_cutoff_is_zero(h4g3, h4g3_classes):
         assert acc.is_zero
 
 
+PERFBENCH_RINGS = Path(__file__).resolve().parent.parent / "perfbench" / "rings"
+RINGS = (["ex26", "ex36", "fqx2", "fqx3", "fqx4", "h4g3"]
+         + sorted(str(p) for p in PERFBENCH_RINGS.glob("*.ring")))
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: Path(r).stem)
+def test_trivial_class_cut_is_the_element_cutoff(ring):
+    # the principal class is summed like the others: its representative is
+    # (1), of degree 0 with generator 1, and its cut is zeta_cutoff
+    spec = parse_ring_spec(ring)
+    rep = class_group(spec)
+    for k in (1, 2, 3, 5, 8, 13, 31, 63):
+        t = k * rep.e
+        cls, _, _, cut = next(_class_cuts(t, rep, spec))
+        assert (cls.order, cls.degree, cls.generator) == (1, 0, spec.one())
+        assert cut == zeta_cutoff(t, spec), t
+
+
 def test_trivial_zeros_extend(h4g3, ex36, f4as, h4g3_classes):
     # value at 1 vanishes whenever (q-1) | t, matching the monic-element law
     jobs = [(h4g3, h4g3_classes, (2, 4, 6)), (ex36, class_group(ex36), (2, 4)),
@@ -148,12 +169,9 @@ def test_trivial_zeros_extend(h4g3, ex36, f4as, h4g3_classes):
 
 
 def test_class_slice_over_budget_refused_before_first_power(
-        h4g3, h4g3_classes, monkeypatch, no_powers):
-    # a class slice is never larger than the largest principal slice, so the
-    # principal check is bypassed to reach a class slice at all; the first
-    # slice over the budget (two elements) is refused before any power
-    monkeypatch.setattr("ffzeta.ideal_zeta.require_monic_in_budget",
-                        lambda *args: None)
+        h4g3_classes, monkeypatch, no_powers):
+    # the first slice over the budget (two elements) is refused before any
+    # power
     monkeypatch.setattr("ffzeta.zeta.DEFAULT_BUDGET", 1)
     with pytest.raises(BudgetError, match=r"q\^dim = 2 points exceeds the budget 1"):
         ideal_zeta_classwise(2, h4g3_classes)
@@ -161,9 +179,10 @@ def test_class_slice_over_budget_refused_before_first_power(
 
 def test_classwise_over_budget_refused_before_first_power(h4g3_classes,
                                                           no_powers):
-    # t = 2 (2^21 - 1) plans principal slices of up to 2^24 elements
-    with pytest.raises(BudgetError, match=r"^S\(\d+\) sums over \d+ monic "
-                       r"elements, over the budget 1048576$"):
+    # t = 2 (2^21 - 1) has l_2(t) = 21, so every class plans slices over
+    # 2^0 .. 2^21 points; the first one over the budget is refused
+    with pytest.raises(BudgetError, match=r"^affine power sum over q\^dim = "
+                       r"2097152 points exceeds the budget 1048576$"):
         ideal_zeta_classwise(2 * (2 ** 21 - 1), h4g3_classes)
 
 

@@ -2,14 +2,16 @@ import dataclasses
 
 import pytest
 
+import ffzeta.gf
 from ffzeta.errors import CheckpointError
-from ffzeta.gf import GF, Poly, poly_from_str
+from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
 from ffzeta.search import (
     SearchSpace, SearchSummary, candidate_key, evaluate_candidate,
     merge_summaries, search_partition, search_run, summarize,
 )
 
 F2 = GF(2)
+F3 = GF(3)
 
 H4G3_KEY = "a=x^2 + x;b=x^7 + x^6 + x^5 + x"
 SIBLING_KEY = "a=x^2 + x;b=x^7 + x^4 + x^3 + x"
@@ -56,6 +58,71 @@ def test_windowed_candidates_match_slice(family_space):
     full = list(family_space.candidates())
     sub = dataclasses.replace(family_space, start=10, stop=13)
     assert list(sub.candidates()) == full[10:13]
+
+
+def walk_from_zero(space):
+    """Oracle: every candidate of the space in scan order from index 0,
+    kept when its index lies in the window."""
+    field = space.field
+    start, stop = space.window()
+    if space.fixed_a is not None:
+        rows = [[space.fixed_a]]
+    else:
+        rows = [list(monic_polys(field, d))
+                for d in range(space.deg_a[0], space.deg_a[1] + 1)]
+    idx = 0
+    for a in (a for row in rows for a in row):
+        for db in range(space.deg_b[0], space.deg_b[1] + 1):
+            if space.b_multiple_of_a:
+                bs = [a * c for c in monic_polys(field, db - a.degree)]
+            else:
+                bs = list(monic_polys(field, db))
+            for b in bs:
+                if start <= idx < stop:
+                    yield idx, a, b
+                idx += 1
+
+
+# the three search windows of the benchmark, each with its block count, and
+# a --b-div-a space whose a of degree 0..2 each span a different number of b
+WINDOWS = [
+    (SearchSpace(F2, fixed_a=poly_from_str(F2, "x^2 + x"), deg_b=(7, 7),
+                 b_multiple_of_a=True), 4),
+    (SearchSpace(F2, deg_a=(1, 2), deg_b=(5, 5)), 24),
+    (SearchSpace(F3, deg_a=(1, 1), deg_b=(5, 5)), 91),
+    (SearchSpace(F3, deg_a=(0, 2), deg_b=(1, 3), b_multiple_of_a=True), 7),
+]
+
+
+@pytest.mark.parametrize("space, parts", WINDOWS)
+def test_every_block_matches_the_walk_from_zero(space, parts):
+    assert list(space.candidates()) == list(walk_from_zero(space))
+    for block in search_partition(space, parts):
+        assert list(block.candidates()) == list(walk_from_zero(block))
+
+
+def test_last_block_builds_only_its_own_candidates(monkeypatch):
+    # the last of 91 blocks of q = 3, deg a = 1, deg b = 5 holds the 8
+    # candidates from index 721 on; the 721 before it are skipped by count
+    built = []
+    real_init = Poly.__init__
+
+    def counted_init(self, field, coeffs):
+        built.append(1)
+        real_init(self, field, coeffs)
+
+    def counted_poly(field, packed):
+        built.append(1)
+        return real_poly(field, packed)
+
+    real_poly = ffzeta.gf._poly
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    monkeypatch.setattr(ffzeta.gf, "_poly", counted_poly)
+    space, parts = WINDOWS[2]
+    block = search_partition(space, parts)[-1]
+    assert block.window() == (721, 729)
+    assert len(list(block.candidates())) == 8
+    assert len(built) <= 2 * 8
 
 
 def test_unrestricted_size_formula():

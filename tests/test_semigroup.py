@@ -1,9 +1,12 @@
+import random
+from math import gcd
+
 import pytest
 
 from ffzeta.errors import BudgetError
 from ffzeta.semigroup import (
-    NumericalSemigroup, degree_q_theorem_check, enumerate_semigroups,
-    r_gap_values, semigroup_from_ring,
+    GENUS_CAP, NumericalSemigroup, degree_q_theorem_check,
+    enumerate_semigroups, r_gap_values, semigroup_from_ring,
 )
 
 
@@ -27,6 +30,14 @@ def test_hyperelliptic_basic(S27):
     assert S27.generators == (2, 7)
 
 
+def test_remove_appends_one_gap(S27):
+    T = S27.remove(7)
+    assert T.gaps == (1, 3, 5, 7) and T.generators == (2, 9)
+    for e in (4, 5, 9):   # below F, a gap, and 2 + 7
+        with pytest.raises(ValueError, match="not removable"):
+            S27.remove(e)
+
+
 def test_from_gaps_matches_generators(quintic):
     assert quintic == NumericalSemigroup.from_generators((3, 10, 11))
     assert quintic.genus == 6
@@ -36,6 +47,27 @@ def test_from_gaps_matches_generators(quintic):
 def test_bad_gap_set_rejected():
     with pytest.raises(ValueError, match="co-closed"):
         NumericalSemigroup.from_gaps((1, 4))   # 2 + 2 = 4 would be a gap
+
+
+def test_from_generators_matches_membership_oracle():
+    rng = random.Random(7)
+    for _ in range(300):
+        gens = rng.sample(range(1, 20), rng.randrange(1, 5))
+        if gcd(*gens) != 1:
+            continue
+        S = NumericalSemigroup.from_generators(gens)
+        # oracle: n is a member when n - g is one for some generator g; a
+        # run of min(gens) members makes every larger n a member
+        member = [True]
+        while not all(member[-min(gens):]) or len(member) < min(gens):
+            n = len(member)
+            member.append(any(g <= n and member[n - g] for g in gens))
+        assert S.gaps == tuple(n for n, ok in enumerate(member) if not ok)
+        assert all(S.contains(n) == ok for n, ok in enumerate(member))
+        positive = [n for n, ok in enumerate(member) if ok and n] + [
+            len(member) + i for i in range(max(gens))]
+        sums = {u + v for u in positive for v in positive}
+        assert S.generators == tuple(n for n in positive if n not in sums)
 
 
 def test_gcd_refused():
@@ -129,7 +161,7 @@ def test_census():
 
 
 def test_enumeration_invariants():
-    for g in range(1, 7):
+    for g in range(GENUS_CAP + 1):
         seen = set()
         for S in enumerate_semigroups(g):
             assert S.genus == g
@@ -137,6 +169,10 @@ def test_enumeration_invariants():
             assert S.frobenius <= 2 * g - 1
             assert S.gaps not in seen
             seen.add(S.gaps)
+            # both public constructors give back the same semigroup
+            assert NumericalSemigroup.from_gaps(S.gaps) == S
+            T = NumericalSemigroup.from_generators(S.generators)
+            assert T == S and T.generators == S.generators
 
 
 def test_enumeration_matches_subset_filter():
