@@ -23,6 +23,11 @@ off the F_q-echelon of the ideal: I is principal exactly when it contains an
 element of degree deg I (such an element generates, since (alpha) sits
 inside I with the same codimension deg alpha = deg I).
 
+A class order divides h (Lagrange), so the order of I is the least divisor
+k of h with I^k principal, and only the divisors are tried.  The generator
+of I^order is the one a power-by-power search reads off: I^order has one
+Hermite form, hence one echelon.
+
 Ideals are `IdealHNF` values, immutable by convention like the `Poly` and
 `RingElement` values they are built from.
 """
@@ -298,11 +303,13 @@ def _mult_matrix(e):
 
 
 def elem_divexact(num, den):
-    """num / den inside the ring; Cramer solve against den's multiplication
-    matrix, with a zero-remainder requirement at every division."""
+    """num / den inside the ring, num itself when den is 1; otherwise a Cramer
+    solve against den's multiplication matrix, exact at every division."""
     if den.is_zero:
         raise ZeroDivisionError("division by the zero element")
     spec = num.spec
+    if den == spec.one():
+        return num
     m = spec.m
     if num.is_zero:
         return spec.zero()
@@ -491,19 +498,16 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
         raise ConsistencyError(
             f"found only {len(reps)} of {h} classes among the ideals of "
             f"degree <= g = {g}")
+    divisors = [k for k in range(1, h + 1) if h % k == 0]
     classes = []
     for I in reps:
-        order = None
-        power = None
-        for k in range(1, h + 1):
-            power = I if power is None else ideal_mul(power, I)
-            ok, gen = ideal_is_principal(power)
+        for k in divisors:
+            ok, gen = ideal_is_principal(ideal_pow(I, k))
             if ok:
-                order = k
                 break
-        if order is None:
+        else:
             raise ConsistencyError("class order exceeds h; group law violated")
-        classes.append(ClassData(rep=I, degree=I.deg, order=order, generator=gen))
+        classes.append(ClassData(rep=I, degree=I.deg, order=k, generator=gen))
     e = lcm(*(c.order for c in classes))
     return ClassGroupReport(spec=spec, genus=g, counts=tuple(counts),
                             lpoly=tuple(lpoly), h=h, e=e, classes=tuple(classes),

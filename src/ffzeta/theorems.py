@@ -14,6 +14,11 @@ whose representatives all have reducible power generators can still carry
 the argument if f_k is squarefree (the congruence f_k | g_0^{e_k} => f_k | g_0
 only needs distinct prime factors).  The binding check is therefore
 squarefree-and-divides; irreducibility is recorded per class as a witness.
+
+At q >= 3 the tesismc chain cannot pass: a ring it recognises has the
+semigroup <q, N>, gcd(q, N) = 1, of genus g = (q-1)(N-1)/2 >= N-1, so for r
+with rq <= g+r the elements 0, q, .., rq and N lie in [0, g+r] and
+l(g+r) >= r+2.  No r is valid; at q = 2 the valid r are g-1 and g.
 """
 
 from __future__ import annotations
@@ -154,119 +159,90 @@ def check_generalization(spec, s, class_report=None):
     return _all_ideals_chain(spec, s, class_report, theorem="generalization")
 
 
+class _ChainStop(Exception):
+    """A hypothesis of an all-ideals chain failed; the chain ends there."""
+
+
 def _all_ideals_chain(spec, s, class_report, *, theorem):
     spec.require_valid()
     q = spec.field.q
     p = spec.field.p
     N = spec.N
     checks = []
-    full = theorem == "tesismc"
 
-    def fail():
+    def need(name, passed, witness):
+        checks.append(CheckItem(name, passed, witness))
+        if not passed:
+            raise _ChainStop
+
+    try:
+        if theorem == "tesismc":
+            ab, reason = _recover_artin_schreier(spec)
+            need("form y^q - a^{q-1} y = b", ab is not None,
+                 {"reason": reason} if reason else
+                 {"a": poly_to_str(ab[0]), "b": poly_to_str(ab[1])})
+            a, b = ab
+            need("gcd(N, p) = 1", N % p != 0 or N == 1, {"N": N, "p": p})
+            need("N > q deg a", N > q * a.degree,
+                 {"N": N, "q deg a": q * a.degree})
+            profile = valuation_profile(b, a ** q)
+            bad = [(poly_to_str(f), n) for f, n in profile
+                   if n < 0 and abs(n) % p == 0]
+            need("negative exponents of u = b/a^q coprime to p", not bad,
+                 {"profile": [(poly_to_str(f), n) for f, n in profile],
+                  "violations": bad})
+            valid_r = r_gap_values(semigroup_from_ring(spec), q).valid_r
+            good_r = [r for r in valid_r if r >= q - 1]
+            need("r-gap structure with r >= q-1", bool(good_r),
+                 {"valid_r": list(valid_r)})
+            cap = max(good_r)
+        else:
+            need("q = 2", q == 2, {"q": q})
+            ok = spec.m == 2 and N % 2 == 1
+            if ok:
+                b, a = spec.mul_table()[1][1]    # b_1^2 = b + a b_1
+                ok = not a.is_zero
+            need("form y^2 - a y = b, N odd", ok,
+                 {"a": poly_to_str(a), "b": poly_to_str(b)}
+                 if ok else {"m": spec.m, "N": N})
+            cap = semigroup_from_ring(spec).genus
+
+        if class_report is None:
+            try:
+                class_report = class_group(spec)
+            except (BudgetError, NonMaximalRingError) as err:
+                need("class group computed", False, {"error": str(err)})
+        need("class group computed", True,
+             {"h": class_report.h, "e": class_report.e})
+
+        nontrivial = class_report.nontrivial()
+        witness = []
+        for k, cls in enumerate(nontrivial, start=1):
+            fp = cls.generator.poly_part()
+            witness.append(
+                {"k": k, "f_k": None, "note": "generator not in F_q[x]"}
+                if fp is None else
+                {"k": k, "f_k": poly_to_str(fp), "squarefree": is_squarefree(fp),
+                 "divides_b": (b % fp).is_zero, "irreducible": is_irreducible(fp)})
+        need("each f_k squarefree and divides b(x)",
+             all(w.get("squarefree") and w.get("divides_b") for w in witness),
+             witness)
+
+        mu_parts = [(N - cls.order * cls.degree - 1) // q for cls in nontrivial]
+        mu = min([cap] + mu_parts)
+        need("mu >= 1", mu >= 1, {"mu": mu, "cap": cap, "per_class": mu_parts})
+        if theorem == "tesismc":
+            need("(q-1) | s", s % (q - 1) == 0, {"s": s})
+    except _ChainStop:
         return HypothesisReport(theorem=theorem, checks=tuple(checks),
                                 applicable=False, exponent=None)
 
-    if full:
-        ab, reason = _recover_artin_schreier(spec)
-        checks.append(CheckItem("form y^q - a^{q-1} y = b", ab is not None,
-                                {"reason": reason} if reason else
-                                {"a": poly_to_str(ab[0]), "b": poly_to_str(ab[1])}))
-        if ab is None:
-            return fail()
-        a, b = ab
-    else:
-        checks.append(CheckItem("q = 2", q == 2, {"q": q}))
-        if q != 2:
-            return fail()
-        ok = spec.m == 2 and N % 2 == 1
-        a = b = None
-        if ok:
-            r0, r1 = spec.mul_table()[1][1]    # b_1^2 = r0 + r1 b_1
-            a, b = r1, r0
-            ok = not a.is_zero
-        checks.append(CheckItem("form y^2 - a y = b, N odd", ok,
-                                {"a": poly_to_str(a), "b": poly_to_str(b)}
-                                if ok else {"m": spec.m, "N": N}))
-        if not ok:
-            return fail()
-
-    if full:
-        checks.append(CheckItem("gcd(N, p) = 1", N % p != 0 or N == 1,
-                                {"N": N, "p": p}))
-        if not checks[-1].passed:
-            return fail()
-        da = a.degree
-        checks.append(CheckItem("N > q deg a", N > q * da,
-                                {"N": N, "q deg a": q * da}))
-        if not checks[-1].passed:
-            return fail()
-        profile = valuation_profile(b, a ** q)
-        bad = [(poly_to_str(f), n) for f, n in profile if n < 0 and abs(n) % p == 0]
-        checks.append(CheckItem("negative exponents of u = b/a^q coprime to p",
-                                not bad,
-                                {"profile": [(poly_to_str(f), n) for f, n in profile],
-                                 "violations": bad}))
-        if bad:
-            return fail()
-
-    S = semigroup_from_ring(spec)
-    rr = r_gap_values(S, q)
-    good_r = [r for r in rr.valid_r if r >= q - 1]
-    if full:
-        checks.append(CheckItem("r-gap structure with r >= q-1", bool(good_r),
-                                {"valid_r": list(rr.valid_r)}))
-        if not good_r:
-            return fail()
-
-    if class_report is None:
-        try:
-            class_report = class_group(spec)
-        except (BudgetError, NonMaximalRingError) as err:
-            checks.append(CheckItem("class group computed", False,
-                                    {"error": str(err)}))
-            return fail()
-    checks.append(CheckItem("class group computed", True,
-                            {"h": class_report.h, "e": class_report.e}))
-
-    nontrivial = [c for c in class_report.classes if c.order > 1]
-    witness = []
-    all_ok = True
-    for k, cls in enumerate(nontrivial, start=1):
-        fp = cls.generator.poly_part()
-        if fp is None:
-            witness.append({"k": k, "f_k": None, "note": "generator not in F_q[x]"})
-            all_ok = False
-            continue
-        sqf = is_squarefree(fp)
-        div = (b % fp).is_zero
-        witness.append({"k": k, "f_k": poly_to_str(fp), "squarefree": sqf,
-                        "divides_b": div, "irreducible": is_irreducible(fp)})
-        all_ok = all_ok and sqf and div
-    checks.append(CheckItem("each f_k squarefree and divides b(x)", all_ok,
-                            witness))
-    if not all_ok:
-        return fail()
-
-    mu_parts = [(N - cls.order * cls.degree - 1) // q for cls in nontrivial]
-    cap = max(good_r) if full else S.genus
-    mu = min([cap] + mu_parts)
-    checks.append(CheckItem("mu >= 1", mu >= 1,
-                            {"mu": mu, "cap": cap,
-                             "per_class": mu_parts}))
-    if mu < 1:
-        return fail()
-
-    if full:
-        checks.append(CheckItem("(q-1) | s", s % (q - 1) == 0, {"s": s}))
-        if not checks[-1].passed:
-            return fail()
-
+    # the last condition decides applicability; a failure still reports mu
     es = class_report.e * s
     ratio = vanishing_threshold(es, q)
-    checks.append(CheckItem("l_q(es)/(q-1) <= mu", ratio <= mu,
+    applicable = ratio <= mu
+    checks.append(CheckItem("l_q(es)/(q-1) <= mu", applicable,
                             {"es": es, "ratio": str(ratio)}))
-    applicable = checks[-1].passed
-
     report = HypothesisReport(
         theorem=theorem, checks=tuple(checks), applicable=applicable,
         predicted=("at_least", q) if applicable else None,

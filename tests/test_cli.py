@@ -279,6 +279,16 @@ GOLDEN = {
         ["check", "--theorem", "generalization", "--ring", "ex26", "-s", "1"],
     "zeta_all_ideals_h4g3_s2":
         ["zeta", "--all-ideals", "--ring", "h4g3", "-s", "2"],
+    "classgroup_ex36": ["classgroup", "--ring", "ex36"],
+    # stops at the form
+    "check_tesismc_ex36_s2":
+        ["check", "--theorem", "tesismc", "--ring", "ex36", "-s", "2"],
+    # stops at "form y^2 - a y = b, N odd"
+    "check_generalization_fqx2_s3":
+        ["check", "--theorem", "generalization", "--ring", "fqx2", "-s", "3"],
+    # fails the digit condition and reports mu
+    "check_tesismc_h4g3_s3":
+        ["check", "--theorem", "tesismc", "--ring", "h4g3", "-s", "3"],
 }
 
 

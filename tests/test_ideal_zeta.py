@@ -95,7 +95,7 @@ def test_constant_term_enforced(h4g3):
 
 def test_classwise_equals_direct(h4g3, ex26, ex36, elliptic, f4as,
                                  h4g3_classes):
-    jobs = [(h4g3, h4g3_classes, (2, 4)),
+    jobs = [(h4g3, h4g3_classes, (2, 4, 30)),
             (ex26, class_group(ex26), (2, 4)),
             (ex36, class_group(ex36), (2,)),
             (elliptic, class_group(elliptic), (7, 14)),
@@ -106,6 +106,18 @@ def test_classwise_equals_direct(h4g3, ex26, ex36, elliptic, f4as,
             # the direct route's default cutoff is the classwise one
             zd = ideal_zeta_direct(t, rep)
             assert (zd.d_max, zd.coeffs) == (zc.d_max, zc.coeffs)
+
+
+def test_trivial_group_divides_by_one_without_a_solve(f4as, monkeypatch):
+    # h = 1: every class-term division is by 1, so no Cramer determinant
+    def refuse(rows):
+        raise AssertionError("poly_det called")
+
+    rep = class_group(f4as)
+    monkeypatch.setattr("ffzeta.ideals.poly_det", refuse)
+    for t in (1, 3, 5):
+        zc = ideal_zeta_classwise(t, rep)
+        assert zc.coeffs == ideal_zeta_direct(t, rep).coeffs
 
 
 def test_classwise_division_failure_raises(h4g3_classes, monkeypatch):

@@ -74,6 +74,12 @@ def g2f5():
                                 P(GF(5), "0")), name="g2f5")
 
 
+@pytest.fixture(scope="module")
+def h34():
+    """y^2 = x^7 + x + 1 over F_3: genus 3, h = 34, cyclic."""
+    return RingSpec.cab(F3, (P(F3, "2*x^7 + 2*x + 2"), P(F3, "0")), name="h34")
+
+
 def prime_x(h4g3):
     return ideal_from_generators(
         [h4g3.elem_from_str("x"), h4g3.y()], h4g3)
@@ -479,11 +485,50 @@ def test_singular_refused():
         class_group(cusp)
 
 
-def test_class_orders_divide_h(h4g3_classes, elliptic):
-    for rep in (h4g3_classes, class_group(elliptic)):
+def prime_factors(n):
+    return {p for p in range(2, n + 1) if n % p == 0
+            and all(p % r for r in range(2, p))}
+
+
+def test_class_orders_divide_h(h4g3_classes, elliptic, h34):
+    # order certificate, independent of how class_group finds the order:
+    # I^order is principal and no I^(order/p), p a prime factor, is
+    h34_classes = class_group(h34)
+    assert h34_classes.h == 34 and h34_classes.e == 34
+    assert {c.order for c in h34_classes.classes} == {1, 2, 17, 34}
+    for rep in (h4g3_classes, class_group(elliptic), h34_classes):
         for c in rep.classes:
             assert rep.h % c.order == 0
+            ok, gen = ideal_is_principal(ideal_pow(c.rep, c.order))
+            assert ok and gen == c.generator
+            for p in prime_factors(c.order):
+                assert not ideal_is_principal(ideal_pow(c.rep, c.order // p))[0]
         assert rep.classes[0].order == 1
+
+
+def test_class_group_tests_only_divisors_of_h(h34, monkeypatch):
+    # each class ends at its first principal power; before it, at most one
+    # test per divisor of h (a power-by-power search makes one per power)
+    results = []
+    real = ideals.ideal_is_principal
+
+    def counting(I):
+        out = real(I)
+        results.append(out[0])
+        return out
+
+    monkeypatch.setattr(ideals, "ideal_is_principal", counting)
+    rep = class_group(h34)
+    per_class, run = [], 0
+    for ok in results:
+        run += 1
+        if ok:
+            per_class.append(run)
+            run = 0
+    assert run == 0 and len(per_class) == rep.h
+    n_divisors = sum(1 for k in range(1, rep.h + 1) if rep.h % k == 0)
+    assert n_divisors == 4
+    assert max(per_class) <= n_divisors
 
 
 # -- counts up to degree g, functional equation, point-count certificate ----

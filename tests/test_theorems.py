@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from ffzeta.errors import BudgetError
@@ -5,7 +7,7 @@ from ffzeta.gf import GF, poly_from_str
 from ffzeta.ideal_zeta import ideal_zeta_classwise
 from ffzeta.ideals import class_group
 from ffzeta.ring import RingSpec
-from ffzeta.semigroup import NumericalSemigroup
+from ffzeta.semigroup import NumericalSemigroup, r_gap_values
 from ffzeta.theorems import (
     _dinesh_checks, check_dinesh, check_generalization, check_hiper,
     check_hyperelliptic_rgap_proposition, check_tesismc,
@@ -245,3 +247,22 @@ def test_rgap_proposition_rejects_even():
         check_hyperelliptic_rgap_proposition((4,))
     with pytest.raises(ValueError):
         check_hyperelliptic_rgap_proposition((1,))
+
+
+# -- the q >= 3 obstruction -------------------------------------------------
+
+def test_no_rgap_structure_beyond_q2():
+    # the semigroup <q, N> of a ring the tesismc chain recognises has no
+    # valid r once q >= 3, so that chain always stops at its r-gap check;
+    # at q = 2 a valid r exists and is g - 1 or g
+    for q in range(2, 10):
+        for N in range(2, 60):
+            if gcd(q, N) != 1:
+                continue
+            S = NumericalSemigroup.from_generators((q, N))
+            assert S.genus == (q - 1) * (N - 1) // 2
+            valid_r = r_gap_values(S, q).valid_r
+            if q == 2:
+                assert valid_r and set(valid_r) <= {S.genus - 1, S.genus}
+            else:
+                assert valid_r == ()
