@@ -10,15 +10,16 @@ return a `zeta.ZetaPolynomial`, the value type of the element zeta.  The
 direct path enumerates all ideals per degree up to the largest class
 cutoff.  The classwise path splits the sum by ideal class, and sums every
 class the same way: the class-k part collects monic elements alpha of the
-representative I_k at degree d + d_k (those alpha are exactly the products
-I_k * I over integral I of degree d in the inverse class), divided by the
-constant prefactor f_k^(t/e_k).  The principal class is one of them: its
-representative is (1), with d = 0 and f = 1, so its part is the element
-zeta, slice by slice S(d).  Each class term has its own certified cutoff
-from the power-sum vanishing bound (`_class_cuts`, shared by both paths;
-the principal one is `zeta.zeta_cutoff`), so the classwise result is a
-complete polynomial.  The cutoffs fix every slice in advance, and each path
-checks them all against its budget before the first power or enumeration.
+representative I_k at degree d + d_k, read off its reduced basis (those
+alpha are exactly the products I_k * I over integral I of degree d in the
+inverse class), divided by the constant prefactor f_k^(t/e_k).  The
+principal class is one of them: its representative is (1), with d = 0 and
+f = 1, so its part is the element zeta, slice by slice S(d).  Each class
+term has its own certified cutoff from the power-sum vanishing bound
+(`_class_cuts`, shared by both paths; the principal one is
+`zeta.zeta_cutoff`), so the classwise result is a complete polynomial.  The
+cutoffs fix every slice in advance, and each path checks them all against
+its budget before the first power or enumeration.
 
 `remark_exact_check` takes a classwise zeta already computed, for instance
 by the all-ideals hypothesis chain of `theorems`, and checks it against the
@@ -36,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ffzeta.errors import ConsistencyError
-from ffzeta.ideals import (elem_divexact, enumerate_ideals, ideal_echelon,
-                           ideal_is_principal, ideal_pow)
+from ffzeta.gf import Poly
+from ffzeta.ideals import (elem_divexact, enumerate_ideals, ideal_is_principal,
+                           ideal_pow, reduced_basis)
 from ffzeta.ring import RingElement, RingSpec
 from ffzeta.zeta import (ZetaPolynomial, affine_power_sum,
                          require_points_in_budget, vanishing_threshold,
@@ -91,25 +93,23 @@ def ideal_zeta_direct(t, report):
 
 
 def _class_cuts(t, report, spec):
-    """Yield (class, echelon of I_k, leads, cut) per class: its term of
-    zeta(-t, X) vanishes beyond X-degree cut = D - d_k - 1, D the least
-    degree with dim{alpha in I_k : deg alpha < D} > l_q(t)/(q-1).  For the
-    principal class, I_k = (1) and the cut is `zeta_cutoff(t, spec)`.
+    """Yield (class, leads, cut) per class: its term of zeta(-t, X) vanishes
+    beyond X-degree cut = D - d_k - 1, D the least degree with
+    dim{alpha in I_k : deg alpha < D} > l_q(t)/(q-1).  For the principal
+    class, I_k = (1) and the cut is `zeta_cutoff(t, spec)`.
 
-    By Riemann's inequality the elements of I_k of degree <= n span at least
-    n - d_k - g + 1 dimensions, so one echelon up to d_k + g + need - 1
-    holds the `need` least degrees.  Those are the leads: the slice at X^d,
-    d = lead - d_k <= cut, sums over the span of the entries below its lead."""
+    The element degrees of I_k are deg w + m s over its reduced basis w, one
+    dimension each; the leads are the `need` least, as (degree, x^s monic(w)),
+    and the slice at X^d, d = degree - d_k, sums over lead + span(leads below).
+    """
     need = int(vanishing_threshold(t, spec.field.q)) + 1
     for cls in report.classes:
-        U = cls.degree + report.genus + need - 1
-        ech = ideal_echelon(cls.rep, U)
-        degs = sorted(d for d in ech if d <= U)
-        if len(degs) < need:
-            raise ConsistencyError(
-                f"only {len(degs)} element degrees <= {U} in a degree-"
-                f"{cls.degree} ideal, fewer than Riemann's inequality gives")
-        yield cls, ech, degs[:need], degs[need - 1] - cls.degree
+        ws = [w.monic() for w in reduced_basis(cls.rep)]
+        least = sorted((w.degree + spec.m * s, k, s) for k, w in enumerate(ws)
+                       for s in range(need))[:need]
+        leads = [(d, ws[k] * Poly.monomial(spec.field, s))
+                 for d, k, s in least]
+        yield cls, leads, leads[-1][0] - cls.degree
 
 
 def ideal_zeta_classwise(t, report):
@@ -123,16 +123,16 @@ def ideal_zeta_classwise(t, report):
     require_monic_products(spec)
     _require_exponent(t, report)
     cuts = list(_class_cuts(t, report, spec))
-    for _, _, leads, _ in cuts:
+    for _, leads, _ in cuts:
         for i in range(len(leads)):
             require_points_in_budget(spec.field.q, i)
 
     coeffs = []
-    for cls, ech, leads, cut in cuts:
+    for cls, leads, cut in cuts:
         denom = cls.generator ** (t // cls.order)
         coeffs += [spec.zero()] * (cut + 1 - len(coeffs))
-        for i, e in enumerate(leads):
-            acc = affine_power_sum(ech[e], [ech[b] for b in leads[:i]], t)
+        for i, (e, lead) in enumerate(leads):
+            acc = affine_power_sum(lead, [b for _, b in leads[:i]], t)
             if not acc.is_zero:
                 coeffs[e - cls.degree] += elem_divexact(acc, denom)
     return ZetaPolynomial(spec, t, coeffs)

@@ -6,6 +6,12 @@ with monic diagonal and off-diagonal entries reduced mod the diagonal of
 their row; that form is unique per ideal, so equality is matrix equality.
 deg I = sum of the diagonal degrees = dim_{F_q} A/I.
 
+Every degree question is read off one degree-reduced (weak Popov) basis
+w_0..w_{m-1} of I (`reduced_basis`): the element degrees of I are
+deg w_k + m t, t >= 0.  As (alpha) inside I has codimension deg alpha, I is
+principal exactly when deg w_0 = deg I, and then monic(w_0), the unique
+monic element of least degree, generates.
+
 The class group pipeline enumerates the ideals of degree 0..g, forms the
 L-polynomial p_d = c_d - q c_{d-1} for d <= g, fills p_{g+1}..p_{2g} by the
 functional equation p_{2g-i} = q^{g-i} p_i and rebuilds c_{g+1}..c_{2g}
@@ -13,20 +19,12 @@ from them.  The point counts N_k over F_{q^k}, k = 1..K (K = min(2g, largest
 k with q^k <= 512)), certify the result: below g they test the enumeration,
 beyond g the half the functional equation filled in.  It reads off h = P(1),
 then keeps, in degree order, the enumerated ideals that are reduced until it
-has h of them.  With one rational place at infinity, two elements of equal
-degree differ by one of lower degree, so the least-degree elements of a
-fractional ideal span one F_q-line: every class holds exactly one integral
-ideal of least degree, its reduced ideal (Hess's reduction; Cantor's reduced
-divisors for m = 2), and Riemann-Roch puts it at degree <= g.  One ideal
-quotient per ideal tests it (`_is_reduced`).  Principality itself is read
-off the F_q-echelon of the ideal: I is principal exactly when it contains an
-element of degree deg I (such an element generates, since (alpha) sits
-inside I with the same codimension deg alpha = deg I).
-
-A class order divides h (Lagrange), so the order of I is the least divisor
-k of h with I^k principal, and only the divisors are tried.  The generator
-of I^order is the one a power-by-power search reads off: I^order has one
-Hermite form, hence one echelon.
+has h of them: every class holds exactly one integral ideal of least degree,
+its reduced ideal (Hess's reduction; Cantor's reduced divisors for m = 2),
+of degree <= g by Riemann-Roch, and one ideal quotient per ideal tests it
+(`_is_reduced`).  A class order divides h (Lagrange), so the order of I is
+the least divisor k of h with I^k principal, and only the divisors are
+tried.
 
 Ideals are `IdealHNF` values, immutable by convention like the `Poly` and
 `RingElement` values they are built from.
@@ -41,7 +39,7 @@ from math import lcm
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
 from ffzeta.gf import (TABLE_CAP, Poly, monic_polys, poly_det, poly_to_str,
                        polys_below, square_and_multiply)
-from ffzeta.ring import RingElement, count_affine_points, echelon_insert
+from ffzeta.ring import RingElement, count_affine_points
 from ffzeta.semigroup import semigroup_from_ring
 
 DEFAULT_IDEAL_BUDGET = 4_000_000
@@ -208,48 +206,42 @@ def unit_ideal(spec):
     return ideal_from_generators([spec.one()], spec)
 
 
-# -- echelon bases and principality -----------------------------------------
+# -- reduced bases and principality -----------------------------------------
 
-def ideal_echelon(I, up_to):
-    """F_q-echelon of {a in I : deg a <= up_to}: degree -> monic element.
+def reduced_basis(I):
+    """Degree-reduced basis w_0..w_{m-1} of I over F_q[x], ascending by degree.
 
-    Complete for every degree <= up_to.  Generators are x^t * col_j with t
-    bounded by back-substitution through the triangular form, which is what
-    makes low-degree elements reachable even when every generating column
-    has higher degree.
+    The Hermite columns go in one by one; of two with one leading index the
+    lower-degree one, w, stays, and the other goes on as
+    v - c x^((deg v - deg w)/m) w with c = lc v / lc w.  Once the leading
+    indices differ, deg sum_k f_k w_k = max_k (m deg f_k + deg w_k), and
+    deg_x det = deg I is checked on them.
     """
     spec = I.spec
     m = spec.m
     field = spec.field
-    # B_i: max deg_x of coordinate i among elements of degree <= up_to
-    B = [(up_to - spec.delta[i]) // m if up_to >= spec.delta[i] else -1
-         for i in range(m)]
-    F = [0] * m
-    for j in range(m - 1, -1, -1):
-        num = B[j]
-        for j2 in range(j + 1, m):
-            r = I.cols[j2][j]
-            if not r.is_zero and F[j2] >= 0:
-                num = max(num, r.degree + F[j2])
-        F[j] = num - I.cols[j][j].degree
-    ech = {}
-    for j in range(m):
-        col = I.col_elem(j)
-        for t in range(F[j] + 1):
-            echelon_insert(ech, col if t == 0 else col * Poly.monomial(field, t))
-    return ech
+    basis = {}      # leading index -> (degree, leading coefficient, column)
+    for v in I.generators():
+        dv, j, cv = v.leading()
+        while j in basis:
+            dw, cw, w = basis[j]
+            if dv < dw:
+                basis[j] = (dv, cv, v)
+                dv, cv, v, dw, cw, w = dw, cw, w, dv, cv, v
+            v = v - w * Poly.monomial(field, (dv - dw) // m,
+                                      field.mul(cv, field.inv(cw)))
+            dv, j, cv = v.leading()
+        basis[j] = (dv, cv, v)
+    if sum(d for d, _, _ in basis.values()) != m * I.deg + sum(spec.delta):
+        raise ConsistencyError("reduced basis degrees disagree with deg I")
+    return [w for _, _, w in sorted(basis.values(), key=lambda b: b[0])]
 
 
 def ideal_is_principal(I):
-    """(True, monic generator) or (False, None).
-
-    I is principal iff it contains an element of degree deg I: any such monic
-    element generates, because (alpha) inside I has codimension deg alpha.
-    """
-    d = I.deg
-    ech = ideal_echelon(I, d)
-    gen = ech.get(d)
-    if gen is None:
+    """(True, monic generator) or (False, None): principal iff the least
+    element degree, deg w_0 of the reduced basis, is deg I."""
+    gen = reduced_basis(I)[0].monic()
+    if gen.degree != I.deg:
         return False, None
     if ideal_from_generators([gen], I.spec) != I:
         raise ConsistencyError("degree-matched element failed to generate; ideal bug")
@@ -490,7 +482,7 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     # enumeration meets it before any other ideal of its class
     reps = []
     for I in chain.from_iterable(low):
-        if _is_reduced(I, g):
+        if _is_reduced(I):
             reps.append(I)
             if len(reps) == h:
                 break
@@ -514,20 +506,17 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
                             points_checked=points_checked)
 
 
-def _is_reduced(I, g):
+def _is_reduced(I):
     """Whether I is the least-degree integral ideal of its class.
 
     For nonzero alpha in I, the integral ideals of I's class are
     (beta/alpha) I for nonzero beta in (alpha) : I, of degree
     deg I + deg beta - deg alpha, and alpha itself is such a beta; so I is
     reduced exactly when the quotient has no nonzero element of degree below
-    deg alpha.  Any alpha would do; the least-degree one, of degree
-    <= deg I + g by Riemann-Roch, keeps the quotient at degree <= g.
+    deg alpha.  Any alpha would do; this takes w_0 of the reduced basis.
     """
-    ech = ideal_echelon(I, I.deg + g)
-    least = min(ech)
-    below = ideal_echelon(ideal_quotient(ech[least], I), least - 1)
-    return min(below, default=least) >= least
+    alpha = reduced_basis(I)[0]
+    return reduced_basis(ideal_quotient(alpha, I))[0].degree >= alpha.degree
 
 
 def _certify_by_points(spec, g, lpoly):

@@ -181,7 +181,7 @@ def evaluate_candidate(field, a, b, *, min_r=None,
                                         "hypothesis": hyp}
 
 
-def _read_checkpoint(path):
+def _read_checkpoint(path, header):
     seen = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -190,6 +190,10 @@ def _read_checkpoint(path):
         return seen
     for i, line in enumerate(lines, start=1):
         if not line:
+            continue
+        if i == 1 and line.startswith("#"):
+            if line != header:
+                raise CheckpointError(f"{path}: header '{line}', not '{header}'")
             continue
         parts = line.split("\t")
         if len(parts) != 3 or parts[0] == "" or parts[1] not in STAGES:
@@ -202,12 +206,18 @@ def search_run(space, checkpoint=None):
     """Evaluate every candidate in the window once across resumed runs.
 
     Returns (records, summary).  Records for candidates already present in
-    the checkpoint carry the stored stage/verdict with no reports.
+    the checkpoint carry the stored stage/verdict with no reports.  A new
+    checkpoint opens with a header of q, min_r and h_budget; a checkpoint
+    with another header is refused, one without is read as it is.
     """
-    seen = _read_checkpoint(checkpoint) if checkpoint else {}
+    header = (f"# search q={space.field.q} min_r={space.min_r} "
+              f"h_budget={space.h_budget}")
+    seen = _read_checkpoint(checkpoint, header) if checkpoint else {}
     out = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     records = []
     try:
+        if out is not None and out.tell() == 0:
+            out.write(header + "\n")
         for idx, a, b in space.candidates():
             key = candidate_key(a, b)
             if key in seen:

@@ -1,5 +1,8 @@
 """Small independent helpers that several test modules use as oracles."""
 
+from ffzeta.gf import Poly
+from ffzeta.ring import echelon_insert
+
 
 def poly_eval(f, a):
     """f(a) for a field code a, by Horner's rule on the field tables."""
@@ -8,3 +11,33 @@ def poly_eval(f, a):
     for c in reversed(f.coeffs):
         acc = field.add(field.mul(acc, a), c)
     return acc
+
+
+def ideal_echelon(I, up_to):
+    """F_q-echelon of {a in I : deg a <= up_to}: degree -> monic element.
+
+    Complete for every degree <= up_to.  Generators are x^t * col_j with t
+    bounded by back-substitution through the triangular form, which is what
+    makes low-degree elements reachable even when every generating column
+    has higher degree.
+    """
+    spec = I.spec
+    m = spec.m
+    field = spec.field
+    # B_i: max deg_x of coordinate i among elements of degree <= up_to
+    B = [(up_to - spec.delta[i]) // m if up_to >= spec.delta[i] else -1
+         for i in range(m)]
+    F = [0] * m
+    for j in range(m - 1, -1, -1):
+        num = B[j]
+        for j2 in range(j + 1, m):
+            r = I.cols[j2][j]
+            if not r.is_zero and F[j2] >= 0:
+                num = max(num, r.degree + F[j2])
+        F[j] = num - I.cols[j][j].degree
+    ech = {}
+    for j in range(m):
+        col = I.col_elem(j)
+        for t in range(F[j] + 1):
+            echelon_insert(ech, col if t == 0 else col * Poly.monomial(field, t))
+    return ech

@@ -280,6 +280,8 @@ GOLDEN = {
     "zeta_all_ideals_h4g3_s2":
         ["zeta", "--all-ideals", "--ring", "h4g3", "-s", "2"],
     "classgroup_ex36": ["classgroup", "--ring", "ex36"],
+    # h = 34, cyclic: every nontrivial class is tested up to its order
+    "classgroup_h34": ["classgroup", "--ring", str(GOLDEN_DIR / "h34.ring")],
     # stops at the form
     "check_tesismc_ex36_s2":
         ["check", "--theorem", "tesismc", "--ring", "ex36", "-s", "2"],

@@ -5,6 +5,7 @@ and nothing beyond ffzeta and the standard library, and one function holds
 the library's only square-and-multiply loop."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -224,3 +225,26 @@ BUDGET_KNOBS = ["SearchSpace.h_budget", "class_group.budget",
 def test_no_per_call_budget_knobs():
     sources = [p.read_text(encoding="utf-8") for p in LIBRARY]
     assert budget_knobs(sources) == BUDGET_KNOBS
+
+
+def load_tracing():
+    """perfbench/tracing.py as a module, loaded without installing it."""
+    path = TESTS.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_resolve():
+    # every callable the benchmark tracer wraps still exists under its name
+    tracing = load_tracing()
+    targets = tracing._targets(None)
+    assert targets
+    for owner_path, attr, *_ in targets:
+        mod_name, _, cls = owner_path.partition(":")
+        owner = importlib.import_module(mod_name)
+        if cls:
+            owner = owner.__dict__[cls]
+        assert attr in owner.__dict__, f"{owner_path}.{attr}"
+        assert callable(owner.__dict__[attr])

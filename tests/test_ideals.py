@@ -1,15 +1,15 @@
 import random
 
 import pytest
-from oracles import poly_eval
+from oracles import ideal_echelon, poly_eval
 
 import ffzeta.ideals as ideals
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
 from ffzeta.ideals import (
     class_equivalent, class_group, count_ideal_candidates, elem_divexact,
-    enumerate_ideals, ideal_echelon, ideal_from_generators,
-    ideal_is_principal, ideal_mul, ideal_pow, ideal_quotient, unit_ideal,
+    enumerate_ideals, ideal_from_generators, ideal_is_principal, ideal_mul,
+    ideal_pow, ideal_quotient, reduced_basis, unit_ideal,
     _enumerate_ideals_general,
 )
 from ffzeta.ring import (RingSpec, affine_combinations, count_affine_points,
@@ -191,22 +191,33 @@ def test_prime_not_principal(h4g3):
     assert not ok and gen is None
 
 
+def degree_basis(I, up_to):
+    """Degree -> x^t monic(w_k) over the reduced basis w_k of I, for every
+    element degree up to the bound: one F_q-basis element per degree."""
+    m, field = I.spec.m, I.spec.field
+    out = {}
+    for w in reduced_basis(I):
+        for t in range((up_to - w.degree) // m + 1):
+            out[w.degree + m * t] = w.monic() * Poly.monomial(field, t)
+    return out
+
+
 def test_echelon_complete(h4g3):
     I = prime_x(h4g3)
-    ech = ideal_echelon(I, 12)
+    basis = degree_basis(I, 12)
     # brute: a degree-d element of I exists iff some monic element of A of
     # degree d lies in I
     for d in range(13):
         brute = any(I.contains(e) for e in h4g3.enumerate_monic(d))
-        assert (d in ech and d <= 12) == brute or (d in ech) == brute
-        if d in ech:
-            e = ech[d]
+        assert (d in basis) == brute
+        if d in basis:
+            e = basis[d]
             assert e.degree == d and e.is_monic and I.contains(e)
 
 
 def ideal_degrees(I, up_to):
     """Attained element degrees of I up to the bound, ascending."""
-    return tuple(sorted(d for d in ideal_echelon(I, up_to) if d <= up_to))
+    return tuple(sorted(degree_basis(I, up_to)))
 
 
 def test_ideal_degrees(h4g3):
@@ -219,17 +230,49 @@ def test_ideal_degrees(h4g3):
 
 
 def test_monic_slice_matches_filter(h4g3):
-    # the monic elements of I of degree d: the echelon element of degree d
+    # the monic elements of I of degree d: the basis element of degree d
     # plus every combination of those below it
     I = ideal_mul(prime_x(h4g3), prime_x1(h4g3))
-    ech = ideal_echelon(I, 9)
+    basis = degree_basis(I, 9)
     for d in range(2, 10):
-        lower = [ech[e] for e in sorted(ech) if e < d]
-        slice_d = affine_combinations(ech[d], lower) if d in ech else ()
+        lower = [basis[e] for e in sorted(basis) if e < d]
+        slice_d = affine_combinations(basis[d], lower) if d in basis else ()
         got = sorted(elem_to_str(e) for e in slice_d)
         brute = sorted(elem_to_str(e) for e in h4g3.enumerate_monic(d)
                        if I.contains(e))
         assert got == brute
+
+
+@pytest.mark.parametrize("name", ["h4g3", "ex36", "elliptic", "h20g2",
+                                  "m3f2", "m3f5", "m3f2b"])
+def test_reduced_basis_matches_echelon(name, request):
+    # every ideal of degree <= g + 1 and every power I_k^d, d | h, of a
+    # class representative, against the F_q-echelon oracle
+    spec = request.getfixturevalue(name)
+    rep = class_group(spec)
+    g, h = rep.genus, rep.h
+    pool = [I for d in range(g + 2) for I in enumerate_ideals(spec, d)]
+    pool += [ideal_pow(c.rep, d) for c in rep.classes
+             for d in range(1, h + 1) if h % d == 0]
+    for I in pool:
+        basis = reduced_basis(I)
+        assert sorted(w.leading()[1] for w in basis) == list(range(spec.m))
+        assert ideals.IdealHNF(spec, ideals._hnf_columns(
+            spec, [list(w.vec) for w in basis])) == I
+        bound = I.deg + g
+        ech = ideal_echelon(I, bound)
+        assert ideal_degrees(I, bound) == tuple(sorted(
+            d for d in ech if d <= bound))
+        gen = ech.get(I.deg)
+        assert ideal_is_principal(I) == (gen is not None, gen)
+
+
+def test_reduced_basis_checks_the_determinant(h4g3):
+    # columns (1, x) and (x, 1) are not a Hermite form: their diagonal
+    # claims degree 0, but deg_x det = deg(1 - x^2) = 2
+    one, x = Poly.one(F2), P(F2, "x")
+    with pytest.raises(ConsistencyError, match="disagree with deg I"):
+        reduced_basis(ideals.IdealHNF(h4g3, ((one, x), (x, one))))
 
 
 # -- quotients and equivalence ----------------------------------------------
@@ -349,7 +392,7 @@ def test_is_reduced_marks_exactly_the_representatives(name, request):
     for d in range(rep.genus + 1):
         for I in enumerate_ideals(spec, d):
             assert sum(class_equivalent(I, J_inv) for J_inv in inverses) == 1
-            assert ideals._is_reduced(I, rep.genus) == (I in reps)
+            assert ideals._is_reduced(I) == (I in reps)
 
 
 # -- enumeration ------------------------------------------------------------

@@ -239,7 +239,9 @@ def test_resume_skips_checkpointed(tmp_path, family_space, family_run):
     ckpt = tmp_path / "run.ckpt"
     first = dataclasses.replace(family_space, stop=16)
     search_run(first, checkpoint=str(ckpt))
-    assert len(ckpt.read_text().splitlines()) == 16
+    lines = ckpt.read_text().splitlines()
+    assert lines[0] == "# search q=2 min_r=None h_budget=4000000"
+    assert len(lines[1:]) == 16
 
     resumed_records, resumed_summary = search_run(family_space,
                                                   checkpoint=str(ckpt))
@@ -265,6 +267,49 @@ def test_corrupt_checkpoint_refused(tmp_path, family_space):
     records, _ = search_run(dataclasses.replace(family_space, stop=1),
                             checkpoint=str(ckpt))
     assert not records[0].resumed     # blank lines fine, key unknown
+
+
+def test_checkpoint_of_another_search_refused(tmp_path):
+    # a=x;b=x^3 + 1 fails a hypothesis over F_2 and is not a valid ring over
+    # F_3; a q = 3 run must not resume the F_2 verdict
+    ckpt = tmp_path / "q2.ckpt"
+    q2 = SearchSpace(F2, deg_b=(3, 3))
+    records, _ = search_run(q2, checkpoint=str(ckpt))
+    assert ("a=x;b=x^3 + 1", "hypotheses") in {(r.coeffs, r.stage)
+                                               for r in records}
+    before = ckpt.read_text()
+    for space in (SearchSpace(F3, deg_b=(3, 3)),
+                  dataclasses.replace(q2, min_r=2),
+                  dataclasses.replace(q2, h_budget=1000)):
+        with pytest.raises(CheckpointError, match="header '# search q=2 "):
+            search_run(space, checkpoint=str(ckpt))
+    assert ckpt.read_text() == before
+    # the same settings with another degree window resume it
+    again, _ = search_run(dataclasses.replace(q2, deg_b=(2, 3)),
+                          checkpoint=str(ckpt))
+    assert sum(r.resumed for r in again) == len(records)
+
+
+def test_headerless_checkpoint_read_and_extended(tmp_path, family_space,
+                                                 family_run):
+    # three-field files from before the header are resumed as they are and
+    # get no header appended mid-file
+    records, _ = family_run
+    ckpt = tmp_path / "old.ckpt"
+    old = "".join(f"{r.coeffs}\t{r.stage}\t{r.verdict}\n" for r in records[:4])
+    ckpt.write_text(old)
+    resumed, _ = search_run(family_space, checkpoint=str(ckpt))
+    assert [r.resumed for r in resumed] == [True] * 4 + [False] * 28
+    lines = ckpt.read_text().splitlines()
+    assert len(lines) == 32 and not any(x.startswith("#") for x in lines)
+
+
+def test_header_only_on_the_first_line(tmp_path, family_space):
+    ckpt = tmp_path / "late.ckpt"
+    ckpt.write_text("a=x;b=x^3\tring-valid\tinvalid\n"
+                    "# search q=2 min_r=None h_budget=4000000\n")
+    with pytest.raises(CheckpointError, match="line 2"):
+        search_run(family_space, checkpoint=str(ckpt))
 
 
 def test_merge_summaries_empty():
