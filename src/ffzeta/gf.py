@@ -33,9 +33,12 @@ slot:
 No floats enter anywhere.
 
 Polynomial literals use one grammar everywhere (files, CLI, reprs): terms
-joined by `+`, each term `c`, `c*x^k`, `x^k` or `x`, coefficients are plain
-integers reduced mod p, or for extension fields polynomials in `t` such as
-`(t+1)*x^2 + t`.  Output is re-ingestible.
+joined by `+`, each term a `*`-product of factors `x`, `x^k`, plain integers
+reduced mod p, parenthesised constant literals, and over an extension field
+`t` or `t^k`.  A field element is itself a polynomial in t read by this
+grammar, as the modulus is: `poly_from_str` reads `(t+1)*x^2 + t`, and
+`poly_to_str`, through `FF.el_to_str`, writes it back.  Output is
+re-ingestible.
 """
 
 from __future__ import annotations
@@ -157,51 +160,11 @@ class FF:
     # -- element literals ---------------------------------------------------
 
     def el_to_str(self, a):
+        """The literal of code a: the integer over a prime field, else the
+        residue polynomial in t as `poly_to_str` writes it."""
         if self.n == 1:
             return str(a)
-        ds = self.digits(a)
-        terms = []
-        for k in range(self.n - 1, -1, -1):
-            c = ds[k]
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                tp = "t" if k == 1 else f"t^{k}"
-                terms.append(tp if c == 1 else f"{c}*{tp}")
-        return " + ".join(terms) if terms else "0"
-
-    def el_from_str(self, s):
-        s = s.strip()
-        if s.startswith("(") and s.endswith(")") and _top_level_span(s):
-            s = s[1:-1]
-        acc = 0
-        for piece in _split_top(s, "+"):
-            piece = piece.strip()
-            if not piece:
-                raise ValueError(f"empty term in field element literal {s!r}")
-            acc = self.add(acc, self._el_term(piece, s))
-        return acc
-
-    def _el_term(self, piece, ctx):
-        code = 1
-        exp = 0
-        for part in _split_top(piece, "*"):
-            part = part.strip()
-            if part.isdigit():
-                code = self.mul(code, int(part) % self.p)
-            elif part == "t" or (part.startswith("t^") and part[2:].isdigit()):
-                if self.n == 1:
-                    raise ValueError(f"'t' is not defined over the prime field: {ctx!r}")
-                exp += 1 if part == "t" else int(part[2:])
-            elif part.startswith("(") and _top_level_span(part):
-                code = self.mul(code, self.el_from_str(part[1:-1]))
-            else:
-                raise ValueError(f"bad token {part!r} in field element literal {ctx!r}")
-        if exp:
-            code = self.mul(code, self.pow(self.p, exp))  # code p encodes t
-        return code
+        return poly_to_str(Poly(GF(self.p), self.digits(a)), "t")
 
     # -- identity -----------------------------------------------------------
 
@@ -690,15 +653,7 @@ def poly_factor(f):
 
 
 def is_irreducible(f):
-    if f.is_zero or f.degree < 1:
-        return False
-    d = 1
-    while 2 * d <= f.degree:
-        for cand in monic_polys(f.field, d):
-            if (f % cand).is_zero:
-                return False
-        d += 1
-    return True
+    return bool(f) and f.degree >= 1 and [e for _, e in poly_factor(f)[1]] == [1]
 
 
 def is_squarefree(f):
@@ -762,19 +717,6 @@ def _split_top(s, sep):
     return parts
 
 
-def _top_level_span(s):
-    """True when the opening paren at 0 matches the final character."""
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return i == len(s) - 1
-    return False
-
-
 def poly_from_str(field, s, var="x"):
     s = s.strip()
     if not s:
@@ -798,19 +740,28 @@ def _parse_term(field, piece, var, ctx):
         part = part.strip()
         if not part:
             raise ValueError(f"empty factor in term {piece!r} of {ctx!r}")
-        if part == var:
-            exp += 1
-        elif part.startswith(var + "^") and part[len(var) + 1:].isdigit():
-            exp += int(part[len(var) + 1:])
+        k = _power_of(part, var)
+        if k is not None:
+            exp += k
         elif part.isdigit():
             code = field.mul(code, int(part) % field.p)
-        elif part.startswith("("):
-            code = field.mul(code, field.el_from_str(part))
-        elif "t" in part and field.n > 1:
-            code = field.mul(code, field.el_from_str(part))
+        elif field.n > 1 and (k := _power_of(part, "t")) is not None:
+            code = field.mul(code, field.pow(field.p, k))  # code p encodes t
+        elif part[0] == "(" and part[-1] == ")" and (
+                c := poly_from_str(field, part[1:-1], var)).degree < 1:
+            code = field.mul(code, c.coeffs[0] if c else 0)
         else:
             raise ValueError(f"bad token {part!r} in polynomial literal {ctx!r}")
     return Poly.monomial(field, exp, code)
+
+
+def _power_of(part, name):
+    """k when part is `name` or `name^k`, else None."""
+    if part == name:
+        return 1
+    if part.startswith(name + "^") and part[len(name) + 1:].isdigit():
+        return int(part[len(name) + 1:])
+    return None
 
 
 def poly_to_str(f, var="x"):

@@ -123,9 +123,9 @@ def ideal_zeta_classwise(t, report):
     require_monic_products(spec)
     _require_exponent(t, report)
     cuts = list(_class_cuts(t, report, spec))
-    for _, leads, _ in cuts:
-        for i in range(len(leads)):
-            require_points_in_budget(spec.field.q, i)
+    # every class has `need` leads: one pass checks the slices q^0 .. q^(need-1)
+    for i in range(len(cuts[0][1])):
+        require_points_in_budget(spec.field.q, i)
 
     coeffs = []
     for cls, leads, cut in cuts:

@@ -31,7 +31,7 @@ from math import gcd
 from ffzeta.errors import RingValidationError
 from ffzeta.gf import (
     GF, NEG_INF, Poly, poly_det, poly_factor, poly_gcd, poly_to_str,
-    poly_from_str, square_and_multiply,
+    square_and_multiply,
 )
 
 
@@ -214,16 +214,6 @@ class RingSpec:
         vec = [Poly.zero(self.field)] * self.m
         vec[0] = g
         return RingElement(self, tuple(vec))
-
-    def elem_from_str(self, s):
-        parts = s.split(";") if ";" in s else s.split(",")
-        if len(parts) == 1 and self.m > 1:
-            # bare polynomial literal: the poly-part embedding
-            return self.elem_from_poly(poly_from_str(self.field, s))
-        if len(parts) != self.m:
-            raise ValueError(
-                f"element literal needs {self.m} comma-separated components, got {len(parts)}")
-        return self.elem(tuple(poly_from_str(self.field, part) for part in parts))
 
     # -- multiplication machinery -------------------------------------------
 

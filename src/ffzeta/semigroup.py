@@ -135,31 +135,19 @@ class RGapReport:
     q: int
     genus: int
     valid_r: tuple
-    scanned: dict
 
 
 def r_gap_values(S, q):
-    """All r >= 1 with an r-gap structure for field size q, with witnesses."""
+    """All r >= 1 with an r-gap structure for field size q: l(iq) = i + 1
+    for i = 1 .. r, l(g + r) = r + 1 and rq <= g + r."""
     if q < 2:
         raise ValueError("q must be at least 2")
     g = S.genus
-    valid = []
-    scanned = {}
-    for r in range(1, g // (q - 1) + 1):
-        l_iq = tuple(S.l(i * q) for i in range(1, r + 1))
-        l_tail = S.l(g + r)
-        conds = {
-            "l_iq": l_iq,
-            "l_iq_ok": all(v == i + 1 for i, v in enumerate(l_iq, start=1)),
-            "l_g_plus_r": l_tail,
-            "l_g_plus_r_ok": l_tail == r + 1,
-            "rq_le_g_plus_r": r * q <= g + r,
-        }
-        conds["ok"] = conds["l_iq_ok"] and conds["l_g_plus_r_ok"] and conds["rq_le_g_plus_r"]
-        scanned[r] = conds
-        if conds["ok"]:
-            valid.append(r)
-    return RGapReport(q=q, genus=g, valid_r=tuple(valid), scanned=scanned)
+    valid = tuple(
+        r for r in range(1, g // (q - 1) + 1)
+        if all(S.l(i * q) == i + 1 for i in range(1, r + 1))
+        and S.l(g + r) == r + 1 and r * q <= g + r)
+    return RGapReport(q=q, genus=g, valid_r=valid)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from math import comb
 
 from ffzeta.errors import BudgetError, ConsistencyError
 from ffzeta.gf import poly_to_str
-from ffzeta.ring import affine_combinations, echelon_insert, elem_to_str
+from ffzeta.ring import affine_combinations, echelon_insert
 
 DEFAULT_BUDGET = 2 ** 20    # elements summed per power-sum slice
 
@@ -186,7 +186,9 @@ def coeff_lit(c):
     """Re-ingestible literal of a ring element: its F_q[x] part when it has
     no other coordinate, else its coordinates joined by '; '."""
     pp = c.poly_part()
-    return poly_to_str(pp) if pp is not None else elem_to_str(c).replace(", ", "; ")
+    if pp is not None:
+        return poly_to_str(pp)
+    return "; ".join(map(poly_to_str, c.vec))
 
 
 def zeta_to_str(lits, var="X"):

@@ -1,6 +1,6 @@
 """Small independent helpers that several test modules use as oracles."""
 
-from ffzeta.gf import Poly
+from ffzeta.gf import Poly, poly_from_str
 from ffzeta.ring import echelon_insert
 
 
@@ -11,6 +11,18 @@ def poly_eval(f, a):
     for c in reversed(f.coeffs):
         acc = field.add(field.mul(acc, a), c)
     return acc
+
+
+def elem_from_str(spec, s):
+    """The ring element with coordinate literals separated by ';' or ',';
+    a bare polynomial literal is the F_q[x] part embedded."""
+    parts = s.split(";") if ";" in s else s.split(",")
+    if len(parts) == 1 and spec.m > 1:
+        return spec.elem_from_poly(poly_from_str(spec.field, s))
+    if len(parts) != spec.m:
+        raise ValueError(
+            f"element literal needs {spec.m} comma-separated components, got {len(parts)}")
+    return spec.elem(tuple(poly_from_str(spec.field, part) for part in parts))
 
 
 def ideal_echelon(I, up_to):

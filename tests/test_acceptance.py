@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import poly_eval
+from oracles import elem_from_str, poly_eval
 
 from ffzeta.cli import dispatch
 from ffzeta.gf import GF, Poly, poly_from_str
@@ -127,7 +127,7 @@ def test_criterion_4_power_sum_vanishing():
         # sharpness witness: dim 2 equals l_2(3)/(2-1), sum is x^2 + x
         ring = rings[2]
         basis = [ring.one(), ring.x()]
-        w = affine_power_sum(ring.elem_from_str("x^2"), basis, 3)
+        w = affine_power_sum(elem_from_str(ring, "x^2"), basis, 3)
         assert poly_of(w) == poly_from_str(F2, "x^2 + x")
 
 

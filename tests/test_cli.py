@@ -291,6 +291,9 @@ GOLDEN = {
     # fails the digit condition and reports mu
     "check_tesismc_h4g3_s3":
         ["check", "--theorem", "tesismc", "--ring", "h4g3", "-s", "3"],
+    # applicable: computed ord 2 and the structural identity
+    "check_dinesh_h4g3_s7":
+        ["check", "--theorem", "dinesh", "--ring", "h4g3", "-s", "7"],
 }
 
 
@@ -375,6 +378,20 @@ def test_search_full_family():
     assert doc["summary"]["passing"] == [
         "a=x^2 + x;b=x^7 + x^6 + x^5 + x",
         "a=x^2 + x;b=x^7 + x^4 + x^3 + x"]
+
+
+def test_search_h_budget_refuses_large_class_groups():
+    argv = ("search", "--q", "2", "--family", "artin-schreier",
+            "--deg-a", "1", "--deg-b", "3", "--h-budget", "1")
+    res = run(*argv)
+    assert res.exit_code == 0
+    assert "class-group:budget-exceeded: 8" in res.text
+    assert "ring-valid:singular: 8" in res.text
+    code, doc = jrun(*argv)
+    assert doc["summary"] == {
+        "total": 16, "passing": [],
+        "outcomes": {"class-group:budget-exceeded": 8,
+                     "ring-valid:singular": 8}}
 
 
 def test_search_checkpoint(tmp_path):

@@ -2,7 +2,7 @@ import operator
 import random
 
 import pytest
-from oracles import poly_eval
+from oracles import elem_from_str, poly_eval
 
 from ffzeta.gf import (
     GF, NEG_INF, Poly, default_modulus, is_irreducible, is_squarefree,
@@ -289,8 +289,8 @@ def test_square_and_multiply_counts_products(kind, h4g3):
     x, mul = {
         "code": (5, F9.mul),
         "poly": (P(F3, "x^2 + 2*x + 2"), operator.mul),
-        "element": (h4g3.elem_from_str("x + 1; 1"), operator.mul),
-        "ideal": (ideal_from_generators([h4g3.elem_from_str("x"), h4g3.y()],
+        "element": (elem_from_str(h4g3, "x + 1; 1"), operator.mul),
+        "ideal": (ideal_from_generators([elem_from_str(h4g3, "x"), h4g3.y()],
                                         h4g3), ideal_mul),
     }[kind]
     calls = []
@@ -477,6 +477,24 @@ def test_literal_errors():
             P(F2, bad)
     with pytest.raises(ValueError):
         P(F2, "t*x")  # no t over a prime field
+    with pytest.raises(ValueError):
+        P(F2, "(x + 1)*x")  # a parenthesised factor is a scalar
+
+
+@pytest.mark.parametrize("field", [f for f in ALL_FIELDS if f.n > 1],
+                         ids=repr)
+def test_scalar_literals_are_polynomials_in_t(field):
+    base = GF(field.p)
+    for a in range(field.q):
+        s = field.el_to_str(a)
+        assert s == poly_to_str(Poly(base, field.digits(a)), "t")
+        assert P(field, s) == Poly.const(field, a)
+
+
+def test_scalar_literal_powers_and_nesting():
+    assert P(F4, "t^3") == Poly.one(F4)          # t^2 = t + 1, so t^3 = 1
+    assert P(F4, "((t + 1)*t)*x") == P(F4, "(t^2 + t)*x") == Poly.x(F4)
+    assert P(F9, "(t)*(2*t)*x^2") == P(F9, "2*t^2*x^2")
 
 
 def test_poly_constructor_validation():

@@ -1,6 +1,7 @@
 from pathlib import Path
 
 import pytest
+from oracles import elem_from_str
 
 from ffzeta.errors import BudgetError, ConsistencyError
 from ffzeta.gf import GF, poly_from_str
@@ -37,8 +38,8 @@ def f4as():
 
 def test_ideal_power_value(h4g3, h4g3_classes):
     Px = ideal_from_generators([h4g3.x(), h4g3.y()], h4g3)
-    assert ideal_power_value(Px, 2, h4g3_classes) == h4g3.elem_from_str("x")
-    assert ideal_power_value(Px, 4, h4g3_classes) == h4g3.elem_from_str("x^2")
+    assert ideal_power_value(Px, 2, h4g3_classes) == elem_from_str(h4g3, "x")
+    assert ideal_power_value(Px, 4, h4g3_classes) == elem_from_str(h4g3, "x^2")
     principal = ideal_from_generators([h4g3.y()], h4g3)
     assert ideal_power_value(principal, 2, h4g3_classes) == h4g3.y() ** 2
 

@@ -140,6 +140,29 @@ def test_tesismc_not_artin_schreier(ex36):
     assert rep.failed_check().name == "form y^q - a^{q-1} y = b"
 
 
+def test_tesismc_q3_reaches_the_rgap_item():
+    # y^3 - x^2 y = x^5 + x over F_3: a = x is recovered and every item up
+    # to the r-gap one passes; <3, 5> has no r-gap structure (see the
+    # module docstring)
+    spec = RingSpec.cab(F3, (P(F3, "2*x^5 + 2*x"), P(F3, "2*x^2"),
+                             P(F3, "0")))
+    assert spec.validate().ok
+    rep = check_tesismc(spec, 2)
+    assert not rep.applicable
+    assert [c.passed for c in rep.checks] == [True] * 4 + [False]
+    assert rep.checks[0].witness == {"a": "x", "b": "x^5 + x"}
+    assert rep.failed_check().name == "r-gap structure with r >= q-1"
+    assert rep.failed_check().witness == {"valid_r": []}
+
+
+def test_tesismc_q3_refuses_a_non_monic_a_squared():
+    spec = RingSpec.cab(F3, (P(F3, "2*x^5 + 2*x"), P(F3, "x^2"), P(F3, "0")))
+    rep = check_tesismc(spec, 2)
+    assert [c.passed for c in rep.checks] == [False]
+    assert rep.failed_check().witness == {
+        "reason": "-c_1 is not monic, so not a (q-1)-th power"}
+
+
 def test_tesismc_digit_condition(h4g3, h4g3_classes):
     # l_2(es) <= mu = 1 forces es to a power of two; s = 3 gives es = 6
     rep = check_tesismc(h4g3, 3, h4g3_classes)
