@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ffzeta.errors import ConsistencyError
-from ffzeta.gf import GF, Poly, poly_from_str, poly_to_str
+from ffzeta.gf import GF, Poly, field_of_size, poly_from_str, poly_to_str
 from ffzeta.ideal_zeta import (ideal_zeta_classwise, ideal_zeta_direct,
                                require_monic_products)
 from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group
@@ -28,8 +28,8 @@ from ffzeta.semigroup import (enumerate_semigroups, r_gap_values,
                               semigroup_from_ring)
 from ffzeta.theorems import (check_dinesh, check_generalization, check_hiper,
                              check_tesismc)
-from ffzeta.zeta import (coeff_lit, power_sum_S, vanishing_threshold,
-                         zeta_neg, zeta_to_str)
+from ffzeta.zeta import (coeff_lit, power_sum_S, require_positive_exponent,
+                         vanishing_threshold, zeta_neg, zeta_to_str)
 
 _THEOREMS = ("hiper", "dinesh", "generalization", "tesismc")
 
@@ -125,6 +125,7 @@ def _cmd_zeta(args):
         z = zeta_neg(args.s, spec)
         data["s"] = args.s
     else:
+        require_positive_exponent(args.s)
         require_monic_products(spec)
         report = class_group(spec)
         t = args.s
@@ -312,7 +313,7 @@ def _cmd_powsum(args):
 
 
 def _cmd_search(args):
-    field = GF(args.q)
+    field = field_of_size(args.q)
     fixed_a = (None if args.fix_a is None
                else poly_from_str(field, args.fix_a))
     space = SearchSpace(field=field, family=args.family,
@@ -436,7 +437,8 @@ def build_parser():
     sp.set_defaults(handler=_cmd_powsum)
 
     sp = sub("search", "staged brute-force scan of Artin-Schreier candidates")
-    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--q", type=int, required=True,
+                    help="field size q = p^n")
     sp.add_argument("--family", required=True, choices=FAMILIES)
     sp.add_argument("--deg-a", type=_range_pair, default=(1, 1),
                     metavar="LO..HI")

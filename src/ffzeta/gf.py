@@ -219,6 +219,16 @@ def GF(p, n=1, modulus=None):
     return f
 
 
+def field_of_size(q):
+    """GF(p, n) for q = p^n, with the default modulus when n > 1."""
+    for p in _PRIMES:
+        for n in range(1, TABLE_CAP.bit_length()):
+            if p ** n == q:
+                return GF(p, n)
+    raise ValueError(f"q must be a prime power p^n <= {TABLE_CAP} with p in "
+                     f"{_PRIMES}, got {q}")
+
+
 def default_modulus(p, n):
     """Smallest monic irreducible of degree n over F_p in counting order."""
     return next(f for f in monic_polys(GF(p), n) if is_irreducible(f)).coeffs

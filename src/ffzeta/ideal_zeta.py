@@ -15,11 +15,11 @@ alpha are exactly the products I_k * I over integral I of degree d in the
 inverse class), divided by the constant prefactor f_k^(t/e_k).  The
 principal class is one of them: its representative is (1), with d = 0 and
 f = 1, so its part is the element zeta, slice by slice S(d).  Each class
-term has its own certified cutoff from the power-sum vanishing bound
-(`_class_cuts`, shared by both paths; the principal one is
-`zeta.zeta_cutoff`), so the classwise result is a complete polynomial.  The
-cutoffs fix every slice in advance, and each path checks them all against
-its budget before the first power or enumeration.
+term has its own certified cutoff from the power-sum vanishing bound and
+the degree rule of `ring` (`_class_cuts`, shared by both paths; the
+principal one is `zeta.zeta_cutoff`), so the classwise result is a
+complete polynomial.  The cutoffs fix every slice in advance, and each path
+checks them all against its budget before the first power or enumeration.
 
 `remark_exact_check` takes a classwise zeta already computed, for instance
 by the all-ideals hypothesis chain of `theorems`, and checks it against the
@@ -37,13 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ffzeta.errors import ConsistencyError
-from ffzeta.gf import Poly
 from ffzeta.ideals import (elem_divexact, enumerate_ideals, ideal_is_principal,
                            ideal_pow, reduced_basis)
-from ffzeta.ring import RingElement, RingSpec
+from ffzeta.ring import RingElement, RingSpec, least_multiples
 from ffzeta.zeta import (ZetaPolynomial, affine_power_sum,
-                         require_points_in_budget, vanishing_threshold,
-                         zeta_neg)
+                         require_points_in_budget, require_positive_exponent,
+                         vanishing_threshold, zeta_neg)
 
 
 def require_monic_products(spec):
@@ -62,7 +61,8 @@ def require_monic_products(spec):
 
 
 def _require_exponent(t, report):
-    if t <= 0 or t % report.e:
+    require_positive_exponent(t)
+    if t % report.e:
         raise ValueError("exponent not a multiple of class-group exponent")
 
 
@@ -98,18 +98,14 @@ def _class_cuts(t, report, spec):
     dim{alpha in I_k : deg alpha < D} > l_q(t)/(q-1).  For the principal
     class, I_k = (1) and the cut is `zeta_cutoff(t, spec)`.
 
-    The element degrees of I_k are deg w + m s over its reduced basis w, one
-    dimension each; the leads are the `need` least, as (degree, x^s monic(w)),
-    and the slice at X^d, d = degree - d_k, sums over lead + span(leads below).
+    The leads are the `need` least multiples x^s monic(w) of the reduced
+    basis of I_k (the degree rule of `ring`), and the slice at X^d,
+    d = deg lead - d_k, sums over lead + span(leads below).
     """
     need = int(vanishing_threshold(t, spec.field.q)) + 1
     for cls in report.classes:
-        ws = [w.monic() for w in reduced_basis(cls.rep)]
-        least = sorted((w.degree + spec.m * s, k, s) for k, w in enumerate(ws)
-                       for s in range(need))[:need]
-        leads = [(d, ws[k] * Poly.monomial(spec.field, s))
-                 for d, k, s in least]
-        yield cls, leads, leads[-1][0] - cls.degree
+        leads = least_multiples([w.monic() for w in reduced_basis(cls.rep)], need)
+        yield cls, leads, leads[-1].degree - cls.degree
 
 
 def ideal_zeta_classwise(t, report):
@@ -131,10 +127,10 @@ def ideal_zeta_classwise(t, report):
     for cls, leads, cut in cuts:
         denom = cls.generator ** (t // cls.order)
         coeffs += [spec.zero()] * (cut + 1 - len(coeffs))
-        for i, (e, lead) in enumerate(leads):
-            acc = affine_power_sum(lead, [b for _, b in leads[:i]], t)
+        for i, lead in enumerate(leads):
+            acc = affine_power_sum(lead, leads[:i], t)
             if not acc.is_zero:
-                coeffs[e - cls.degree] += elem_divexact(acc, denom)
+                coeffs[lead.degree - cls.degree] += elem_divexact(acc, denom)
     return ZetaPolynomial(spec, t, coeffs)
 
 

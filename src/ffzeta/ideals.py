@@ -7,10 +7,10 @@ their row; that form is unique per ideal, so equality is matrix equality.
 deg I = sum of the diagonal degrees = dim_{F_q} A/I.
 
 Every degree question is read off one degree-reduced (weak Popov) basis
-w_0..w_{m-1} of I (`reduced_basis`): the element degrees of I are
-deg w_k + m t, t >= 0.  As (alpha) inside I has codimension deg alpha, I is
-principal exactly when deg w_0 = deg I, and then monic(w_0), the unique
-monic element of least degree, generates.
+w_0..w_{m-1} of I (`reduced_basis`): by the degree rule of `ring`, the
+element degrees of I are deg w_k + m t, t >= 0.  As (alpha) inside I has
+codimension deg alpha, I is principal exactly when deg w_0 = deg I, and then
+monic(w_0), the unique monic element of least degree, generates.
 
 The class group pipeline enumerates the ideals of degree 0..g, forms the
 L-polynomial p_d = c_d - q c_{d-1} for d <= g, fills p_{g+1}..p_{2g} by the

@@ -20,6 +20,15 @@ the cells y^(i+j) reduced by F.
 Elements are coordinate vectors of m polynomials, immutable by convention.
 The degree of a nonzero element is attained by a unique monomial (the
 delta_j are pairwise distinct mod m), which is what makes "monic" meaningful.
+
+The degree rule.  If the degrees of a basis w_0 .. w_{m-1} of an
+F_q[x]-module inside A are pairwise distinct mod m (degree-reduced), then
+deg sum_k f_k w_k = max_k (m deg f_k + deg w_k): the elements of degree < D
+are the F_q-span of the x^s w_k below D, one dimension at each degree
+deg w_k + m s (Hess, J. Symbolic Comput. 33, 2002).  `least_multiples`
+lists them in ascending degree: for w_k = b_k the monomials (`basis_W`,
+`enumerate_monic`, `zeta.zeta_cutoff`), for the reduced basis of an ideal
+(`ideals.reduced_basis`) the class slices of `ideal_zeta`.
 """
 
 from __future__ import annotations
@@ -136,49 +145,22 @@ class RingSpec:
         """Degree of b_1 (= deg y for cab); None for the polynomial ring."""
         return self.delta[1] if self.m > 1 else None
 
-    def semigroup_generators(self):
-        return (self.m,) + tuple(self.delta[1:]) if self.m > 1 else (1,)
-
     def degree_in_semigroup(self, d):
         """Is d the degree of some monomial x^i b_j?"""
-        if d < 0:
-            return False
-        j = self._residue_basis(d)
-        return j is not None and self.delta[j] <= d
-
-    def _residue_basis(self, d):
-        r = d % self.m
-        for j, dj in enumerate(self.delta):
-            if dj % self.m == r:
-                return j
-        return None
+        return d >= 0 and self.dim_W(d + 1) > self.dim_W(d)
 
     def dim_W(self, d):
         """Number of monomials x^i b_j with degree < d."""
-        total = 0
-        for dj in self.delta:
-            if dj < d:
-                total += -(-(d - dj) // self.m)  # ceil
-        return total
+        return sum(-(-(d - dj) // self.m) for dj in self.delta if dj < d)
+
+    def basis(self):
+        """b_0 .. b_{m-1} as elements: A's own degree-reduced basis."""
+        return [self.monomial(0, j) for j in range(self.m)]
 
     def basis_W(self, d):
         """Monomials of degree < d as elements, ascending degree."""
         self.require_valid()
-        mons = []
-        for j, dj in enumerate(self.delta):
-            i = 0
-            while self.m * i + dj < d:
-                mons.append((self.m * i + dj, i, j))
-                i += 1
-        mons.sort()
-        return [self.monomial(i, j) for _, i, j in mons]
-
-    def leading_monomial(self, d):
-        """The unique monomial x^i b_j of degree d, as an element."""
-        j = self._residue_basis(d)
-        if j is None or self.delta[j] > d:
-            raise ValueError(f"{d} is a gap of the degree semigroup")
-        return self.monomial((d - self.delta[j]) // self.m, j)
+        return least_multiples(self.basis(), self.dim_W(d))
 
     # -- element constructors -----------------------------------------------
 
@@ -273,19 +255,13 @@ class RingSpec:
         of lower-degree monomials, in counting order of the coefficient vector
         (first basis monomial least significant)."""
         self.require_valid()
-        if d == 0:
-            yield self.one()
+        if not self.degree_in_semigroup(d):
             return
-        if d < 0 or not self.degree_in_semigroup(d):
-            return
-        yield from affine_combinations(self.leading_monomial(d), self.basis_W(d))
+        *below, lead = self.basis_W(d + 1)
+        yield from affine_combinations(lead, below)
 
     def count_monic(self, d):
-        if d == 0:
-            return 1
-        if d < 0 or not self.degree_in_semigroup(d):
-            return 0
-        return self.field.q ** self.dim_W(d)
+        return self.field.q ** self.dim_W(d) if self.degree_in_semigroup(d) else 0
 
 
 class RingElement:
@@ -305,27 +281,16 @@ class RingElement:
 
     @property
     def degree(self):
-        spec = self.spec
-        best = NEG_INF
-        for j, g in enumerate(self.vec):
-            if not g.is_zero:
-                d = spec.m * g.degree + spec.delta[j]
-                if d > best:
-                    best = d
-        return best
+        return NEG_INF if self.is_zero else self.leading()[0]
 
     def leading(self):
         """(degree, component index, coefficient code) of the top monomial."""
         spec = self.spec
-        best = None
-        for j, g in enumerate(self.vec):
-            if not g.is_zero:
-                d = spec.m * g.degree + spec.delta[j]
-                if best is None or d > best[0]:
-                    best = (d, j, g.lc)
-        if best is None:
+        terms = [(spec.m * g.degree + spec.delta[j], j, g.lc)
+                 for j, g in enumerate(self.vec) if g.packed]
+        if not terms:
             raise ValueError("the zero element has no leading monomial")
-        return best
+        return max(terms)
 
     @property
     def is_monic(self):
@@ -445,6 +410,15 @@ def _plan_cells(table):
         if terms:
             plan.append((tuple(pairs), terms))
     return tuple(plan)
+
+
+def least_multiples(ws, count):
+    """The `count` least elements x^s w, w in the degree-reduced basis ws and
+    s >= 0, ascending by degree (the degree rule of the module docstring)."""
+    m, field = ws[0].spec.m, ws[0].spec.field
+    least = sorted((w.degree + m * s, k, s) for k, w in enumerate(ws)
+                   for s in range(count))
+    return [ws[k] * Poly.monomial(field, s) for _, k, s in least[:count]]
 
 
 def affine_combinations(lead, basis):

@@ -125,7 +125,8 @@ class NumericalSemigroup:
 
 
 def semigroup_from_ring(spec):
-    return NumericalSemigroup.from_generators(spec.semigroup_generators())
+    """The degrees of the monomials x^i b_j: generated by m and the delta_j."""
+    return NumericalSemigroup.from_generators((spec.m,) + spec.delta[1:])
 
 
 # -- gap structures ---------------------------------------------------------

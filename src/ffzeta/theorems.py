@@ -23,6 +23,8 @@ l(g+r) >= r+2.  No r is valid; at q = 2 the valid r are g-1 and g.
 
 from __future__ import annotations
 
+import functools
+from contextlib import suppress
 from dataclasses import dataclass
 
 from ffzeta.errors import BudgetError, NonMaximalRingError
@@ -33,7 +35,8 @@ from ffzeta.ideal_zeta import (ideal_zeta_classwise, matches_base_substituted,
 from ffzeta.ideals import class_group
 from ffzeta.semigroup import (NumericalSemigroup, r_gap_values,
                               semigroup_from_ring)
-from ffzeta.zeta import digit_sum, vanishing_threshold, zeta_neg
+from ffzeta.zeta import (digit_sum, require_positive_exponent,
+                         vanishing_threshold, zeta_neg)
 
 
 @dataclass(frozen=True)
@@ -62,20 +65,34 @@ class HypothesisReport:
         return None
 
 
+class _ChainStop(Exception):
+    """A hypothesis of a chain failed; the chain ends there."""
+
+
+def _need(checks, name, passed, witness):
+    """Record one hypothesis in checks; a failure ends the chain, so an
+    applicable chain is one whose last check passed."""
+    checks.append(CheckItem(name, passed, witness))
+    if not passed:
+        raise _ChainStop
+
+
 def check_hiper(spec, s):
     """q = 2, hyperelliptic, l_2(s) <= g: order of vanishing exactly 2."""
     spec.require_valid()
+    require_positive_exponent(s)
     q = spec.field.q
     S = semigroup_from_ring(spec)
     l2 = digit_sum(s, 2)
-    checks = (
-        CheckItem("q = 2", q == 2, {"q": q}),
-        CheckItem("hyperelliptic form (m = 2)", spec.m == 2, {"m": spec.m}),
-        CheckItem("l_2(s) <= g", l2 <= S.genus, {"l_2(s)": l2, "g": S.genus}),
-    )
-    applicable = all(c.passed for c in checks)
+    checks = []
+    need = functools.partial(_need, checks)
+    with suppress(_ChainStop):
+        need("q = 2", q == 2, {"q": q})
+        need("hyperelliptic form (m = 2)", spec.m == 2, {"m": spec.m})
+        need("l_2(s) <= g", l2 <= S.genus, {"l_2(s)": l2, "g": S.genus})
+    applicable = checks[-1].passed
     report = HypothesisReport(
-        theorem="hiper", checks=checks, applicable=applicable,
+        theorem="hiper", checks=tuple(checks), applicable=applicable,
         predicted=("exact", 2) if applicable else None, exponent=s)
     try:
         report.computed = zeta_neg(s, spec).ord_at_one()
@@ -88,6 +105,7 @@ def check_dinesh(spec, s):
     """r-gap structure with r >= q-1 and l_q(s)/(q-1) <= r: order exactly q;
     with m = q, also zeta_A(-s, X) = zeta_{F_q[x]}(-s, X^q) on the same zeta."""
     spec.require_valid()
+    require_positive_exponent(s)
     q = spec.field.q
     report = _dinesh_checks(semigroup_from_ring(spec), q, s)
     try:
@@ -102,19 +120,20 @@ def check_dinesh(spec, s):
 
 
 def _dinesh_checks(S, q, s):
-    rr = r_gap_values(S, q)
-    good = [r for r in rr.valid_r if r >= q - 1]
-    ratio = vanishing_threshold(s, q)
-    checks = (
-        CheckItem("(q-1) | s", s % (q - 1) == 0, {"q": q, "s": s}),
-        CheckItem("r-gap structure with r >= q-1", bool(good),
-                  {"valid_r": list(rr.valid_r), "required": q - 1}),
-        CheckItem("l_q(s)/(q-1) <= r", bool(good) and ratio <= max(good),
-                  {"ratio": str(ratio), "r": max(good) if good else None}),
-    )
-    applicable = all(c.passed for c in checks)
+    checks = []
+    need = functools.partial(_need, checks)
+    with suppress(_ChainStop):
+        need("(q-1) | s", s % (q - 1) == 0, {"q": q, "s": s})
+        rr = r_gap_values(S, q)
+        good = [r for r in rr.valid_r if r >= q - 1]
+        need("r-gap structure with r >= q-1", bool(good),
+             {"valid_r": list(rr.valid_r), "required": q - 1})
+        ratio = vanishing_threshold(s, q)
+        need("l_q(s)/(q-1) <= r", ratio <= max(good),
+             {"ratio": str(ratio), "r": max(good)})
+    applicable = checks[-1].passed
     return HypothesisReport(
-        theorem="dinesh", checks=checks, applicable=applicable,
+        theorem="dinesh", checks=tuple(checks), applicable=applicable,
         predicted=("exact", q) if applicable else None, exponent=s)
 
 
@@ -159,22 +178,14 @@ def check_generalization(spec, s, class_report=None):
     return _all_ideals_chain(spec, s, class_report, theorem="generalization")
 
 
-class _ChainStop(Exception):
-    """A hypothesis of an all-ideals chain failed; the chain ends there."""
-
-
 def _all_ideals_chain(spec, s, class_report, *, theorem):
     spec.require_valid()
+    require_positive_exponent(s)
     q = spec.field.q
     p = spec.field.p
     N = spec.N
     checks = []
-
-    def need(name, passed, witness):
-        checks.append(CheckItem(name, passed, witness))
-        if not passed:
-            raise _ChainStop
-
+    need = functools.partial(_need, checks)
     try:
         if theorem == "tesismc":
             ab, reason = _recover_artin_schreier(spec)

@@ -19,7 +19,7 @@ from math import comb
 
 from ffzeta.errors import BudgetError, ConsistencyError
 from ffzeta.gf import poly_to_str
-from ffzeta.ring import affine_combinations, echelon_insert
+from ffzeta.ring import affine_combinations, echelon_insert, least_multiples
 
 DEFAULT_BUDGET = 2 ** 20    # elements summed per power-sum slice
 
@@ -137,19 +137,23 @@ class ZetaPolynomial:
 
 def zeta_cutoff(s, spec):
     """Certified d_max of zeta(-s, X): the last degree d with
-    dim W_d <= l_q(s)/(q-1); every S(d') beyond it vanishes."""
-    tau = vanishing_threshold(s, spec.q)
-    d = 0
-    while spec.dim_W(d) <= tau:
-        d += 1
-    return d - 1
+    dim W_d <= l_q(s)/(q-1), which is the degree of the n-th least monomial,
+    n = floor(l_q(s)/(q-1)) + 1 (the degree rule of `ring`); every S(d')
+    beyond it vanishes."""
+    need = int(vanishing_threshold(s, spec.q)) + 1
+    return least_multiples(spec.basis(), need)[-1].degree
+
+
+def require_positive_exponent(s):
+    """Refuse an exponent s that is not a positive integer."""
+    if not isinstance(s, int) or s < 1:
+        raise ValueError(f"s must be a positive integer, got {s!r}")
 
 
 def zeta_neg(s, spec):
     """zeta(-s, X) over the monic elements of spec, with certified cutoff."""
     spec.require_valid()
-    if not isinstance(s, int) or s < 1:
-        raise ValueError(f"s must be a positive integer, got {s!r}")
+    require_positive_exponent(s)
     d_max = zeta_cutoff(s, spec)
     require_monic_in_budget(spec, range(d_max + 1))
     coeffs = tuple(power_sum_S(dd, s, spec) for dd in range(d_max + 1))

@@ -35,6 +35,30 @@ def h4g3():
 
 
 @pytest.fixture(scope="session")
+def m3f2():
+    """y^3 + y = x^2 + x over F_2: rank 3, h = 5."""
+    F2 = GF(2)
+    return RingSpec.cab(F2, tuple(poly_from_str(F2, c)
+                                  for c in ("x^2 + x", "1", "0")), name="m3f2")
+
+
+@pytest.fixture(scope="session")
+def m3f5():
+    """y^3 = x^2 + 2 over F_5: rank 3, h = 6."""
+    F5 = GF(5)
+    return RingSpec.cab(F5, tuple(poly_from_str(F5, c)
+                                  for c in ("4*x^2 + 3", "0", "0")), name="m3f5")
+
+
+@pytest.fixture(scope="session")
+def m3f2b():
+    """y^3 + xy = x^4 + 1 over F_2: rank 3, genus 3, h = 24."""
+    F2 = GF(2)
+    return RingSpec.cab(F2, tuple(poly_from_str(F2, c)
+                                  for c in ("x^4 + 1", "x", "0")), name="m3f2b")
+
+
+@pytest.fixture(scope="session")
 def h4g3_classes(h4g3):
     from ffzeta.ideals import class_group
     return class_group(h4g3)

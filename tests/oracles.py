@@ -2,6 +2,7 @@
 
 from ffzeta.gf import Poly, poly_from_str
 from ffzeta.ring import echelon_insert
+from ffzeta.zeta import vanishing_threshold
 
 
 def poly_eval(f, a):
@@ -53,3 +54,25 @@ def ideal_echelon(I, up_to):
         for t in range(F[j] + 1):
             echelon_insert(ech, col if t == 0 else col * Poly.monomial(field, t))
     return ech
+
+
+def monomials_below(spec, d):
+    """The monomials x^i b_j of degree < d in ascending degree, counted per
+    basis element b_j and sorted."""
+    mons = []
+    for j, dj in enumerate(spec.delta):
+        i = 0
+        while spec.m * i + dj < d:
+            mons.append((spec.m * i + dj, i, j))
+            i += 1
+    mons.sort()
+    return [spec.monomial(i, j) for _, i, j in mons]
+
+
+def cutoff_by_dims(s, spec):
+    """The last degree d with dim W_d <= l_q(s)/(q-1), found by stepping d."""
+    tau = vanishing_threshold(s, spec.q)
+    d = 0
+    while spec.dim_W(d) <= tau:
+        d += 1
+    return d - 1

@@ -100,6 +100,14 @@ def test_zeta_all_ideals_bad_exponent():
     assert "class-group exponent" in res.text
 
 
+@pytest.mark.parametrize("route", [(), ("--direct",)])
+def test_zeta_all_ideals_zero_exponent(route):
+    # 0 is a multiple of every exponent e; it is refused as s < 1
+    res = run("zeta", "--ring", "h4g3", "-s", "0", "--all-ideals", *route)
+    assert res.exit_code == 1
+    assert res.text == "error: s must be a positive integer, got 0"
+
+
 def test_zeta_direct_needs_all_ideals():
     res = run("zeta", "--ring", "h4g3.ring", "-s", "3", "--direct")
     assert res.exit_code == 2
@@ -357,6 +365,22 @@ def test_search_window():
     assert doc["space"]["window"] == [8, 16]
     assert doc["summary"]["total"] == 8
     assert [r["index"] for r in doc["records"]] == list(range(8, 16))
+
+
+def test_search_q_is_the_field_size(tmp_path):
+    ckpt = tmp_path / "q4.ckpt"
+    code, doc = jrun("search", "--q", "4", "--family", "artin-schreier",
+                     "--deg-a", "1", "--deg-b", "5", "--parts", "512",
+                     "--part", "1", "--checkpoint", str(ckpt))
+    assert code == 0
+    assert doc["space"]["q"] == 4
+    assert len(doc["records"]) == 8
+    assert "a=x;b=x^5 + t" in [r["coeffs"] for r in doc["records"]]
+    assert ckpt.read_text().startswith("# search q=4 ")
+    res = run("search", "--q", "6", "--family", "artin-schreier")
+    assert res.exit_code == 1
+    assert res.text.startswith("error: q must be a prime power p^n")
+    assert res.text.endswith("got 6")
 
 
 def test_search_part_validation():

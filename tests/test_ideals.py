@@ -45,28 +45,6 @@ def h20g2():
 
 
 @pytest.fixture(scope="module")
-def m3f2():
-    """y^3 + y = x^2 + x over F_2: rank 3, h = 5."""
-    return RingSpec.cab(F2, (P(F2, "x^2 + x"), P(F2, "1"), P(F2, "0")),
-                        name="m3f2")
-
-
-@pytest.fixture(scope="module")
-def m3f5():
-    """y^3 = x^2 + 2 over F_5: rank 3, h = 6."""
-    F5 = GF(5)
-    return RingSpec.cab(F5, (P(F5, "4*x^2 + 3"), P(F5, "0"), P(F5, "0")),
-                        name="m3f5")
-
-
-@pytest.fixture(scope="module")
-def m3f2b():
-    """y^3 + xy = x^4 + 1 over F_2: rank 3, genus 3, h = 24."""
-    return RingSpec.cab(F2, (P(F2, "x^4 + 1"), P(F2, "x"), P(F2, "0")),
-                        name="m3f2b")
-
-
-@pytest.fixture(scope="module")
 def g2f5():
     """y^2 = x^5 + 3x^4 + x^3 + 4x^2 + 3 over F_5: genus 2, h = 9, and
     5^4 > 512, so the point counts stop at K = 3 < 2g."""

@@ -1,12 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
-from oracles import elem_from_str
+from oracles import cutoff_by_dims, elem_from_str, monomials_below
 
 from ffzeta.errors import RingValidationError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str, poly_to_str
 from ffzeta.ideals import enumerate_ideals, ideal_from_generators, ideal_mul
 from ffzeta.ring import RingSpec, elem_to_str
+from ffzeta.ringfile import bundled_ring_names, parse_ring_spec
+from ffzeta.semigroup import semigroup_from_ring
+from ffzeta.zeta import zeta_cutoff
 
 F2 = GF(2)
 F3 = GF(3)
@@ -160,6 +164,48 @@ def test_basis_W_degrees(h4g3):
     assert len(basis) == h4g3.dim_W(8)
     degs = sorted(e.degree for e in basis)
     assert degs == [0, 2, 4, 6, 7]
+
+
+_TESTS = Path(__file__).resolve().parent
+# every bundled, benchmark and golden ring, the rank-3 rings of the ideal
+# tests, and m3f2b with its basis listed as 1, y^2, y in a custom table
+_LEDGER_RINGS = (bundled_ring_names()
+                 + sorted(map(str, (_TESTS.parent / "perfbench").glob("rings/*.ring")))
+                 + [str(_TESTS / "golden" / "h34.ring"),
+                    "m3f2", "m3f5", "m3f2b", "m3f2b-custom"])
+
+
+@pytest.fixture(params=_LEDGER_RINGS, ids=lambda name: Path(name).stem)
+def ledger_ring(request):
+    name = request.param
+    if name == "m3f2b-custom":
+        spec = request.getfixturevalue("m3f2b")
+        perm = (0, 2, 1)
+        table = spec.mul_table()
+        return RingSpec.custom(
+            spec.field, [spec.delta[k] for k in perm],
+            [[[table[i][j][k] for k in perm] for j in perm] for i in perm])
+    if name.startswith("m3f"):
+        return request.getfixturevalue(name)
+    return parse_ring_spec(name)
+
+
+def test_basis_W_matches_monomial_loop(ledger_ring):
+    spec = ledger_ring
+    assert spec.validate().ok
+    for d in range(3 * max(spec.delta) + 3):
+        assert spec.basis_W(d) == monomials_below(spec, d), d
+
+
+def test_zeta_cutoff_matches_dimension_loop(ledger_ring):
+    for s in range(1, 301):
+        assert zeta_cutoff(s, ledger_ring) == cutoff_by_dims(s, ledger_ring), s
+
+
+def test_degree_in_semigroup_is_semigroup_membership(ledger_ring):
+    S = semigroup_from_ring(ledger_ring)
+    for d in range(-2, 3 * max(ledger_ring.delta) + 3):
+        assert ledger_ring.degree_in_semigroup(d) == (d in S), d
 
 
 # -- monic enumeration ------------------------------------------------------

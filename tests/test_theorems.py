@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+import ffzeta.theorems as theorems
 from ffzeta.errors import BudgetError
 from ffzeta.gf import GF, poly_from_str
 from ffzeta.ideal_zeta import ideal_zeta_classwise
@@ -80,6 +81,28 @@ def test_dinesh_ex36_no_big_r(ex36):
     rep = check_dinesh(ex36, 2)
     assert not rep.applicable
     assert rep.failed_check().name == "r-gap structure with r >= q-1"
+
+
+@pytest.mark.parametrize("check", [check_hiper, check_dinesh])
+def test_chain_stops_at_the_first_failure(check, ex36):
+    # ex36 fails q = 2 and r >= q-1 = 2; nothing after is listed
+    rep = check(ex36, 2)
+    assert not rep.applicable
+    assert [c.passed for c in rep.checks].count(False) == 1
+    assert rep.checks[-1] is rep.failed_check()
+
+
+@pytest.mark.parametrize("check", [check_hiper, check_dinesh, check_tesismc,
+                                   check_generalization])
+@pytest.mark.parametrize("s", [0, -1])
+def test_nonpositive_s_refused_before_any_class_group(check, s, ex26,
+                                                      monkeypatch):
+    def refuse(spec):
+        raise AssertionError("a class group was computed")
+
+    monkeypatch.setattr(theorems, "class_group", refuse)
+    with pytest.raises(ValueError, match=f"s must be a positive integer, got {s}"):
+        check(ex26, s)
 
 
 def test_dinesh_quintic_semigroup():
