@@ -24,7 +24,8 @@ from ffzeta.zeta import (
     ZetaPolynomial, affine_power_sum, digit_sum, power_sum_S, zeta_neg,
 )
 from ffzeta.ideals import (
-    class_group, ideal_from_generators, ideal_is_principal, unit_ideal,
+    class_group, ideal_from_generators, ideal_is_principal, l_polynomial,
+    unit_ideal,
 )
 from ffzeta.ideal_zeta import (
     ideal_zeta_classwise, ideal_zeta_direct, remark_exact_check,
@@ -52,7 +53,7 @@ __all__ = [
     "ZetaPolynomial", "affine_power_sum", "digit_sum", "power_sum_S",
     "zeta_neg",
     "class_group", "ideal_from_generators", "ideal_is_principal",
-    "unit_ideal",
+    "l_polynomial", "unit_ideal",
     "ideal_zeta_classwise", "ideal_zeta_direct", "remark_exact_check",
     "check_dinesh", "check_generalization", "check_hiper",
     "check_hyperelliptic_rgap_proposition", "check_tesismc",

@@ -20,7 +20,7 @@ from ffzeta.errors import ConsistencyError
 from ffzeta.gf import GF, Poly, field_of_size, poly_from_str, poly_to_str
 from ffzeta.ideal_zeta import (ideal_zeta_classwise, ideal_zeta_direct,
                                require_monic_products)
-from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group
+from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group, l_polynomial
 from ffzeta.ring import RingElement
 from ffzeta.ringfile import parse_ring_spec
 from ffzeta.search import FAMILIES, SearchSpace, search_block, search_run
@@ -207,7 +207,7 @@ def _cmd_classgroup(args):
 
 def _cmd_lpoly(args):
     spec = parse_ring_spec(args.ring)
-    rep = class_group(spec)
+    rep = l_polynomial(spec)
     K = rep.points_checked
     data = {
         "ring": spec.name, "genus": rep.genus,

@@ -15,11 +15,12 @@ alpha are exactly the products I_k * I over integral I of degree d in the
 inverse class), divided by the constant prefactor f_k^(t/e_k).  The
 principal class is one of them: its representative is (1), with d = 0 and
 f = 1, so its part is the element zeta, slice by slice S(d).  Each class
-term has its own certified cutoff from the power-sum vanishing bound and
-the degree rule of `ring` (`_class_cuts`, shared by both paths; the
-principal one is `zeta.zeta_cutoff`), so the classwise result is a
-complete polynomial.  The cutoffs fix every slice in advance, and each path
-checks them all against its budget before the first power or enumeration.
+term has its leads from `zeta.term_leads` over the reduced basis of its
+representative, and the last lead's degree is the term's certified cutoff
+(`_class_cuts`, shared by both paths), so the classwise result is a
+complete polynomial.  Leads whose largest slice is over the power-sum
+budget are refused before they are built, and the direct path checks every
+degree against the ideal budget before the first enumeration.
 
 `remark_exact_check` takes a classwise zeta already computed, for instance
 by the all-ideals hypothesis chain of `theorems`, and checks it against the
@@ -39,10 +40,9 @@ from dataclasses import dataclass
 from ffzeta.errors import ConsistencyError
 from ffzeta.ideals import (elem_divexact, enumerate_ideals, ideal_is_principal,
                            ideal_pow, reduced_basis)
-from ffzeta.ring import RingElement, RingSpec, least_multiples
+from ffzeta.ring import RingElement, RingSpec
 from ffzeta.zeta import (ZetaPolynomial, affine_power_sum,
-                         require_points_in_budget, require_positive_exponent,
-                         vanishing_threshold, zeta_neg)
+                         require_positive_exponent, term_leads, zeta_neg)
 
 
 def require_monic_products(spec):
@@ -82,7 +82,7 @@ def ideal_zeta_direct(t, report):
     spec = report.spec
     require_monic_products(spec)
     _require_exponent(t, report)
-    d_max = max(cut for *_, cut in _class_cuts(t, report, spec))
+    d_max = max(cut for *_, cut in _class_cuts(t, report))
     coeffs = []
     for ideals in [enumerate_ideals(spec, d) for d in range(d_max + 1)]:
         acc = spec.zero()
@@ -92,39 +92,30 @@ def ideal_zeta_direct(t, report):
     return ZetaPolynomial(spec, t, coeffs)
 
 
-def _class_cuts(t, report, spec):
-    """Yield (class, leads, cut) per class: its term of zeta(-t, X) vanishes
-    beyond X-degree cut = D - d_k - 1, D the least degree with
-    dim{alpha in I_k : deg alpha < D} > l_q(t)/(q-1).  For the principal
-    class, I_k = (1) and the cut is `zeta_cutoff(t, spec)`.
-
-    The leads are the `need` least multiples x^s monic(w) of the reduced
-    basis of I_k (the degree rule of `ring`), and the slice at X^d,
-    d = deg lead - d_k, sums over lead + span(leads below).
-    """
-    need = int(vanishing_threshold(t, spec.field.q)) + 1
+def _class_cuts(t, report):
+    """Yield (class, leads, cut) per class: the leads are `term_leads` over
+    the monic reduced basis of I_k, the slice at X^d, d = deg lead - d_k,
+    sums over lead + span(leads below), and the term vanishes beyond
+    X-degree cut = deg(last lead) - d_k.  For the principal class,
+    I_k = (1) and the leads are those of `zeta_neg`."""
     for cls in report.classes:
-        leads = least_multiples([w.monic() for w in reduced_basis(cls.rep)], need)
+        leads = term_leads([w.monic() for w in reduced_basis(cls.rep)], t)
         yield cls, leads, leads[-1].degree - cls.degree
 
 
 def ideal_zeta_classwise(t, report):
     """Class-by-class evaluation with certified per-class cutoffs.
 
-    Every slice of every class, the principal one included, is checked
-    against the element budget before the first power.  A class term whose
-    exact division leaves the ring raises ConsistencyError.
+    Every class's leads, the principal one's included, pass the budget
+    before the first power.  A class term whose exact division leaves the
+    ring raises ConsistencyError.
     """
     spec = report.spec
     require_monic_products(spec)
     _require_exponent(t, report)
-    cuts = list(_class_cuts(t, report, spec))
-    # every class has `need` leads: one pass checks the slices q^0 .. q^(need-1)
-    for i in range(len(cuts[0][1])):
-        require_points_in_budget(spec.field.q, i)
-
     coeffs = []
-    for cls, leads, cut in cuts:
+    # every class's leads are refused or built before the first power
+    for cls, leads, cut in list(_class_cuts(t, report)):
         denom = cls.generator ** (t // cls.order)
         coeffs += [spec.zero()] * (cut + 1 - len(coeffs))
         for i, lead in enumerate(leads):

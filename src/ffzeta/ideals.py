@@ -12,19 +12,19 @@ element degrees of I are deg w_k + m t, t >= 0.  As (alpha) inside I has
 codimension deg alpha, I is principal exactly when deg w_0 = deg I, and then
 monic(w_0), the unique monic element of least degree, generates.
 
-The class group pipeline enumerates the ideals of degree 0..g, forms the
-L-polynomial p_d = c_d - q c_{d-1} for d <= g, fills p_{g+1}..p_{2g} by the
+The L-polynomial (`l_polynomial`) enumerates the ideals of degree 0..g,
+forms p_d = c_d - q c_{d-1} for d <= g, fills p_{g+1}..p_{2g} by the
 functional equation p_{2g-i} = q^{g-i} p_i and rebuilds c_{g+1}..c_{2g}
 from them.  The point counts N_k over F_{q^k}, k = 1..K (K = min(2g, largest
 k with q^k <= 512)), certify the result: below g they test the enumeration,
-beyond g the half the functional equation filled in.  It reads off h = P(1),
-then keeps, in degree order, the enumerated ideals that are reduced until it
-has h of them: every class holds exactly one integral ideal of least degree,
-its reduced ideal (Hess's reduction; Cantor's reduced divisors for m = 2),
-of degree <= g by Riemann-Roch, and one ideal quotient per ideal tests it
-(`_is_reduced`).  A class order divides h (Lagrange), so the order of I is
-the least divisor k of h with I^k principal, and only the divisors are
-tried.
+beyond g the half the functional equation filled in.  The class group
+(`class_group`) reads off h = P(1), then keeps, in degree order, the same
+enumerated ideals that are reduced until it has h of them: every class
+holds exactly one integral ideal of least degree, its reduced ideal (Hess's
+reduction; Cantor's reduced divisors for m = 2), of degree <= g by
+Riemann-Roch, and one ideal quotient per ideal tests it (`_is_reduced`).
+A class order divides h (Lagrange), so the order of I is the least divisor
+k of h with I^k principal, and only the divisors are tried.
 
 Ideals are `IdealHNF` values, immutable by convention like the `Poly` and
 `RingElement` values they are built from.
@@ -440,22 +440,34 @@ class ClassData:
 
 
 @dataclass
-class ClassGroupReport:
+class LPolynomial:
+    """The L-polynomial from the ideal counts, certified by point counts."""
     spec: object
     genus: int
     counts: tuple      # c_0 .. c_{2g}
     lpoly: tuple       # integer coefficients p_0 .. p_{2g}
-    h: int
+    points_checked: int    # K: N_1 .. N_K matched the point counts
+    low_ideals: tuple  # per degree 0 .. g, its ideals in enumeration order
+
+    @property
+    def h(self):
+        """P(1), the class number."""
+        return sum(self.lpoly)
+
+
+@dataclass
+class ClassGroupReport(LPolynomial):
+    """The L-polynomial and the classes read off its ideals."""
     e: int             # lcm of the class orders
     classes: tuple     # ClassData, classes[0] is the trivial class
-    points_checked: int    # K: N_1 .. N_K matched the point counts
 
     def nontrivial(self):
         return self.classes[1:]
 
 
-def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
-    """Certified class group data; refuses rings with finite singular points."""
+def l_polynomial(spec, *, budget=DEFAULT_IDEAL_BUDGET):
+    """The certified L-polynomial; refuses rings with finite singular
+    points."""
     rep = spec.require_valid()
     if rep.singular_finite:
         locus = ", ".join(poly_to_str(p) for p in rep.singular_finite)
@@ -466,7 +478,7 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     q = spec.field.q
     # every degree is checked against the budget before any is enumerated
     planned = [enumerate_ideals(spec, d, budget=budget) for d in range(g + 1)]
-    low = [list(ideals) for ideals in planned]
+    low = tuple(tuple(ideals) for ideals in planned)
     counts = [len(ideals) for ideals in low]
     if counts[0] != 1:
         raise ConsistencyError(f"c_0 = {counts[0]} != 1")
@@ -475,13 +487,22 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
         lpoly.append(q ** (d - g) * lpoly[2 * g - d])
         counts.append(q * counts[d - 1] + lpoly[d])
     points_checked = _certify_by_points(spec, g, lpoly)
-    h = sum(lpoly)
-    if h < 1:
-        raise ConsistencyError(f"P(1) = {h} < 1")
+    if sum(lpoly) < 1:
+        raise ConsistencyError(f"P(1) = {sum(lpoly)} < 1")
+    return LPolynomial(spec=spec, genus=g, counts=tuple(counts),
+                       lpoly=tuple(lpoly), points_checked=points_checked,
+                       low_ideals=low)
+
+
+def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
+    """Certified class group data on the ideals `l_polynomial` enumerated;
+    refuses rings with finite singular points."""
+    lp = l_polynomial(spec, budget=budget)
+    g, h = lp.genus, lp.h
     # each class has one reduced ideal, of degree <= g; the ascending
     # enumeration meets it before any other ideal of its class
     reps = []
-    for I in chain.from_iterable(low):
+    for I in chain.from_iterable(lp.low_ideals):
         if _is_reduced(I):
             reps.append(I)
             if len(reps) == h:
@@ -501,9 +522,7 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
             raise ConsistencyError("class order exceeds h; group law violated")
         classes.append(ClassData(rep=I, degree=I.deg, order=k, generator=gen))
     e = lcm(*(c.order for c in classes))
-    return ClassGroupReport(spec=spec, genus=g, counts=tuple(counts),
-                            lpoly=tuple(lpoly), h=h, e=e, classes=tuple(classes),
-                            points_checked=points_checked)
+    return ClassGroupReport(**vars(lp), e=e, classes=tuple(classes))
 
 
 def _is_reduced(I):

@@ -26,8 +26,8 @@ F_q[x]-module inside A are pairwise distinct mod m (degree-reduced), then
 deg sum_k f_k w_k = max_k (m deg f_k + deg w_k): the elements of degree < D
 are the F_q-span of the x^s w_k below D, one dimension at each degree
 deg w_k + m s (Hess, J. Symbolic Comput. 33, 2002).  `least_multiples`
-lists them in ascending degree: for w_k = b_k the monomials (`basis_W`,
-`enumerate_monic`, `zeta.zeta_cutoff`), for the reduced basis of an ideal
+lists them in ascending degree: for w_k = b_k the monomials (`basis_W`) and
+the zeta slices (`zeta.term_leads`), for the reduced basis of an ideal
 (`ideals.reduced_basis`) the class slices of `ideal_zeta`.
 """
 
@@ -253,7 +253,8 @@ class RingSpec:
     def enumerate_monic(self, d):
         """Monic elements of degree d: leading monomial plus every combination
         of lower-degree monomials, in counting order of the coefficient vector
-        (first basis monomial least significant)."""
+        (first basis monomial least significant).  The tests' brute-force
+        oracle for `zeta`; `perfbench/tracing.py` wraps it by name."""
         self.require_valid()
         if not self.degree_in_semigroup(d):
             return

@@ -1,12 +1,14 @@
 """Zeta polynomials of one-place rings at negative integers, exactly.
 
 zeta(-s, X) = sum_d S(d) X^d where S(d) adds a^s over the monic elements of
-degree d.  The sum is a polynomial: once dim W_d exceeds l_q(s)/(q-1), the
-vanishing theorem for power sums over affine subspaces forces S(d') = 0 for
-every d' >= d (each S(d') is a sum of (lead + w)^s over the F_q-space W_{d'},
-whose dimension never decreases).  The cutoff certifies every omitted
-coefficient is zero, so values and orders of vanishing at X = 1 are exact.
-The cutoff fixes every slice in advance; `zeta_neg` checks them all first.
+degree d: the monomial of degree d plus the F_q-span W_d of those below it.
+Once dim W_d exceeds l_q(s)/(q-1), the vanishing theorem for power sums over
+affine subspaces forces S(d') = 0 for every d' >= d.  So the
+floor(l_q(s)/(q-1)) + 1 least monomials (`term_leads`) head every slice that
+can be nonzero, and the last one's degree is the certified cutoff: values
+and orders of vanishing at X = 1 are exact.  Each slice is one
+`affine_power_sum`, and `slice_leads` refuses the leads before it builds
+them when the largest slice exceeds DEFAULT_BUDGET points.
 
 Recentering at X = 1 uses binomials mod p via Lucas; the order of vanishing
 is the first nonzero recentered coefficient.
@@ -21,7 +23,7 @@ from ffzeta.errors import BudgetError, ConsistencyError
 from ffzeta.gf import poly_to_str
 from ffzeta.ring import affine_combinations, echelon_insert, least_multiples
 
-DEFAULT_BUDGET = 2 ** 20    # elements summed per power-sum slice
+DEFAULT_BUDGET = 2 ** 20    # points summed per power-sum slice
 
 
 def digit_sum(k, q):
@@ -53,23 +55,30 @@ def binom_mod_p(d, j, p):
     return r
 
 
-def require_monic_in_budget(spec, degrees):
-    """Refuse the first S(d), d in degrees, over DEFAULT_BUDGET elements."""
-    for d in degrees:
-        if spec.count_monic(d) > DEFAULT_BUDGET:
-            raise BudgetError(f"S({d}) sums over {spec.count_monic(d)} monic "
-                              f"elements, over the budget {DEFAULT_BUDGET}")
+def slice_leads(ws, count):
+    """The `count` least elements x^j w, w in the degree-reduced basis ws,
+    ascending by degree (`ring.least_multiples`): lead i heads the slice
+    lead_i + span(leads[:i]).  Refused before any lead is built when the
+    largest slice, over q^(count-1) points, exceeds DEFAULT_BUDGET."""
+    q, dim = ws[0].spec.q, count - 1
+    # q^dim > DEFAULT_BUDGET already when dim reaches its bit length
+    if q ** min(dim, DEFAULT_BUDGET.bit_length()) > DEFAULT_BUDGET:
+        raise BudgetError(f"a power-sum slice over {q}^{dim} points exceeds "
+                          f"the budget {DEFAULT_BUDGET}")
+    return least_multiples(ws, count)
 
 
-def require_points_in_budget(q, dim):
-    """Refuse an affine power sum over more than DEFAULT_BUDGET points."""
-    if q ** dim > DEFAULT_BUDGET:
-        raise BudgetError(f"affine power sum over q^dim = {q ** dim} points "
-                          f"exceeds the budget {DEFAULT_BUDGET}")
+def term_leads(ws, s):
+    """The leads of one zeta term at exponent s over the degree-reduced
+    basis ws: the floor(l_q(s)/(q-1)) + 1 least multiples.  Every later
+    slice spans more than l_q(s)/(q-1) dimensions and vanishes, so the last
+    lead's degree is the term's certified cutoff."""
+    return slice_leads(ws, int(vanishing_threshold(s, ws[0].spec.q)) + 1)
 
 
 def affine_power_sum(f, basis, k):
     """Sum of (f + w)^k over the F_q-span of `basis`; f must lie outside it.
+    No budget is checked here: the leads come from `slice_leads`.
 
     Vanishes whenever len(basis) > l_q(k)/(q-1); the sharpness witnesses in
     the tests show the bound is tight.
@@ -80,7 +89,6 @@ def affine_power_sum(f, basis, k):
             raise ValueError("the W basis is linearly dependent over F_q")
     if not echelon_insert(ech, f):
         raise ValueError("f lies in the span of W; the theorem needs f outside it")
-    require_points_in_budget(f.spec.field.q, len(basis))
     acc = f.spec.zero()
     for e in affine_combinations(f, basis):
         acc = acc + e ** k
@@ -88,12 +96,14 @@ def affine_power_sum(f, basis, k):
 
 
 def power_sum_S(d, s, spec):
-    """S(d): sum of a^s over the monic elements of degree d (0 at gaps)."""
-    require_monic_in_budget(spec, (d,))
-    acc = spec.zero()
-    for e in spec.enumerate_monic(d):
-        acc = acc + e ** s
-    return acc
+    """S(d): sum of a^s over the monic elements of degree d (0 at gaps), the
+    last slice of the dim W_d + 1 least monomials."""
+    spec.require_valid()
+    require_positive_exponent(s)
+    if not spec.degree_in_semigroup(d):
+        return spec.zero()
+    *below, lead = slice_leads(spec.basis(), spec.dim_W(d) + 1)
+    return affine_power_sum(lead, below, s)
 
 
 class ZetaPolynomial:
@@ -135,15 +145,6 @@ class ZetaPolynomial:
         return f"ZetaPolynomial[s={self.s}, {self}]"
 
 
-def zeta_cutoff(s, spec):
-    """Certified d_max of zeta(-s, X): the last degree d with
-    dim W_d <= l_q(s)/(q-1), which is the degree of the n-th least monomial,
-    n = floor(l_q(s)/(q-1)) + 1 (the degree rule of `ring`); every S(d')
-    beyond it vanishes."""
-    need = int(vanishing_threshold(s, spec.q)) + 1
-    return least_multiples(spec.basis(), need)[-1].degree
-
-
 def require_positive_exponent(s):
     """Refuse an exponent s that is not a positive integer."""
     if not isinstance(s, int) or s < 1:
@@ -154,9 +155,10 @@ def zeta_neg(s, spec):
     """zeta(-s, X) over the monic elements of spec, with certified cutoff."""
     spec.require_valid()
     require_positive_exponent(s)
-    d_max = zeta_cutoff(s, spec)
-    require_monic_in_budget(spec, range(d_max + 1))
-    coeffs = tuple(power_sum_S(dd, s, spec) for dd in range(d_max + 1))
+    leads = term_leads(spec.basis(), s)
+    coeffs = [spec.zero()] * (leads[-1].degree + 1)
+    for i, lead in enumerate(leads):
+        coeffs[lead.degree] = affine_power_sum(lead, leads[:i], s)
     return ZetaPolynomial(spec, s, coeffs)
 
 

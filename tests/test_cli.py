@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -86,12 +87,12 @@ def test_zeta_direct_default_cutoff_computes_no_classwise_zeta(monkeypatch):
 def test_zeta_over_budget_refused_before_first_power(no_powers):
     res = run("zeta", "--ring", "fqx2", "-s", "2097151")
     assert res.exit_code == 1
-    assert res.text == ("error: S(21) sums over 2097152 monic elements, "
-                        "over the budget 1048576")
+    assert res.text == ("error: a power-sum slice over 2^21 points exceeds "
+                        "the budget 1048576")
     res = run("zeta", "--ring", "h4g3", "-s", "4194302", "--all-ideals")
     assert res.exit_code == 1
-    assert res.text == ("error: affine power sum over q^dim = 2097152 points "
-                        "exceeds the budget 1048576")
+    assert res.text == ("error: a power-sum slice over 2^21 points exceeds "
+                        "the budget 1048576")
 
 
 def test_zeta_all_ideals_bad_exponent():
@@ -100,10 +101,13 @@ def test_zeta_all_ideals_bad_exponent():
     assert "class-group exponent" in res.text
 
 
-@pytest.mark.parametrize("route", [(), ("--direct",)])
+@pytest.mark.parametrize("route", [("zeta", "--all-ideals"),
+                                   ("zeta", "--all-ideals", "--direct"),
+                                   ("powsum", "-d", "2")])
 def test_zeta_all_ideals_zero_exponent(route):
-    # 0 is a multiple of every exponent e; it is refused as s < 1
-    res = run("zeta", "--ring", "h4g3", "-s", "0", "--all-ideals", *route)
+    # 0 is a multiple of every exponent e; it is refused as s < 1, and
+    # powsum refuses it the same way
+    res = run(*route, "--ring", "h4g3", "-s", "0")
     assert res.exit_code == 1
     assert res.text == "error: s must be a positive integer, got 0"
 
@@ -177,6 +181,17 @@ def _ring_file(tmp_path, name, field, c0):
     p.write_text(f"[field]\n{field}\n\n[ring]\nform = cab\nname = {name}\n"
                  f"m = 2\nc0 = {c0}\nc1 = 0\n")
     return str(p)
+
+
+def test_lpoly_finds_no_class_representatives(monkeypatch):
+    # the L-polynomial needs the ideal counts only, not the classes
+    def refuse(I):
+        raise AssertionError("lpoly tested an ideal for reducedness")
+
+    monkeypatch.setattr("ffzeta.ideals._is_reduced", refuse)
+    code, doc = jrun("lpoly", "--ring", "h4g3.ring")
+    assert code == 0
+    assert doc["lpoly"] == [1, 0, -1, -2, -2, 0, 8]
 
 
 def test_lpoly_reports_points_checked():
@@ -345,6 +360,17 @@ def test_powsum():
     assert doc["is_zero"] is False
     assert doc["dim_W"] == 2
     assert doc["threshold"] == "2"
+
+
+def test_powsum_over_budget_refused_at_once(no_powers):
+    # S(100000) over F_2[x] sums over 2^100000 elements; the refusal names
+    # the slice readably and builds no basis first
+    start = time.perf_counter()
+    res = run("powsum", "--ring", "fqx2", "-d", "100000", "-s", "1")
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 1
+    assert res.text == ("error: a power-sum slice over 2^100000 points "
+                        "exceeds the budget 1048576")
 
 
 def test_powsum_vanishing():

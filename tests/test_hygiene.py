@@ -1,8 +1,9 @@
 """Source hygiene: every name a library module or test module imports is
 used there, every module-level function and class of the library is read
 somewhere in it or exported, library modules import at module level only
-and nothing beyond ffzeta and the standard library, and one function holds
-the library's only square-and-multiply loop."""
+and nothing beyond ffzeta and the standard library, one function holds
+the library's only square-and-multiply loop, and one function reads the
+power-sum budget."""
 
 import ast
 import importlib.util
@@ -217,14 +218,54 @@ def test_detects_a_budget_knob():
 
 
 # budgets are module constants; the one limit a user sets, search --h-budget,
-# reaches the ideal enumeration through these four
+# reaches the ideal enumeration through these five
 BUDGET_KNOBS = ["SearchSpace.h_budget", "class_group.budget",
-                "enumerate_ideals.budget", "evaluate_candidate.h_budget"]
+                "enumerate_ideals.budget", "evaluate_candidate.h_budget",
+                "l_polynomial.budget"]
 
 
 def test_no_per_call_budget_knobs():
     sources = [p.read_text(encoding="utf-8") for p in LIBRARY]
     assert budget_knobs(sources) == BUDGET_KNOBS
+
+
+def readers_of(sources, name):
+    """(module, function) of every function that reads `name`, bare or as
+    an attribute; a read outside any function counts as "<module>"."""
+    found = set()
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    and isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Attribute) and child.attr == name):
+                found.add((module, owner))
+            visit(child, module, owner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return sorted(found)
+
+
+def test_detects_a_budget_reader():
+    sources = {
+        "a": "LIMIT = 4\n\ndef check(n):\n    return n > LIMIT\n\n"
+             "def wrap():\n    def inner():\n        return LIMIT\n"
+             "    return inner\n",
+        "b": "import a\nCAP = a.LIMIT\n\ndef f(x, limit=a.LIMIT):\n"
+             "    LIMIT = 3\n    return x\n",
+    }
+    assert readers_of(sources, "LIMIT") == [("a", "check"), ("a", "inner"),
+                                            ("b", "<module>"), ("b", "f")]
+
+
+def test_one_power_sum_budget_rule():
+    # every power sum is refused or admitted by the one ledger rule
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert readers_of(sources, "DEFAULT_BUDGET") == [("zeta", "slice_leads")]
 
 
 def load_tracing():

@@ -13,7 +13,8 @@ from ffzeta.ideals import class_group, enumerate_ideals, ideal_from_generators
 from ffzeta.ring import RingSpec, elem_to_str
 from ffzeta.ringfile import parse_ring_spec
 from ffzeta.theorems import check_tesismc
-from ffzeta.zeta import ZetaPolynomial, coeff_lit, zeta_cutoff, zeta_to_str
+from ffzeta.zeta import (ZetaPolynomial, coeff_lit, term_leads, zeta_neg,
+                         zeta_to_str)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -159,14 +160,16 @@ RINGS = (["ex26", "ex36", "fqx2", "fqx3", "fqx4", "h4g3"]
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: Path(r).stem)
 def test_trivial_class_cut_is_the_element_cutoff(ring):
     # the principal class is summed like the others: its representative is
-    # (1), of degree 0 with generator 1, and its cut is zeta_cutoff
+    # (1), of degree 0 with generator 1, and its leads are zeta_neg's, the
+    # term leads of the ring's own basis
     spec = parse_ring_spec(ring)
     rep = class_group(spec)
     for k in (1, 2, 3, 5, 8, 13, 31, 63):
         t = k * rep.e
-        cls, _, cut = next(_class_cuts(t, rep, spec))
+        cls, leads, cut = next(_class_cuts(t, rep))
         assert (cls.order, cls.degree, cls.generator) == (1, 0, spec.one())
-        assert cut == zeta_cutoff(t, spec), t
+        assert leads == term_leads(spec.basis(), t), t
+        assert cut == zeta_neg(t, spec).d_max, t
 
 
 def test_trivial_zeros_extend(h4g3, ex36, f4as, h4g3_classes):
@@ -183,19 +186,20 @@ def test_trivial_zeros_extend(h4g3, ex36, f4as, h4g3_classes):
 
 def test_class_slice_over_budget_refused_before_first_power(
         h4g3_classes, monkeypatch, no_powers):
-    # the first slice over the budget (two elements) is refused before any
-    # power
+    # t = 2 plans slices over 2^0 and 2^1 points; the larger one is over the
+    # budget and refused before any power
     monkeypatch.setattr("ffzeta.zeta.DEFAULT_BUDGET", 1)
-    with pytest.raises(BudgetError, match=r"q\^dim = 2 points exceeds the budget 1"):
+    with pytest.raises(BudgetError, match=r"^a power-sum slice over 2\^1 "
+                       r"points exceeds the budget 1$"):
         ideal_zeta_classwise(2, h4g3_classes)
 
 
 def test_classwise_over_budget_refused_before_first_power(h4g3_classes,
                                                           no_powers):
     # t = 2 (2^21 - 1) has l_2(t) = 21, so every class plans slices over
-    # 2^0 .. 2^21 points; the first one over the budget is refused
-    with pytest.raises(BudgetError, match=r"^affine power sum over q\^dim = "
-                       r"2097152 points exceeds the budget 1048576$"):
+    # 2^0 .. 2^21 points; the largest is over the budget and refused
+    with pytest.raises(BudgetError, match=r"^a power-sum slice over 2\^21 "
+                       r"points exceeds the budget 1048576$"):
         ideal_zeta_classwise(2 * (2 ** 21 - 1), h4g3_classes)
 
 

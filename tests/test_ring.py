@@ -10,7 +10,7 @@ from ffzeta.ideals import enumerate_ideals, ideal_from_generators, ideal_mul
 from ffzeta.ring import RingSpec, elem_to_str
 from ffzeta.ringfile import bundled_ring_names, parse_ring_spec
 from ffzeta.semigroup import semigroup_from_ring
-from ffzeta.zeta import zeta_cutoff
+from ffzeta.zeta import term_leads
 
 F2 = GF(2)
 F3 = GF(3)
@@ -198,8 +198,11 @@ def test_basis_W_matches_monomial_loop(ledger_ring):
 
 
 def test_zeta_cutoff_matches_dimension_loop(ledger_ring):
+    # the last term lead's degree is the certified cutoff
+    basis = ledger_ring.basis()
     for s in range(1, 301):
-        assert zeta_cutoff(s, ledger_ring) == cutoff_by_dims(s, ledger_ring), s
+        assert (term_leads(basis, s)[-1].degree
+                == cutoff_by_dims(s, ledger_ring)), s
 
 
 def test_degree_in_semigroup_is_semigroup_membership(ledger_ring):

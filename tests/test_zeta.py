@@ -7,6 +7,7 @@ import pytest
 from ffzeta.errors import BudgetError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
 from ffzeta.ring import RingSpec
+from ffzeta.ringfile import bundled_ring_names, parse_ring_spec
 from ffzeta.zeta import (
     affine_power_sum, binom_mod_p, digit_sum, power_sum_S, vanishing_threshold,
     zeta_neg,
@@ -110,6 +111,24 @@ def test_power_sum_cab_brute_force(h4g3):
 
 # -- zeta polynomials -------------------------------------------------------
 
+@pytest.mark.parametrize("ring", bundled_ring_names())
+def test_zeta_coefficients_are_monic_power_sums(ring):
+    # every coefficient against a sum over the enumerated monic elements,
+    # powers by repeated products, at s with base-q digit sums 1, 2, 3, 4
+    spec = parse_ring_spec(ring)
+    q = spec.q
+    for s in (q, q + 1, q * q + q + 1, q ** 3 + q * q + q + 1):
+        z = zeta_neg(s, spec)
+        for d, coeff in enumerate(z.coeffs):
+            acc = spec.zero()
+            for a in spec.enumerate_monic(d):
+                power = spec.one()
+                for _ in range(s):
+                    power = power * a
+                acc = acc + power
+            assert coeff == acc, (s, d)
+
+
 def test_fqx_s3_frozen():
     z = zeta_neg(3, RingSpec.polyring(F2))
     assert str(z) == "1 + (x^2 + x + 1)*X + (x^2 + x)*X^2"
@@ -197,9 +216,9 @@ def test_budget_refusal(ex26, monkeypatch):
 
 
 def test_over_budget_refused_before_first_power(no_powers):
-    # s = 2^21 - 1 plans S(0..21); S(21) holds 2^21 monic elements
-    with pytest.raises(BudgetError, match=r"^S\(21\) sums over 2097152 monic "
-                       r"elements, over the budget 1048576$"):
+    # s = 2^21 - 1 plans S(0..21); S(21) sums over 2^21 monic elements
+    with pytest.raises(BudgetError, match=r"^a power-sum slice over 2\^21 "
+                       r"points exceeds the budget 1048576$"):
         zeta_neg(2 ** 21 - 1, RingSpec.polyring(F2))
 
 
