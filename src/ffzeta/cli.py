@@ -325,6 +325,8 @@ def _cmd_search(args):
     if (args.parts is None) != (args.part is None):
         raise _UsageError("--parts and --part go together")
     if args.parts is not None:
+        if args.parts < 1:
+            raise _UsageError(f"--parts must be at least 1, got {args.parts}")
         if not 1 <= args.part <= args.parts:
             raise _UsageError(f"--part must be in 1..{args.parts}")
         space = search_block(space, args.parts, args.part - 1)

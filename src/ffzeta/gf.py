@@ -705,6 +705,13 @@ def valuation_profile(num, den):
 
 # -- literals ---------------------------------------------------------------
 
+def is_ascii_digits(text):
+    """Whether text is one or more of the digits 0-9: the integers of the
+    literal grammar and of ring files.  str.isdigit alone also takes other
+    Unicode digits, such as a superscript 2 or an Arabic-Indic 3."""
+    return text.isascii() and text.isdigit()
+
+
 def _split_top(s, sep):
     parts = []
     depth = 0
@@ -753,7 +760,7 @@ def _parse_term(field, piece, var, ctx):
         k = _power_of(part, var)
         if k is not None:
             exp += k
-        elif part.isdigit():
+        elif is_ascii_digits(part):
             code = field.mul(code, int(part) % field.p)
         elif field.n > 1 and (k := _power_of(part, "t")) is not None:
             code = field.mul(code, field.pow(field.p, k))  # code p encodes t
@@ -769,7 +776,7 @@ def _power_of(part, name):
     """k when part is `name` or `name^k`, else None."""
     if part == name:
         return 1
-    if part.startswith(name + "^") and part[len(name) + 1:].isdigit():
+    if part.startswith(name + "^") and is_ascii_digits(part[len(name) + 1:]):
         return int(part[len(name) + 1:])
     return None
 

@@ -394,8 +394,8 @@ def _enumerate_ideals_m2(spec, d):
 
 
 def _enumerate_ideals_general(spec, d):
-    """Reference path: scan all canonical triangular matrices, filter by
-    A-stability against the module generators."""
+    """The enumerator for every rank m != 2: scan all canonical triangular
+    matrices, filter by A-stability against the module generators."""
     m = spec.m
     field = spec.field
     # a cab ring is generated over F_q[x] by y = b_1 alone

@@ -31,7 +31,7 @@ import os
 from importlib import resources
 
 from ffzeta.errors import RingFileError
-from ffzeta.gf import GF, Poly, poly_from_str, poly_to_str
+from ffzeta.gf import GF, Poly, is_ascii_digits, poly_from_str, poly_to_str
 from ffzeta.ring import RingSpec
 
 _FORMS = ("polyring", "cab", "custom")
@@ -122,10 +122,10 @@ def _parse_field(sect):
 
 def _parse_custom(field, ring, name):
     delta_text = _require(ring, "ring", "delta")
-    try:
-        delta = tuple(int(tok) for tok in delta_text.split(","))
-    except ValueError as exc:
-        raise RingFileError(f"[ring] delta must be comma-separated integers: {exc}") from exc
+    delta = tuple(map(_int_or_none, delta_text.split(",")))
+    if None in delta:
+        raise RingFileError(
+            f"[ring] delta must be comma-separated integers, got {delta_text!r}")
     m = _int_key(ring, "ring", "m") if "m" in ring else len(delta)
     if m != len(delta):
         raise RingFileError(f"[ring] m = {m} disagrees with {len(delta)} delta entries")
@@ -157,12 +157,19 @@ def _require(sect, sname, key):
     return val.strip()
 
 
+def _int_or_none(text):
+    """text as an integer when it is ASCII digits after an optional '-' (a
+    negative value is left to the key's own check), else None."""
+    text = text.strip()
+    return int(text) if is_ascii_digits(text.removeprefix("-")) else None
+
+
 def _int_key(sect, sname, key):
     val = _require(sect, sname, key)
-    try:
-        return int(val)
-    except ValueError as exc:
-        raise RingFileError(f"[{sname}] {key} must be an integer, got {val!r}") from exc
+    n = _int_or_none(val)
+    if n is None:
+        raise RingFileError(f"[{sname}] {key} must be an integer, got {val!r}")
+    return n
 
 
 def _poly_key(field, sect, sname, key):

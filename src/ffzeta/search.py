@@ -49,6 +49,8 @@ class SearchSpace:
         for lo, hi in (self.deg_a, self.deg_b):
             if lo < 0 or hi < lo:
                 raise ValueError("degree ranges must be 0 <= lo <= hi")
+        if self.min_r is not None and self.min_r < 1:
+            raise ValueError(f"min_r must be at least 1, got {self.min_r}")
         if self.fixed_a is not None and self.fixed_a.is_zero:
             raise ValueError("fixed a must be nonzero")
 
@@ -128,11 +130,6 @@ class SearchSummary:
     total: int
     outcomes: dict           # "stage:verdict" -> count
     passing: tuple           # coeffs keys with a full hypothesis pass
-
-    def __eq__(self, other):
-        return (isinstance(other, SearchSummary) and self.total == other.total
-                and self.outcomes == other.outcomes
-                and tuple(self.passing) == tuple(other.passing))
 
 
 def candidate_key(a, b):

@@ -10,14 +10,14 @@ and orders of vanishing at X = 1 are exact.  Each slice is one
 `affine_power_sum`, and `slice_leads` refuses the leads before it builds
 them when the largest slice exceeds DEFAULT_BUDGET points.
 
-Recentering at X = 1 uses binomials mod p via Lucas; the order of vanishing
-is the first nonzero recentered coefficient.
+The order of vanishing at X = 1 is read off by its definition: divide out
+X - 1 until the value at 1 is nonzero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
 
 from ffzeta.errors import BudgetError, ConsistencyError
 from ffzeta.gf import poly_to_str
@@ -41,18 +41,6 @@ def vanishing_threshold(s, q):
     """l_q(s)/(q-1): a power sum over an affine F_q-space of larger
     dimension vanishes."""
     return Fraction(digit_sum(s, q), q - 1)
-
-
-def binom_mod_p(d, j, p):
-    """C(d, j) mod p by Lucas: the product of digitwise binomials."""
-    r = 1
-    while j or d:
-        d, dd = divmod(d, p)
-        j, jj = divmod(j, p)
-        if jj > dd:
-            return 0
-        r = r * comb(dd, jj) % p
-    return r
 
 
 def slice_leads(ws, count):
@@ -132,7 +120,16 @@ class ZetaPolynomial:
         return sum(self.coeffs, self.spec.zero())
 
     def ord_at_one(self):
-        return ord_from_coeffs(self.coeffs, self.spec)
+        """Multiplicity of the root X = 1.  Dividing by X - 1 leaves the
+        suffix sums c_(j+1) + ... + c_(d_max) as the quotient's coefficients,
+        and the full sum is the value at 1; the constant term 1 keeps the
+        polynomial nonzero, so the division stops."""
+        top_first, order = self.coeffs[::-1], 0
+        while True:
+            *quotient, value = accumulate(top_first)
+            if not value.is_zero:
+                return order
+            top_first, order = quotient, order + 1
 
     def __eq__(self, other):
         return (isinstance(other, ZetaPolynomial)
@@ -160,30 +157,6 @@ def zeta_neg(s, spec):
     for i, lead in enumerate(leads):
         coeffs[lead.degree] = affine_power_sum(lead, leads[:i], s)
     return ZetaPolynomial(spec, s, coeffs)
-
-
-# -- recentering at X = 1 ---------------------------------------------------
-
-def centered_coeffs(coeffs, spec):
-    """c_j = sum_d C(d, j) coeffs[d], the (X-1)-expansion, binomials mod p."""
-    p = spec.field.p
-    out = []
-    for j in range(len(coeffs)):
-        acc = spec.zero()
-        for d in range(j, len(coeffs)):
-            b = binom_mod_p(d, j, p)
-            if b:
-                acc = acc + coeffs[d].scale_const(b)
-        out.append(acc)
-    return tuple(out)
-
-
-def ord_from_coeffs(coeffs, spec):
-    """Multiplicity of the root X = 1; identically zero input is an error."""
-    for j, c in enumerate(centered_coeffs(coeffs, spec)):
-        if not c.is_zero:
-            return j
-    raise ValueError("the zero polynomial has no finite order of vanishing at X = 1")
 
 
 # -- rendering --------------------------------------------------------------

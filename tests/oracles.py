@@ -1,5 +1,7 @@
 """Small independent helpers that several test modules use as oracles."""
 
+from math import comb
+
 from ffzeta.gf import Poly, poly_from_str
 from ffzeta.ring import echelon_insert
 from ffzeta.zeta import vanishing_threshold
@@ -76,3 +78,39 @@ def cutoff_by_dims(s, spec):
     while spec.dim_W(d) <= tau:
         d += 1
     return d - 1
+
+
+# -- recentering at X = 1 ---------------------------------------------------
+
+def binom_mod_p(d, j, p):
+    """C(d, j) mod p by Lucas: the product of digitwise binomials."""
+    r = 1
+    while j or d:
+        d, dd = divmod(d, p)
+        j, jj = divmod(j, p)
+        if jj > dd:
+            return 0
+        r = r * comb(dd, jj) % p
+    return r
+
+
+def centered_coeffs(coeffs, spec):
+    """c_j = sum_d C(d, j) coeffs[d], the (X-1)-expansion, binomials mod p."""
+    p = spec.field.p
+    out = []
+    for j in range(len(coeffs)):
+        acc = spec.zero()
+        for d in range(j, len(coeffs)):
+            b = binom_mod_p(d, j, p)
+            if b:
+                acc = acc + coeffs[d].scale_const(b)
+        out.append(acc)
+    return tuple(out)
+
+
+def ord_from_coeffs(coeffs, spec):
+    """Multiplicity of the root X = 1; identically zero input is an error."""
+    for j, c in enumerate(centered_coeffs(coeffs, spec)):
+        if not c.is_zero:
+            return j
+    raise ValueError("the zero polynomial has no finite order of vanishing at X = 1")

@@ -416,6 +416,10 @@ def test_search_part_validation():
     res = run("search", "--q", "2", "--family", "artin-schreier",
               "--deg-b", "3..3", "--parts", "2", "--part", "3")
     assert res.exit_code == 2
+    res = run("search", "--q", "2", "--family", "artin-schreier",
+              "--parts", "0", "--part", "0")
+    assert res.exit_code == 2
+    assert "--parts must be at least 1, got 0" in res.text
 
 
 def test_search_full_family():

@@ -2,8 +2,8 @@
 used there, every module-level function and class of the library is read
 somewhere in it or exported, library modules import at module level only
 and nothing beyond ffzeta and the standard library, one function holds
-the library's only square-and-multiply loop, and one function reads the
-power-sum budget."""
+the library's only square-and-multiply loop, one function reads the
+power-sum budget, and one predicate tests for digits."""
 
 import ast
 import importlib.util
@@ -266,6 +266,30 @@ def test_one_power_sum_budget_rule():
     # every power sum is refused or admitted by the one ledger rule
     sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
     assert readers_of(sources, "DEFAULT_BUDGET") == [("zeta", "slice_leads")]
+
+
+def unicode_digit_tests(sources):
+    """(module, function) of every function that reads str.isdigit,
+    isdecimal or isnumeric: each also takes digits outside 0-9."""
+    return sorted({found for name in ("isdigit", "isdecimal", "isnumeric")
+                   for found in readers_of(sources, name)})
+
+
+def test_detects_a_unicode_digit_test():
+    sources = {
+        "a": "def ok(s):\n    return s.isascii() and s.isdigit()\n\n"
+             "def count(s):\n    return sum(c.isnumeric() for c in s)\n",
+        "b": "def parse(s):\n    return int(s) if str.isdecimal(s) else None\n\n"
+             "def word(s):\n    return s.isalnum()\n",
+    }
+    assert unicode_digit_tests(sources) == [("a", "count"), ("a", "ok"),
+                                            ("b", "parse")]
+
+
+def test_one_digit_predicate():
+    # integers in literals and ring files are ASCII digits, tested in one place
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert unicode_digit_tests(sources) == [("gf", "is_ascii_digits")]
 
 
 def load_tracing():

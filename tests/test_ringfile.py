@@ -132,6 +132,40 @@ def test_bad_integer():
     assert "p" in msg
 
 
+# integers are ASCII digits: int() and str.isdigit also take underscores
+# and other Unicode digits, ARABIC_3 = U+0663 and SUPERSCRIPT_2 = U+00B2
+ARABIC_3, SUPERSCRIPT_2 = "\u0663", "\u00b2"
+CAB_HEAD = "[field]\np = 2\n\n[ring]\nform = cab\nm = 2\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[field]\np = 1_1\n\n[ring]\nform = polyring\n",
+     "[field] p must be an integer, got '1_1'"),
+    (f"[field]\np = {ARABIC_3}\n\n[ring]\nform = polyring\n",
+     f"[field] p must be an integer, got '{ARABIC_3}'"),
+    (f"{CAB_HEAD}c0 = x^{ARABIC_3} + x + 1\nc1 = 0\n",
+     f"[ring] c0: bad token 'x^{ARABIC_3}' in polynomial literal "
+     f"'x^{ARABIC_3} + x + 1'"),
+    (f"{CAB_HEAD}c0 = x^{SUPERSCRIPT_2} + x + 1\nc1 = 0\n",
+     f"[ring] c0: bad token 'x^{SUPERSCRIPT_2}' in polynomial literal "
+     f"'x^{SUPERSCRIPT_2} + x + 1'"),
+], ids=["underscore", "arabic-indic", "arabic-indic-exponent",
+        "superscript-exponent"])
+def test_integers_are_ascii_digits(text, message):
+    assert err(text) == message
+
+
+def test_delta_integers():
+    head = "[field]\np = 2\n\n[ring]\nform = custom\n"
+    tail = "t_0_0 = 1, 0\nt_0_1 = 0, 1\nt_1_1 = x^3 + x + 1, 0\n"
+    msg = err(f"{head}delta = 0, {ARABIC_3}\n{tail}")
+    assert msg == f"[ring] delta must be comma-separated integers, got '0, {ARABIC_3}'"
+    # a negative offset parses and is refused by validation
+    spec = parse_ring_text(f"{head}delta = 0, -3\n{tail}")
+    assert spec.delta == (0, -3)
+    assert "delta-sign" in [name for name, _ in spec.validate().failures]
+
+
 def test_unknown_form():
     assert "form" in err("[field]\np = 2\n\n[ring]\nform = weird\n")
 

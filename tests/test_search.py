@@ -142,6 +142,9 @@ def test_space_validation():
         SearchSpace(F2, deg_a=(2, 1))
     with pytest.raises(ValueError, match="nonzero"):
         SearchSpace(F2, fixed_a=Poly.zero(F2))
+    for r in (0, -5):
+        with pytest.raises(ValueError, match=f"^min_r must be at least 1, got {r}$"):
+            SearchSpace(F2, min_r=r)
 
 
 def test_describe(family_space):

@@ -1,16 +1,20 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from oracles import binom_mod_p, ord_from_coeffs
 
 from ffzeta.errors import BudgetError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
+from ffzeta.ideal_zeta import ideal_zeta_classwise
+from ffzeta.ideals import class_group
 from ffzeta.ring import RingSpec
 from ffzeta.ringfile import bundled_ring_names, parse_ring_spec
 from ffzeta.zeta import (
-    affine_power_sum, binom_mod_p, digit_sum, power_sum_S, vanishing_threshold,
-    zeta_neg,
+    ZetaPolynomial, affine_power_sum, digit_sum, power_sum_S,
+    vanishing_threshold, zeta_neg,
 )
 
 F2 = GF(2)
@@ -179,34 +183,43 @@ def test_constant_term_is_one(h4g3):
         assert z.coeffs[0] == h4g3.one()
 
 
-def ord_at_one_by_division(coeffs, spec):
-    """Oracle for the order at X = 1: strip factors of (X - 1) by synthetic
-    division until the value at 1 is nonzero."""
-    cs = list(coeffs)
-    if all(c.is_zero for c in cs):
-        raise ValueError("the zero polynomial has no finite order of vanishing at X = 1")
-    order = 0
-    while True:
-        total = spec.zero()
-        for c in cs:
-            total = total + c
-        if not total.is_zero:
-            return order
-        n = len(cs) - 1
-        b = [spec.zero()] * n
-        b[n - 1] = cs[n]
-        for j in range(n - 1, 0, -1):
-            b[j - 1] = cs[j] + b[j]
-        cs = b
-        order += 1
+_TESTS = Path(__file__).resolve().parent
+_ORD_RINGS = (bundled_ring_names()
+              + sorted(map(str, (_TESTS.parent / "perfbench").glob("rings/*.ring")))
+              + [str(_TESTS / "golden" / "h34.ring")])
+# the class-groups benchmark rings with an all-ideals zeta; h20g2 is refused
+# by require_monic_products
+_CLASSWISE_RINGS = ("ex36", "ex26", "h4g3",
+                    str(_TESTS.parent / "perfbench" / "rings" / "h8g2.ring"),
+                    str(_TESTS.parent / "perfbench" / "rings" / "ell5.ring"))
 
 
-def test_ord_two_paths_agree(ex26, ex36, h4g3):
-    jobs = [(ex26, 7), (ex36, 2), (h4g3, 1), (h4g3, 2),
-            (RingSpec.polyring(F2), 5), (RingSpec.polyring(F3), 4)]
-    for spec, s in jobs:
-        z = zeta_neg(s, spec)
-        assert z.ord_at_one() == ord_at_one_by_division(z.coeffs, spec)
+def test_ord_two_paths_agree():
+    # division by X - 1 against the Lucas recentering, on element zetas and
+    # on classwise all-ideals zetas at t = e, 2e, 4e
+    for ring in _ORD_RINGS:
+        spec = parse_ring_spec(ring)
+        for s in range(1, 65):
+            z = zeta_neg(s, spec)
+            assert z.ord_at_one() == ord_from_coeffs(z.coeffs, spec), (ring, s)
+    for ring in _CLASSWISE_RINGS:
+        spec = parse_ring_spec(ring)
+        rep = class_group(spec)
+        for k in (1, 2, 4):
+            z = ideal_zeta_classwise(k * rep.e, rep)
+            assert z.ord_at_one() == ord_from_coeffs(z.coeffs, spec), (ring, k)
+
+
+def test_ord_of_powers_of_one_minus_x():
+    # the zetas above vanish to order at most 2; (1 - X)^k has order k
+    for field in (F2, F3, F4):
+        spec = RingSpec.polyring(field)
+        minus_one = field.p - 1
+        for k in range(8):
+            coeffs = [spec.one().scale_const(math.comb(k, j) * minus_one ** j % field.p)
+                      for j in range(k + 1)]
+            z = ZetaPolynomial(spec, 1, coeffs)
+            assert z.ord_at_one() == ord_from_coeffs(z.coeffs, spec) == k
 
 
 def test_budget_refusal(ex26, monkeypatch):
