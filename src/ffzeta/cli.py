@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ffzeta.errors import ConsistencyError
-from ffzeta.gf import GF, Poly, field_of_size, poly_from_str, poly_to_str
+from ffzeta.gf import (GF, Poly, field_of_size, int_or_none, poly_from_str,
+                       poly_to_str)
 from ffzeta.ideal_zeta import (ideal_zeta_classwise, ideal_zeta_direct,
                                require_monic_products)
 from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group, l_polynomial
@@ -381,13 +382,20 @@ def _cmd_semigroups(args):
 
 # -- parser and dispatch ----------------------------------------------------
 
+def _integer(text):
+    """An integer flag: ASCII digits after an optional '-'."""
+    n = int_or_none(text)
+    if n is None:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return n
+
+
 def _range_pair(text):
     """LO..HI or a single degree N (meaning N..N)."""
     lo, sep, hi = text.partition("..")
-    try:
-        lo = int(lo)
-        hi = int(hi) if sep else lo
-    except ValueError:
+    lo = int_or_none(lo)
+    hi = int_or_none(hi) if sep else lo
+    if lo is None or hi is None:
         raise argparse.ArgumentTypeError(
             f"expected LO..HI or a single integer, got {text!r}")
     return (lo, hi)
@@ -407,7 +415,7 @@ def build_parser():
 
     sp = sub("zeta", "zeta(-s, X) of a ring, plain or over all ideals")
     sp.add_argument("--ring", required=True, help="ring file or bundled name")
-    sp.add_argument("-s", type=int, required=True, help="exponent s >= 1")
+    sp.add_argument("-s", type=_integer, required=True, help="exponent s >= 1")
     sp.add_argument("--all-ideals", action="store_true",
                     help="sum over all nonzero ideals instead of monic elements")
     sp.add_argument("--direct", action="store_true",
@@ -428,28 +436,28 @@ def build_parser():
 
     sp = sub("check", "test the hypothesis chain of a vanishing theorem")
     sp.add_argument("--ring", required=True)
-    sp.add_argument("-s", type=int, required=True)
+    sp.add_argument("-s", type=_integer, required=True)
     sp.add_argument("--theorem", required=True, choices=_THEOREMS)
     sp.set_defaults(handler=_cmd_check)
 
     sp = sub("powsum", "power sum S(d) = sum of a^s over monic a of degree d")
     sp.add_argument("--ring", required=True)
-    sp.add_argument("-d", type=int, required=True)
-    sp.add_argument("-s", type=int, required=True)
+    sp.add_argument("-d", type=_integer, required=True)
+    sp.add_argument("-s", type=_integer, required=True)
     sp.set_defaults(handler=_cmd_powsum)
 
     sp = sub("search", "staged brute-force scan of Artin-Schreier candidates")
-    sp.add_argument("--q", type=int, required=True,
+    sp.add_argument("--q", type=_integer, required=True,
                     help="field size q = p^n")
     sp.add_argument("--family", required=True, choices=FAMILIES)
     sp.add_argument("--deg-a", type=_range_pair, default=(1, 1),
                     metavar="LO..HI")
     sp.add_argument("--deg-b", type=_range_pair, default=(3, 3),
                     metavar="LO..HI")
-    sp.add_argument("--min-r", type=int)
-    sp.add_argument("--h-budget", type=int, default=DEFAULT_IDEAL_BUDGET)
-    sp.add_argument("--parts", type=int, help="split into N contiguous blocks")
-    sp.add_argument("--part", type=int, help="run block I of N (1-based)")
+    sp.add_argument("--min-r", type=_integer)
+    sp.add_argument("--h-budget", type=_integer, default=DEFAULT_IDEAL_BUDGET)
+    sp.add_argument("--parts", type=_integer, help="split into N contiguous blocks")
+    sp.add_argument("--part", type=_integer, help="run block I of N (1-based)")
     sp.add_argument("--checkpoint", help="append-only resume file")
     sp.add_argument("--fix-a", metavar="POLY",
                     help="pin a(x) to one polynomial literal")
@@ -458,8 +466,8 @@ def build_parser():
     sp.set_defaults(handler=_cmd_search)
 
     sp = sub("semigroups", "numerical semigroups of a given genus")
-    sp.add_argument("--genus", type=int, required=True)
-    sp.add_argument("--q", type=int, help="also report valid r per semigroup")
+    sp.add_argument("--genus", type=_integer, required=True)
+    sp.add_argument("--q", type=_integer, help="also report valid r per semigroup")
     sp.set_defaults(handler=_cmd_semigroups)
 
     return parser

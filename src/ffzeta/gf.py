@@ -712,6 +712,14 @@ def is_ascii_digits(text):
     return text.isascii() and text.isdigit()
 
 
+def int_or_none(text):
+    """text as an integer when it is ASCII digits after an optional '-' (a
+    negative value is left to the caller's own check), else None: the one
+    integer reader of ring files and command-line flags."""
+    text = text.strip()
+    return int(text) if is_ascii_digits(text.removeprefix("-")) else None
+
+
 def _split_top(s, sep):
     parts = []
     depth = 0

@@ -6,11 +6,18 @@ with monic diagonal and off-diagonal entries reduced mod the diagonal of
 their row; that form is unique per ideal, so equality is matrix equality.
 deg I = sum of the diagonal degrees = dim_{F_q} A/I.
 
-Every degree question is read off one degree-reduced (weak Popov) basis
-w_0..w_{m-1} of I (`reduced_basis`): by the degree rule of `ring`, the
-element degrees of I are deg w_k + m t, t >= 0.  As (alpha) inside I has
-codimension deg alpha, I is principal exactly when deg w_0 = deg I, and then
-monic(w_0), the unique monic element of least degree, generates.
+One column reduction over F_q[x] (`_reduce`) does all the lattice work,
+and its callers differ only in the pivot rule.  Pivoting on the last
+nonzero row gives the Hermite form of a generating set or a product; on
+the last nonzero row of a linear system, with an identity below it that
+records the unknowns, the kernel behind an ideal quotient; on the leading
+index of the element degree, a degree-reduced (weak Popov) basis
+w_0..w_{m-1} of I (`reduced_basis`; Mulders and Storjohann, J. Symbolic
+Comput. 35, 2003).  Every degree question is read off that basis: by the
+degree rule of `ring`, the element degrees of I are deg w_k + m t, t >= 0.
+As (alpha) inside I has codimension deg alpha, I is principal exactly when
+deg w_0 = deg I, and then monic(w_0), the unique monic element of least
+degree, generates.
 
 The L-polynomial (`l_polynomial`) enumerates the ideals of degree 0..g,
 forms p_d = c_d - q c_{d-1} for d <= g, fills p_{g+1}..p_{2g} by the
@@ -45,46 +52,49 @@ from ffzeta.semigroup import semigroup_from_ring
 DEFAULT_IDEAL_BUDGET = 4_000_000
 
 
-# -- column elimination over F_q[x] -----------------------------------------
+# -- column reduction over F_q[x] -------------------------------------------
 
-def _eliminate_rows(cols, rows):
-    """Column-echelon elimination on the given pivot rows, in order.
+def _reduce(vectors, pivot):
+    """Column reduction of vectors (tuples of Polys) under a pivot rule.
 
-    cols: list of mutable lists of Polys.  Returns (pivots, leftovers) where
-    pivots maps row -> single column with the gcd of that row's entries (and
-    zeros in previously processed rows), leftovers have zeros in all pivot
-    rows.  Column operations only, so spans are preserved.
+    pivot(v) names v's pivot coordinate, or None when v has none.  The
+    vectors go in one by one; when v meets a kept w with the same pivot i,
+    the one of lower degree at i stays and the other goes on as
+    v - (v_i // w_i) w.  Column operations only, so the span is kept.
+    Returns the kept vectors by pivot, and the list left without one.
     """
-    pivots = {}
-    pool = [c for c in cols if any(not g.is_zero for g in c)]
-    for i in rows:
-        active = [c for c in pool if not c[i].is_zero]
-        rest = [c for c in pool if c[i].is_zero]
-        while len(active) > 1:
-            active.sort(key=lambda c: c[i].degree)
-            base = active[0]
-            keep = [base]
-            for c in active[1:]:
-                qq = c[i] // base[i]
-                cc = [c[r] - qq * base[r] for r in range(len(c))]
-                if cc[i].is_zero:
-                    if any(not g.is_zero for g in cc):
-                        rest.append(cc)
-                else:
-                    keep.append(cc)
-            active = keep
-        if active:
-            pivots[i] = active[0]
-        pool = rest
-    return pivots, pool
+    kept = {}
+    rest = []
+    for v in vectors:
+        i = pivot(v)
+        while i in kept:
+            w = kept[i]
+            if v[i].degree < w[i].degree:
+                kept[i], v, w = v, w, v
+            qq = v[i] // w[i]
+            v = tuple(a - qq * b for a, b in zip(v, w))
+            i = pivot(v)
+        if i is None:
+            rest.append(v)
+        else:
+            kept[i] = v
+    return kept, rest
+
+
+def _last_nonzero(v, rows):
+    """The echelon pivot: the last nonzero one of v's first `rows`
+    coordinates, or None."""
+    for i in range(rows - 1, -1, -1):
+        if v[i].packed:
+            return i
+    return None
 
 
 def _hnf_columns(spec, cols):
     """Canonical upper-triangular column HNF of a full-rank column family."""
     m = spec.m
     field = spec.field
-    work = [list(c) for c in cols]
-    pivots, _ = _eliminate_rows(work, range(m - 1, -1, -1))
+    pivots, _ = _reduce(cols, lambda v: _last_nonzero(v, m))
     if len(pivots) != m:
         raise ValueError("columns do not span a rank-m module (zero ideal?)")
     out = []
@@ -102,23 +112,6 @@ def _hnf_columns(spec, cols):
             if not qq.is_zero:
                 out[j] = [out[j][r] - qq * out[i][r] for r in range(m)]
     return tuple(tuple(col) for col in out)
-
-
-def _kernel_columns(mat_cols, nrows):
-    """Kernel basis (as coefficient vectors) of the matrix with the given
-    columns over F_q[x]: stack an identity below and keep the combinations
-    whose top part eliminated to zero."""
-    k = len(mat_cols)
-    if k == 0:
-        return []
-    field = mat_cols[0][0].field
-    stacked = []
-    for j, col in enumerate(mat_cols):
-        unit = [Poly.zero(field)] * k
-        unit[j] = Poly.one(field)
-        stacked.append(list(col) + unit)
-    _, leftovers = _eliminate_rows(stacked, range(nrows - 1, -1, -1))
-    return [tuple(c[nrows:]) for c in leftovers]
 
 
 # -- ideals -----------------------------------------------------------------
@@ -180,20 +173,14 @@ def ideal_from_generators(gens, spec):
     gens = [g for g in gens if not g.is_zero]
     if not gens:
         raise ValueError("the zero ideal has no Hermite form here")
-    cols = []
-    for g in gens:
-        for j in range(spec.m):
-            prod = g * RingElement(spec, spec.basis_vec(j))
-            cols.append(list(prod.vec))
+    cols = [(g * RingElement(spec, spec.basis_vec(j))).vec
+            for g in gens for j in range(spec.m)]
     return IdealHNF(spec, _hnf_columns(spec, cols))
 
 
 def ideal_mul(I, J):
     spec = I.spec
-    cols = []
-    for a in I.generators():
-        for b in J.generators():
-            cols.append(list((a * b).vec))
+    cols = [(a * b).vec for a in I.generators() for b in J.generators()]
     return IdealHNF(spec, _hnf_columns(spec, cols))
 
 
@@ -211,30 +198,19 @@ def unit_ideal(spec):
 def reduced_basis(I):
     """Degree-reduced basis w_0..w_{m-1} of I over F_q[x], ascending by degree.
 
-    The Hermite columns go in one by one; of two with one leading index the
-    lower-degree one, w, stays, and the other goes on as
-    v - c x^((deg v - deg w)/m) w with c = lc v / lc w.  Once the leading
-    indices differ, deg sum_k f_k w_k = max_k (m deg f_k + deg w_k), and
-    deg_x det = deg I is checked on them.
+    `_reduce` on the Hermite columns, pivoting on the leading index: of two
+    columns with one leading index, one division by the other's coordinate
+    there drops the degree.  Once the leading indices differ,
+    deg sum_k f_k w_k = max_k (m deg f_k + deg w_k), and deg_x det = deg I
+    is checked on them.
     """
     spec = I.spec
-    m = spec.m
-    field = spec.field
-    basis = {}      # leading index -> (degree, leading coefficient, column)
-    for v in I.generators():
-        dv, j, cv = v.leading()
-        while j in basis:
-            dw, cw, w = basis[j]
-            if dv < dw:
-                basis[j] = (dv, cv, v)
-                dv, cv, v, dw, cw, w = dw, cw, w, dv, cv, v
-            v = v - w * Poly.monomial(field, (dv - dw) // m,
-                                      field.mul(cv, field.inv(cw)))
-            dv, j, cv = v.leading()
-        basis[j] = (dv, cv, v)
-    if sum(d for d, _, _ in basis.values()) != m * I.deg + sum(spec.delta):
+    kept, _ = _reduce(I.cols, lambda v: RingElement(spec, v).leading()[1])
+    basis = sorted((RingElement(spec, v) for v in kept.values()),
+                   key=lambda w: w.degree)
+    if sum(w.degree for w in basis) != spec.m * I.deg + sum(spec.delta):
         raise ConsistencyError("reduced basis degrees disagree with deg I")
-    return [w for _, _, w in sorted(basis.values(), key=lambda b: b[0])]
+    return basis
 
 
 def ideal_is_principal(I):
@@ -258,7 +234,9 @@ def ideal_quotient(alpha, J):
         raise ValueError("quotient by a zero element")
     # beta qualifies iff for every generator col_j: beta * col_j = alpha * (..)
     # unknown blocks: beta's coordinates f (m), plus one m-vector h_j per col_j.
-    # Stack the linear system and read beta from the kernel.
+    # Below the linear system, an identity on f records each column's f;
+    # the columns the reduction leaves without a pivot in the system's rows
+    # span its kernel.
     mul_alpha = _mult_matrix(alpha)
     cols = []
     gen_mats = [_mult_matrix(J.col_elem(j)) for j in range(m)]
@@ -275,12 +253,12 @@ def ideal_quotient(alpha, J):
             for r in range(m):
                 col[j * m + r] = -mul_alpha[r][i]
             cols.append(col)
-    kern = _kernel_columns(cols, nrows)
-    gens = []
-    for vec in kern:
-        f_part = vec[:m]
-        if any(not g.is_zero for g in f_part):
-            gens.append(RingElement(spec, tuple(f_part)))
+    one = Poly.one(spec.field)
+    stacked = [(*col, *(one if k == i else zero for k in range(m)))
+               for i, col in enumerate(cols)]
+    _, kernel = _reduce(stacked, lambda v: _last_nonzero(v, nrows))
+    gens = [RingElement(spec, v[nrows:]) for v in kernel
+            if any(g.packed for g in v[nrows:])]
     if not gens:
         raise ConsistencyError("empty ideal quotient; alpha J^-1 should be nonzero")
     return ideal_from_generators(gens, spec)

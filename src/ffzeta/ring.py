@@ -34,6 +34,7 @@ the zeta slices (`zeta.term_leads`), for the reduced basis of an ideal
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
@@ -44,21 +45,13 @@ from ffzeta.gf import (
 )
 
 
+@dataclass
 class RingValidationReport:
     """Outcome of ring_validate: ok flag, named failures with witnesses, and
-    derived data (degree semigroup generators, finite singular locus)."""
-
-    def __init__(self, ok, failures, form, m, delta, singular_finite):
-        self.ok = ok
-        self.failures = failures
-        self.form = form
-        self.m = m
-        self.delta = delta
-        self.singular_finite = singular_finite
-
-    def __repr__(self):
-        state = "ok" if self.ok else f"failed {[name for name, _ in self.failures]}"
-        return f"<RingValidationReport {self.form} m={self.m} {state}>"
+    the finite singular locus (None where it is not computed)."""
+    ok: bool
+    failures: list     # (name, witness) pairs
+    singular_finite: tuple | None
 
 
 class RingSpec:
@@ -583,7 +576,7 @@ def ring_validate(spec):
         # b_1^2 = r0 + r1 b_1 means y^2 - r1 y - r0 = 0
         r0, r1 = spec.mul_table()[1][1]
         singular = _singular_locus_m2(spec.field, -r0, -r1)
-    return RingValidationReport(not failures, failures, spec.form, m, spec.delta, singular)
+    return RingValidationReport(not failures, failures, singular)
 
 
 def _validate_cab(spec, failures):

@@ -31,7 +31,7 @@ import os
 from importlib import resources
 
 from ffzeta.errors import RingFileError
-from ffzeta.gf import GF, Poly, is_ascii_digits, poly_from_str, poly_to_str
+from ffzeta.gf import GF, Poly, int_or_none, poly_from_str, poly_to_str
 from ffzeta.ring import RingSpec
 
 _FORMS = ("polyring", "cab", "custom")
@@ -122,7 +122,7 @@ def _parse_field(sect):
 
 def _parse_custom(field, ring, name):
     delta_text = _require(ring, "ring", "delta")
-    delta = tuple(map(_int_or_none, delta_text.split(",")))
+    delta = tuple(map(int_or_none, delta_text.split(",")))
     if None in delta:
         raise RingFileError(
             f"[ring] delta must be comma-separated integers, got {delta_text!r}")
@@ -157,16 +157,9 @@ def _require(sect, sname, key):
     return val.strip()
 
 
-def _int_or_none(text):
-    """text as an integer when it is ASCII digits after an optional '-' (a
-    negative value is left to the key's own check), else None."""
-    text = text.strip()
-    return int(text) if is_ascii_digits(text.removeprefix("-")) else None
-
-
 def _int_key(sect, sname, key):
     val = _require(sect, sname, key)
-    n = _int_or_none(val)
+    n = int_or_none(val)
     if n is None:
         raise RingFileError(f"[{sname}] {key} must be an integer, got {val!r}")
     return n

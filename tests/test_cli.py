@@ -466,6 +466,36 @@ def test_usage_errors_exit_2():
     assert run("zeta", "--ring", "ex36.ring", "-s", "nope").exit_code == 2
 
 
+SEARCH_AS = ("search", "--family", "artin-schreier")
+
+
+# integer flags read ASCII digits after an optional '-', like ring files;
+# each of these ran before (as 2, 10, 3, 2, 10, 5..6 and 1000)
+@pytest.mark.parametrize("argv, flag", [
+    (("zeta", "--ring", "ex36", "-s", "٢"), "-s"),
+    (("zeta", "--ring", "ex36", "-s", "+2"), "-s"),
+    (("zeta", "--ring", "ex36", "-s", "1_0"), "-s"),
+    (("semigroups", "--genus", "٣"), "--genus"),
+    ((*SEARCH_AS, "--q", "٢"), "--q"),
+    ((*SEARCH_AS, "--q", "2", "--deg-b", "1_0"), "--deg-b"),
+    ((*SEARCH_AS, "--q", "2", "--deg-b", "5..٦"), "--deg-b"),
+    ((*SEARCH_AS, "--q", "2", "--parts", "1_000", "--part", "1"), "--parts"),
+], ids=["s-arabic", "s-plus", "s-underscore", "genus-arabic", "q-arabic",
+        "deg-b-underscore", "deg-b-range-arabic", "parts-underscore"])
+def test_integer_flags_are_ascii_digits(argv, flag):
+    res = run(*argv)
+    assert res.exit_code == 2
+    assert f"argument {flag}: expected " in res.text
+
+
+def test_negative_integer_flags_reach_their_checks():
+    res = run("zeta", "--ring", "ex36", "-s", "-1")
+    assert res.exit_code == 1
+    assert "s must be a positive integer, got -1" in res.text
+    code, doc = jrun("powsum", "--ring", "ex36", "-d", "-1", "-s", "3")
+    assert code == 0 and doc["S"] == "0" and doc["dim_W"] == 0
+
+
 def test_error_json_doc():
     code, doc = jrun("zeta", "--ring", "no-such.ring", "-s", "2")
     assert code == 1

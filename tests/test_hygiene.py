@@ -3,7 +3,8 @@ used there, every module-level function and class of the library is read
 somewhere in it or exported, library modules import at module level only
 and nothing beyond ffzeta and the standard library, one function holds
 the library's only square-and-multiply loop, one function reads the
-power-sum budget, and one predicate tests for digits."""
+power-sum budget, one predicate tests for digits, and no command-line flag
+is read with Python's int."""
 
 import ast
 import importlib.util
@@ -290,6 +291,29 @@ def test_one_digit_predicate():
     # integers in literals and ring files are ASCII digits, tested in one place
     sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
     assert unicode_digit_tests(sources) == [("gf", "is_ascii_digits")]
+
+
+def int_type_arguments(source):
+    """Lines of every call that passes `type=int`: argparse would then read
+    the value with Python's int, which also takes '+', '_' and digits
+    outside 0-9."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and any(kw.arg == "type" and isinstance(kw.value, ast.Name)
+                          and kw.value.id == "int" for kw in node.keywords))
+
+
+def test_detects_an_int_type_argument():
+    src = ("p.add_argument('-s', type=int)\np.add_argument('--q',\n"
+           "                 type=int, default=2)\n"
+           "p.add_argument('-d', type=_integer)\nf(int, kind=int)\n"
+           "isinstance(x, int)\n")
+    assert int_type_arguments(src) == [1, 2]
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.name for p in LIBRARY])
+def test_integer_flags_use_the_integer_reader(path):
+    assert int_type_arguments(path.read_text(encoding="utf-8")) == []
 
 
 def load_tracing():

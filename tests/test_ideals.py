@@ -70,7 +70,7 @@ def prime_x1(h4g3):
 
 # -- HNF canonical form -----------------------------------------------------
 
-def test_hnf_independent_of_generators(h4g3):
+def test_hnf_independent_of_generators(h4g3, h20g2, m3f2):
     a = elem_from_str(h4g3, "x^2 + x")
     b = h4g3.y()
     I1 = ideal_from_generators([a, b], h4g3)
@@ -78,6 +78,16 @@ def test_hnf_independent_of_generators(h4g3):
     I3 = ideal_from_generators([a + b, b], h4g3)
     assert I1 == I2 == I3
     assert hash(I1) == hash(I2)
+    # the order the columns go into the reduction is its one degree of
+    # freedom: every class representative comes back from its generators
+    # reversed, rotated, and among redundant sums
+    for spec in (h20g2, m3f2):
+        for c in class_group(spec).classes:
+            gens = list(c.rep.generators())
+            total = sum(gens[1:], gens[0])
+            for order in (gens[::-1], gens[1:] + gens[:1],
+                          [total, *gens, gens[0] + gens[-1], total * gens[-1]]):
+                assert ideal_from_generators(order, spec) == c.rep
 
 
 def test_hnf_shape(h4g3):
@@ -255,12 +265,18 @@ def test_reduced_basis_checks_the_determinant(h4g3):
 
 # -- quotients and equivalence ----------------------------------------------
 
-def test_quotient_inverts_prime(h4g3):
+def test_quotient_inverts_prime(h4g3, h4g3_classes, h20g2, m3f2):
     Px = prime_x(h4g3)
     alpha = elem_from_str(h4g3, "x")     # alpha in P_x, (x) = P_x^2
     Q = ideal_quotient(alpha, Px)
     assert ideal_mul(Q, Px) == ideal_from_generators([alpha], h4g3)
     assert Q == Px     # self-inverse ramified prime
+    # ((w_0) : I) I = (w_0) for every class representative I, w_0 in I
+    for rep in (h4g3_classes, class_group(h20g2), class_group(m3f2)):
+        for c in rep.classes:
+            w0 = reduced_basis(c.rep)[0]
+            assert (ideal_mul(ideal_quotient(w0, c.rep), c.rep)
+                    == ideal_from_generators([w0], rep.spec))
 
 
 def inverse(J):
