@@ -1,9 +1,10 @@
 """Rediscovering the h = 4 curve by staged brute force.
 
 The family: a = x(x+1) fixed, b running over the 32 degree-7 multiples of a.
-Candidates flow through cheap filters first (validity, gap structure) and
-the full hypothesis chain last.  The run is deterministic, partitionable
-into disjoint index blocks, and resumable from an append-only checkpoint.
+Candidates flow through cheap filters first (validity, gap structure), then
+the class group, and last the tesismc conditions alone, with no zeta
+computed.  The run is deterministic, partitionable into disjoint index
+blocks, and resumable from an append-only checkpoint.
 """
 
 import dataclasses

@@ -27,12 +27,9 @@ from ffzeta.ringfile import parse_ring_spec
 from ffzeta.search import FAMILIES, SearchSpace, search_block, search_run
 from ffzeta.semigroup import (enumerate_semigroups, r_gap_values,
                               semigroup_from_ring)
-from ffzeta.theorems import (check_dinesh, check_generalization, check_hiper,
-                             check_tesismc)
+from ffzeta.theorems import THEOREMS
 from ffzeta.zeta import (coeff_lit, power_sum_S, require_positive_exponent,
                          vanishing_threshold, zeta_neg, zeta_to_str)
-
-_THEOREMS = ("hiper", "dinesh", "generalization", "tesismc")
 
 
 @dataclass(frozen=True)
@@ -84,16 +81,15 @@ def _field_doc(field):
     return doc
 
 
-def _int_poly_str(coeffs, var="t"):
+def _int_poly_str(coeffs):
     """Integer-coefficient polynomial, low degree first in storage."""
     terms = []
     for k, c in enumerate(coeffs):
         if c == 0:
             continue
         mag = abs(c)
-        body = (str(mag) if k == 0
-                else (var if k == 1 else f"{var}^{k}") if mag == 1
-                else f"{mag}*{var}{'' if k == 1 else f'^{k}'}")
+        tk = "t" if k == 1 else f"t^{k}"
+        body = str(mag) if k == 0 else tk if mag == 1 else f"{mag}*{tk}"
         if not terms:
             terms.append(body if c > 0 else f"-{body}")
         else:
@@ -237,15 +233,7 @@ def _cmd_lpoly(args):
 
 def _cmd_check(args):
     spec = parse_ring_spec(args.ring)
-    if args.theorem == "hiper":
-        rep = check_hiper(spec, args.s)
-    elif args.theorem == "dinesh":
-        rep = check_dinesh(spec, args.s)
-    elif args.theorem == "generalization":
-        rep = check_generalization(spec, args.s)
-    else:
-        rep = check_tesismc(spec, args.s)
-
+    rep = THEOREMS[args.theorem](spec, args.s)
     data = {
         "theorem": rep.theorem, "ring": spec.name, "s": args.s,
         "checks": [{"name": c.name, "passed": c.passed,
@@ -437,7 +425,7 @@ def build_parser():
     sp = sub("check", "test the hypothesis chain of a vanishing theorem")
     sp.add_argument("--ring", required=True)
     sp.add_argument("-s", type=_integer, required=True)
-    sp.add_argument("--theorem", required=True, choices=_THEOREMS)
+    sp.add_argument("--theorem", required=True, choices=THEOREMS)
     sp.set_defaults(handler=_cmd_check)
 
     sp = sub("powsum", "power sum S(d) = sum of a^s over monic a of degree d")

@@ -1,19 +1,21 @@
-"""Brute-force hunt for Artin-Schreier rings passing the all-ideals
-hypothesis chain, with deterministic ordering, disjoint partitioning, and a
-line-oriented append-only checkpoint.
+"""Brute-force hunt for Artin-Schreier rings meeting the conditions of the
+all-ideals theorem tesismc, with deterministic ordering, disjoint
+partitioning, and a line-oriented append-only checkpoint.
 
 Candidates are (a, b) pairs defining y^q - a(x)^{q-1} y = b(x), scanned
 lexicographically: degree of a ascending, a in counting order, degree of b
 ascending, b in counting order (through the quotient b/a when the family
 restricts b to multiples of a).  Each candidate runs a staged pipeline,
-cheapest first; the stage reached and its verdict are the record.  A
-checkpoint stores one `coeffs<TAB>stage<TAB>verdict` line per finished
-candidate, so a killed run resumes by skipping whatever is already present.
+cheapest first, the last asking for the tesismc conditions alone, with no
+zeta; the stage reached and its verdict are the record.  A checkpoint
+stores one `coeffs<TAB>stage<TAB>verdict` line per finished candidate, so a
+killed run resumes by skipping whatever is already present.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 
 from ffzeta.errors import BudgetError, CheckpointError
@@ -21,7 +23,7 @@ from ffzeta.gf import Poly, monic_poly_at, poly_to_str
 from ffzeta.ideals import class_group, DEFAULT_IDEAL_BUDGET
 from ffzeta.ring import RingSpec
 from ffzeta.semigroup import r_gap_values, semigroup_from_ring
-from ffzeta.theorems import check_tesismc
+from ffzeta.theorems import tesismc_conditions
 
 STAGES = ("ring-valid", "gap-structure", "class-group", "hypotheses")
 FAMILIES = ("artin-schreier",)
@@ -148,11 +150,8 @@ def evaluate_candidate(field, a, b, *, min_r=None,
     if report.singular_finite:
         return "ring-valid", "singular", None
 
-    S = semigroup_from_ring(spec)
-    rr = r_gap_values(S, q)
-    need = max(q - 1, min_r or 1)
-    good = [r for r in rr.valid_r if r >= need]
-    if not good:
+    rr = r_gap_values(semigroup_from_ring(spec), q)
+    if not any(r >= max(q - 1, min_r or 1) for r in rr.valid_r):
         return "gap-structure", "no-valid-r", {"gap": rr}
 
     try:
@@ -160,19 +159,16 @@ def evaluate_candidate(field, a, b, *, min_r=None,
     except BudgetError:
         return "class-group", "budget-exceeded", {"gap": rr}
 
-    hyp = None
-    for k in range(1, _S_SCAN + 1):
-        s = k * (q - 1)
-        hyp = check_tesismc(spec, s, cg)
-        if hyp.applicable:
-            return "hypotheses", "pass", {"gap": rr, "class": cg,
-                                          "hypothesis": hyp, "s": s}
-        bad = hyp.failed_check()
-        if bad is not None and bad.name != "l_q(es)/(q-1) <= mu":
-            return ("hypotheses", f"failed: {bad.name}",
-                    {"gap": rr, "class": cg, "hypothesis": hyp})
-    return "hypotheses", "no-small-s", {"gap": rr, "class": cg,
-                                        "hypothesis": hyp}
+    # the conditions free of s run once, on cg, and set mu when they hold;
+    # the least s = k(q-1) that meets the digit condition wins
+    hyp, _ = tesismc_conditions(
+        spec, [k * (q - 1) for k in range(1, _S_SCAN + 1)], cg)
+    reports = {"gap": rr, "class": cg, "hypothesis": hyp}
+    if hyp.applicable:
+        return "hypotheses", "pass", reports | {"s": hyp.exponent // cg.e}
+    if hyp.mu is None:
+        return "hypotheses", f"failed: {hyp.failed_check().name}", reports
+    return "hypotheses", "no-small-s", reports
 
 
 def _read_checkpoint(path, header):
@@ -232,28 +228,20 @@ def search_run(space, checkpoint=None):
 
 
 def summarize(records):
-    outcomes = {}
-    passing = []
-    for r in records:
-        label = f"{r.stage}:{r.verdict}"
-        outcomes[label] = outcomes.get(label, 0) + 1
-        if r.verdict == "pass":
-            passing.append(r.coeffs)
-    return SearchSummary(total=len(records), outcomes=outcomes,
-                         passing=tuple(passing))
+    return SearchSummary(
+        total=len(records),
+        outcomes=dict(Counter(f"{r.stage}:{r.verdict}" for r in records)),
+        passing=tuple(r.coeffs for r in records if r.verdict == "pass"))
 
 
 def merge_summaries(summaries):
-    outcomes = {}
-    passing = []
-    total = 0
+    summaries = list(summaries)
+    outcomes = Counter()
     for s in summaries:
-        total += s.total
-        for k, v in s.outcomes.items():
-            outcomes[k] = outcomes.get(k, 0) + v
-        passing.extend(s.passing)
-    return SearchSummary(total=total, outcomes=outcomes,
-                         passing=tuple(passing))
+        outcomes.update(s.outcomes)
+    return SearchSummary(total=sum(s.total for s in summaries),
+                         outcomes=dict(outcomes),
+                         passing=tuple(p for s in summaries for p in s.passing))
 
 
 def search_block(space, parts, i):

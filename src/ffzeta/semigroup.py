@@ -89,15 +89,12 @@ class NumericalSemigroup:
 
     # -- queries ------------------------------------------------------------
 
-    def contains(self, n):
+    def __contains__(self, n):
         if n < 0:
             return False
         if n > self.frobenius:
             return True
         return bool((self._mask >> n) & 1)
-
-    def __contains__(self, n):
-        return self.contains(n)
 
     def l(self, n):
         """#(S intersect [0, n]) = dim W_{n+1} of the associated ring."""
@@ -169,7 +166,7 @@ def degree_q_theorem_check(S, q, r):
         return DegreeQReport(q, r, False, False, (), f"no {r}-gap structure for q={q}")
     if r < q - 1:
         return DegreeQReport(q, r, False, False, (), f"r = {r} < q - 1 = {q - 1}")
-    elems = tuple(n for n in range(1, r * q + 1) if S.contains(n))
+    elems = tuple(n for n in range(1, r * q + 1) if n in S)
     expected = tuple(i * q for i in range(1, r + 1))
     return DegreeQReport(q, r, True, elems == expected, elems,
                          "" if elems == expected else f"expected {expected}")

@@ -2,11 +2,13 @@
 in order, the certified constants (r, mu), the predicted vanishing order,
 and the machine-computed order when every slice of the zeta is in budget.
 
-The chain stops at the first failing condition; applicable means every
-condition was evaluated and passed.  Orders are predicted per theorem
-wording: exact for the principal-ideal theorems, lower bounds for the
-all-ideals ones.  An applicable all-ideals chain computes its classwise
-zeta once and attaches the exact-factorization remark checked on that value.
+A check runs its conditions, which stop at the first failure (applicable
+means every one was evaluated and passed), then the order step, which
+computes the zeta unless it is over budget.  Orders are predicted per
+theorem wording: exact for the principal-ideal theorems, lower bounds for
+the all-ideals ones, whose conditions fix mu without s before the digit
+condition, and whose order step attaches the exact-factorization remark on
+the same zeta.  `THEOREMS` is the one list of theorem names.
 
 One deliberate deviation: the all-ideals theorems ask for each class-power
 generator f_k to be an irreducible polynomial dividing b(x), but a class
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 from contextlib import suppress
 from dataclasses import dataclass
+from math import prod
 
 from ffzeta.errors import BudgetError, NonMaximalRingError
 from ffzeta.gf import (Poly, is_irreducible, is_squarefree, poly_factor,
@@ -59,10 +62,7 @@ class HypothesisReport:
     remark: object = None       # attached exact-factorization verdict
 
     def failed_check(self):
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
+        return None if self.applicable else self.checks[-1]
 
 
 class _ChainStop(Exception):
@@ -75,6 +75,23 @@ def _need(checks, name, passed, witness):
     checks.append(CheckItem(name, passed, witness))
     if not passed:
         raise _ChainStop
+
+
+def _report(theorem, checks, predicted, **fields):
+    """The report of a chain, applicable if its last check passed."""
+    applicable = checks[-1].passed
+    return HypothesisReport(theorem, tuple(checks), applicable,
+                            predicted if applicable else None, **fields)
+
+
+def _order(report, zeta, *args):
+    """zeta(*args), its order at X = 1 set on report; None over budget."""
+    try:
+        z = zeta(*args)
+    except BudgetError:
+        return None
+    report.computed = z.ord_at_one()
+    return z
 
 
 def check_hiper(spec, s):
@@ -90,14 +107,8 @@ def check_hiper(spec, s):
         need("q = 2", q == 2, {"q": q})
         need("hyperelliptic form (m = 2)", spec.m == 2, {"m": spec.m})
         need("l_2(s) <= g", l2 <= S.genus, {"l_2(s)": l2, "g": S.genus})
-    applicable = checks[-1].passed
-    report = HypothesisReport(
-        theorem="hiper", checks=tuple(checks), applicable=applicable,
-        predicted=("exact", 2) if applicable else None, exponent=s)
-    try:
-        report.computed = zeta_neg(s, spec).ord_at_one()
-    except BudgetError:
-        pass
+    report = _report("hiper", checks, ("exact", 2), exponent=s)
+    _order(report, zeta_neg, s, spec)
     return report
 
 
@@ -108,12 +119,8 @@ def check_dinesh(spec, s):
     require_positive_exponent(s)
     q = spec.field.q
     report = _dinesh_checks(semigroup_from_ring(spec), q, s)
-    try:
-        z = zeta_neg(s, spec)
-    except BudgetError:
-        return report
-    report.computed = z.ord_at_one()
-    if report.applicable and spec.m == q:
+    z = _order(report, zeta_neg, s, spec)
+    if z is not None and report.applicable and spec.m == q:
         # its F_q[x] zeta's largest slice equals z's, so it is within budget
         report.identity = matches_base_substituted(z, (spec.one(),))
     return report
@@ -131,10 +138,7 @@ def _dinesh_checks(S, q, s):
         ratio = vanishing_threshold(s, q)
         need("l_q(s)/(q-1) <= r", ratio <= max(good),
              {"ratio": str(ratio), "r": max(good)})
-    applicable = checks[-1].passed
-    return HypothesisReport(
-        theorem="dinesh", checks=tuple(checks), applicable=applicable,
-        predicted=("exact", q) if applicable else None, exponent=s)
+    return _report("dinesh", checks, ("exact", q), exponent=s)
 
 
 def _recover_artin_schreier(spec):
@@ -145,79 +149,92 @@ def _recover_artin_schreier(spec):
     c = spec.coeffs
     if any(not c[j].is_zero for j in range(2, q)):
         return None, "middle coefficients nonzero"
-    b = -c[0]
-    neg_c1 = -c[1]
+    b, neg_c1 = -c[0], -c[1]
     if neg_c1.is_zero:
         return None, "no y term: a = 0"
     if q == 2:
         return (neg_c1, b), None
     if neg_c1.lc != 1:
         return None, "-c_1 is not monic, so not a (q-1)-th power"
-    unit, factors = poly_factor(neg_c1)
+    _, factors = poly_factor(neg_c1)
     if any(mult % (q - 1) for _, mult in factors):
         return None, "-c_1 has a factor multiplicity not divisible by q-1"
-    a = Poly.one(spec.field)
-    for f, mult in factors:
-        a = a * f ** (mult // (q - 1))
+    a = prod((f ** (mult // (q - 1)) for f, mult in factors),
+             start=Poly.one(spec.field))
     return (a, b), None
+
+
+def _tesismc_form(spec, need):
+    """The tesismc conditions on the equation; returns (b, the cap on mu)."""
+    q, p, N = spec.field.q, spec.field.p, spec.N
+    ab, reason = _recover_artin_schreier(spec)
+    need("form y^q - a^{q-1} y = b", ab is not None,
+         {"reason": reason} if reason else
+         {"a": poly_to_str(ab[0]), "b": poly_to_str(ab[1])})
+    a, b = ab
+    need("gcd(N, p) = 1", N % p != 0 or N == 1, {"N": N, "p": p})
+    need("N > q deg a", N > q * a.degree, {"N": N, "q deg a": q * a.degree})
+    profile = valuation_profile(b, a ** q)
+    bad = [(poly_to_str(f), n) for f, n in profile
+           if n < 0 and abs(n) % p == 0]
+    need("negative exponents of u = b/a^q coprime to p", not bad,
+         {"profile": [(poly_to_str(f), n) for f, n in profile],
+          "violations": bad})
+    valid_r = r_gap_values(semigroup_from_ring(spec), q).valid_r
+    good_r = [r for r in valid_r if r >= q - 1]
+    need("r-gap structure with r >= q-1", bool(good_r),
+         {"valid_r": list(valid_r)})
+    return b, max(good_r)
+
+
+def _generalization_form(spec, need):
+    """The q = 2 conditions on the equation; mu is capped by the genus since
+    the principal part relies on the q = 2 hyperelliptic theorem."""
+    q, N = spec.field.q, spec.N
+    need("q = 2", q == 2, {"q": q})
+    ok = spec.m == 2 and N % 2 == 1
+    if ok:
+        b, a = spec.mul_table()[1][1]    # b_1^2 = b + a b_1
+        ok = not a.is_zero
+    need("form y^2 - a y = b, N odd", ok,
+         {"a": poly_to_str(a), "b": poly_to_str(b)}
+         if ok else {"m": spec.m, "N": N})
+    return b, semigroup_from_ring(spec).genus
+
+
+def tesismc_conditions(spec, exponents, class_report=None):
+    """(report, class report) of the tesismc conditions, without an order,
+    at the first s of `exponents` that meets them, else at the last."""
+    return _all_ideals_conditions("tesismc", _tesismc_form, spec, exponents,
+                                  class_report, divisible=True)
 
 
 def check_tesismc(spec, s, class_report=None):
     """Full all-ideals chain for y^q - a^{q-1}y = b: order at least q."""
-    return _all_ideals_chain(spec, s, class_report, theorem="tesismc")
+    return _all_ideals_order(*tesismc_conditions(spec, (s,), class_report))
 
 
 def check_generalization(spec, s, class_report=None):
     """The q = 2 all-ideals theorem for y^2 - a y = b: order at least 2.
-
-    Same chain as check_tesismc minus the ramification conditions the q = 2
-    statement does not impose (no r-gap requirement, no condition on
-    u = b / a^q); mu is capped by the genus since the principal part relies
-    on the q = 2 hyperelliptic theorem.
-    """
-    return _all_ideals_chain(spec, s, class_report, theorem="generalization")
+    The chain of check_tesismc without the conditions the q = 2 statement
+    does not impose: r-gap structure, u = b / a^q and (q-1) | s."""
+    return _all_ideals_order(*_all_ideals_conditions(
+        "generalization", _generalization_form, spec, (s,), class_report))
 
 
-def _all_ideals_chain(spec, s, class_report, *, theorem):
+def _all_ideals_conditions(theorem, form, spec, exponents, class_report, *,
+                           divisible=False):
+    """form(spec, need), the class conditions and mu, then per s of
+    `exponents` (q-1) | s when `divisible` and the digit condition.  A failed
+    digit condition moves on to the next s; any other failure ends the chain."""
     spec.require_valid()
-    require_positive_exponent(s)
-    q = spec.field.q
-    p = spec.field.p
-    N = spec.N
+    for s in exponents:
+        require_positive_exponent(s)
+    q, N = spec.field.q, spec.N
     checks = []
     need = functools.partial(_need, checks)
     try:
-        if theorem == "tesismc":
-            ab, reason = _recover_artin_schreier(spec)
-            need("form y^q - a^{q-1} y = b", ab is not None,
-                 {"reason": reason} if reason else
-                 {"a": poly_to_str(ab[0]), "b": poly_to_str(ab[1])})
-            a, b = ab
-            need("gcd(N, p) = 1", N % p != 0 or N == 1, {"N": N, "p": p})
-            need("N > q deg a", N > q * a.degree,
-                 {"N": N, "q deg a": q * a.degree})
-            profile = valuation_profile(b, a ** q)
-            bad = [(poly_to_str(f), n) for f, n in profile
-                   if n < 0 and abs(n) % p == 0]
-            need("negative exponents of u = b/a^q coprime to p", not bad,
-                 {"profile": [(poly_to_str(f), n) for f, n in profile],
-                  "violations": bad})
-            valid_r = r_gap_values(semigroup_from_ring(spec), q).valid_r
-            good_r = [r for r in valid_r if r >= q - 1]
-            need("r-gap structure with r >= q-1", bool(good_r),
-                 {"valid_r": list(valid_r)})
-            cap = max(good_r)
-        else:
-            need("q = 2", q == 2, {"q": q})
-            ok = spec.m == 2 and N % 2 == 1
-            if ok:
-                b, a = spec.mul_table()[1][1]    # b_1^2 = b + a b_1
-                ok = not a.is_zero
-            need("form y^2 - a y = b, N odd", ok,
-                 {"a": poly_to_str(a), "b": poly_to_str(b)}
-                 if ok else {"m": spec.m, "N": N})
-            cap = semigroup_from_ring(spec).genus
-
+        b, cap = form(spec, need)
         if class_report is None:
             try:
                 class_report = class_group(spec)
@@ -242,32 +259,42 @@ def _all_ideals_chain(spec, s, class_report, *, theorem):
         mu_parts = [(N - cls.order * cls.degree - 1) // q for cls in nontrivial]
         mu = min([cap] + mu_parts)
         need("mu >= 1", mu >= 1, {"mu": mu, "cap": cap, "per_class": mu_parts})
-        if theorem == "tesismc":
-            need("(q-1) | s", s % (q - 1) == 0, {"s": s})
+        s_free = len(checks)    # the checks after these are those of one s
+        for s in exponents:
+            del checks[s_free:]
+            if divisible:
+                need("(q-1) | s", s % (q - 1) == 0, {"s": s})
+            # the digit condition decides applicability; failed, it reports mu
+            es = class_report.e * s
+            ratio = vanishing_threshold(es, q)
+            checks.append(CheckItem("l_q(es)/(q-1) <= mu", ratio <= mu,
+                                    {"es": es, "ratio": str(ratio)}))
+            if checks[-1].passed:
+                break
     except _ChainStop:
-        return HypothesisReport(theorem=theorem, checks=tuple(checks),
-                                applicable=False, exponent=None)
+        return _report(theorem, checks, None), class_report
+    return (_report(theorem, checks, ("at_least", q), mu=mu, exponent=es),
+            class_report)
 
-    # the last condition decides applicability; a failure still reports mu
-    es = class_report.e * s
-    ratio = vanishing_threshold(es, q)
-    applicable = ratio <= mu
-    checks.append(CheckItem("l_q(es)/(q-1) <= mu", applicable,
-                            {"es": es, "ratio": str(ratio)}))
-    report = HypothesisReport(
-        theorem=theorem, checks=tuple(checks), applicable=applicable,
-        predicted=("at_least", q) if applicable else None,
-        mu=mu, exponent=es)
-    if applicable:
-        # one classwise zeta gives the order and feeds the remark, whose F_q[x]
-        # zeta is then within budget too; over it, both stay None
-        try:
-            zc = ideal_zeta_classwise(es, class_report)
-        except BudgetError:
-            return report
-        report.computed = zc.ord_at_one()
-        report.remark = remark_exact_check(zc, class_report)
+
+def _all_ideals_order(report, class_report):
+    """The order step of an applicable chain: one classwise zeta gives the
+    order and the remark, whose F_q[x] zeta is then within budget too."""
+    if report.applicable:
+        zc = _order(report, ideal_zeta_classwise, report.exponent, class_report)
+        if zc is not None:
+            report.remark = remark_exact_check(zc, class_report)
     return report
+
+
+# the one list of theorem names; a check is looked up per call, so a wrapper
+# rebound over one (a profiler's, say) sees the calls made through the table
+THEOREMS = {
+    "hiper": lambda spec, s: check_hiper(spec, s),
+    "dinesh": lambda spec, s: check_dinesh(spec, s),
+    "generalization": lambda spec, s: check_generalization(spec, s),
+    "tesismc": lambda spec, s: check_tesismc(spec, s),
+}
 
 
 @dataclass(frozen=True)
@@ -276,10 +303,8 @@ class PropositionReport:
     all_ok: bool
 
 
-def check_hyperelliptic_rgap_proposition(n_values=None):
+def check_hyperelliptic_rgap_proposition(n_values=range(3, 22, 2)):
     """q = 2 hyperelliptic semigroups <2, N>: every valid r is g-1 or g."""
-    if n_values is None:
-        n_values = range(3, 22, 2)
     entries = []
     for N in n_values:
         if N % 2 == 0 or N < 3:

@@ -170,7 +170,7 @@ def coeff_lit(c):
     return "; ".join(map(poly_to_str, c.vec))
 
 
-def zeta_to_str(lits, var="X"):
+def zeta_to_str(lits):
     """The polynomial in X whose coefficients have the literals `lits`
     (`coeff_lit`), constant term first."""
     terms = []
@@ -184,7 +184,7 @@ def zeta_to_str(lits, var="X"):
         if d == 0:
             terms.append(cs)
             continue
-        xp = var if d == 1 else f"{var}^{d}"
+        xp = "X" if d == 1 else f"X^{d}"
         if cs == "1":
             terms.append(xp)
         elif parens:

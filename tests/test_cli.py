@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from ffzeta.cli import _jsonable, dispatch
+import ffzeta.ideal_zeta
+from ffzeta.cli import _jsonable, build_parser, dispatch
 from ffzeta.ringfile import serialize_ring_spec, parse_ring_spec
+from ffzeta.theorems import THEOREMS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -341,6 +344,14 @@ def test_check_mu_is_usage_error(theorem):
     assert "--mu" in res.text
 
 
+def test_check_theorem_choices_are_the_theorem_table():
+    (check,) = [a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    (theorem,) = [a for a in check.choices["check"]._actions
+                  if a.dest == "theorem"]
+    assert list(theorem.choices) == list(THEOREMS)
+
+
 def test_check_failed_chain_renders():
     res = run("check", "--ring", "ex36.ring", "-s", "1",
               "--theorem", "tesismc")
@@ -432,6 +443,32 @@ def test_search_full_family():
     assert doc["summary"]["passing"] == [
         "a=x^2 + x;b=x^7 + x^6 + x^5 + x",
         "a=x^2 + x;b=x^7 + x^4 + x^3 + x"]
+
+
+def test_search_computes_no_zeta(monkeypatch):
+    # search takes each candidate's conditions; the order step, which sums
+    # a classwise zeta and checks the remark on it, never runs
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("ideal_zeta_classwise", "remark_exact_check"):
+        fn = getattr(ffzeta.ideal_zeta, name)
+        for module in ("ffzeta.ideal_zeta", "ffzeta.theorems"):
+            monkeypatch.setattr(f"{module}.{name}", counted(name, fn))
+    code, doc = jrun(*FAMILY)
+    assert calls == []
+    assert doc["summary"] == {
+        "total": 32,
+        "outcomes": {
+            "hypotheses:failed: each f_k squarefree and divides b(x)": 6,
+            "hypotheses:pass": 2, "ring-valid:singular": 24},
+        "passing": ["a=x^2 + x;b=x^7 + x^6 + x^5 + x",
+                    "a=x^2 + x;b=x^7 + x^4 + x^3 + x"]}
 
 
 def test_search_h_budget_refuses_large_class_groups():

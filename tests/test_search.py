@@ -5,10 +5,12 @@ import pytest
 import ffzeta.gf
 from ffzeta.errors import CheckpointError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
+from ffzeta.ring import RingSpec
 from ffzeta.search import (
     SearchSpace, SearchSummary, candidate_key, evaluate_candidate,
     merge_summaries, search_partition, search_run, summarize,
 )
+from ffzeta.theorems import check_tesismc
 
 F2 = GF(2)
 F3 = GF(3)
@@ -193,7 +195,17 @@ def test_evaluate_known_pass():
     assert reports["s"] == 1
     assert reports["class"].h == 4
     assert reports["hypothesis"].applicable
-    assert reports["hypothesis"].remark.identity_holds
+    # search takes the conditions only: no zeta, so no order and no remark
+    assert reports["hypothesis"].computed is None
+    assert reports["hypothesis"].remark is None
+
+
+def test_known_pass_chain_attaches_the_remark():
+    a = poly_from_str(F2, "x^2 + x")
+    b = poly_from_str(F2, "x^7 + x^6 + x^5 + x")
+    rep = check_tesismc(RingSpec.cab(F2, (-b, -a)), 1)
+    assert rep.applicable and rep.computed == 2
+    assert rep.remark.identity_holds
 
 
 # -- full runs --------------------------------------------------------------

@@ -63,7 +63,7 @@ def test_from_generators_matches_membership_oracle():
             n = len(member)
             member.append(any(g <= n and member[n - g] for g in gens))
         assert S.gaps == tuple(n for n, ok in enumerate(member) if not ok)
-        assert all(S.contains(n) == ok for n, ok in enumerate(member))
+        assert all((n in S) == ok for n, ok in enumerate(member))
         positive = [n for n, ok in enumerate(member) if ok and n] + [
             len(member) + i for i in range(max(gens))]
         sums = {u + v for u in positive for v in positive}
@@ -98,7 +98,7 @@ def test_l_values(S27):
 def test_gap_criterion(quintic):
     for n in range(1, 2 * quintic.genus + 2):
         is_gap = quintic.l(n - 1) == quintic.l(n)
-        assert is_gap == (n in quintic.gaps) == (not quintic.contains(n))
+        assert is_gap == (n in quintic.gaps) == (n not in quintic)
 
 
 def test_l_against_ring_dims(h4g3):

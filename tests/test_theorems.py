@@ -4,7 +4,7 @@ import pytest
 
 import ffzeta.theorems as theorems
 from ffzeta.errors import BudgetError
-from ffzeta.gf import GF, poly_from_str
+from ffzeta.gf import GF, poly_from_str, valuation_profile
 from ffzeta.ideal_zeta import ideal_zeta_classwise
 from ffzeta.ideals import class_group
 from ffzeta.ring import RingSpec
@@ -191,6 +191,29 @@ def test_tesismc_digit_condition(h4g3, h4g3_classes):
     rep = check_tesismc(h4g3, 3, h4g3_classes)
     assert not rep.applicable
     assert rep.failed_check().name == "l_q(es)/(q-1) <= mu"
+
+
+def test_tesismc_conditions_take_the_first_s_that_passes(h4g3, h4g3_classes,
+                                                         monkeypatch):
+    # s = 3 and 5 give es = 6 and 10, digit sums 2 > mu = 1; s = 2 gives
+    # es = 4.  The conditions free of s run once, and no zeta is computed
+    want = check_tesismc(h4g3, 2, h4g3_classes)
+    profiles = []
+
+    def counted(*args):
+        profiles.append(args)
+        return valuation_profile(*args)
+
+    monkeypatch.setattr(theorems, "valuation_profile", counted)
+    monkeypatch.setattr(theorems, "ideal_zeta_classwise", None)
+    rep, cg = theorems.tesismc_conditions(h4g3, (3, 5, 2, 1), h4g3_classes)
+    assert len(profiles) == 1 and cg is h4g3_classes
+    assert rep.applicable and rep.mu == 1 and rep.exponent == 4
+    assert rep.checks == want.checks
+    assert rep.computed is None and rep.remark is None
+    rep, _ = theorems.tesismc_conditions(h4g3, (3, 5), h4g3_classes)
+    assert not rep.applicable and rep.mu == 1 and rep.exponent == 10
+    assert rep.failed_check() is rep.checks[-1]
 
 
 def test_generalization_h4g3(h4g3, h4g3_classes):
