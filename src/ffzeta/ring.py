@@ -15,7 +15,8 @@ degree offsets delta_j, and grades elements by deg(x^i b_j) = i*m + delta_j
 
 Every form multiplies through one table of basis products b_i * b_j
 (`RingSpec.mul_table`): the custom table as given, and for cab and polyring
-the cells y^(i+j) reduced by F.
+the cells y^(i+j) reduced by F.  The ring is commutative, so a product
+applies the cell of each pair i <= j once, to both of the pair's products.
 
 Elements are coordinate vectors of m polynomials, immutable by convention.
 The degree of a nonzero element is attained by a unique monomial (the
@@ -58,7 +59,7 @@ class RingSpec:
     """Presentation of a one-place affine coordinate ring."""
 
     __slots__ = ("field", "form", "m", "delta", "coeffs", "table", "name",
-                 "_report", "_mul_plan", "_basis_qpow")
+                 "_report", "_cells", "_basis_qpow")
 
     def __init__(self, field, form, m, delta, coeffs=None, table=None, name=None):
         self.field = field
@@ -69,7 +70,7 @@ class RingSpec:
         self.table = table
         self.name = name
         self._report = None
-        self._mul_plan = None
+        self._cells = None
         self._basis_qpow = None
 
     # -- constructors -------------------------------------------------------
@@ -208,17 +209,19 @@ class RingSpec:
         return tuple(tuple(ypow[i + j] for j in range(m)) for i in range(m))
 
     def _mul_vec(self, a, b):
-        """Sum the products a_i * b_j sharing a table cell, then apply each
-        distinct cell once; a unit entry is added without a product."""
-        plan = self._mul_plan
-        if plan is None:
-            plan = self._mul_plan = _plan_cells(self.mul_table())
+        """Over the pairs i <= j of the table, sum a_i b_j + a_j b_i, then
+        apply the cell b_i b_j once; a unit entry is added without a product.
+        This relies on b_i b_j = b_j b_i, which `_symmetric_cells` enforces."""
+        cells = self._cells
+        if cells is None:
+            cells = self._cells = _symmetric_cells(self.mul_table())
         zero = Poly.zero(self.field)
         out = [zero] * self.m
-        for pairs, terms in plan:
-            acc = None
-            for i, j in pairs:
-                ga, gb = a[i], b[j]
+        for i, j, terms in cells:
+            ga, gb = a[i], b[j]
+            acc = ga * gb if ga.packed and gb.packed else None
+            if i != j:
+                ga, gb = a[j], b[i]
                 if ga.packed and gb.packed:
                     acc = ga * gb if acc is None else acc + ga * gb
             if acc is not None:
@@ -390,20 +393,20 @@ def elem_to_str(e):
     return ", ".join(poly_to_str(g) for g in e.vec)
 
 
-def _plan_cells(table):
-    """Index pairs (i, j) grouped by equal cells table[i][j], each group with
-    its cell's nonzero entries (k, entry); entry None stands for the unit 1."""
-    groups = {}
+def _symmetric_cells(table):
+    """(i, j, terms) for each pair i <= j whose cell b_i b_j is nonzero,
+    terms its nonzero entries (k, entry); entry None stands for the unit 1.
+    A table with b_i b_j != b_j b_i is refused: one cell serves both."""
+    cells = []
     for i, row in enumerate(table):
-        for j, cell in enumerate(row):
-            groups.setdefault(cell, []).append((i, j))
-    plan = []
-    for cell, pairs in groups.items():
-        terms = tuple((k, None if g.packed == 1 else g)
-                      for k, g in enumerate(cell) if not g.is_zero)
-        if terms:
-            plan.append((tuple(pairs), terms))
-    return tuple(plan)
+        for j in range(i, len(row)):
+            if row[j] != table[j][i]:
+                raise ValueError(f"the table is not commutative: b_{i} b_{j} != b_{j} b_{i}")
+            terms = tuple((k, None if g.packed == 1 else g)
+                          for k, g in enumerate(row[j]) if g.packed)
+            if terms:
+                cells.append((i, j, terms))
+    return tuple(cells)
 
 
 def least_multiples(ws, count):
@@ -650,21 +653,14 @@ def _validate_custom(spec, failures):
             if table[i][j] != table[j][i]:
                 failures.append(("commutativity", f"b_{i} b_{j} != b_{j} b_{i}"))
     # degree compatibility
-    for i in range(m):
-        for j in range(m):
-            prod = RingElement(spec, table[i][j])
-            if prod.degree != delta[i] + delta[j]:
-                failures.append(
-                    ("degree", f"deg(b_{i} b_{j}) = {prod.degree} != {delta[i] + delta[j]}"))
+    for i, j in product(range(m), repeat=2):
+        deg = RingElement(spec, table[i][j]).degree
+        if deg != delta[i] + delta[j]:
+            failures.append(("degree", f"deg(b_{i} b_{j}) = {deg} != {delta[i] + delta[j]}"))
     if failures:
         return
-    # associativity on basis triples
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                left = spec._mul_vec(spec._mul_vec(spec.basis_vec(i), spec.basis_vec(j)),
-                                     spec.basis_vec(k))
-                right = spec._mul_vec(spec.basis_vec(i),
-                                      spec._mul_vec(spec.basis_vec(j), spec.basis_vec(k)))
-                if left != right:
-                    failures.append(("associativity", f"(b_{i} b_{j}) b_{k} != b_{i} (b_{j} b_{k})"))
+    # associativity on basis triples, products only of a commutative table
+    for i, j, k in product(range(m), repeat=3):
+        if (spec._mul_vec(table[i][j], spec.basis_vec(k))
+                != spec._mul_vec(spec.basis_vec(i), table[j][k])):
+            failures.append(("associativity", f"(b_{i} b_{j}) b_{k} != b_{i} (b_{j} b_{k})"))

@@ -7,9 +7,10 @@ lexicographically: degree of a ascending, a in counting order, degree of b
 ascending, b in counting order (through the quotient b/a when the family
 restricts b to multiples of a).  Each candidate runs a staged pipeline,
 cheapest first, the last asking for the tesismc conditions alone, with no
-zeta; the stage reached and its verdict are the record.  A checkpoint
-stores one `coeffs<TAB>stage<TAB>verdict` line per finished candidate, so a
-killed run resumes by skipping whatever is already present.
+zeta; the stage reached and its verdict are the record, which keeps no
+report of the stages.  A checkpoint stores one `coeffs<TAB>stage<TAB>verdict`
+line per finished candidate, so a killed run resumes by skipping whatever is
+already present.
 """
 
 from __future__ import annotations
@@ -123,7 +124,6 @@ class SearchRecord:
     coeffs: str
     stage: str
     verdict: str
-    reports: dict = None     # populated only for freshly evaluated candidates
     resumed: bool = False
 
 
@@ -140,7 +140,8 @@ def candidate_key(a, b):
 
 def evaluate_candidate(field, a, b, *, min_r=None,
                        h_budget=DEFAULT_IDEAL_BUDGET):
-    """Run the staged pipeline on one (a, b); returns (stage, verdict, reports)."""
+    """Run the staged pipeline on one (a, b); returns (stage, verdict,
+    report), the report that of the tesismc conditions, None before them."""
     q = field.q
     coeffs = [-b, -(a ** (q - 1))] + [Poly.zero(field)] * (q - 2)
     spec = RingSpec.cab(field, tuple(coeffs))
@@ -152,23 +153,22 @@ def evaluate_candidate(field, a, b, *, min_r=None,
 
     rr = r_gap_values(semigroup_from_ring(spec), q)
     if not any(r >= max(q - 1, min_r or 1) for r in rr.valid_r):
-        return "gap-structure", "no-valid-r", {"gap": rr}
+        return "gap-structure", "no-valid-r", None
 
     try:
         cg = class_group(spec, budget=h_budget)
     except BudgetError:
-        return "class-group", "budget-exceeded", {"gap": rr}
+        return "class-group", "budget-exceeded", None
 
     # the conditions free of s run once, on cg, and set mu when they hold;
     # the least s = k(q-1) that meets the digit condition wins
     hyp, _ = tesismc_conditions(
         spec, [k * (q - 1) for k in range(1, _S_SCAN + 1)], cg)
-    reports = {"gap": rr, "class": cg, "hypothesis": hyp}
     if hyp.applicable:
-        return "hypotheses", "pass", reports | {"s": hyp.exponent // cg.e}
+        return "hypotheses", "pass", hyp
     if hyp.mu is None:
-        return "hypotheses", f"failed: {hyp.failed_check().name}", reports
-    return "hypotheses", "no-small-s", reports
+        return "hypotheses", f"failed: {hyp.failed_check().name}", hyp
+    return "hypotheses", "no-small-s", hyp
 
 
 def _read_checkpoint(path, header):
@@ -195,8 +195,8 @@ def _read_checkpoint(path, header):
 def search_run(space, checkpoint=None):
     """Evaluate every candidate in the window once across resumed runs.
 
-    Returns (records, summary).  Records for candidates already present in
-    the checkpoint carry the stored stage/verdict with no reports.  A new
+    Returns (records, summary).  A record carries the stage and verdict
+    only, stored in the checkpoint or freshly evaluated.  A new
     checkpoint opens with a header of q, min_r and h_budget; a checkpoint
     with another header is refused, one without is read as it is.
     """
@@ -215,9 +215,9 @@ def search_run(space, checkpoint=None):
                 records.append(SearchRecord(idx, key, stage, verdict,
                                             resumed=True))
                 continue
-            stage, verdict, reports = evaluate_candidate(
+            stage, verdict, _ = evaluate_candidate(
                 space.field, a, b, min_r=space.min_r, h_budget=space.h_budget)
-            records.append(SearchRecord(idx, key, stage, verdict, reports))
+            records.append(SearchRecord(idx, key, stage, verdict))
             if out is not None:
                 out.write(f"{key}\t{stage}\t{verdict}\n")
                 out.flush()

@@ -84,13 +84,14 @@ def affine_power_sum(f, basis, k):
 
 
 def power_sum_S(d, s, spec):
-    """S(d): sum of a^s over the monic elements of degree d (0 at gaps), the
-    last slice of the dim W_d + 1 least monomials."""
+    """S(d): sum of a^s over the monic elements of degree d, the last slice
+    of the dim W_d + 1 least monomials; past the budget check, 0 with no
+    power at a gap (the last lead is not of degree d) or past the cutoff."""
     spec.require_valid()
     require_positive_exponent(s)
-    if not spec.degree_in_semigroup(d):
-        return spec.zero()
     *below, lead = slice_leads(spec.basis(), spec.dim_W(d) + 1)
+    if lead.degree != d or len(below) > vanishing_threshold(s, spec.q):
+        return spec.zero()
     return affine_power_sum(lead, below, s)
 
 

@@ -114,3 +114,23 @@ def ord_from_coeffs(coeffs, spec):
         if not c.is_zero:
             return j
     raise ValueError("the zero polynomial has no finite order of vanishing at X = 1")
+
+
+# -- Newton polygon at infinity ---------------------------------------------
+
+def newton_polygon(coeffs):
+    """Vertices (d, -deg c_d) of the lower convex hull of the points over the
+    nonzero coefficients, left to right; collinear points are not vertices."""
+    hull = []
+    for d, c in enumerate(coeffs):
+        if c.is_zero:
+            continue
+        pt = (d, -c.degree)
+        while len(hull) >= 2:
+            (d0, v0), (d1, v1) = hull[-2:]
+            # drop the last vertex unless the turn to pt is counterclockwise
+            if (d1 - d0) * (pt[1] - v0) - (v1 - v0) * (pt[0] - d0) > 0:
+                break
+            hull.pop()
+        hull.append(pt)
+    return hull

@@ -44,6 +44,12 @@ def test_zeta_json_matches_data():
     assert doc["d_max"] == 2
 
 
+def test_zeta_json_names_the_extension_modulus():
+    code, doc = jrun("zeta", "--ring", "fqx4", "-s", "3")
+    assert code == 0
+    assert doc["field"] == {"p": 2, "n": 2, "q": 4, "modulus": "t^2 + t + 1"}
+
+
 def test_zeta_fqx_trivial_zero():
     code, doc = jrun("zeta", "--ring", "fqx3.ring", "-s", "2")
     assert doc["zeta"] == "1 + 2*X"
@@ -169,6 +175,12 @@ def test_classgroup_text_and_json():
     assert doc["classes"] == [{"d": 1, "e": 2, "f": "x"},
                               {"d": 1, "e": 2, "f": "x + 1"},
                               {"d": 2, "e": 2, "f": "x^2 + x"}]
+
+
+def test_classgroup_trivial():
+    res = run("classgroup", "--ring", "fqx2")
+    assert res.exit_code == 0
+    assert res.text.endswith("h = 1, exponent e = 1\ntrivial class group")
 
 
 def test_lpoly():
@@ -388,6 +400,14 @@ def test_powsum_vanishing():
     # dim W_3 = 3 exceeds l_2(3)/(2-1) = 2, so the sum is forced to zero
     code, doc = jrun("powsum", "--ring", "fqx2.ring", "-s", "3", "-d", "3")
     assert doc["S"] == "0" and doc["is_zero"] is True
+
+
+def test_powsum_beyond_threshold_takes_no_power(no_powers):
+    # dim W_11 = 11 exceeds l_3(1)/2 = 1/2: zero with no power taken, though
+    # the slice's 3^11 points are within the budget
+    code, doc = jrun("powsum", "--ring", "fqx3", "-d", "11", "-s", "1")
+    assert code == 0
+    assert doc["S"] == "0" and doc["dim_W"] == 11
 
 
 # -- search -----------------------------------------------------------------

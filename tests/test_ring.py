@@ -101,6 +101,77 @@ def test_custom_table_broken_identity_rejected():
     assert any(name == "identity" for name, _ in rep.failures)
 
 
+def failure_names(spec):
+    return [name for name, _ in spec.validate().failures]
+
+
+def h4g3_table(b1b0=None):
+    """h4g3's table, b_1 * b_0 replaced by b1b0 when given."""
+    one, zero = Poly.one(F2), Poly.zero(F2)
+    c0, c1 = P(F2, "x^7 + x^6 + x^5 + x"), P(F2, "x^2 + x")
+    return [[(one, zero), (zero, one)], [b1b0 or (zero, one), (c0, c1)]]
+
+
+@pytest.mark.parametrize("delta, names", [
+    ((2, 7), ["delta0"]),
+    ((0, 4), ["delta-residues", "gcd"]),
+], ids=["delta0", "gcd"])
+def test_custom_degree_offsets_refused(delta, names):
+    assert failure_names(RingSpec.custom(F2, delta, h4g3_table())) == names
+
+
+def test_custom_colliding_residues_refused():
+    # residues 0, 0, 1 mod 3 collide, though gcd(3, 3, 4) = 1
+    zero = (Poly.zero(F2),) * 3
+    spec = RingSpec.custom(F2, (0, 3, 4), [[zero] * 3] * 3)
+    assert failure_names(spec) == ["delta-residues"]
+
+
+@pytest.mark.parametrize("table, witness", [
+    (h4g3_table()[:1], "need an 2x2 table"),
+    ([h4g3_table()[0], [(Poly.one(F2),), (Poly.one(F2),)]],
+     "entry (1,0) has wrong length"),
+], ids=["rows", "entry"])
+def test_custom_table_shape_refused(table, witness):
+    assert RingSpec.custom(F2, (0, 7), table).validate().failures == [
+        ("table-shape", witness)]
+
+
+def sg345_table(b2b2):
+    """The semigroup <3, 4, 5> over F_2 with delta = (0, 4, 5): b_1^2 = x b_2,
+    b_1 b_2 = x^3 and b_2^2 = b2b2."""
+    zero, one = Poly.zero(F2), Poly.one(F2)
+    e = [(one, zero, zero), (zero, one, zero), (zero, zero, one)]
+    b1b2 = (P(F2, "x^3"), zero, zero)
+    return [e, [e[1], (zero, zero, P(F2, "x")), b1b2], [e[2], b1b2, b2b2]]
+
+
+def test_custom_associativity_checked():
+    zero = Poly.zero(F2)
+    good = RingSpec.custom(F2, (0, 4, 5), sg345_table((zero, P(F2, "x^2"), zero)))
+    assert good.validate().ok
+    # b_2^2 = x^2 b_1 + 1 keeps every degree, but b_1 (b_2 b_2) gains b_1
+    bad = RingSpec.custom(F2, (0, 4, 5),
+                          sg345_table((Poly.one(F2), P(F2, "x^2"), zero)))
+    assert set(failure_names(bad)) == {"associativity"}
+
+
+def test_custom_commutativity_checked_before_any_product():
+    # b_1 b_0 = 1 + b_1 has the degree 7 of b_0 b_1, but differs from it
+    one = Poly.one(F2)
+    spec = RingSpec.custom(F2, (0, 7), h4g3_table(b1b0=(one, one)))
+    assert failure_names(spec) == ["commutativity"]
+
+
+def test_unvalidated_asymmetric_table_refused_at_the_first_product():
+    # elem() does not validate; the product must not pick one mirror cell
+    one = Poly.one(F2)
+    spec = RingSpec.custom(F2, (0, 7), h4g3_table(b1b0=(one, one)))
+    a = spec.elem((P(F2, "x"), one))
+    with pytest.raises(ValueError, match="not commutative: b_0 b_1 != b_1 b_0"):
+        a * a
+
+
 # -- degrees and monicity ---------------------------------------------------
 
 def test_degrees(h4g3):

@@ -166,6 +166,24 @@ def test_delta_integers():
     assert "delta-sign" in [name for name, _ in spec.validate().failures]
 
 
+CUSTOM_HEAD = "[field]\np = 2\n\n[ring]\nform = custom\ndelta = 0, 7\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[field]\np = 2\n\n[ring]\nform = polyring\nm = 2\n",
+     "[ring] form polyring requires m = 1"),
+    ("[field]\np = 2\n\n[ring]\nform = cab\nm = 0\n",
+     "[ring] m must be a positive integer"),
+    (f"{CUSTOM_HEAD}m = 3\n", "[ring] m = 3 disagrees with 2 delta entries"),
+    (f"{CUSTOM_HEAD}t_0_0 = 1, 0\nt_1_1 = x^7 + x, x^2 + x\n",
+     "missing key 't_0_1' in [ring]"),
+    (f"{CUSTOM_HEAD}t_0_0 = 1, 0\nt_0_1 = 0, 1\nt_1_1 = x^7 + x\n",
+     "[ring] t_1_1 needs 2 coordinates, got 1"),
+], ids=["polyring-m", "cab-m", "custom-m", "custom-cell", "custom-length"])
+def test_shape_errors_name_the_key(text, message):
+    assert err(text) == message
+
+
 def test_unknown_form():
     assert "form" in err("[field]\np = 2\n\n[ring]\nform = weird\n")
 

@@ -159,11 +159,16 @@ def test_describe(family_space):
 
 # -- single-candidate pipeline ----------------------------------------------
 
+def witness(report, name):
+    """The witness of the check `name` in a hypothesis report."""
+    return next(c.witness for c in report.checks if c.name == name)
+
+
 def test_evaluate_singular():
-    stage, verdict, reports = evaluate_candidate(
+    stage, verdict, report = evaluate_candidate(
         F2, Poly.zero(F2), poly_from_str(F2, "x^3"))
     assert (stage, verdict) == ("ring-valid", "singular")
-    assert reports is None
+    assert report is None
 
 
 def test_evaluate_invalid_weight():
@@ -182,22 +187,26 @@ def test_evaluate_invalid_even_degree():
 def test_evaluate_min_r_filter():
     a = poly_from_str(F2, "x^2 + x")
     b = poly_from_str(F2, "x^7 + x^6 + x^5 + x")
-    stage, verdict, reports = evaluate_candidate(F2, a, b, min_r=7)
-    assert (stage, verdict) == ("gap-structure", "no-valid-r")
-    assert max(reports["gap"].valid_r) < 7
+    stage, verdict, report = evaluate_candidate(F2, a, b, min_r=7)
+    assert (stage, verdict, report) == ("gap-structure", "no-valid-r", None)
+    # without the filter the chain runs, and its valid r all lie below 7
+    _, _, report = evaluate_candidate(F2, a, b)
+    valid_r = witness(report, "r-gap structure with r >= q-1")["valid_r"]
+    assert valid_r and max(valid_r) < 7
 
 
 def test_evaluate_known_pass():
     a = poly_from_str(F2, "x^2 + x")
     b = poly_from_str(F2, "x^7 + x^6 + x^5 + x")
-    stage, verdict, reports = evaluate_candidate(F2, a, b)
+    stage, verdict, report = evaluate_candidate(F2, a, b)
     assert (stage, verdict) == ("hypotheses", "pass")
-    assert reports["s"] == 1
-    assert reports["class"].h == 4
-    assert reports["hypothesis"].applicable
+    assert report.applicable
+    classes = witness(report, "class group computed")
+    assert classes["h"] == 4
+    assert report.exponent == classes["e"] * 1    # the least s is 1
     # search takes the conditions only: no zeta, so no order and no remark
-    assert reports["hypothesis"].computed is None
-    assert reports["hypothesis"].remark is None
+    assert report.computed is None
+    assert report.remark is None
 
 
 def test_known_pass_chain_attaches_the_remark():
@@ -262,7 +271,8 @@ def test_resume_skips_checkpointed(tmp_path, family_space, family_run):
                                                   checkpoint=str(ckpt))
     assert sum(r.resumed for r in resumed_records) == 16
     assert all(r.resumed for r in resumed_records[:16])
-    assert all(r.reports is None for r in resumed_records if r.resumed)
+    # fresh or resumed, a record keeps the verdict and no stage reports
+    assert not any(hasattr(r, "reports") for r in resumed_records)
     assert shape(resumed_records) == shape(records)
     assert resumed_summary == summary
     # second full pass over the same checkpoint recomputes nothing

@@ -186,6 +186,32 @@ def test_tesismc_q3_refuses_a_non_monic_a_squared():
         "reason": "-c_1 is not monic, so not a (q-1)-th power"}
 
 
+@pytest.mark.parametrize("field, coeffs, reason", [
+    (F3, ("x^4 + 1", "2*x", "x"), "middle coefficients nonzero"),
+    (F3, ("x^4 + 1", "2*x", "0"),
+     "-c_1 has a factor multiplicity not divisible by q-1"),
+    (F2, ("x^3 + x + 1", "0"), "no y term: a = 0"),
+], ids=["middle", "multiplicity", "no-y"])
+def test_tesismc_form_refusals(field, coeffs, reason):
+    spec = RingSpec.cab(field, tuple(P(field, c) for c in coeffs))
+    assert spec.validate().ok
+    rep = check_tesismc(spec, 2)
+    assert [c.passed for c in rep.checks] == [False]
+    assert rep.failed_check().witness == {"reason": reason}
+
+
+@pytest.mark.parametrize("check", [check_tesismc, check_generalization])
+def test_non_maximal_ring_fails_at_the_class_group(check):
+    # y^2 + (x^2+x) y = x^7 + x^6 validates but is singular at x = 0
+    spec = RingSpec.cab(F2, (P(F2, "x^7 + x^6"), P(F2, "x^2 + x")))
+    assert spec.validate().singular_finite == (P(F2, "x"),)
+    rep = check(spec, 1)
+    assert not rep.applicable
+    bad = rep.failed_check()
+    assert bad.name == "class group computed"
+    assert bad.witness["error"].startswith("finite singular locus at x")
+
+
 def test_tesismc_digit_condition(h4g3, h4g3_classes):
     # l_2(es) <= mu = 1 forces es to a power of two; s = 3 gives es = 6
     rep = check_tesismc(h4g3, 3, h4g3_classes)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import binom_mod_p, ord_from_coeffs
+from oracles import binom_mod_p, newton_polygon, ord_from_coeffs
 
 from ffzeta.errors import BudgetError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
@@ -169,11 +169,33 @@ def test_trivial_zero_law_small():
             assert z.value_at_one.is_zero == ((s % (q - 1)) == 0)
 
 
+@pytest.mark.parametrize("ring, s_max", [("fqx2", 127), ("fqx3", 242),
+                                         ("fqx4", 127)])
+def test_newton_polygon_slopes_are_simple_on_fq_x(ring, s_max):
+    # the Riemann hypothesis for F_q[T] (Sheats, J. Number Theory 71, 1998):
+    # the zeros of zeta(-s, X) have distinct valuations at infinity, so each
+    # hull segment over the points (d, -deg c_d) has horizontal length 1
+    spec = parse_ring_spec(ring)
+    for s in range(1, s_max + 1):
+        hull = newton_polygon(zeta_neg(s, spec).coeffs)
+        assert all(d1 - d0 == 1 for (d0, _), (d1, _) in zip(hull, hull[1:])), s
+
+
+def test_newton_polygon_merges_collinear_points():
+    spec = RingSpec.polyring(F2)
+    coeffs = [spec.elem_from_poly(P(F2, f)) for f in ("1", "x", "x^2", "0", "1")]
+    assert newton_polygon(coeffs) == [(0, 0), (2, -2), (4, 0)]
+
+
 def test_cutoff_soundness(ex26):
-    # beyond the certified d_max every further power sum vanishes
+    # beyond the certified d_max every further slice sums to zero, summed
+    # by affine_power_sum; power_sum_S answers 0 there with no sum
     for s in (3, 7):
         z = zeta_neg(s, ex26)
         for d in range(z.d_max + 1, z.d_max + 4):
+            *below, lead = ex26.basis_W(d + 1)
+            if lead.degree == d:
+                assert affine_power_sum(lead, below, s).is_zero
             assert power_sum_S(d, s, ex26).is_zero
 
 
