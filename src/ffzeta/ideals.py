@@ -443,6 +443,15 @@ class ClassGroupReport(LPolynomial):
         return self.classes[1:]
 
 
+def low_ideal_scan(spec):
+    """The candidates `l_polynomial` (so `class_group`) scans at its largest
+    degree.  It enumerates degrees 0..g, and the count grows with the degree
+    (raising the first diagonal degree of a degree-d candidate gives one of
+    degree d + 1), so either is refused over a budget exactly when this
+    count exceeds it, and the count needs no enumeration."""
+    return count_ideal_candidates(spec, semigroup_from_ring(spec).genus)
+
+
 def l_polynomial(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     """The certified L-polynomial; refuses rings with finite singular
     points."""

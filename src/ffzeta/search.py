@@ -6,11 +6,15 @@ Candidates are (a, b) pairs defining y^q - a(x)^{q-1} y = b(x), scanned
 lexicographically: degree of a ascending, a in counting order, degree of b
 ascending, b in counting order (through the quotient b/a when the family
 restricts b to multiples of a).  Each candidate runs a staged pipeline,
-cheapest first, the last asking for the tesismc conditions alone, with no
-zeta; the stage reached and its verdict are the record, which keeps no
-report of the stages.  A checkpoint stores one `coeffs<TAB>stage<TAB>verdict`
-line per finished candidate, so a killed run resumes by skipping whatever is
-already present.
+cheapest first: the ring's validation and singular points (stage
+`ring-valid`); its r-gap structure (`gap-structure`); the class-group
+budget, decided by a count of ideal candidates with no enumeration
+(`class-group`); then the tesismc conditions alone, with no zeta
+(`hypotheses`): those on the equation, the class group, and only then the
+class conditions, mu and the scan for a small s.  The stage reached and its
+verdict are the record, which keeps no report of the stages.  A checkpoint
+stores one `coeffs<TAB>stage<TAB>verdict` line per finished candidate, so a
+killed run resumes by skipping whatever is already present.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 
-from ffzeta.errors import BudgetError, CheckpointError
+from ffzeta.errors import CheckpointError
 from ffzeta.gf import Poly, monic_poly_at, poly_to_str
-from ffzeta.ideals import class_group, DEFAULT_IDEAL_BUDGET
+from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group, low_ideal_scan
 from ffzeta.ring import RingSpec
 from ffzeta.semigroup import r_gap_values, semigroup_from_ring
 from ffzeta.theorems import tesismc_conditions
@@ -141,7 +145,9 @@ def candidate_key(a, b):
 def evaluate_candidate(field, a, b, *, min_r=None,
                        h_budget=DEFAULT_IDEAL_BUDGET):
     """Run the staged pipeline on one (a, b); returns (stage, verdict,
-    report), the report that of the tesismc conditions, None before them."""
+    report), the report that of the tesismc conditions, None before them.
+    The class group is computed, under `h_budget`, only for a candidate
+    within that budget whose equation meets the tesismc conditions."""
     q = field.q
     coeffs = [-b, -(a ** (q - 1))] + [Poly.zero(field)] * (q - 2)
     spec = RingSpec.cab(field, tuple(coeffs))
@@ -155,15 +161,15 @@ def evaluate_candidate(field, a, b, *, min_r=None,
     if not any(r >= max(q - 1, min_r or 1) for r in rr.valid_r):
         return "gap-structure", "no-valid-r", None
 
-    try:
-        cg = class_group(spec, budget=h_budget)
-    except BudgetError:
+    if low_ideal_scan(spec) > h_budget:
         return "class-group", "budget-exceeded", None
 
-    # the conditions free of s run once, on cg, and set mu when they hold;
-    # the least s = k(q-1) that meets the digit condition wins
+    # the equation conditions come first; the class group, under this
+    # budget, only once they hold.  The conditions free of s run once and
+    # set mu; the least s = k(q-1) that meets the digit condition wins
     hyp, _ = tesismc_conditions(
-        spec, [k * (q - 1) for k in range(1, _S_SCAN + 1)], cg)
+        spec, [k * (q - 1) for k in range(1, _S_SCAN + 1)],
+        lambda: class_group(spec, budget=h_budget))
     if hyp.applicable:
         return "hypotheses", "pass", hyp
     if hyp.mu is None:

@@ -204,7 +204,13 @@ def _generalization_form(spec, need):
 
 def tesismc_conditions(spec, exponents, class_report=None):
     """(report, class report) of the tesismc conditions, without an order,
-    at the first s of `exponents` that meets them, else at the last."""
+    at the first s of `exponents` that meets them, else at the last.
+
+    The equation conditions come first and need no class group; only once
+    they hold is the class report taken: `class_report` itself, or called
+    when it is a function (so a caller defers a class group of its own
+    budget), or `class_group(spec)` when None.  On a failed equation
+    condition the class report returned is what was passed."""
     return _all_ideals_conditions("tesismc", _tesismc_form, spec, exponents,
                                   class_report, divisible=True)
 
@@ -224,9 +230,10 @@ def check_generalization(spec, s, class_report=None):
 
 def _all_ideals_conditions(theorem, form, spec, exponents, class_report, *,
                            divisible=False):
-    """form(spec, need), the class conditions and mu, then per s of
-    `exponents` (q-1) | s when `divisible` and the digit condition.  A failed
-    digit condition moves on to the next s; any other failure ends the chain."""
+    """form(spec, need), the class report (see `tesismc_conditions`), the
+    class conditions and mu, then per s of `exponents` (q-1) | s when
+    `divisible` and the digit condition.  A failed digit condition moves on
+    to the next s; any other failure ends the chain."""
     spec.require_valid()
     for s in exponents:
         require_positive_exponent(s)
@@ -236,8 +243,10 @@ def _all_ideals_conditions(theorem, form, spec, exponents, class_report, *,
     try:
         b, cap = form(spec, need)
         if class_report is None:
+            class_report = functools.partial(class_group, spec)
+        if callable(class_report):
             try:
-                class_report = class_group(spec)
+                class_report = class_report()
             except (BudgetError, NonMaximalRingError) as err:
                 need("class group computed", False, {"error": str(err)})
         need("class group computed", True,

@@ -9,7 +9,7 @@ from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
 from ffzeta.ideals import (
     class_equivalent, class_group, count_ideal_candidates, elem_divexact,
     enumerate_ideals, ideal_from_generators, ideal_is_principal, ideal_mul,
-    ideal_pow, ideal_quotient, reduced_basis, unit_ideal,
+    ideal_pow, ideal_quotient, low_ideal_scan, reduced_basis, unit_ideal,
     _enumerate_ideals_general,
 )
 from ffzeta.ring import (RingSpec, affine_combinations, count_affine_points,
@@ -435,6 +435,15 @@ def test_polyring_candidates_are_monic_polys():
         spec = RingSpec.polyring(field)
         for d in range(6):
             assert count_ideal_candidates(spec, d) == field.q ** d
+
+
+def test_candidate_count_grows_with_degree(h4g3, m3f2b, m3f5):
+    # so an enumeration of degrees 0..g is within a budget exactly when
+    # degree g is, which `low_ideal_scan` reads
+    for spec in (RingSpec.polyring(F3), h4g3, m3f2b, m3f5):
+        counts = [count_ideal_candidates(spec, d) for d in range(8)]
+        assert counts == sorted(set(counts))
+    assert low_ideal_scan(h4g3) == count_ideal_candidates(h4g3, 3) == 72
 
 
 def test_enumeration_budget(h4g3):

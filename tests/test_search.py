@@ -3,14 +3,16 @@ import dataclasses
 import pytest
 
 import ffzeta.gf
+import ffzeta.search as search
 from ffzeta.errors import CheckpointError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
+from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group
 from ffzeta.ring import RingSpec
 from ffzeta.search import (
     SearchSpace, SearchSummary, candidate_key, evaluate_candidate,
     merge_summaries, search_partition, search_run, summarize,
 )
-from ffzeta.theorems import check_tesismc
+from ffzeta.theorems import CheckItem, check_tesismc
 
 F2 = GF(2)
 F3 = GF(3)
@@ -217,7 +219,81 @@ def test_known_pass_chain_attaches_the_remark():
     assert rep.remark.identity_holds
 
 
+def test_equation_conditions_come_before_the_class_group(monkeypatch):
+    # u = (x^5 + 1)/x^2 has a pole of order 2 = p at x: the chain stops at
+    # the equation, and no class group is asked for
+    def no_class_group(*args, **kwargs):
+        raise AssertionError("class group computed before the equation")
+
+    monkeypatch.setattr(search, "class_group", no_class_group)
+    stage, verdict, report = evaluate_candidate(
+        F2, poly_from_str(F2, "x"), poly_from_str(F2, "x^5 + 1"))
+    assert (stage, verdict) == (
+        "hypotheses", "failed: negative exponents of u = b/a^q coprime to p")
+    assert report.checks == (
+        CheckItem("form y^q - a^{q-1} y = b", True, {"a": "x", "b": "x^5 + 1"}),
+        CheckItem("gcd(N, p) = 1", True, {"N": 5, "p": 2}),
+        CheckItem("N > q deg a", True, {"N": 5, "q deg a": 2}),
+        CheckItem("negative exponents of u = b/a^q coprime to p", False,
+                  {"profile": [("x", -2), ("x + 1", 1),
+                               ("x^4 + x^3 + x^2 + x + 1", 1)],
+                   "violations": [("x", -2)]}))
+    assert not report.applicable and report.mu is None
+
+
+def test_h_budget_is_decided_at_the_genus():
+    # h4g3 has g = 3, and its degree-3 enumeration scans 72 candidates, so
+    # class_group(h4g3, budget=71) is refused (test_ideals)
+    a = poly_from_str(F2, "x^2 + x")
+    b = poly_from_str(F2, "x^7 + x^6 + x^5 + x")
+    assert evaluate_candidate(F2, a, b, h_budget=71) == (
+        "class-group", "budget-exceeded", None)
+    assert evaluate_candidate(F2, a, b, h_budget=72)[:2] == (
+        "hypotheses", "pass")
+
+
+@pytest.mark.parametrize("b, verdict", [
+    ("x^7 + x^6 + x^5 + x", "pass"),
+    ("x^7 + x^6 + x^3 + x", "failed: each f_k squarefree and divides b(x)"),
+])
+def test_h_budget_above_the_default_keeps_the_verdict(b, verdict,
+                                                      monkeypatch):
+    # the class group takes the search's budget, not class_group's default
+    budgets = []
+
+    def recorded(spec, *, budget):
+        budgets.append(budget)
+        return class_group(spec, budget=budget)
+
+    monkeypatch.setattr(search, "class_group", recorded)
+    a = poly_from_str(F2, "x^2 + x")
+    b = poly_from_str(F2, b)
+    default = evaluate_candidate(F2, a, b)
+    assert default[:2] == ("hypotheses", verdict)
+    assert evaluate_candidate(
+        F2, a, b, h_budget=2 * DEFAULT_IDEAL_BUDGET) == default
+    assert budgets == [DEFAULT_IDEAL_BUDGET, 2 * DEFAULT_IDEAL_BUDGET]
+
+
 # -- full runs --------------------------------------------------------------
+
+def test_window_verdicts():
+    # search --q 2 --family artin-schreier --deg-a 1..2 --deg-b 5
+    _, summary = search_run(SearchSpace(F2, deg_a=(1, 2), deg_b=(5, 5)))
+    assert summary.total == 192
+    assert summary.outcomes == {
+        "ring-valid:singular": 96,
+        "hypotheses:failed: negative exponents of u = b/a^q coprime to p": 56,
+        "hypotheses:failed: each f_k squarefree and divides b(x)": 28,
+        "hypotheses:pass": 8,
+        "hypotheses:failed: mu >= 1": 4,
+    }
+    assert summary.passing == (
+        "a=x;b=x^5 + x^2 + x", "a=x;b=x^5 + x^4 + x^3 + x^2 + x",
+        "a=x + 1;b=x^5 + x^3 + x + 1", "a=x + 1;b=x^5 + x^4 + x^2 + 1",
+        "a=x^2;b=x^5 + x^4 + x", "a=x^2;b=x^5 + x^4 + x^3 + x^2 + x",
+        "a=x^2 + 1;b=x^5 + 1", "a=x^2 + 1;b=x^5 + x^3 + x + 1")
+
 
 def test_family_run_finds_known_curves(family_run):
     records, summary = family_run
