@@ -10,7 +10,8 @@ One column reduction over F_q[x] (`_reduce`) does all the lattice work,
 and its callers differ only in the pivot rule.  Pivoting on the last
 nonzero row gives the Hermite form of a generating set or a product; on
 the last nonzero row of a linear system, with an identity below it that
-records the unknowns, the kernel behind an ideal quotient; on the leading
+records the unknowns, a kernel basis, whose recorded parts are a basis of
+the ideal quotient and go to its Hermite form as they are; on the leading
 index of the element degree, a degree-reduced (weak Popov) basis
 w_0..w_{m-1} of I (`reduced_basis`; Mulders and Storjohann, J. Symbolic
 Comput. 35, 2003).  Every degree question is read off that basis: by the
@@ -31,7 +32,10 @@ holds exactly one integral ideal of least degree, its reduced ideal (Hess's
 reduction; Cantor's reduced divisors for m = 2), of degree <= g by
 Riemann-Roch, and one ideal quotient per ideal tests it (`_is_reduced`).
 A class order divides h (Lagrange), so the order of I is the least divisor
-k of h with I^k principal, and only the divisors are tried.
+k of h with I^k principal, and only the divisors are tried, in ascending
+order; each I^k is built from the largest power I^b already built with
+b | k, as (I^b)^(k/b).  (1) is the one reduced ideal of the principal
+class, so a representative of positive degree starts at the second divisor.
 
 Ideals are `IdealHNF` values, immutable by convention like the `Poly` and
 `RingElement` values they are built from.
@@ -179,8 +183,13 @@ def ideal_from_generators(gens, spec):
 
 
 def ideal_mul(I, J):
+    """I J; a square I I forms each symmetric product a_i a_j, i <= j, once."""
     spec = I.spec
-    cols = [(a * b).vec for a in I.generators() for b in J.generators()]
+    a = I.generators()
+    if J is I:
+        cols = [(x * y).vec for i, x in enumerate(a) for y in a[i:]]
+    else:
+        cols = [(x * y).vec for x in a for y in J.generators()]
     return IdealHNF(spec, _hnf_columns(spec, cols))
 
 
@@ -234,9 +243,11 @@ def ideal_quotient(alpha, J):
         raise ValueError("quotient by a zero element")
     # beta qualifies iff for every generator col_j: beta * col_j = alpha * (..)
     # unknown blocks: beta's coordinates f (m), plus one m-vector h_j per col_j.
-    # Below the linear system, an identity on f records each column's f;
-    # the columns the reduction leaves without a pivot in the system's rows
-    # span its kernel.
+    # Below the linear system, an identity on f records each column's f.
+    # The system has rank m^2 (alpha != 0), and the m columns the reduction
+    # leaves without a pivot in its rows are a basis of its kernel; f
+    # determines the h_j (h_j = beta col_j / alpha), so their f parts are a
+    # basis of (alpha) : J.
     mul_alpha = _mult_matrix(alpha)
     cols = []
     gen_mats = [_mult_matrix(J.col_elem(j)) for j in range(m)]
@@ -257,11 +268,10 @@ def ideal_quotient(alpha, J):
     stacked = [(*col, *(one if k == i else zero for k in range(m)))
                for i, col in enumerate(cols)]
     _, kernel = _reduce(stacked, lambda v: _last_nonzero(v, nrows))
-    gens = [RingElement(spec, v[nrows:]) for v in kernel
-            if any(g.packed for g in v[nrows:])]
-    if not gens:
-        raise ConsistencyError("empty ideal quotient; alpha J^-1 should be nonzero")
-    return ideal_from_generators(gens, spec)
+    if len(kernel) != m:
+        raise ConsistencyError(
+            f"ideal quotient kernel has {len(kernel)} vectors, not m = {m}")
+    return IdealHNF(spec, _hnf_columns(spec, [v[nrows:] for v in kernel]))
 
 
 def _mult_matrix(e):
@@ -356,19 +366,19 @@ def enumerate_ideals(spec, d, *, budget=DEFAULT_IDEAL_BUDGET):
 
 def _enumerate_ideals_m2(spec, d):
     field = spec.field
+    zero = Poly.zero(field)
     r0, r1 = spec.mul_table()[1][1]    # b_1^2 = r0 + r1 b_1
     for jw in range(d // 2 + 1):
         iu = d - 2 * jw
+        # u' | F(v') = v'^2 - r1 v' - r0 certifies A-stability; F(v') is
+        # formed once per v' and tested against every (w, u')
+        values = [(vp, vp * vp - r1 * vp - r0) for vp in polys_below(field, iu)]
         for w in monic_polys(field, jw):
             for up in monic_polys(field, iu):
-                u = w * up
-                for vp in polys_below(field, iu):
-                    # u' | v'^2 - r1 v' - r0  certifies A-stability
-                    if (vp * vp - r1 * vp - r0) % up:
-                        continue
-                    col0 = (u, Poly.zero(field))
-                    col1 = (w * vp, w)
-                    yield IdealHNF(spec, (col0, col1))
+                col0 = (w * up, zero)
+                for vp, f in values:
+                    if not f % up:
+                        yield IdealHNF(spec, (col0, (w * vp, w)))
 
 
 def _enumerate_ideals_general(spec, d):
@@ -501,8 +511,13 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     divisors = [k for k in range(1, h + 1) if h % k == 0]
     classes = []
     for I in reps:
-        for k in divisors:
-            ok, gen = ideal_is_principal(ideal_pow(I, k))
+        # (1) is the one reduced ideal of the principal class, so a rep of
+        # positive degree is not principal
+        powers = {1: I}
+        for k in divisors[1 if I.deg else 0:]:
+            b = max(b for b in powers if k % b == 0)
+            powers[k] = ideal_pow(powers[b], k // b)
+            ok, gen = ideal_is_principal(powers[k])
             if ok:
                 break
         else:

@@ -16,7 +16,9 @@ degree offsets delta_j, and grades elements by deg(x^i b_j) = i*m + delta_j
 Every form multiplies through one table of basis products b_i * b_j
 (`RingSpec.mul_table`): the custom table as given, and for cab and polyring
 the cells y^(i+j) reduced by F.  The ring is commutative, so a product
-applies the cell of each pair i <= j once, to both of the pair's products.
+applies each distinct cell once, to the sum of the products a_i b_j of the
+pairs i <= j that share it and of their mirrors (for cab, y^(i+j) serves
+every pair with one sum i + j).
 
 Elements are coordinate vectors of m polynomials, immutable by convention.
 The degree of a nonzero element is attained by a unique monomial (the
@@ -209,19 +211,19 @@ class RingSpec:
         return tuple(tuple(ypow[i + j] for j in range(m)) for i in range(m))
 
     def _mul_vec(self, a, b):
-        """Over the pairs i <= j of the table, sum a_i b_j + a_j b_i, then
-        apply the cell b_i b_j once; a unit entry is added without a product.
-        This relies on b_i b_j = b_j b_i, which `_symmetric_cells` enforces."""
+        """Per distinct cell of the table, sum the products a_i b_j of the
+        index pairs that share it, then apply the cell once; a unit entry is
+        added without a product.  A pair i < j stands for its mirror too,
+        which relies on b_i b_j = b_j b_i, as `_symmetric_cells` enforces."""
         cells = self._cells
         if cells is None:
             cells = self._cells = _symmetric_cells(self.mul_table())
         zero = Poly.zero(self.field)
         out = [zero] * self.m
-        for i, j, terms in cells:
-            ga, gb = a[i], b[j]
-            acc = ga * gb if ga.packed and gb.packed else None
-            if i != j:
-                ga, gb = a[j], b[i]
+        for products, terms in cells:
+            acc = None
+            for i, j in products:
+                ga, gb = a[i], b[j]
                 if ga.packed and gb.packed:
                     acc = ga * gb if acc is None else acc + ga * gb
             if acc is not None:
@@ -394,19 +396,22 @@ def elem_to_str(e):
 
 
 def _symmetric_cells(table):
-    """(i, j, terms) for each pair i <= j whose cell b_i b_j is nonzero,
-    terms its nonzero entries (k, entry); entry None stands for the unit 1.
-    A table with b_i b_j != b_j b_i is refused: one cell serves both."""
-    cells = []
+    """(products, terms) for each distinct nonzero cell of the table:
+    products the index pairs (i, j) and (j, i) of every pair i <= j whose
+    cell b_i b_j it is, terms its nonzero entries (k, entry); entry None
+    stands for the unit 1.  A table with b_i b_j != b_j b_i is refused: one
+    cell serves both."""
+    products = {}
     for i, row in enumerate(table):
         for j in range(i, len(row)):
             if row[j] != table[j][i]:
                 raise ValueError(f"the table is not commutative: b_{i} b_{j} != b_{j} b_{i}")
-            terms = tuple((k, None if g.packed == 1 else g)
-                          for k, g in enumerate(row[j]) if g.packed)
-            if terms:
-                cells.append((i, j, terms))
-    return tuple(cells)
+            if any(g.packed for g in row[j]):
+                mirrors = ((i, j),) if i == j else ((i, j), (j, i))
+                products.setdefault(row[j], []).extend(mirrors)
+    return tuple((tuple(pairs), tuple((k, None if g.packed == 1 else g)
+                                      for k, g in enumerate(cell) if g.packed))
+                 for cell, pairs in products.items())
 
 
 def least_multiples(ws, count):

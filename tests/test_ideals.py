@@ -1,11 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 from oracles import elem_from_str, ideal_echelon, poly_eval
 
 import ffzeta.ideals as ideals
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
-from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
+from ffzeta.gf import GF, Poly, monic_polys, poly_from_str, polys_below
 from ffzeta.ideals import (
     class_equivalent, class_group, count_ideal_candidates, elem_divexact,
     enumerate_ideals, ideal_from_generators, ideal_is_principal, ideal_mul,
@@ -14,8 +15,10 @@ from ffzeta.ideals import (
 )
 from ffzeta.ring import (RingSpec, affine_combinations, count_affine_points,
                          elem_to_str)
+from ffzeta.ringfile import parse_ring_spec
 from ffzeta.semigroup import semigroup_from_ring
 
+PERFBENCH_RINGS = Path(__file__).resolve().parent.parent / "perfbench" / "rings"
 F2 = GF(2)
 F3 = GF(3)
 F4 = GF(2, 2)
@@ -145,6 +148,29 @@ def test_pow_is_repeated_product(h4g3):
         ideal_pow(I, 0)
 
 
+@pytest.mark.parametrize("name", ["h4g3", "ex36", "m3f2", "m3f5"])
+def test_square_forms_each_symmetric_product_once(name, request, monkeypatch):
+    # I I against I J for J an equal but distinct object, which takes all
+    # m^2 products a_i b_j
+    spec = request.getfixturevalue(name)
+    m = spec.m
+    widths = []
+    real = ideals._hnf_columns
+
+    def recording(spec, cols):
+        widths.append(len(cols))
+        return real(spec, cols)
+
+    monkeypatch.setattr(ideals, "_hnf_columns", recording)
+    g = semigroup_from_ring(spec).genus
+    for d in range(g + 1):
+        for I in enumerate_ideals(spec, d):
+            J = ideals.IdealHNF(spec, I.cols)
+            widths.clear()
+            assert ideal_mul(I, I) == ideal_mul(I, J)
+            assert widths == [m * (m + 1) // 2, m * m]
+
+
 def test_ramified_prime_squares(h4g3):
     # P_x^2 = (x), P_{x+1}^2 = (x+1), (P_x P_{x+1})^2 = (x^2 + x)
     for prime, gen in ((prime_x(h4g3), "x"), (prime_x1(h4g3), "x + 1")):
@@ -265,18 +291,27 @@ def test_reduced_basis_checks_the_determinant(h4g3):
 
 # -- quotients and equivalence ----------------------------------------------
 
-def test_quotient_inverts_prime(h4g3, h4g3_classes, h20g2, m3f2):
+def test_quotient_inverts_prime(h4g3):
     Px = prime_x(h4g3)
     alpha = elem_from_str(h4g3, "x")     # alpha in P_x, (x) = P_x^2
     Q = ideal_quotient(alpha, Px)
     assert ideal_mul(Q, Px) == ideal_from_generators([alpha], h4g3)
     assert Q == Px     # self-inverse ramified prime
-    # ((w_0) : I) I = (w_0) for every class representative I, w_0 in I
-    for rep in (h4g3_classes, class_group(h20g2), class_group(m3f2)):
-        for c in rep.classes:
-            w0 = reduced_basis(c.rep)[0]
-            assert (ideal_mul(ideal_quotient(w0, c.rep), c.rep)
-                    == ideal_from_generators([w0], rep.spec))
+
+
+@pytest.mark.parametrize("name", ["h4g3", "ex36", "h20g2", "m3f2", "m3f5"])
+def test_quotient_times_ideal_is_principal(name, request):
+    # (alpha) : J = (alpha) J^-1 for alpha in J, over every J of degree
+    # <= g (so every class representative): times J it gives (alpha), and
+    # its degree is deg alpha - deg J
+    spec = request.getfixturevalue(name)
+    g = semigroup_from_ring(spec).genus
+    for d in range(g + 1):
+        for J in enumerate_ideals(spec, d):
+            for alpha in (reduced_basis(J)[0], J.col_elem(0)):
+                Q = ideal_quotient(alpha, J)
+                assert ideal_mul(Q, J) == ideal_from_generators([alpha], spec)
+                assert Q.deg == alpha.degree - J.deg
 
 
 def inverse(J):
@@ -396,6 +431,34 @@ def test_enumeration_fast_equals_general(h4g3):
         fast = {I for I in enumerate_ideals(h4g3, d)}
         general = {I for I in _enumerate_ideals_general(h4g3, d)}
         assert fast == general
+
+
+def documented_order(spec, d):
+    """Oracle for the m = 2 enumeration order: the Hermite forms
+    ((w u', 0), (w v', w)) of degree d by ascending deg w, then w, u' and v'
+    in counting order, kept when y times each column stays in the span."""
+    field, y = spec.field, spec.y()
+    zero = Poly.zero(field)
+    out = []
+    for jw in range(d // 2 + 1):
+        iu = d - 2 * jw
+        for w in monic_polys(field, jw):
+            for up in monic_polys(field, iu):
+                for vp in polys_below(field, iu):
+                    I = ideals.IdealHNF(spec, ((w * up, zero), (w * vp, w)))
+                    if all(I.contains(y * c) for c in I.generators()):
+                        out.append(I)
+    return out
+
+
+@pytest.mark.parametrize("ring", ["h4g3", "ex36", "h20g2", "h8g2"])
+def test_enumeration_follows_documented_order(ring, request):
+    # class numbering in `classgroup` output follows this order
+    spec = (parse_ring_spec(PERFBENCH_RINGS / f"{ring}.ring")
+            if ring == "h8g2" else request.getfixturevalue(ring))
+    g = semigroup_from_ring(spec).genus
+    for d in range(g + 3):
+        assert list(enumerate_ideals(spec, d)) == documented_order(spec, d)
 
 
 def test_enumeration_counts_h4g3(h4g3):
@@ -554,7 +617,9 @@ def test_class_orders_divide_h(h4g3_classes, elliptic, h34):
 
 def test_class_group_tests_only_divisors_of_h(h34, monkeypatch):
     # each class ends at its first principal power; before it, at most one
-    # test per divisor of h (a power-by-power search makes one per power)
+    # test per divisor of h (a power-by-power search makes one per power),
+    # and none at k = 1 but for the trivial class, whose rep (1) is the one
+    # reduced ideal of degree 0
     results = []
     real = ideals.ideal_is_principal
 
@@ -574,7 +639,8 @@ def test_class_group_tests_only_divisors_of_h(h34, monkeypatch):
     assert run == 0 and len(per_class) == rep.h
     n_divisors = sum(1 for k in range(1, rep.h + 1) if rep.h % k == 0)
     assert n_divisors == 4
-    assert max(per_class) <= n_divisors
+    assert per_class[0] == 1
+    assert max(per_class[1:]) <= n_divisors - 1
 
 
 # -- counts up to degree g, functional equation, point-count certificate ----

@@ -10,7 +10,7 @@ from ffzeta.ideals import enumerate_ideals, ideal_from_generators, ideal_mul
 from ffzeta.ring import RingSpec, elem_to_str
 from ffzeta.ringfile import bundled_ring_names, parse_ring_spec
 from ffzeta.semigroup import semigroup_from_ring
-from ffzeta.zeta import term_leads
+from ffzeta.zeta import term_leads, zeta_neg
 
 F2 = GF(2)
 F3 = GF(3)
@@ -418,7 +418,8 @@ def _random_vec(spec, rnd, deg):
                  for _ in range(spec.m))
 
 
-# (field, F literals c_0 .. c_{m-1}) for m in {1, 2, 3} over q in {2, 3, 4}
+# (field, F literals c_0 .. c_{m-1}) for m in {1, 2, 3} over q in {2, 3, 4},
+# and y^4 + y = x^5 + x over F_4, where the pairs (1, 3) and (2, 2) share y^4
 _CAB_RINGS = (
     (F2, ("x^3 + x",)),
     (F3, ("2*x^2 + 1",)),
@@ -429,6 +430,7 @@ _CAB_RINGS = (
     (F2, ("x^4 + x + 1", "x", "1")),
     (F3, ("2*x^4 + 2*x", "2", "0")),           # y^3 - y = x^4 + x
     (F4, ("x^4 + t*x + 1", "x", "t")),
+    (F4, ("x^5 + x", "1", "0", "0")),
 )
 
 
@@ -453,6 +455,25 @@ def test_products_match_y_polynomial_oracle(field, cs):
             want = y_poly_product(spec, va, vb)
             assert (spec.elem(va) * spec.elem(vb)).vec == want
             assert (twin.elem(va) * twin.elem(vb)).vec == want
+
+
+def test_shared_cell_applied_once(monkeypatch):
+    # y^4 + y = x^5 + x over F_4: the cell y^4 = x^5 + x + y of the pairs
+    # (1, 3) and (2, 2) multiplies their summed products once; applied per
+    # pair, zeta_neg(63, .) took 4,677 Poly products
+    spec = RingSpec.cab(F4, tuple(P(F4, c) for c in ("x^5 + x", "1", "0", "0")))
+    assert spec.validate().ok
+    want = zeta_neg(63, spec)    # also fills the ring's product caches
+    count = [0]
+    real = Poly.__mul__
+
+    def counting(a, b):
+        count[0] += 1
+        return real(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    assert zeta_neg(63, spec) == want
+    assert count[0] <= 4551
 
 
 # -- value contract ---------------------------------------------------------
