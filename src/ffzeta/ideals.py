@@ -18,7 +18,7 @@ Comput. 35, 2003).  Every degree question is read off that basis: by the
 degree rule of `ring`, the element degrees of I are deg w_k + m t, t >= 0.
 As (alpha) inside I has codimension deg alpha, I is principal exactly when
 deg w_0 = deg I, and then monic(w_0), the unique monic element of least
-degree, generates.
+degree, generates: (w_0) lies in I with the same codimension.
 
 The L-polynomial (`l_polynomial`) enumerates the ideals of degree 0..g,
 forms p_d = c_d - q c_{d-1} for d <= g, fills p_{g+1}..p_{2g} by the
@@ -26,12 +26,14 @@ functional equation p_{2g-i} = q^{g-i} p_i and rebuilds c_{g+1}..c_{2g}
 from them.  The point counts N_k over F_{q^k}, k = 1..K (K = min(2g, largest
 k with q^k <= 512)), certify the result: below g they test the enumeration,
 beyond g the half the functional equation filled in.  The class group
-(`class_group`) reads off h = P(1), then keeps, in degree order, the same
-enumerated ideals that are reduced until it has h of them: every class
-holds exactly one integral ideal of least degree, its reduced ideal (Hess's
-reduction; Cantor's reduced divisors for m = 2), of degree <= g by
-Riemann-Roch, and one ideal quotient per ideal tests it (`_is_reduced`).
-A class order divides h (Lagrange), so the order of I is the least divisor
+(`class_group`) reads off h = P(1), then keeps, in degree order, the
+enumerated ideals that are reduced: every class holds exactly one integral
+ideal of least degree, its reduced ideal (Hess's reduction), of degree <= g
+by Riemann-Roch (`_is_reduced`).  For m = 2 these are the primitive ideals
+of degree <= g, read off the Hermite form (Mumford's representation;
+Cantor, Math. Comp. 48, 1987), and all of them are counted against h; for
+other m one ideal quotient per ideal tests it, until h are found.  A class
+order divides h (Lagrange), so the order of I is the least divisor
 k of h with I^k principal, and only the divisors are tried, in ascending
 order; each I^k is built from the largest power I^b already built with
 b | k, as (I^b)^(k/b).  (1) is the one reduced ideal of the principal
@@ -224,12 +226,13 @@ def reduced_basis(I):
 
 def ideal_is_principal(I):
     """(True, monic generator) or (False, None): principal iff the least
-    element degree, deg w_0 of the reduced basis, is deg I."""
+    element degree, deg w_0 of the reduced basis, is deg I.  Then (gen) has
+    codimension deg gen = deg I, so gen in I proves (gen) = I."""
     gen = reduced_basis(I)[0].monic()
     if gen.degree != I.deg:
         return False, None
-    if ideal_from_generators([gen], I.spec) != I:
-        raise ConsistencyError("degree-matched element failed to generate; ideal bug")
+    if not I.contains(gen):
+        raise ConsistencyError("degree-matched element is not in the ideal; ideal bug")
     return True, gen
 
 
@@ -497,17 +500,18 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     lp = l_polynomial(spec, budget=budget)
     g, h = lp.genus, lp.h
     # each class has one reduced ideal, of degree <= g; the ascending
-    # enumeration meets it before any other ideal of its class
+    # enumeration meets it before any other ideal of its class.  For m = 2
+    # the test is free, so every reduced ideal is counted against h.
     reps = []
     for I in chain.from_iterable(lp.low_ideals):
         if _is_reduced(I):
             reps.append(I)
-            if len(reps) == h:
+            if len(reps) == h and spec.m != 2:
                 break
-    if len(reps) < h:
+    if len(reps) != h:
         raise ConsistencyError(
-            f"found only {len(reps)} of {h} classes among the ideals of "
-            f"degree <= g = {g}")
+            f"found {len(reps)} reduced ideals of degree <= g = {g}, "
+            f"but h = {h}")
     divisors = [k for k in range(1, h + 1) if h % k == 0]
     classes = []
     for I in reps:
@@ -528,14 +532,24 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
 
 
 def _is_reduced(I):
-    """Whether I is the least-degree integral ideal of its class.
+    """Whether I, of degree <= g, is the least-degree integral ideal of its
+    class.
 
-    For nonzero alpha in I, the integral ideals of I's class are
+    m = 2: whether I is primitive, that is, w = 1 in its Hermite columns
+    (a, 0), (b, w).  w is the content of I = w J: b_1 (a, 0) = (0, a) lies
+    in I only if w | a, and b_1 (b, w) = (r0 w, b + r1 w) only if w | b.
+    With the one place at infinity ramified, a primitive ideal of degree
+    <= g is the unique reduced divisor of its class (Mumford's
+    representation; Cantor, Math. Comp. 48, 1987).
+
+    Other m: for nonzero alpha in I, the integral ideals of I's class are
     (beta/alpha) I for nonzero beta in (alpha) : I, of degree
     deg I + deg beta - deg alpha, and alpha itself is such a beta; so I is
     reduced exactly when the quotient has no nonzero element of degree below
     deg alpha.  Any alpha would do; this takes w_0 of the reduced basis.
     """
+    if I.spec.m == 2:
+        return I.cols[1][1].degree == 0
     alpha = reduced_basis(I)[0]
     return reduced_basis(ideal_quotient(alpha, I))[0].degree >= alpha.degree
 

@@ -463,13 +463,15 @@ def count_affine_points(spec, k):
     beta_i beta_j = sum_l T_ijl(x0) beta_l for every cell of the table.
 
     Such a beta_j is an eigenvalue of multiplication by b_j at x0, so the
-    candidates are the roots of that characteristic polynomial (for m = 2,
-    the roots of beta^2 = r0(x0) + r1(x0) beta) and every tuple of them is
-    tested against all cells.  The characteristic polynomials are taken once
-    over F_q[x] and evaluated at each x0.  The table has coefficients in
-    F_q, so x0 and its conjugate x0^q carry equally many points: one x0 per
-    Frobenius orbit is solved and counted with the orbit's size.  F_{q^k} is
-    GF(p, n k) with F_q embedded by a root of F_q's modulus.
+    candidates are the roots of that characteristic polynomial, and every
+    tuple of them is tested against all cells.  The characteristic
+    polynomials are taken once over F_q[x] and evaluated at each x0.  For
+    m = 2 the roots of T^2 + c1 T + c0 are read from two tables over F_{q^k}
+    (`_quadratic_roots`); for other m every element is tried.  The table has
+    coefficients in F_q, so x0 and its conjugate x0^q carry equally many
+    points: one x0 per Frobenius orbit is solved and counted with the
+    orbit's size.  F_{q^k} is GF(p, n k) with F_q embedded by a root of
+    F_q's modulus.
     """
     field = spec.field
     E = GF(field.p, field.n * k)
@@ -479,6 +481,11 @@ def count_affine_points(spec, k):
     table = [[[[emb[c] for c in g.coeffs] for g in cell] for cell in row]
              for row in spec.mul_table()]
     chis = [[[emb[c] for c in e.coeffs] for e in chi] for chi in _char_polys(spec)]
+    if m == 2:
+        roots = _quadratic_roots(E)
+    else:
+        def roots(cs):
+            return [b for b in range(E.q) if not _horner(cs, b, addl, mull)]
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
     seen = bytearray(E.q)
     count = 0
@@ -495,13 +502,38 @@ def count_affine_points(spec, k):
                  for row in table]
         cands = [(1,)]
         for chi in chis:
-            cs = [_horner(e, x0, addl, mull) for e in chi]
-            cands.append([b for b in range(E.q) if not _horner(cs, b, addl, mull)])
+            cands.append(roots([_horner(e, x0, addl, mull) for e in chi]))
         for beta in product(*cands):
             if all(mull[beta[i]][beta[j]] == _dot(cells[i][j], beta, addl, mull)
                    for i, j in pairs):
                 count += orbit
     return count
+
+
+def _quadratic_roots(E):
+    """roots(cs): the roots in E of T^2 + c1 T + c0, cs = (c0, c1, 1).
+
+    Two tables, built once: the Z with Z^2 = v, and the Z with Z^2 + Z = v.
+    If c1 = 0 the roots are the square roots of -c0; otherwise T = c1 Z
+    turns the equation into Z^2 + Z = -c0 / c1^2.  Both hold in every
+    characteristic.
+    """
+    addl, mull, negl, invl = E._addl, E._mull, E._negl, E._invl
+    sqrts = [[] for _ in range(E.q)]
+    shifted = [[] for _ in range(E.q)]
+    for z in range(E.q):
+        z2 = mull[z][z]
+        sqrts[z2].append(z)
+        shifted[addl[z2][z]].append(z)
+
+    def roots(cs):
+        c0, c1, _ = cs
+        if not c1:
+            return sqrts[negl[c0]]
+        inv = invl[c1]
+        return [mull[c1][z] for z in shifted[mull[negl[c0]][mull[inv][inv]]]]
+
+    return roots
 
 
 def _char_polys(spec):

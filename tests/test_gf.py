@@ -5,7 +5,7 @@ import pytest
 from oracles import elem_from_str, poly_eval
 
 from ffzeta.gf import (
-    GF, NEG_INF, Poly, default_modulus, is_irreducible, is_squarefree,
+    _PRIMES, GF, NEG_INF, Poly, default_modulus, is_irreducible, is_squarefree,
     monic_polys, poly_factor, poly_from_str, poly_gcd, poly_to_str,
     polys_below, square_and_multiply, valuation_profile,
 )
@@ -564,6 +564,17 @@ def test_packed_mul_across_slot_widths(field):
         want = [field.mul(min(k + 1, la, lb, la + lb - 1 - k) % p, top)
                 for k in range(la + lb - 1)]
         assert Poly(field, [q - 1] * la) * Poly(field, [q - 1] * lb) == Poly(field, want)
+
+
+@pytest.mark.parametrize("p", _PRIMES)
+def test_byte_slot_bounds_hold_for_every_prime(p):
+    # the bounds the gf module states for a byte slot, at every accepted p;
+    # _scale's p(p-1) is the tightest, and caps p at 13
+    assert 2 * (p - 1) <= 255          # add, sub: two digits
+    assert 8 * (p - 1) <= 255          # _reduce_slots: k <= 8 reduced bytes
+    assert p * (p - 1) <= 255          # _scale: a reduced byte plus (p-1)^2
+    lazy = 255 // (p - 1) - 1          # __divmod__'s steps between reductions
+    assert lazy >= 1 and (lazy + 1) * (p - 1) <= 255
 
 
 @pytest.mark.parametrize("p", [2, 11, 13])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from ffzeta.ringfile import parse_ring_spec
 from ffzeta.semigroup import semigroup_from_ring
 
 PERFBENCH_RINGS = Path(__file__).resolve().parent.parent / "perfbench" / "rings"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 F2 = GF(2)
 F3 = GF(3)
 F4 = GF(2, 2)
@@ -200,6 +202,15 @@ def test_principal_ideal_roundtrip(h4g3):
         assert ideal_from_generators([gen], h4g3) == I
 
 
+def test_principality_checks_membership(h4g3, monkeypatch):
+    # a least-degree element that is not in I is a bug, not a generator
+    I = ideal_from_generators([elem_from_str(h4g3, "x")], h4g3)
+    monkeypatch.setattr(ideals, "reduced_basis",
+                        lambda J: [elem_from_str(h4g3, "x + 1")])
+    with pytest.raises(ConsistencyError, match="not in the ideal"):
+        ideal_is_principal(I)
+
+
 def test_prime_not_principal(h4g3):
     ok, gen = ideal_is_principal(prime_x(h4g3))
     assert not ok and gen is None
@@ -335,7 +346,8 @@ def test_class_equivalence_h4g3(h4g3):
     assert class_equivalent(shifted, inverse(Px))
 
 
-def test_class_group_quotients_each_examined_ideal_once(h20g2, monkeypatch):
+def test_class_group_quotients_each_examined_ideal_once(m3f5, monkeypatch):
+    # rank 3: one quotient tests each ideal, up to the h-th reduced one
     calls = []
     real = ideals.ideal_quotient
 
@@ -344,11 +356,40 @@ def test_class_group_quotients_each_examined_ideal_once(h20g2, monkeypatch):
         return real(alpha, J)
 
     monkeypatch.setattr(ideals, "ideal_quotient", counting)
-    rep = class_group(h20g2)
-    assert rep.h == 20
+    rep = class_group(m3f5)
+    assert rep.h == 6
     assert len(set(calls)) == len(calls)
     assert {c.rep for c in rep.classes} <= set(calls)
     assert len(calls) <= sum(rep.counts[:rep.genus + 1])
+
+
+def test_class_group_takes_no_quotient_at_rank_two(h20g2, monkeypatch):
+    # rank 2: the reduced ideals are the primitive ones, read off the
+    # Hermite form
+    def refuse(alpha, J):
+        raise AssertionError("class_group took an ideal quotient")
+
+    monkeypatch.setattr(ideals, "ideal_quotient", refuse)
+    assert class_group(h20g2).h == 20
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_class_group_counts_every_reduced_ideal_against_h(shift, h20g2,
+                                                          monkeypatch):
+    # at m = 2 every primitive ideal of degree <= g is counted, so an
+    # L-polynomial whose P(1) is off by one either way raises: 21 finds too
+    # few, 19 too many
+    real = ideals.l_polynomial
+
+    def off_by(spec, **kw):
+        lp = real(spec, **kw)
+        lpoly = lp.lpoly[:-1] + (lp.lpoly[-1] + shift,)
+        return dataclasses.replace(lp, lpoly=lpoly)
+
+    monkeypatch.setattr(ideals, "l_polynomial", off_by)
+    with pytest.raises(ConsistencyError,
+                       match=f"found 20 reduced ideals .* but h = {20 + shift}"):
+        class_group(h20g2)
 
 
 def test_class_group_makes_no_pairwise_class_test(h20g2, monkeypatch):
@@ -410,18 +451,29 @@ def test_divexact(h4g3):
 
 
 @pytest.mark.parametrize("name", ["h4g3", "ex36", "elliptic", "h20g2",
-                                  "m3f2", "m3f5"])
+                                  "m3f2", "m3f5", "h8g2", "ell5", "h34.ring"])
 def test_is_reduced_marks_exactly_the_representatives(name, request):
     # over every ideal of degree <= g, not only those class_group examines
-    # before it has h representatives
-    spec = request.getfixturevalue(name)
+    # before it has h representatives; the oracle is the first ideal of each
+    # class in degree order, classes told apart by class_equivalent
+    if name in ("h8g2", "ell5"):
+        spec = parse_ring_spec(PERFBENCH_RINGS / f"{name}.ring")
+    elif name == "h34.ring":
+        spec = parse_ring_spec(GOLDEN / name)
+    else:
+        spec = request.getfixturevalue(name)
     rep = class_group(spec)
     inverses = [inverse(c.rep) for c in rep.classes]
     reps = {c.rep for c in rep.classes}
+    first = {}
     for d in range(rep.genus + 1):
         for I in enumerate_ideals(spec, d):
-            assert sum(class_equivalent(I, J_inv) for J_inv in inverses) == 1
-            assert ideals._is_reduced(I) == (I in reps)
+            hits = [j for j, J_inv in enumerate(inverses)
+                    if class_equivalent(I, J_inv)]
+            assert len(hits) == 1
+            least = first.setdefault(hits[0], I)
+            assert ideals._is_reduced(I) == (least is I) == (I in reps)
+    assert len(first) == rep.h
 
 
 # -- enumeration ------------------------------------------------------------
@@ -681,10 +733,18 @@ def test_points_checked_up_to_field_cap(name, K, request):
 
 
 def brute_points(spec, k):
-    """Solutions (x, y) over GF(p, k) of y^m + c_{m-1}(x) y^{m-1} + .. +
-    c_0(x) = 0 for a cab ring over a prime field."""
-    E = GF(spec.field.p, k)
-    cs = [Poly(E, c.coeffs) for c in spec.coeffs]
+    """Solutions (x, y) over F_{q^k} of y^m + c_{m-1}(x) y^{m-1} + .. +
+    c_0(x) = 0 for a cab ring over F_q = GF(p, n), which sits in
+    E = GF(p, n k) through the least root of its modulus."""
+    field = spec.field
+    E = GF(field.p, field.n * k)
+    emb = list(range(field.q))
+    if field.n > 1:
+        theta = next(r for r in range(E.q)
+                     if poly_eval(Poly(E, field.modulus), r) == 0)
+        emb = [poly_eval(Poly(E, field.digits(a)), theta)
+               for a in range(field.q)]
+    cs = [Poly(E, [emb[a] for a in c.coeffs]) for c in spec.coeffs]
     total = 0
     for x0 in range(E.q):
         vals = [poly_eval(c, x0) for c in cs]
@@ -696,11 +756,26 @@ def brute_points(spec, k):
     return total
 
 
+# cab rings y^2 + c1 y + c0 = 0 whose c1 is nonzero and vanishes somewhere,
+# so both root tables of the rank-2 count meet the brute force: odd p, and
+# two extension fields
+_POINT_RINGS = {
+    "f3-c1": (F3, "2*x^5 + x + 2", "x^2 + 1"),
+    "f4-c1": (F4, "x^5 + t*x + 1", "x"),
+    "f9-c1": (GF(3, 2), "x^5 + t*x + 1", "t*x^2"),
+}
+
+
 @pytest.mark.parametrize("name,k_max", [("ex36", 3), ("h4g3", 4),
-                                        ("elliptic", 2), ("m3", 2)])
+                                        ("elliptic", 2), ("m3", 2),
+                                        ("f3-c1", 3), ("f4-c1", 3),
+                                        ("f9-c1", 2)])
 def test_point_count_matches_brute_force(name, k_max, request):
     if name == "m3":      # y^3 - y = x^4 + x over F_3
         spec = RingSpec.cab(F3, (P(F3, "2*x^4 + 2*x"), P(F3, "2"), P(F3, "0")))
+    elif name in _POINT_RINGS:
+        field, c0, c1 = _POINT_RINGS[name]
+        spec = RingSpec.cab(field, (P(field, c0), P(field, c1)))
     else:
         spec = request.getfixturevalue(name)
     spec.require_valid()
