@@ -15,18 +15,20 @@ bytes, so the zero polynomial is 0 (degree `NEG_INF`) and the degree follows
 from the bit length.  Packed ints order like the coefficient vectors read
 from the top, which is `sort_key`; `coeffs` decodes the tuple of codes.
 
-Every digit is below p <= 13, and every operation keeps each byte slot below
+Every digit is below p <= 31, and every operation keeps each byte slot below
 256 until `bytes.translate` reduces it mod p, so no carry ever crosses a
 slot:
 * add and sub sum two digits, at most 2(p-1); at p = 2 they are XOR.
   Negation and scaling by a prime-field code are one translate; scaling by
-  another code adds the n digit planes times the digits of c t^i, one
-  reduction per plane.
+  another code c maps each coefficient code through row c of the
+  multiplication table and repacks, so no slot holds a sum.
 * a product spreads each digit plane into k-byte slots and multiplies plane
   pairs as big ints (Kronecker substitution; Karatsuba over the two planes
   of F_{p^2}).  A slot then sums at most min(la, lb) n (p-1)^2
   (1 + (n-1)(p-1)) once the planes above t^(n-1) are folded back, and k is
   the least byte count above that bound; k = 1 needs no spreading.
+  Reducing a slot sums its k <= 8 bytes, each reduced mod p first, so at
+  most 8(p-1) <= 255: the tightest bound here, and the one that caps p.
 * divmod adds negated multiples of the divisor, digits at most p-1 each,
   and reduces every 255 // (p-1) - 1 steps, so a slot stays at most
   (steps + 1)(p-1) <= 255.
@@ -48,7 +50,7 @@ from itertools import product
 
 NEG_INF = float("-inf")
 
-_PRIMES = (2, 3, 5, 7, 11, 13)
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 TABLE_CAP = 512
 
 
@@ -57,7 +59,7 @@ class FF:
 
     __slots__ = (
         "p", "n", "q", "modulus",
-        "_addl", "_mull", "_negl", "_invl",
+        "_addl", "_mull", "_invl",
         "_dig", "_codeb", "_packl", "_unpack", "_mulb", "_mods", "_fold",
         "_slot_bound",
     )
@@ -100,7 +102,6 @@ class FF:
         for a in codes[1:]:
             up = add[a // p]
             add.append([p * up[b // p] + (a + b) % p for b in codes])
-        self._negl = [self.from_digits(-c for c in ds) for ds in dig]
         # scalars d < p act digitwise
         self._mull = mul = [[self.from_digits(d * c for c in ds) for ds in dig]
                             for d in range(p)]
@@ -135,7 +136,7 @@ class FF:
         return self._mull[a][b]
 
     def neg(self, a):
-        return self._negl[a]
+        return self._mull[self.p - 1][a]
 
     def inv(self, a):
         if a == 0:
@@ -390,7 +391,7 @@ class Poly:
         if n == k == 1:
             return _poly(f, _translate(a * b, mods[0]))
         if shorter == 1:
-            # a constant factor scales digit plane by digit plane
+            # a constant factor scales the other one coefficientwise
             c, g = (a, other) if a <= b else (b, self)
             return Poly._scale(g, f._unpack[c])
         la = (a.bit_length() + w - 1) // w
@@ -424,22 +425,13 @@ class Poly:
             return _poly(f, 0)
         if c == 1:
             return poly
-        p = f.p
-        if c < p:
+        if c < f.p:
             # a prime-field code scales every digit alike
             return _poly(f, _translate(poly.packed, f._mulb[c]))
-        # c sum_i d_i t^i = sum_i d_i (c t^i): digit plane i, masked to the
-        # low byte of each n-byte coefficient slot, times the packed digits of
-        # c t^i puts d_i times digit r of c t^i, at most (p-1)^2, in byte r.
-        # Reducing after each term keeps a byte at most p(p-1) < 256.
-        v = poly.packed
-        n = f.n
-        low = int.from_bytes(b"\xff".ljust(n, b"\0") * _length(v, n), "little")
-        mod = f._mods[0]
-        acc = 0
-        for i in range(n):
-            acc = _translate(acc + ((v >> 8 * i) & low) * f._packl[f._mull[c][p ** i]], mod)
-        return _poly(f, acc)
+        # any other code maps each coefficient through its table row
+        row, codeb = f._mull[c], f._codeb
+        return _poly(f, int.from_bytes(
+            b"".join([codeb[row[a]] for a in reversed(poly.coeffs)]), "big"))
 
     def __divmod__(self, other):
         f = self.field
@@ -455,7 +447,8 @@ class Poly:
         db = (b.bit_length() - 1) // w
         if da < db:
             return _poly(f, 0), self
-        unpack, packl, mull, negl = f._unpack, f._packl, f._mull, f._negl
+        unpack, packl, mull = f._unpack, f._packl, f._mull
+        negl = mull[p - 1]
         inv = f._invl[unpack[b >> w * db]]
         mod = f._mods[0]
         mask = (1 << w) - 1

@@ -500,14 +500,9 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     lp = l_polynomial(spec, budget=budget)
     g, h = lp.genus, lp.h
     # each class has one reduced ideal, of degree <= g; the ascending
-    # enumeration meets it before any other ideal of its class.  For m = 2
-    # the test is free, so every reduced ideal is counted against h.
-    reps = []
-    for I in chain.from_iterable(lp.low_ideals):
-        if _is_reduced(I):
-            reps.append(I)
-            if len(reps) == h and spec.m != 2:
-                break
+    # enumeration meets it before any other ideal of its class.  Every
+    # ideal of degree <= g is tested, so the reduced ones count against h.
+    reps = [I for I in chain.from_iterable(lp.low_ideals) if _is_reduced(I)]
     if len(reps) != h:
         raise ConsistencyError(
             f"found {len(reps)} reduced ideals of degree <= g = {g}, "

@@ -518,7 +518,8 @@ def _quadratic_roots(E):
     turns the equation into Z^2 + Z = -c0 / c1^2.  Both hold in every
     characteristic.
     """
-    addl, mull, negl, invl = E._addl, E._mull, E._negl, E._invl
+    addl, mull, invl = E._addl, E._mull, E._invl
+    negl = mull[E.p - 1]
     sqrts = [[] for _ in range(E.q)]
     shifted = [[] for _ in range(E.q)]
     for z in range(E.q):

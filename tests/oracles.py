@@ -2,7 +2,7 @@
 
 from math import comb
 
-from ffzeta.gf import Poly, poly_from_str
+from ffzeta.gf import GF, Poly, poly_from_str
 from ffzeta.ring import echelon_insert
 from ffzeta.zeta import vanishing_threshold
 
@@ -14,6 +14,30 @@ def poly_eval(f, a):
     for c in reversed(f.coeffs):
         acc = field.add(field.mul(acc, a), c)
     return acc
+
+
+def brute_points(spec, k):
+    """Solutions (x, y) over F_{q^k} of y^m + c_{m-1}(x) y^{m-1} + .. +
+    c_0(x) = 0 for a cab ring over F_q = GF(p, n), which sits in
+    E = GF(p, n k) through the least root of its modulus."""
+    field = spec.field
+    E = GF(field.p, field.n * k)
+    emb = list(range(field.q))
+    if field.n > 1:
+        theta = next(r for r in range(E.q)
+                     if poly_eval(Poly(E, field.modulus), r) == 0)
+        emb = [poly_eval(Poly(E, field.digits(a)), theta)
+               for a in range(field.q)]
+    cs = [Poly(E, [emb[a] for a in c.coeffs]) for c in spec.coeffs]
+    total = 0
+    for x0 in range(E.q):
+        vals = [poly_eval(c, x0) for c in cs]
+        for y0 in range(E.q):
+            acc = 1
+            for c in reversed(vals):
+                acc = E.add(E.mul(acc, y0), c)
+            total += acc == 0
+    return total
 
 
 def elem_from_str(spec, s):

@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from oracles import brute_points
 
 import ffzeta.ideal_zeta
 from ffzeta.cli import _jsonable, build_parser, dispatch
@@ -242,6 +243,30 @@ def test_lpoly_functional_equation_by_construction(tmp_path):
     res = run("lpoly", "--ring", ring)
     assert res.text.endswith(
         "functional equation: holds by construction; point count N_1 checked")
+
+
+@pytest.mark.parametrize("p,c0,lpoly,points_checked", [
+    (17, "16*x^3 + 16*x + 16", [1, 0, 17], 2),   # y^2 = x^3 + x + 1
+    (31, "30*x^3 + 30*x + 28", [1, 9, 31], 1),   # y^2 = x^3 + x + 3
+], ids=["F17", "F31"])
+def test_elliptic_curves_above_p13(tmp_path, p, c0, lpoly, points_checked):
+    # genus 1, P = 1 + a T + p T^2: the brute-force count gives
+    # N_1 = p + 1 + a and, over F_(p^2) when it fits the table cap,
+    # N_2 = p^2 + 1 + 2p - a^2
+    ring = _ring_file(tmp_path, f"e{p}", f"p = {p}", c0)
+    spec = parse_ring_spec(ring)
+    a = brute_points(spec, 1) - p
+    assert lpoly == [1, a, p]
+    if points_checked == 2:
+        assert 1 + brute_points(spec, 2) == p * p + 1 + 2 * p - a * a
+    code, doc = jrun("lpoly", "--ring", ring)
+    assert code == 0
+    assert doc["lpoly"] == lpoly
+    assert doc["points_checked"] == points_checked
+    code, doc = jrun("classgroup", "--ring", ring)
+    assert code == 0
+    assert doc["h"] == sum(lpoly)
+    assert len(doc["classes"]) == sum(lpoly) - 1   # the nontrivial ones
 
 
 def test_all_ideals_refused_when_monic_not_multiplicative(tmp_path,

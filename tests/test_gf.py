@@ -27,7 +27,7 @@ def test_field_caps():
     with pytest.raises(ValueError):
         GF(4)
     with pytest.raises(ValueError):
-        GF(17)
+        GF(37)
     with pytest.raises(ValueError):
         GF(2, 10)  # q = 1024 over the table cap
     with pytest.raises(ValueError):
@@ -78,7 +78,7 @@ def _slow_mul(field, a, b):
 
 
 # every default-modulus field with q <= 512, and two other moduli
-ALL_FIELDS = [GF(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 10)
+ALL_FIELDS = [GF(p, n) for p in _PRIMES for n in range(1, 10)
               if p ** n <= 512] + [GF(2, 3, (1, 0, 1, 1)), GF(3, 2, (2, 2, 1))]
 
 
@@ -244,7 +244,8 @@ def test_kronecker_mul_matches_naive():
     # 2^8 and 2^16 where the lengths allow, and unequal lengths; operands
     # with every digit p-1 give the largest slot sums
     rng = random.Random(5)
-    for field in (F2, F3, GF(13), F4, F9, GF(2, 3), GF(2, 9), GF(7, 3)):
+    for field in (F2, F3, GF(13), GF(31), F4, F9, GF(2, 3), GF(2, 9), GF(7, 3),
+                  GF(17, 2)):
         p, n, q = field.p, field.n, field.q
         per_term = n * (p - 1) ** 2 * (1 + (n - 1) * (p - 1))
         top = field.mul(q - 1, q - 1)
@@ -568,21 +569,31 @@ def test_packed_mul_across_slot_widths(field):
 
 @pytest.mark.parametrize("p", _PRIMES)
 def test_byte_slot_bounds_hold_for_every_prime(p):
-    # the bounds the gf module states for a byte slot, at every accepted p;
-    # _scale's p(p-1) is the tightest, and caps p at 13
+    # the bounds the gf module states for a byte slot, at every accepted p
     assert 2 * (p - 1) <= 255          # add, sub: two digits
     assert 8 * (p - 1) <= 255          # _reduce_slots: k <= 8 reduced bytes
-    assert p * (p - 1) <= 255          # _scale: a reduced byte plus (p-1)^2
     lazy = 255 // (p - 1) - 1          # __divmod__'s steps between reductions
     assert lazy >= 1 and (lazy + 1) * (p - 1) <= 255
 
 
-@pytest.mark.parametrize("p", [2, 11, 13])
+def test_next_prime_breaks_a_byte_slot_bound():
+    # _PRIMES stops where the bounds stop: the next prime (37 today)
+    # overflows _reduce_slots' 8(p-1) <= 255, so widening the list needs a
+    # new bound, and a list that stops short of the bounds fails here
+    p = next(p for p in range(_PRIMES[-1] + 1, 256)
+             if all(p % d for d in range(2, p)))
+    assert 8 * (p - 1) > 255
+    with pytest.raises(ValueError):
+        GF(p)
+
+
+@pytest.mark.parametrize("p", [2, 11, 13, 31])
 def test_divmod_long_quotient_lazy_reduction(p):
-    # divmod reduces its slots every 255 // (p-1) - 1 steps (20 at p = 13,
-    # 24 at p = 11).  With an all-ones divisor longer than that and an
-    # all-ones quotient, every step adds p-1 to each slot of a window that
-    # covers the steps since the last reduction, so slots reach the bound.
+    # divmod reduces its slots every 255 // (p-1) - 1 steps (7 at p = 31,
+    # 20 at p = 13, 24 at p = 11).  With an all-ones divisor longer than that
+    # and an all-ones quotient, every step adds p-1 to each slot of a window
+    # that covers the steps since the last reduction, so slots reach the
+    # bound.
     field = GF(p)
     ones = Poly(field, [1] * 40)
     quo = Poly(field, [1] * 300)

@@ -3,7 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
-from oracles import elem_from_str, ideal_echelon, poly_eval
+from oracles import brute_points, elem_from_str, ideal_echelon
 
 import ffzeta.ideals as ideals
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
@@ -347,7 +347,7 @@ def test_class_equivalence_h4g3(h4g3):
 
 
 def test_class_group_quotients_each_examined_ideal_once(m3f5, monkeypatch):
-    # rank 3: one quotient tests each ideal, up to the h-th reduced one
+    # rank 3: one quotient tests each ideal of degree <= g
     calls = []
     real = ideals.ideal_quotient
 
@@ -360,7 +360,7 @@ def test_class_group_quotients_each_examined_ideal_once(m3f5, monkeypatch):
     assert rep.h == 6
     assert len(set(calls)) == len(calls)
     assert {c.rep for c in rep.classes} <= set(calls)
-    assert len(calls) <= sum(rep.counts[:rep.genus + 1])
+    assert len(calls) == sum(rep.counts[:rep.genus + 1])
 
 
 def test_class_group_takes_no_quotient_at_rank_two(h20g2, monkeypatch):
@@ -374,11 +374,11 @@ def test_class_group_takes_no_quotient_at_rank_two(h20g2, monkeypatch):
 
 
 @pytest.mark.parametrize("shift", [-1, 1])
-def test_class_group_counts_every_reduced_ideal_against_h(shift, h20g2,
+def test_class_group_counts_every_reduced_ideal_against_h(shift, h20g2, m3f5,
                                                           monkeypatch):
-    # at m = 2 every primitive ideal of degree <= g is counted, so an
-    # L-polynomial whose P(1) is off by one either way raises: 21 finds too
-    # few, 19 too many
+    # every reduced ideal of degree <= g is counted, at rank 2 (h20g2) and
+    # rank 3 (m3f5), so an L-polynomial whose P(1) is off by one either way
+    # raises: h + 1 finds too few, h - 1 too many
     real = ideals.l_polynomial
 
     def off_by(spec, **kw):
@@ -387,9 +387,10 @@ def test_class_group_counts_every_reduced_ideal_against_h(shift, h20g2,
         return dataclasses.replace(lp, lpoly=lpoly)
 
     monkeypatch.setattr(ideals, "l_polynomial", off_by)
-    with pytest.raises(ConsistencyError,
-                       match=f"found 20 reduced ideals .* but h = {20 + shift}"):
-        class_group(h20g2)
+    for spec, h in ((h20g2, 20), (m3f5, 6)):
+        with pytest.raises(ConsistencyError,
+                           match=f"found {h} reduced ideals .* but h = {h + shift}"):
+            class_group(spec)
 
 
 def test_class_group_makes_no_pairwise_class_test(h20g2, monkeypatch):
@@ -730,30 +731,6 @@ def test_class_representatives_within_genus(name, request):
 def test_points_checked_up_to_field_cap(name, K, request):
     # K = min(2g, largest k with q^k <= 512)
     assert class_group(request.getfixturevalue(name)).points_checked == K
-
-
-def brute_points(spec, k):
-    """Solutions (x, y) over F_{q^k} of y^m + c_{m-1}(x) y^{m-1} + .. +
-    c_0(x) = 0 for a cab ring over F_q = GF(p, n), which sits in
-    E = GF(p, n k) through the least root of its modulus."""
-    field = spec.field
-    E = GF(field.p, field.n * k)
-    emb = list(range(field.q))
-    if field.n > 1:
-        theta = next(r for r in range(E.q)
-                     if poly_eval(Poly(E, field.modulus), r) == 0)
-        emb = [poly_eval(Poly(E, field.digits(a)), theta)
-               for a in range(field.q)]
-    cs = [Poly(E, [emb[a] for a in c.coeffs]) for c in spec.coeffs]
-    total = 0
-    for x0 in range(E.q):
-        vals = [poly_eval(c, x0) for c in cs]
-        for y0 in range(E.q):
-            acc = 1
-            for c in reversed(vals):
-                acc = E.add(E.mul(acc, y0), c)
-            total += acc == 0
-    return total
 
 
 # cab rings y^2 + c1 y + c0 = 0 whose c1 is nonzero and vanishes somewhere,

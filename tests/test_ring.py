@@ -357,7 +357,7 @@ def binary_pow(e, k):
 
 
 def test_power_matches_binary_oracle():
-    for field in (F2, F3, F4, GF(5), GF(7), GF(3, 2), GF(13)):
+    for field in (F2, F3, F4, GF(5), GF(7), GF(3, 2), GF(13), GF(31)):
         q = field.q
         # y^2 = x^3 + x + 1, or y^2 + y = x^3 + x + 1 in characteristic 2
         if field.p == 2:
