@@ -3,7 +3,8 @@
 Subcommands: zeta, gaps, classgroup, lpoly, check, powsum, search,
 semigroups.  Every subcommand accepts --json and then emits a structured
 document carrying exactly the data the text rendering shows.  Exit codes:
-0 success, 1 a computation was refused or failed, 2 usage error.
+0 success, 1 a computation was refused or failed or the output's reader
+had gone, 2 usage error.
 
 dispatch(argv) runs one invocation in process and returns a CommandResult,
 which is what the test suite exercises; main() is the console entry point.
@@ -12,6 +13,7 @@ which is what the test suite exercises; main() is the console entry point.
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,6 +112,10 @@ def _predicted_str(predicted):
     return f"ord = {k} exactly" if kind == "exact" else f"ord >= {k}"
 
 
+def _list_str(xs):
+    return ", ".join(str(x) for x in xs) if xs else "(none)"
+
+
 # -- subcommand handlers ----------------------------------------------------
 
 def _cmd_zeta(args):
@@ -165,14 +171,13 @@ def _cmd_gaps(args):
         "frobenius": S.frobenius,
         "valid_r": list(rep.valid_r),
     }
-    fmt = lambda xs: ", ".join(str(x) for x in xs) if xs else "(none)"
     text = "\n".join([
         _ring_header(spec),
-        f"semigroup generators: {fmt(data['generators'])}",
-        f"gaps: {fmt(data['gaps'])}",
+        f"semigroup generators: {_list_str(data['generators'])}",
+        f"gaps: {_list_str(data['gaps'])}",
         f"genus = {data['genus']}",
         f"frobenius number = {data['frobenius']}",
-        f"valid r (q = {spec.q}): {fmt(data['valid_r'])}",
+        f"valid r (q = {spec.q}): {_list_str(data['valid_r'])}",
     ])
     return text, data
 
@@ -357,13 +362,12 @@ def _cmd_semigroups(args):
     data = {"genus": args.genus, "count": len(out), "semigroups": out}
     if args.q is not None:
         data["q"] = args.q
-    fmt = lambda xs: ", ".join(str(x) for x in xs) if xs else "(none)"
     lines = [f"genus {args.genus}: {len(out)} semigroups"]
     for entry in out:
-        line = (f"  <{fmt(entry['generators'])}>  "
-                f"gaps {fmt(entry['gaps'])}")
+        line = (f"  <{_list_str(entry['generators'])}>  "
+                f"gaps {_list_str(entry['gaps'])}")
         if args.q is not None:
-            line += f"  valid_r(q={args.q}) {fmt(entry['valid_r'])}"
+            line += f"  valid_r(q={args.q}) {_list_str(entry['valid_r'])}"
         lines.append(line)
     return "\n".join(lines), data
 
@@ -395,46 +399,40 @@ def build_parser():
     parser = _Parser(prog="ffzeta", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def sub(name, help_):
+    def sub(name, help_, handler, ring=True):
         sp = subs.add_parser(name, help=help_)
         sp.add_argument("--json", action="store_true",
                         help="emit a structured document instead of text")
+        if ring:
+            sp.add_argument("--ring", required=True, help="ring file or bundled name")
+        sp.set_defaults(handler=handler)
         return sp
 
-    sp = sub("zeta", "zeta(-s, X) of a ring, plain or over all ideals")
-    sp.add_argument("--ring", required=True, help="ring file or bundled name")
+    sp = sub("zeta", "zeta(-s, X) of a ring, plain or over all ideals",
+             _cmd_zeta)
     sp.add_argument("-s", type=_integer, required=True, help="exponent s >= 1")
     sp.add_argument("--all-ideals", action="store_true",
                     help="sum over all nonzero ideals instead of monic elements")
     sp.add_argument("--direct", action="store_true",
                     help="with --all-ideals: enumerate ideals degree by degree")
-    sp.set_defaults(handler=_cmd_zeta)
 
-    sp = sub("gaps", "Weierstrass gap data of the semigroup at infinity")
-    sp.add_argument("--ring", required=True)
-    sp.set_defaults(handler=_cmd_gaps)
+    sub("gaps", "Weierstrass gap data of the semigroup at infinity", _cmd_gaps)
+    sub("classgroup", "ideal class group: h, exponent, class data",
+        _cmd_classgroup)
+    sub("lpoly", "L-polynomial from ideal counts", _cmd_lpoly)
 
-    sp = sub("classgroup", "ideal class group: h, exponent, class data")
-    sp.add_argument("--ring", required=True)
-    sp.set_defaults(handler=_cmd_classgroup)
-
-    sp = sub("lpoly", "L-polynomial from ideal counts")
-    sp.add_argument("--ring", required=True)
-    sp.set_defaults(handler=_cmd_lpoly)
-
-    sp = sub("check", "test the hypothesis chain of a vanishing theorem")
-    sp.add_argument("--ring", required=True)
+    sp = sub("check", "test the hypothesis chain of a vanishing theorem",
+             _cmd_check)
     sp.add_argument("-s", type=_integer, required=True)
     sp.add_argument("--theorem", required=True, choices=THEOREMS)
-    sp.set_defaults(handler=_cmd_check)
 
-    sp = sub("powsum", "power sum S(d) = sum of a^s over monic a of degree d")
-    sp.add_argument("--ring", required=True)
+    sp = sub("powsum", "power sum S(d) = sum of a^s over monic a of degree d",
+             _cmd_powsum)
     sp.add_argument("-d", type=_integer, required=True)
     sp.add_argument("-s", type=_integer, required=True)
-    sp.set_defaults(handler=_cmd_powsum)
 
-    sp = sub("search", "staged brute-force scan of Artin-Schreier candidates")
+    sp = sub("search", "staged brute-force scan of Artin-Schreier candidates",
+             _cmd_search, ring=False)
     sp.add_argument("--q", type=_integer, required=True,
                     help="field size q = p^n")
     sp.add_argument("--family", required=True, choices=FAMILIES)
@@ -451,12 +449,11 @@ def build_parser():
                     help="pin a(x) to one polynomial literal")
     sp.add_argument("--b-div-a", action="store_true",
                     help="restrict b to multiples of a")
-    sp.set_defaults(handler=_cmd_search)
 
-    sp = sub("semigroups", "numerical semigroups of a given genus")
+    sp = sub("semigroups", "numerical semigroups of a given genus",
+             _cmd_semigroups, ring=False)
     sp.add_argument("--genus", type=_integer, required=True)
     sp.add_argument("--q", type=_integer, help="also report valid r per semigroup")
-    sp.set_defaults(handler=_cmd_semigroups)
 
     return parser
 
@@ -486,8 +483,12 @@ def dispatch(argv):
 def main(argv=None):
     res = dispatch(sys.argv[1:] if argv is None else argv)
     stream = sys.stderr if res.exit_code == 2 else sys.stdout
-    if res.text:
-        print(res.text, file=stream)
+    try:
+        print(res.text, end="\n" if res.text else "", file=stream, flush=True)
+    except BrokenPipeError:
+        # the reader has gone: the flush at exit goes to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return 1
     return res.exit_code
 
 

@@ -19,8 +19,9 @@ term has its leads from `zeta.term_leads` over the reduced basis of its
 representative, and the last lead's degree is the term's certified cutoff
 (`_class_cuts`, shared by both paths), so the classwise result is a
 complete polynomial.  Leads whose largest slice is over the power-sum
-budget are refused before they are built, and the direct path checks every
-degree against the ideal budget before the first enumeration.
+budget are refused before they are built.  The direct path checks its
+ideal scan once, at its top degree, before the first enumeration, and a
+refusal names the least degree over the ideal budget.
 
 `remark_exact_check` takes a classwise zeta already computed, for instance
 by the all-ideals hypothesis chain of `theorems`, and checks it against the
@@ -38,8 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ffzeta.errors import ConsistencyError
-from ffzeta.ideals import (elem_divexact, enumerate_ideals, ideal_is_principal,
-                           ideal_pow, reduced_basis)
+from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, elem_divexact,
+                           enumerate_ideals, ideal_is_principal, ideal_pow,
+                           reduced_basis, require_ideal_scan)
 from ffzeta.ring import RingElement, RingSpec
 from ffzeta.zeta import (ZetaPolynomial, affine_power_sum,
                          require_positive_exponent, term_leads, zeta_neg)
@@ -78,18 +80,15 @@ def ideal_power_value(I, t, report):
 def ideal_zeta_direct(t, report):
     """Enumerate every ideal of each degree up to the largest class cutoff,
     which needs no power, and sum the power values.
-    Every degree is checked against the budget before any is enumerated."""
+    The scan is checked against the budget at its top degree first."""
     spec = report.spec
     require_monic_products(spec)
     _require_exponent(t, report)
     d_max = max(cut for *_, cut in _class_cuts(t, report))
-    coeffs = []
-    for ideals in [enumerate_ideals(spec, d) for d in range(d_max + 1)]:
-        acc = spec.zero()
-        for I in ideals:
-            acc = acc + ideal_power_value(I, t, report)
-        coeffs.append(acc)
-    return ZetaPolynomial(spec, t, coeffs)
+    require_ideal_scan(spec, d_max, DEFAULT_IDEAL_BUDGET)
+    return ZetaPolynomial(spec, t, [
+        sum((ideal_power_value(I, t, report) for I in enumerate_ideals(spec, d)),
+            spec.zero()) for d in range(d_max + 1)])
 
 
 def _class_cuts(t, report):

@@ -20,23 +20,24 @@ As (alpha) inside I has codimension deg alpha, I is principal exactly when
 deg w_0 = deg I, and then monic(w_0), the unique monic element of least
 degree, generates: (w_0) lies in I with the same codimension.
 
-The L-polynomial (`l_polynomial`) enumerates the ideals of degree 0..g,
-forms p_d = c_d - q c_{d-1} for d <= g, fills p_{g+1}..p_{2g} by the
-functional equation p_{2g-i} = q^{g-i} p_i and rebuilds c_{g+1}..c_{2g}
-from them.  The point counts N_k over F_{q^k}, k = 1..K (K = min(2g, largest
-k with q^k <= 512)), certify the result: below g they test the enumeration,
-beyond g the half the functional equation filled in.  The class group
-(`class_group`) reads off h = P(1), then keeps, in degree order, the
-enumerated ideals that are reduced: every class holds exactly one integral
-ideal of least degree, its reduced ideal (Hess's reduction), of degree <= g
-by Riemann-Roch (`_is_reduced`).  For m = 2 these are the primitive ideals
-of degree <= g, read off the Hermite form (Mumford's representation;
-Cantor, Math. Comp. 48, 1987), and all of them are counted against h; for
-other m one ideal quotient per ideal tests it, until h are found.  A class
-order divides h (Lagrange), so the order of I is the least divisor
-k of h with I^k principal, and only the divisors are tried, in ascending
-order; each I^k is built from the largest power I^b already built with
-b | k, as (I^b)^(k/b).  (1) is the one reduced ideal of the principal
+The L-polynomial (`l_polynomial`) enumerates the ideals of degree 0..g once
+`require_ideal_scan` admits degree g, forms p_d = c_d - q c_{d-1} for
+d <= g, fills p_{g+1}..p_{2g} by the functional equation
+p_{2g-i} = q^{g-i} p_i and rebuilds c_{g+1}..c_{2g} from them.  The point
+counts N_k over F_{q^k}, k = 1..K (K = min(2g, largest k with q^k <= 512)),
+certify the result: below g they test the enumeration, beyond g the half the
+functional equation filled in.  The class group (`class_group`) reads off
+h = P(1), then keeps, in degree order, the enumerated ideals that are
+reduced: every class holds exactly one integral ideal of least degree, its
+reduced ideal (Hess's reduction), of degree <= g by Riemann-Roch
+(`_is_reduced`).  For m = 2 these are the primitive ideals of degree <= g,
+read off the Hermite form (Mumford's representation; Cantor, Math. Comp. 48,
+1987); for other m one ideal quotient per ideal tests it.  At every rank
+each ideal of degree <= g is tested, and the reduced ones are counted
+against h.  A class order divides h (Lagrange), so the order of I is the
+least divisor k of h with I^k principal, and only the divisors are tried, in
+ascending order; each I^k is built from the largest power I^b already built
+with b | k, as (I^b)^(k/b).  (1) is the one reduced ideal of the principal
 class, so a representative of positive degree starts at the second divisor.
 
 Ideals are `IdealHNF` values, immutable by convention like the `Poly` and
@@ -346,9 +347,21 @@ def _compositions(d, m):
             yield (first,) + rest
 
 
-def enumerate_ideals(spec, d, *, budget=DEFAULT_IDEAL_BUDGET):
-    """All ideals of degree d in a fixed documented order; the call checks
-    the budget before the first candidate, and returns an iterator.
+def require_ideal_scan(spec, top, budget):
+    """Refuse, before the first candidate, a scan of degrees 0..top whose
+    candidate count exceeds `budget` at some degree.  The count grows with
+    the degree (raising the first diagonal degree of a degree-d candidate
+    gives one of degree d + 1), so the top degree decides, and the message
+    names the least degree over the budget."""
+    if count_ideal_candidates(spec, top) > budget:
+        d, n = next((d, n) for d in range(top + 1)
+                    if (n := count_ideal_candidates(spec, d)) > budget)
+        raise BudgetError(f"degree-{d} ideal enumeration scans {n} "
+                          f"candidates, over the budget {budget}")
+
+
+def enumerate_ideals(spec, d):
+    """All ideals of degree d in a fixed documented order, as an iterator.
 
     m = 2: stability prunes the triangular candidates to w | u, w | v and
     u' | F(-v') (u = w u', v = w v'), scanned by ascending deg w, then w,
@@ -356,12 +369,6 @@ def enumerate_ideals(spec, d, *, budget=DEFAULT_IDEAL_BUDGET):
     filtering (for m = 1, the monic generators in counting order).
     """
     spec.require_valid()
-    if d < 0:
-        return iter(())
-    if count_ideal_candidates(spec, d) > budget:
-        raise BudgetError(
-            f"degree-{d} ideal enumeration scans "
-            f"{count_ideal_candidates(spec, d)} candidates, over the budget {budget}")
     if spec.m == 2:
         return _enumerate_ideals_m2(spec, d)
     return _enumerate_ideals_general(spec, d)
@@ -456,15 +463,6 @@ class ClassGroupReport(LPolynomial):
         return self.classes[1:]
 
 
-def low_ideal_scan(spec):
-    """The candidates `l_polynomial` (so `class_group`) scans at its largest
-    degree.  It enumerates degrees 0..g, and the count grows with the degree
-    (raising the first diagonal degree of a degree-d candidate gives one of
-    degree d + 1), so either is refused over a budget exactly when this
-    count exceeds it, and the count needs no enumeration."""
-    return count_ideal_candidates(spec, semigroup_from_ring(spec).genus)
-
-
 def l_polynomial(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     """The certified L-polynomial; refuses rings with finite singular
     points."""
@@ -476,9 +474,8 @@ def l_polynomial(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     S = semigroup_from_ring(spec)
     g = S.genus
     q = spec.field.q
-    # every degree is checked against the budget before any is enumerated
-    planned = [enumerate_ideals(spec, d, budget=budget) for d in range(g + 1)]
-    low = tuple(tuple(ideals) for ideals in planned)
+    require_ideal_scan(spec, g, budget)
+    low = tuple(tuple(enumerate_ideals(spec, d)) for d in range(g + 1))
     counts = [len(ideals) for ideals in low]
     if counts[0] != 1:
         raise ConsistencyError(f"c_0 = {counts[0]} != 1")

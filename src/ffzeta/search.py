@@ -23,9 +23,9 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 
-from ffzeta.errors import CheckpointError
+from ffzeta.errors import BudgetError, CheckpointError
 from ffzeta.gf import Poly, monic_poly_at, poly_to_str
-from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group, low_ideal_scan
+from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group, require_ideal_scan
 from ffzeta.ring import RingSpec
 from ffzeta.semigroup import r_gap_values, semigroup_from_ring
 from ffzeta.theorems import tesismc_conditions
@@ -142,26 +142,27 @@ def candidate_key(a, b):
     return f"a={poly_to_str(a)};b={poly_to_str(b)}"
 
 
-def evaluate_candidate(field, a, b, *, min_r=None,
-                       h_budget=DEFAULT_IDEAL_BUDGET):
-    """Run the staged pipeline on one (a, b); returns (stage, verdict,
-    report), the report that of the tesismc conditions, None before them.
-    The class group is computed, under `h_budget`, only for a candidate
-    within that budget whose equation meets the tesismc conditions."""
-    q = field.q
-    coeffs = [-b, -(a ** (q - 1))] + [Poly.zero(field)] * (q - 2)
-    spec = RingSpec.cab(field, tuple(coeffs))
+def evaluate_candidate(space, a, b):
+    """Run the staged pipeline on one (a, b) of `space`; returns (stage,
+    verdict, report), the report that of the tesismc conditions, None
+    before them.  The class group is computed, under `space.h_budget`, only
+    for a candidate within it whose equation meets the tesismc conditions."""
+    q = space.field.q
+    coeffs = [-b, -(a ** (q - 1))] + [Poly.zero(space.field)] * (q - 2)
+    spec = RingSpec.cab(space.field, tuple(coeffs))
     report = spec.validate()
     if not report.ok:
         return "ring-valid", "invalid", None
     if report.singular_finite:
         return "ring-valid", "singular", None
 
-    rr = r_gap_values(semigroup_from_ring(spec), q)
-    if not any(r >= max(q - 1, min_r or 1) for r in rr.valid_r):
+    S = semigroup_from_ring(spec)
+    if not any(r >= max(q - 1, space.min_r or 1)
+               for r in r_gap_values(S, q).valid_r):
         return "gap-structure", "no-valid-r", None
-
-    if low_ideal_scan(spec) > h_budget:
+    try:
+        require_ideal_scan(spec, S.genus, space.h_budget)
+    except BudgetError:
         return "class-group", "budget-exceeded", None
 
     # the equation conditions come first; the class group, under this
@@ -169,7 +170,7 @@ def evaluate_candidate(field, a, b, *, min_r=None,
     # set mu; the least s = k(q-1) that meets the digit condition wins
     hyp, _ = tesismc_conditions(
         spec, [k * (q - 1) for k in range(1, _S_SCAN + 1)],
-        lambda: class_group(spec, budget=h_budget))
+        lambda: class_group(spec, budget=space.h_budget))
     if hyp.applicable:
         return "hypotheses", "pass", hyp
     if hyp.mu is None:
@@ -221,8 +222,7 @@ def search_run(space, checkpoint=None):
                 records.append(SearchRecord(idx, key, stage, verdict,
                                             resumed=True))
                 continue
-            stage, verdict, _ = evaluate_candidate(
-                space.field, a, b, min_r=space.min_r, h_budget=space.h_budget)
+            stage, verdict, _ = evaluate_candidate(space, a, b)
             records.append(SearchRecord(idx, key, stage, verdict))
             if out is not None:
                 out.write(f"{key}\t{stage}\t{verdict}\n")

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -628,3 +629,17 @@ def test_module_entrypoint_smoke():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr and not proc.stdout
+
+
+def test_broken_pipe_exits_1_without_a_traceback():
+    # stdout is a pipe whose reader has already gone
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ffzeta", "classgroup", "--ring", "ex36"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -3,11 +3,13 @@ used there, every module-level function and class of the library is read
 somewhere in it or exported, library modules import at module level only
 and nothing beyond ffzeta and the standard library, one function holds
 the library's only square-and-multiply loop, one function reads the
-power-sum budget, one predicate tests for digits, and no command-line flag
-is read with Python's int."""
+power-sum budget, one function compares ideal candidate counts with a
+budget, one predicate tests for digits, no command-line flag is read with
+Python's int, and every module parses at the declared Python floor."""
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -20,6 +22,7 @@ SRC = TESTS.parent / "src" / "ffzeta"
 SOURCES = sorted(SRC.glob("*.py"))
 LIBRARY = [p for p in SOURCES if p.name != "__init__.py"]
 MODULES = LIBRARY + sorted(TESTS.glob("*.py"))
+EVERY_MODULE = SOURCES + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source):
@@ -219,10 +222,9 @@ def test_detects_a_budget_knob():
 
 
 # budgets are module constants; the one limit a user sets, search --h-budget,
-# reaches the ideal enumeration through these five
+# reaches the ideal scan rule through these four
 BUDGET_KNOBS = ["SearchSpace.h_budget", "class_group.budget",
-                "enumerate_ideals.budget", "evaluate_candidate.h_budget",
-                "l_polynomial.budget"]
+                "l_polynomial.budget", "require_ideal_scan.budget"]
 
 
 def test_no_per_call_budget_knobs():
@@ -267,6 +269,13 @@ def test_one_power_sum_budget_rule():
     # every power sum is refused or admitted by the one ledger rule
     sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
     assert readers_of(sources, "DEFAULT_BUDGET") == [("zeta", "slice_leads")]
+
+
+def test_one_ideal_budget_rule():
+    # every ideal scan is refused or admitted by the one count rule
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert readers_of(sources, "count_ideal_candidates") == [
+        ("ideals", "require_ideal_scan")]
 
 
 def unicode_digit_tests(sources):
@@ -337,3 +346,23 @@ def test_tracer_targets_resolve():
             owner = owner.__dict__[cls]
         assert attr in owner.__dict__, f"{owner_path}.{attr}"
         assert callable(owner.__dict__[attr])
+
+
+def python_floor():
+    """(major, minor) of the `requires-python = ">=X.Y"` floor in
+    pyproject.toml."""
+    text = (TESTS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    found = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M)
+    return int(found[1]), int(found[2])
+
+
+def test_detects_syntax_above_the_floor():
+    src = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(src, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", EVERY_MODULE,
+                         ids=[f"{p.parent.name}/{p.name}" for p in EVERY_MODULE])
+def test_parses_at_the_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=python_floor())

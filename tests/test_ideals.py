@@ -1,6 +1,8 @@
 import dataclasses
 import random
+from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from oracles import brute_points, elem_from_str, ideal_echelon
@@ -11,7 +13,7 @@ from ffzeta.gf import GF, Poly, monic_polys, poly_from_str, polys_below
 from ffzeta.ideals import (
     class_equivalent, class_group, count_ideal_candidates, elem_divexact,
     enumerate_ideals, ideal_from_generators, ideal_is_principal, ideal_mul,
-    ideal_pow, ideal_quotient, low_ideal_scan, reduced_basis, unit_ideal,
+    ideal_pow, ideal_quotient, reduced_basis, require_ideal_scan, unit_ideal,
     _enumerate_ideals_general,
 )
 from ffzeta.ring import (RingSpec, affine_combinations, count_affine_points,
@@ -553,19 +555,33 @@ def test_polyring_candidates_are_monic_polys():
             assert count_ideal_candidates(spec, d) == field.q ** d
 
 
+def shape_of(m, q):
+    """A stand-in carrying only the rank and field size of a ring."""
+    return SimpleNamespace(m=m, field=SimpleNamespace(q=q))
+
+
 def test_candidate_count_grows_with_degree(h4g3, m3f2b, m3f5):
-    # so an enumeration of degrees 0..g is within a budget exactly when
-    # degree g is, which `low_ideal_scan` reads
-    for spec in (RingSpec.polyring(F3), h4g3, m3f2b, m3f5):
-        counts = [count_ideal_candidates(spec, d) for d in range(8)]
+    # so a scan of degrees 0..top is within a budget exactly when degree top
+    # is, which `require_ideal_scan` reads
+    for m, q in product(range(1, 5), (2, 3, 4, 5, 31)):
+        counts = [count_ideal_candidates(shape_of(m, q), d) for d in range(12)]
         assert counts == sorted(set(counts))
-    assert low_ideal_scan(h4g3) == count_ideal_candidates(h4g3, 3) == 72
+    # the count reads only m and q
+    for spec in (RingSpec.polyring(F3), h4g3, m3f2b, m3f5):
+        assert ([count_ideal_candidates(spec, d) for d in range(12)]
+                == [count_ideal_candidates(shape_of(spec.m, spec.field.q), d)
+                    for d in range(12)])
+    assert count_ideal_candidates(h4g3, 3) == 72
 
 
 def test_enumeration_budget(h4g3):
+    # the counts of h4g3 are 1, 4, 18, 72, ...: degree 6 is over 4, and
+    # degree 2 is the least degree over it
     assert count_ideal_candidates(h4g3, 6) > 4
-    with pytest.raises(BudgetError):
-        list(enumerate_ideals(h4g3, 6, budget=4))
+    with pytest.raises(BudgetError, match=r"^degree-2 ideal enumeration scans "
+                       r"18 candidates, over the budget 4$"):
+        require_ideal_scan(h4g3, 6, 4)
+    assert require_ideal_scan(h4g3, 6, count_ideal_candidates(h4g3, 6)) is None
 
 
 def test_class_group_over_budget_refused_before_enumerating(h4g3,
@@ -578,6 +594,19 @@ def test_class_group_over_budget_refused_before_enumerating(h4g3,
     with pytest.raises(BudgetError, match=r"^degree-3 ideal enumeration scans "
                        r"72 candidates, over the budget 71$"):
         class_group(h4g3, budget=71)
+
+
+def test_class_group_refusal_names_the_least_degree_over_budget(h4g3,
+                                                                monkeypatch):
+    # the counts of h4g3 are 1, 4, 18, 72: the budget 17 is first exceeded
+    # at degree 2, below g = 3, and the refusal names that degree
+    def refuse(*args):
+        raise AssertionError("an ideal candidate was enumerated")
+
+    monkeypatch.setattr(ideals, "monic_polys", refuse)
+    with pytest.raises(BudgetError, match=r"^degree-2 ideal enumeration scans "
+                       r"18 candidates, over the budget 17$"):
+        class_group(h4g3, budget=17)
 
 
 # -- class groups -----------------------------------------------------------

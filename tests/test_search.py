@@ -168,7 +168,7 @@ def witness(report, name):
 
 def test_evaluate_singular():
     stage, verdict, report = evaluate_candidate(
-        F2, Poly.zero(F2), poly_from_str(F2, "x^3"))
+        SearchSpace(F2), Poly.zero(F2), poly_from_str(F2, "x^3"))
     assert (stage, verdict) == ("ring-valid", "singular")
     assert report is None
 
@@ -176,23 +176,25 @@ def test_evaluate_singular():
 def test_evaluate_invalid_weight():
     # deg a = 4 breaks the weight condition against N = 5
     stage, verdict, _ = evaluate_candidate(
-        F2, poly_from_str(F2, "x^4"), poly_from_str(F2, "x^5 + x + 1"))
+        SearchSpace(F2), poly_from_str(F2, "x^4"),
+        poly_from_str(F2, "x^5 + x + 1"))
     assert (stage, verdict) == ("ring-valid", "invalid")
 
 
 def test_evaluate_invalid_even_degree():
     stage, verdict, _ = evaluate_candidate(
-        F2, poly_from_str(F2, "x"), poly_from_str(F2, "x^4 + x + 1"))
+        SearchSpace(F2), poly_from_str(F2, "x"),
+        poly_from_str(F2, "x^4 + x + 1"))
     assert (stage, verdict) == ("ring-valid", "invalid")
 
 
 def test_evaluate_min_r_filter():
     a = poly_from_str(F2, "x^2 + x")
     b = poly_from_str(F2, "x^7 + x^6 + x^5 + x")
-    stage, verdict, report = evaluate_candidate(F2, a, b, min_r=7)
+    stage, verdict, report = evaluate_candidate(SearchSpace(F2, min_r=7), a, b)
     assert (stage, verdict, report) == ("gap-structure", "no-valid-r", None)
     # without the filter the chain runs, and its valid r all lie below 7
-    _, _, report = evaluate_candidate(F2, a, b)
+    _, _, report = evaluate_candidate(SearchSpace(F2), a, b)
     valid_r = witness(report, "r-gap structure with r >= q-1")["valid_r"]
     assert valid_r and max(valid_r) < 7
 
@@ -200,7 +202,7 @@ def test_evaluate_min_r_filter():
 def test_evaluate_known_pass():
     a = poly_from_str(F2, "x^2 + x")
     b = poly_from_str(F2, "x^7 + x^6 + x^5 + x")
-    stage, verdict, report = evaluate_candidate(F2, a, b)
+    stage, verdict, report = evaluate_candidate(SearchSpace(F2), a, b)
     assert (stage, verdict) == ("hypotheses", "pass")
     assert report.applicable
     classes = witness(report, "class group computed")
@@ -227,7 +229,7 @@ def test_equation_conditions_come_before_the_class_group(monkeypatch):
 
     monkeypatch.setattr(search, "class_group", no_class_group)
     stage, verdict, report = evaluate_candidate(
-        F2, poly_from_str(F2, "x"), poly_from_str(F2, "x^5 + 1"))
+        SearchSpace(F2), poly_from_str(F2, "x"), poly_from_str(F2, "x^5 + 1"))
     assert (stage, verdict) == (
         "hypotheses", "failed: negative exponents of u = b/a^q coprime to p")
     assert report.checks == (
@@ -246,9 +248,9 @@ def test_h_budget_is_decided_at_the_genus():
     # class_group(h4g3, budget=71) is refused (test_ideals)
     a = poly_from_str(F2, "x^2 + x")
     b = poly_from_str(F2, "x^7 + x^6 + x^5 + x")
-    assert evaluate_candidate(F2, a, b, h_budget=71) == (
+    assert evaluate_candidate(SearchSpace(F2, h_budget=71), a, b) == (
         "class-group", "budget-exceeded", None)
-    assert evaluate_candidate(F2, a, b, h_budget=72)[:2] == (
+    assert evaluate_candidate(SearchSpace(F2, h_budget=72), a, b)[:2] == (
         "hypotheses", "pass")
 
 
@@ -268,10 +270,10 @@ def test_h_budget_above_the_default_keeps_the_verdict(b, verdict,
     monkeypatch.setattr(search, "class_group", recorded)
     a = poly_from_str(F2, "x^2 + x")
     b = poly_from_str(F2, b)
-    default = evaluate_candidate(F2, a, b)
+    default = evaluate_candidate(SearchSpace(F2), a, b)
     assert default[:2] == ("hypotheses", verdict)
     assert evaluate_candidate(
-        F2, a, b, h_budget=2 * DEFAULT_IDEAL_BUDGET) == default
+        SearchSpace(F2, h_budget=2 * DEFAULT_IDEAL_BUDGET), a, b) == default
     assert budgets == [DEFAULT_IDEAL_BUDGET, 2 * DEFAULT_IDEAL_BUDGET]
 
 
