@@ -25,14 +25,12 @@ from ffzeta.zeta import (
 )
 from ffzeta.ideals import (
     class_group, ideal_from_generators, ideal_is_principal, l_polynomial,
-    unit_ideal,
 )
 from ffzeta.ideal_zeta import (
     ideal_zeta_classwise, ideal_zeta_direct, remark_exact_check,
 )
 from ffzeta.theorems import (
-    check_dinesh, check_generalization, check_hiper,
-    check_hyperelliptic_rgap_proposition, check_tesismc,
+    check_dinesh, check_generalization, check_hiper, check_tesismc,
 )
 from ffzeta.search import (
     SearchSpace, merge_summaries, search_partition, search_run,
@@ -53,10 +51,9 @@ __all__ = [
     "ZetaPolynomial", "affine_power_sum", "digit_sum", "power_sum_S",
     "zeta_neg",
     "class_group", "ideal_from_generators", "ideal_is_principal",
-    "l_polynomial", "unit_ideal",
+    "l_polynomial",
     "ideal_zeta_classwise", "ideal_zeta_direct", "remark_exact_check",
-    "check_dinesh", "check_generalization", "check_hiper",
-    "check_hyperelliptic_rgap_proposition", "check_tesismc",
+    "check_dinesh", "check_generalization", "check_hiper", "check_tesismc",
     "SearchSpace", "merge_summaries", "search_partition", "search_run",
     "__version__",
 ]

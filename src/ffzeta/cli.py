@@ -58,8 +58,6 @@ def _lit(v):
     """Re-ingestible literal for a coefficient-like value."""
     if isinstance(v, RingElement):
         return coeff_lit(v)
-    if isinstance(v, Poly):
-        return poly_to_str(v)
     if isinstance(v, Fraction):
         return str(v)
     return v
@@ -162,14 +160,13 @@ def _cmd_zeta(args):
 def _cmd_gaps(args):
     spec = parse_ring_spec(args.ring)
     S = semigroup_from_ring(spec)
-    rep = r_gap_values(S, spec.q)
     data = {
         "ring": spec.name, "q": spec.q,
         "generators": list(S.generators),
         "gaps": list(S.gaps),
         "genus": S.genus,
         "frobenius": S.frobenius,
-        "valid_r": list(rep.valid_r),
+        "valid_r": list(r_gap_values(S, spec.q)),
     }
     text = "\n".join([
         _ring_header(spec),
@@ -357,7 +354,7 @@ def _cmd_semigroups(args):
         entry = {"generators": list(S.generators), "gaps": list(S.gaps),
                  "frobenius": S.frobenius}
         if args.q is not None:
-            entry["valid_r"] = list(r_gap_values(S, args.q).valid_r)
+            entry["valid_r"] = list(r_gap_values(S, args.q))
         out.append(entry)
     data = {"genus": args.genus, "count": len(out), "semigroups": out}
     if args.q is not None:
@@ -476,7 +473,7 @@ def dispatch(argv):
         text = json.dumps(data, indent=2) if args.json else f"error: {exc}"
         return CommandResult(1, text, data)
     if args.json:
-        return CommandResult(0, json.dumps(_jsonable(data), indent=2), data)
+        return CommandResult(0, json.dumps(data, indent=2), data)
     return CommandResult(0, text, data)
 
 

@@ -12,8 +12,9 @@ int holds one little-endian byte per base-p digit: byte n*j + i is digit i
 of the code of c_j, so a prime field has one byte per coefficient, and the
 bytes i, i + n, i + 2n, ... form digit plane i.  The int has no leading zero
 bytes, so the zero polynomial is 0 (degree `NEG_INF`) and the degree follows
-from the bit length.  Packed ints order like the coefficient vectors read
-from the top, which is `sort_key`; `coeffs` decodes the tuple of codes.
+from the bit length.  Packed ints order by degree, then like the coefficient
+vectors read from the top, which is the order `valuation_profile` sorts
+factors in; `coeffs` decodes the tuple of codes.
 
 Every digit is below p <= 31, and every operation keeps each byte slot below
 256 until `bytes.translate` reduces it mod p, so no carry ever crosses a
@@ -262,10 +263,6 @@ class Poly:
         return _poly(field, 1)
 
     @classmethod
-    def x(cls, field):
-        return _poly(field, 1 << 8 * field.n)
-
-    @classmethod
     def const(cls, field, c):
         return _poly(field, field._packl[c])
 
@@ -307,12 +304,6 @@ class Poly:
     @property
     def is_monic(self):
         return bool(self.packed) and self.lc == 1
-
-    @property
-    def sort_key(self):
-        """Orders by degree, then by counting order of the coefficient vector
-        read from the top; the packed ints order exactly so."""
-        return self.packed
 
     def __bool__(self):
         return bool(self.packed)
@@ -692,7 +683,7 @@ def valuation_profile(num, den):
         for pi, e in facs:
             vals[pi] = vals.get(pi, 0) + sign * e
     out = [(pi, e) for pi, e in vals.items() if e]
-    out.sort(key=lambda t: t[0].sort_key)
+    out.sort(key=lambda t: t[0].packed)
     return out
 
 

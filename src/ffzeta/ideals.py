@@ -201,10 +201,6 @@ def ideal_pow(I, k):
     return square_and_multiply(I, k, ideal_mul)
 
 
-def unit_ideal(spec):
-    return ideal_from_generators([spec.one()], spec)
-
-
 # -- reduced bases and principality -----------------------------------------
 
 def reduced_basis(I):

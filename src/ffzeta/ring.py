@@ -175,14 +175,6 @@ class RingSpec:
     def one(self):
         return self.monomial(0, 0)
 
-    def x(self):
-        return self.elem_from_poly(Poly.x(self.field))
-
-    def y(self):
-        if self.m < 2:
-            raise ValueError("the polynomial ring has no second generator")
-        return self.monomial(0, 1)
-
     def monomial(self, i, j, c=1):
         vec = [Poly.zero(self.field)] * self.m
         vec[j] = Poly.monomial(self.field, i, c)
@@ -290,10 +282,6 @@ class RingElement:
         if not terms:
             raise ValueError("the zero element has no leading monomial")
         return max(terms)
-
-    @property
-    def is_monic(self):
-        return not self.is_zero and self.leading()[2] == 1
 
     def monic(self):
         _, _, c = self.leading()

@@ -158,7 +158,7 @@ def evaluate_candidate(space, a, b):
 
     S = semigroup_from_ring(spec)
     if not any(r >= max(q - 1, space.min_r or 1)
-               for r in r_gap_values(S, q).valid_r):
+               for r in r_gap_values(S, q)):
         return "gap-structure", "no-valid-r", None
     try:
         require_ideal_scan(spec, S.genus, space.h_budget)

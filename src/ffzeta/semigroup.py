@@ -14,8 +14,9 @@ F <= (a_1 - 1)(a_k - 1) - 1; `from_gaps` checks that the gaps are co-closed;
 
 The r-gap structure of a semigroup, for a fixed field size q: r >= 1 is valid
 when l(iq) = i+1 for 1 <= i <= r, l(g+r) = r+1 and rq <= g+r, where g is the
-genus.  Enumeration by genus uses the removal tree (remove one minimal
-generator above the Frobenius number per step); a brute-force subset filter
+genus; `r_gap_values` returns the valid r as an ascending tuple.
+Enumeration by genus uses the removal tree (remove one minimal generator
+above the Frobenius number per step); a brute-force subset filter
 cross-checks it in the tests.
 """
 
@@ -128,24 +129,16 @@ def semigroup_from_ring(spec):
 
 # -- gap structures ---------------------------------------------------------
 
-@dataclass
-class RGapReport:
-    q: int
-    genus: int
-    valid_r: tuple
-
-
 def r_gap_values(S, q):
-    """All r >= 1 with an r-gap structure for field size q: l(iq) = i + 1
-    for i = 1 .. r, l(g + r) = r + 1 and rq <= g + r."""
+    """The tuple, ascending, of all r >= 1 with an r-gap structure for field
+    size q: l(iq) = i + 1 for i = 1 .. r, l(g + r) = r + 1 and rq <= g + r."""
     if q < 2:
         raise ValueError("q must be at least 2")
     g = S.genus
-    valid = tuple(
+    return tuple(
         r for r in range(1, g // (q - 1) + 1)
         if all(S.l(i * q) == i + 1 for i in range(1, r + 1))
         and S.l(g + r) == r + 1 and r * q <= g + r)
-    return RGapReport(q=q, genus=g, valid_r=valid)
 
 
 @dataclass
@@ -161,8 +154,7 @@ class DegreeQReport:
 def degree_q_theorem_check(S, q, r):
     """With an r-gap structure and r >= q-1, the elements of S in [1, rq] are
     exactly q, 2q, .., rq; in particular S has an element of degree q."""
-    rep = r_gap_values(S, q)
-    if r not in rep.valid_r:
+    if r not in r_gap_values(S, q):
         return DegreeQReport(q, r, False, False, (), f"no {r}-gap structure for q={q}")
     if r < q - 1:
         return DegreeQReport(q, r, False, False, (), f"r = {r} < q - 1 = {q - 1}")

@@ -20,7 +20,8 @@ squarefree-and-divides; irreducibility is recorded per class as a witness.
 At q >= 3 the tesismc chain cannot pass: a ring it recognises has the
 semigroup <q, N>, gcd(q, N) = 1, of genus g = (q-1)(N-1)/2 >= N-1, so for r
 with rq <= g+r the elements 0, q, .., rq and N lie in [0, g+r] and
-l(g+r) >= r+2.  No r is valid; at q = 2 the valid r are g-1 and g.
+l(g+r) >= r+2.  No r is valid; at q = 2 the valid r are g-1 and g (the
+hyperelliptic r-gap proposition, which the tests check).
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from ffzeta.gf import (Poly, is_irreducible, is_squarefree, poly_factor,
 from ffzeta.ideal_zeta import (ideal_zeta_classwise, matches_base_substituted,
                                remark_exact_check)
 from ffzeta.ideals import class_group
-from ffzeta.semigroup import (NumericalSemigroup, r_gap_values,
-                              semigroup_from_ring)
+from ffzeta.semigroup import r_gap_values, semigroup_from_ring
 from ffzeta.zeta import (digit_sum, require_positive_exponent,
                          vanishing_threshold, zeta_neg)
 
@@ -131,10 +131,10 @@ def _dinesh_checks(S, q, s):
     need = functools.partial(_need, checks)
     with suppress(_ChainStop):
         need("(q-1) | s", s % (q - 1) == 0, {"q": q, "s": s})
-        rr = r_gap_values(S, q)
-        good = [r for r in rr.valid_r if r >= q - 1]
+        valid_r = r_gap_values(S, q)
+        good = [r for r in valid_r if r >= q - 1]
         need("r-gap structure with r >= q-1", bool(good),
-             {"valid_r": list(rr.valid_r), "required": q - 1})
+             {"valid_r": list(valid_r), "required": q - 1})
         ratio = vanishing_threshold(s, q)
         need("l_q(s)/(q-1) <= r", ratio <= max(good),
              {"ratio": str(ratio), "r": max(good)})
@@ -180,7 +180,7 @@ def _tesismc_form(spec, need):
     need("negative exponents of u = b/a^q coprime to p", not bad,
          {"profile": [(poly_to_str(f), n) for f, n in profile],
           "violations": bad})
-    valid_r = r_gap_values(semigroup_from_ring(spec), q).valid_r
+    valid_r = r_gap_values(semigroup_from_ring(spec), q)
     good_r = [r for r in valid_r if r >= q - 1]
     need("r-gap structure with r >= q-1", bool(good_r),
          {"valid_r": list(valid_r)})
@@ -304,23 +304,3 @@ THEOREMS = {
     "generalization": lambda spec, s: check_generalization(spec, s),
     "tesismc": lambda spec, s: check_tesismc(spec, s),
 }
-
-
-@dataclass(frozen=True)
-class PropositionReport:
-    entries: tuple    # (N, genus, valid_r, ok)
-    all_ok: bool
-
-
-def check_hyperelliptic_rgap_proposition(n_values=range(3, 22, 2)):
-    """q = 2 hyperelliptic semigroups <2, N>: every valid r is g-1 or g."""
-    entries = []
-    for N in n_values:
-        if N % 2 == 0 or N < 3:
-            raise ValueError(f"N = {N}: need odd N >= 3")
-        S = NumericalSemigroup.from_generators((2, N))
-        rr = r_gap_values(S, 2)
-        ok = set(rr.valid_r) <= {S.genus - 1, S.genus}
-        entries.append((N, S.genus, tuple(rr.valid_r), ok))
-    return PropositionReport(entries=tuple(entries),
-                             all_ok=all(e[3] for e in entries))

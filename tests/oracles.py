@@ -1,9 +1,11 @@
 """Small independent helpers that several test modules use as oracles."""
 
+from dataclasses import dataclass
 from math import comb
 
 from ffzeta.gf import GF, Poly, poly_from_str
 from ffzeta.ring import echelon_insert
+from ffzeta.semigroup import NumericalSemigroup, r_gap_values
 from ffzeta.zeta import vanishing_threshold
 
 
@@ -158,3 +160,36 @@ def newton_polygon(coeffs):
             hull.pop()
         hull.append(pt)
     return hull
+
+
+# -- the rank-2 involution --------------------------------------------------
+
+def involution(e):
+    """sigma(g0 + g1 y) = (g0 + r1 g1) - g1 y on a rank-2 ring with
+    y^2 = r0 + r1 y: the automorphism over F_q[x] that swaps y with the
+    other root r1 - y of its equation."""
+    _, r1 = e.spec.mul_table()[1][1]
+    g0, g1 = e.vec
+    return e.spec.elem((g0 + r1 * g1, -g1))
+
+
+# -- the hyperelliptic r-gap proposition ------------------------------------
+
+@dataclass(frozen=True)
+class PropositionReport:
+    entries: tuple    # (N, genus, valid_r, ok)
+    all_ok: bool
+
+
+def check_hyperelliptic_rgap_proposition(n_values=range(3, 22, 2)):
+    """q = 2 hyperelliptic semigroups <2, N>: every valid r is g-1 or g."""
+    entries = []
+    for N in n_values:
+        if N % 2 == 0 or N < 3:
+            raise ValueError(f"N = {N}: need odd N >= 3")
+        S = NumericalSemigroup.from_generators((2, N))
+        valid_r = r_gap_values(S, 2)
+        ok = set(valid_r) <= {S.genus - 1, S.genus}
+        entries.append((N, S.genus, valid_r, ok))
+    return PropositionReport(entries=tuple(entries),
+                             all_ok=all(e[3] for e in entries))

@@ -10,7 +10,7 @@ import pytest
 from oracles import brute_points
 
 import ffzeta.ideal_zeta
-from ffzeta.cli import _jsonable, build_parser, dispatch
+from ffzeta.cli import build_parser, dispatch
 from ffzeta.ringfile import serialize_ring_spec, parse_ring_spec
 from ffzeta.theorems import THEOREMS
 
@@ -50,6 +50,22 @@ def test_zeta_json_names_the_extension_modulus():
     code, doc = jrun("zeta", "--ring", "fqx4", "-s", "3")
     assert code == 0
     assert doc["field"] == {"p": 2, "n": 2, "q": 4, "modulus": "t^2 + t + 1"}
+
+
+def test_zeta_coefficient_outside_fq_x_is_bracketed():
+    # the X^5 coefficient of zeta(-53) on ex36 lies in y F_3[x]: the text
+    # brackets its coordinates, the document lists them joined by '; '
+    code, doc = jrun("zeta", "--ring", "ex36", "-s", "53")
+    assert code == 0 and doc["d_max"] == 5
+    top = doc["coeffs"][5]
+    assert top.startswith("0; 2*x^107 + 2*x^105 + 2*x^99 + x^98 + 2*x^97 + ")
+    assert all(";" not in c for c in doc["coeffs"][:5])
+    res = run("zeta", "--ring", "ex36", "-s", "53")
+    assert res.exit_code == 0
+    line = f"zeta(-53, X) = {doc['zeta']}"
+    assert line in res.text.splitlines()
+    assert line.endswith(f")*X^4 + [{top}]*X^5")
+    assert line.count("[") == 1
 
 
 def test_zeta_fqx_trivial_zero():
@@ -614,7 +630,7 @@ def test_json_text_same_data(argv, key):
     assert plain.exit_code == jres.exit_code == 0
     doc = json.loads(jres.text)
     assert key in doc
-    assert doc == json.loads(json.dumps(_jsonable(plain.data)))
+    assert doc == json.loads(json.dumps(plain.data))
 
 
 def test_module_entrypoint_smoke():

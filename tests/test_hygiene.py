@@ -1,11 +1,12 @@
 """Source hygiene: every name a library module or test module imports is
 used there, every module-level function and class of the library is read
-somewhere in it or exported, library modules import at module level only
-and nothing beyond ffzeta and the standard library, one function holds
-the library's only square-and-multiply loop, one function reads the
-power-sum budget, one function compares ideal candidate counts with a
-budget, one predicate tests for digits, no command-line flag is read with
-Python's int, and every module parses at the declared Python floor."""
+somewhere in it or exported, every export but a listed few is read outside
+the tests, library modules import at module level only and nothing beyond
+ffzeta and the standard library, one function holds the library's only
+square-and-multiply loop, one function reads the power-sum budget, one
+function compares ideal candidate counts with a budget, one predicate tests
+for digits, no command-line flag is read with Python's int, and every
+module parses at the declared Python floor."""
 
 import ast
 import importlib.util
@@ -21,6 +22,9 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "ffzeta"
 SOURCES = sorted(SRC.glob("*.py"))
 LIBRARY = [p for p in SOURCES if p.name != "__init__.py"]
+# every module outside the tests that may read an export
+READERS = (LIBRARY + sorted((TESTS.parent / "demos").glob("*.py"))
+           + sorted((TESTS.parent / "perfbench").rglob("*.py")))
 MODULES = LIBRARY + sorted(TESTS.glob("*.py"))
 EVERY_MODULE = SOURCES + sorted(TESTS.glob("*.py"))
 
@@ -107,13 +111,24 @@ def test_stdlib_only(path):
     assert third_party_imports(path.read_text(encoding="utf-8")) == []
 
 
+def read_names(node):
+    """The names one AST node reads: a loaded name, an attribute or the
+    names of a from-import; the import test above keeps from-imports
+    honest."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.ImportFrom):
+        return [alias.name for alias in node.names]
+    return []
+
+
 def unread_definitions(sources, exported):
     """(module, name) of every module-level function or class that no
     module reads outside its own definition and `exported` does not name.
 
-    sources maps module name -> source text.  A read is a loaded name, an
-    attribute or a from-import; the import test above keeps from-imports
-    honest."""
+    sources maps module name -> source text."""
     defined = []
     readers = {}
     for module, source in sources.items():
@@ -124,15 +139,7 @@ def unread_definitions(sources, exported):
                 owner = (module, node.name)
                 defined.append(owner)
             for inner in ast.walk(node):
-                if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
-                    names = [inner.id]
-                elif isinstance(inner, ast.Attribute):
-                    names = [inner.attr]
-                elif isinstance(inner, ast.ImportFrom):
-                    names = [alias.name for alias in inner.names]
-                else:
-                    continue
-                for name in names:
+                for name in read_names(inner):
                     readers.setdefault(name, set()).add(owner)
     return sorted((module, name) for module, name in defined
                   if name not in exported
@@ -158,6 +165,31 @@ UNREAD_ALLOWED = [("ideals", "class_equivalent")]
 def test_every_definition_is_read_or_exported():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
     assert unread_definitions(sources, set(ffzeta.__all__)) == UNREAD_ALLOWED
+
+
+def unread_exports(sources, exported):
+    """The names of `exported` that no module of `sources` reads, sorted."""
+    read = {name for source in sources for node in ast.walk(ast.parse(source))
+            for name in read_names(node)}
+    return sorted(set(exported) - read)
+
+
+def test_detects_an_export_only_tests_read():
+    sources = ["from pkg import a\nimport pkg\npkg.b()\n",
+               "def c():\n    return d\n"]
+    assert unread_exports(sources, ["a", "b", "c", "d", "e"]) == ["c", "e"]
+
+
+# the exports that no module outside the tests reads: the package's version,
+# an ideal built from generators, and a ring spec written back to text.  An
+# export that only the tests read is listed here on purpose or leaves __all__
+TEST_ONLY_EXPORTS = ["__version__", "ideal_from_generators",
+                     "serialize_ring_spec"]
+
+
+def test_exports_are_read_outside_the_tests():
+    sources = [p.read_text(encoding="utf-8") for p in READERS]
+    assert unread_exports(sources, ffzeta.__all__) == TEST_ONLY_EXPORTS
 
 
 def square_and_multiply_loops(sources):

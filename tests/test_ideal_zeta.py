@@ -38,15 +38,17 @@ def f4as():
 # -- ideal powers through the class group -----------------------------------
 
 def test_ideal_power_value(h4g3, h4g3_classes):
-    Px = ideal_from_generators([h4g3.x(), h4g3.y()], h4g3)
+    x, y = h4g3.monomial(1, 0), h4g3.monomial(0, 1)
+    Px = ideal_from_generators([x, y], h4g3)
     assert ideal_power_value(Px, 2, h4g3_classes) == elem_from_str(h4g3, "x")
     assert ideal_power_value(Px, 4, h4g3_classes) == elem_from_str(h4g3, "x^2")
-    principal = ideal_from_generators([h4g3.y()], h4g3)
-    assert ideal_power_value(principal, 2, h4g3_classes) == h4g3.y() ** 2
+    principal = ideal_from_generators([y], h4g3)
+    assert ideal_power_value(principal, 2, h4g3_classes) == y ** 2
 
 
 def test_ideal_power_needs_exponent_multiple(h4g3, h4g3_classes):
-    Px = ideal_from_generators([h4g3.x(), h4g3.y()], h4g3)
+    Px = ideal_from_generators([h4g3.monomial(1, 0), h4g3.monomial(0, 1)],
+                               h4g3)
     with pytest.raises(ValueError,
                        match="exponent not a multiple of class-group exponent"):
         ideal_power_value(Px, 3, h4g3_classes)

@@ -4,7 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import binom_mod_p, newton_polygon, ord_from_coeffs
+from oracles import (binom_mod_p, elem_from_str, involution, newton_polygon,
+                     ord_from_coeffs)
 
 from ffzeta.errors import BudgetError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
@@ -131,6 +132,35 @@ def test_zeta_coefficients_are_monic_power_sums(ring):
                     power = power * a
                 acc = acc + power
             assert coeff == acc, (s, d)
+
+
+# -- the rank-2 involution --------------------------------------------------
+
+def test_involution_is_a_ring_automorphism(ex36, ex26):
+    for spec in (ex36, ex26):
+        a = elem_from_str(spec, "x^3 + 2*x; x + 1")
+        b = elem_from_str(spec, "x^2 + 1; x^2")
+        y = spec.monomial(0, 1)
+        assert involution(y) != y
+        for e in (a, b, y, a * b):
+            assert involution(involution(e)) == e
+        assert involution(a * b) == involution(a) * involution(b)
+        assert involution(a + b) == involution(a) + involution(b)
+
+
+def test_involution_parity_law(ex36, ex26, h4g3):
+    # sigma fixes x, of even degree 2, and sends y, of odd degree, to -y plus
+    # lower terms, so it maps a monic element of degree d to (-1)^d times a
+    # monic one of degree d: sigma(S_d(s)) = (-1)^(d s) S_d(s)
+    F5 = GF(5)
+    f5 = RingSpec.cab(F5, (P(F5, "4*x^5 + 4*x + 4"), P(F5, "0")))  # y^2 = x^5 + x + 1
+    with_y = 0
+    for spec in (ex36, ex26, h4g3, f5):
+        for s in range(1, 160):
+            for d, c in enumerate(zeta_neg(s, spec).coeffs):
+                assert involution(c) == (-c if d * s % 2 else c), (spec, s, d)
+                with_y += not c.vec[1].is_zero
+    assert with_y      # some coefficients leave F_q[x], where sigma moves them
 
 
 def test_fqx_s3_frozen():
