@@ -27,7 +27,7 @@ print(f"  direct enumeration agrees: {z.coeffs == direct.coeffs}")
 print(f"  ord at X = 1: {z.ord_at_one()}")
 
 print()
-hyp = check_generalization(spec, t // cg.e, cg)
+hyp = check_generalization(spec, t // cg.e)
 print(f"generalization chain: applicable = {hyp.applicable},"
       f" mu = {hyp.mu}, predicted ord >= {hyp.predicted[1]},"
       f" computed = {hyp.computed}")

@@ -136,10 +136,6 @@ class IdealHNF:
     def deg(self):
         return sum(self.cols[i][i].degree for i in range(self.spec.m))
 
-    def rows(self):
-        m = self.spec.m
-        return tuple(tuple(self.cols[j][i] for j in range(m)) for i in range(m))
-
     def col_elem(self, j):
         return RingElement(self.spec, self.cols[j])
 
@@ -170,8 +166,8 @@ class IdealHNF:
         return hash(tuple(g.packed for col in self.cols for g in col))
 
     def __repr__(self):
-        rows = self.rows()
-        body = "; ".join("[" + ", ".join(poly_to_str(g) for g in row) + "]" for row in rows)
+        body = "; ".join("[" + ", ".join(poly_to_str(g) for g in row) + "]"
+                         for row in zip(*self.cols))
         return f"Ideal[{body}]"
 
 

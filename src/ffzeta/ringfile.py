@@ -22,8 +22,8 @@ polynomial literals use the same grammar the parser emits, so files round-trip.
 
 parse_ring_spec() accepts a filesystem path or the bare name of a bundled
 example (ex26.ring, ex36.ring, h4g3.ring, fqx2.ring, fqx3.ring, fqx4.ring).
-Malformed files raise RingFileError naming the offending key; files that parse
-but describe an invalid ring raise RingValidationError.
+Malformed files, unread keys and extra sections raise RingFileError naming the
+key; files that parse but describe an invalid ring raise RingValidationError.
 """
 
 import configparser
@@ -77,9 +77,10 @@ def parse_ring_text(text, default_name=None):
         cp.read_string(text)
     except configparser.Error as exc:
         raise RingFileError(f"ring file syntax: {exc}") from exc
-    for section in ("field", "ring"):
-        if not cp.has_section(section):
-            raise RingFileError(f"missing section [{section}]")
+    odd = sorted({"field", "ring"} ^ set(cp.sections()))
+    if odd:
+        kind = "missing" if odd[0] in ("field", "ring") else "unknown"
+        raise RingFileError(f"{kind} section [{odd[0]}]")
 
     field = _parse_field(cp["field"])
     ring = cp["ring"]
@@ -91,17 +92,21 @@ def parse_ring_text(text, default_name=None):
     if form == "polyring":
         if ring.get("m", "1").strip() != "1":
             raise RingFileError("[ring] form polyring requires m = 1")
+        _only_keys(ring, "ring", "form", "name", "m")
         return RingSpec.polyring(field, name=name)
     if form == "cab":
         m = _int_key(ring, "ring", "m")
         if m < 1:
             raise RingFileError("[ring] m must be a positive integer")
+        _only_keys(ring, "ring", "form", "name", "m",
+                   *(f"c{j}" for j in range(m)))
         coeffs = [_poly_key(field, ring, "ring", f"c{j}") for j in range(m)]
         return RingSpec.cab(field, coeffs, name=name)
     return _parse_custom(field, ring, name)
 
 
 def _parse_field(sect):
+    _only_keys(sect, "field", "p", "n", "modulus")
     p = _int_key(sect, "field", "p")
     n = _int_key(sect, "field", "n") if "n" in sect else 1
     mod_text = sect.get("modulus")
@@ -129,14 +134,18 @@ def _parse_custom(field, ring, name):
     m = _int_key(ring, "ring", "m") if "m" in ring else len(delta)
     if m != len(delta):
         raise RingFileError(f"[ring] m = {m} disagrees with {len(delta)} delta entries")
+    _only_keys(ring, "ring", "form", "name", "m", "delta",
+               *(f"t_{i}_{j}" for i in range(m) for j in range(m)))
     table = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            key = f"t_{i}_{j}"
-            text = ring.get(key) or ring.get(f"t_{j}_{i}")
+            key, mirror = f"t_{i}_{j}", f"t_{j}_{i}"
+            text = ring.get(key) or ring.get(mirror)
             if text is None:
                 raise RingFileError(f"missing key {key!r} in [ring]")
             vec = _split_vec(field, text, key)
+            if mirror in ring and _split_vec(field, ring[mirror], mirror) != vec:
+                raise RingFileError(f"[ring] {mirror} contradicts {key}")
             if len(vec) != m:
                 raise RingFileError(f"[ring] {key} needs {m} coordinates, got {len(vec)}")
             table[i][j] = table[j][i] = vec
@@ -148,6 +157,13 @@ def _split_vec(field, text, key):
         return tuple(poly_from_str(field, tok) for tok in text.split(","))
     except ValueError as exc:
         raise RingFileError(f"[ring] {key}: {exc}") from exc
+
+
+def _only_keys(sect, sname, *allowed):
+    """Refuse a key of [sname] not `allowed`: the parser would ignore it."""
+    for key in sect:
+        if key not in allowed:
+            raise RingFileError(f"unknown key {key!r} in [{sname}]")
 
 
 def _require(sect, sname, key):

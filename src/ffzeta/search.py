@@ -11,15 +11,17 @@ cheapest first: the ring's validation and singular points (stage
 budget, decided by a count of ideal candidates with no enumeration
 (`class-group`); then the tesismc conditions alone, with no zeta
 (`hypotheses`): those on the equation, the class group, and only then the
-class conditions, mu and the scan for a small s.  The stage reached and its
-verdict are the record, which keeps no report of the stages.  A checkpoint
-stores one `coeffs<TAB>stage<TAB>verdict` line per finished candidate, so a
-killed run resumes by skipping whatever is already present.
+class conditions, mu and the digit condition at s = q - 1.  The stage
+reached and its verdict are the record, which keeps no report of the
+stages.  A checkpoint stores one `coeffs<TAB>stage<TAB>verdict` line per
+finished candidate, so a killed run resumes by skipping whatever is
+already present.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -32,9 +34,6 @@ from ffzeta.theorems import tesismc_conditions
 
 STAGES = ("ring-valid", "gap-structure", "class-group", "hypotheses")
 FAMILIES = ("artin-schreier",)
-
-# multipliers k tried for s = k(q-1) before giving up on the digit condition
-_S_SCAN = 16
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,8 @@ class SearchSpace:
                 raise ValueError("degree ranges must be 0 <= lo <= hi")
         if self.min_r is not None and self.min_r < 1:
             raise ValueError(f"min_r must be at least 1, got {self.min_r}")
+        if self.h_budget < 1:
+            raise ValueError(f"h_budget must be at least 1, got {self.h_budget}")
         if self.fixed_a is not None and self.fixed_a.is_zero:
             raise ValueError("fixed a must be nonzero")
 
@@ -166,16 +167,13 @@ def evaluate_candidate(space, a, b):
         return "class-group", "budget-exceeded", None
 
     # the equation conditions come first; the class group, under this
-    # budget, only once they hold.  The conditions free of s run once and
-    # set mu; the least s = k(q-1) that meets the digit condition wins
-    hyp, _ = tesismc_conditions(
-        spec, [k * (q - 1) for k in range(1, _S_SCAN + 1)],
-        lambda: class_group(spec, budget=space.h_budget))
+    # budget, only once they hold.  A chain that reaches the digit condition
+    # has q = 2 and e <= 2 (see `theorems`), so s = q - 1 decides it
+    hyp, _ = tesismc_conditions(spec, q - 1, functools.partial(
+        class_group, spec, budget=space.h_budget))
     if hyp.applicable:
         return "hypotheses", "pass", hyp
-    if hyp.mu is None:
-        return "hypotheses", f"failed: {hyp.failed_check().name}", hyp
-    return "hypotheses", "no-small-s", hyp
+    return "hypotheses", f"failed: {hyp.failed_check().name}", hyp
 
 
 def _read_checkpoint(path, header):

@@ -21,7 +21,13 @@ At q >= 3 the tesismc chain cannot pass: a ring it recognises has the
 semigroup <q, N>, gcd(q, N) = 1, of genus g = (q-1)(N-1)/2 >= N-1, so for r
 with rq <= g+r the elements 0, q, .., rq and N lie in [0, g+r] and
 l(g+r) >= r+2.  No r is valid; at q = 2 the valid r are g-1 and g (the
-hyperelliptic r-gap proposition, which the tests check).
+hyperelliptic r-gap proposition, which the tests check).  There a chain
+that reaches its digit condition has e <= 2: each nontrivial class I_k
+passed "each f_k squarefree and divides b(x)", so f_k lies in F_2[x] and
+the hyperelliptic involution sigma gives sigma(I_k)^{e_k} = (f_k) =
+I_k^{e_k}; ideals of the Dedekind ring A factor uniquely, so
+sigma(I_k) = I_k and I_k^2 = I_k sigma(I_k) = (N I_k) is principal.  At
+s = q - 1 = 1 then l_2(es) = 1 <= mu: search tests that one s.
 """
 
 from __future__ import annotations
@@ -152,8 +158,6 @@ def _recover_artin_schreier(spec):
     b, neg_c1 = -c[0], -c[1]
     if neg_c1.is_zero:
         return None, "no y term: a = 0"
-    if q == 2:
-        return (neg_c1, b), None
     if neg_c1.lc != 1:
         return None, "-c_1 is not monic, so not a (q-1)-th power"
     _, factors = poly_factor(neg_c1)
@@ -202,57 +206,49 @@ def _generalization_form(spec, need):
     return b, semigroup_from_ring(spec).genus
 
 
-def tesismc_conditions(spec, exponents, class_report=None):
-    """(report, class report) of the tesismc conditions, without an order,
-    at the first s of `exponents` that meets them, else at the last.
-
-    The equation conditions come first and need no class group; only once
-    they hold is the class report taken: `class_report` itself, or called
-    when it is a function (so a caller defers a class group of its own
-    budget), or `class_group(spec)` when None.  On a failed equation
-    condition the class report returned is what was passed."""
-    return _all_ideals_conditions("tesismc", _tesismc_form, spec, exponents,
+def tesismc_conditions(spec, s, class_report):
+    """(report, class report or None) of the tesismc conditions at s, with
+    no order.  `class_report()` is called only once the equation
+    conditions hold, so a caller sets the class group's budget."""
+    return _all_ideals_conditions("tesismc", _tesismc_form, spec, s,
                                   class_report, divisible=True)
 
 
-def check_tesismc(spec, s, class_report=None):
+def check_tesismc(spec, s):
     """Full all-ideals chain for y^q - a^{q-1}y = b: order at least q."""
-    return _all_ideals_order(*tesismc_conditions(spec, (s,), class_report))
+    return _all_ideals_order(*tesismc_conditions(
+        spec, s, functools.partial(class_group, spec)))
 
 
-def check_generalization(spec, s, class_report=None):
+def check_generalization(spec, s):
     """The q = 2 all-ideals theorem for y^2 - a y = b: order at least 2.
     The chain of check_tesismc without the conditions the q = 2 statement
     does not impose: r-gap structure, u = b / a^q and (q-1) | s."""
     return _all_ideals_order(*_all_ideals_conditions(
-        "generalization", _generalization_form, spec, (s,), class_report))
+        "generalization", _generalization_form, spec, s,
+        functools.partial(class_group, spec)))
 
 
-def _all_ideals_conditions(theorem, form, spec, exponents, class_report, *,
+def _all_ideals_conditions(theorem, form, spec, s, class_report, *,
                            divisible=False):
-    """form(spec, need), the class report (see `tesismc_conditions`), the
-    class conditions and mu, then per s of `exponents` (q-1) | s when
-    `divisible` and the digit condition.  A failed digit condition moves on
-    to the next s; any other failure ends the chain."""
+    """form(spec, need), `class_report()`, the class conditions and mu,
+    (q-1) | s when `divisible`, then the digit condition, which decides
+    applicability and, passed or failed, sets mu and the exponent es."""
     spec.require_valid()
-    for s in exponents:
-        require_positive_exponent(s)
+    require_positive_exponent(s)
     q, N = spec.field.q, spec.N
     checks = []
     need = functools.partial(_need, checks)
-    try:
+    cg, fields = None, {}
+    with suppress(_ChainStop):
         b, cap = form(spec, need)
-        if class_report is None:
-            class_report = functools.partial(class_group, spec)
-        if callable(class_report):
-            try:
-                class_report = class_report()
-            except (BudgetError, NonMaximalRingError) as err:
-                need("class group computed", False, {"error": str(err)})
-        need("class group computed", True,
-             {"h": class_report.h, "e": class_report.e})
+        try:
+            cg = class_report()
+        except (BudgetError, NonMaximalRingError) as err:
+            need("class group computed", False, {"error": str(err)})
+        need("class group computed", True, {"h": cg.h, "e": cg.e})
 
-        nontrivial = class_report.nontrivial()
+        nontrivial = cg.nontrivial()
         witness = []
         for k, cls in enumerate(nontrivial, start=1):
             fp = cls.generator.poly_part()
@@ -268,22 +264,14 @@ def _all_ideals_conditions(theorem, form, spec, exponents, class_report, *,
         mu_parts = [(N - cls.order * cls.degree - 1) // q for cls in nontrivial]
         mu = min([cap] + mu_parts)
         need("mu >= 1", mu >= 1, {"mu": mu, "cap": cap, "per_class": mu_parts})
-        s_free = len(checks)    # the checks after these are those of one s
-        for s in exponents:
-            del checks[s_free:]
-            if divisible:
-                need("(q-1) | s", s % (q - 1) == 0, {"s": s})
-            # the digit condition decides applicability; failed, it reports mu
-            es = class_report.e * s
-            ratio = vanishing_threshold(es, q)
-            checks.append(CheckItem("l_q(es)/(q-1) <= mu", ratio <= mu,
-                                    {"es": es, "ratio": str(ratio)}))
-            if checks[-1].passed:
-                break
-    except _ChainStop:
-        return _report(theorem, checks, None), class_report
-    return (_report(theorem, checks, ("at_least", q), mu=mu, exponent=es),
-            class_report)
+        if divisible:
+            need("(q-1) | s", s % (q - 1) == 0, {"s": s})
+        es = cg.e * s
+        ratio = vanishing_threshold(es, q)
+        fields = {"mu": mu, "exponent": es}
+        need("l_q(es)/(q-1) <= mu", ratio <= mu,
+             {"es": es, "ratio": str(ratio)})
+    return _report(theorem, checks, ("at_least", q), **fields), cg
 
 
 def _all_ideals_order(report, class_report):

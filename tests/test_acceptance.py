@@ -195,7 +195,7 @@ def test_criterion_8_all_ideals_zeta():
         base_ring = RingSpec.polyring(F2)
         cg = class_group(h4g3)
         for s in (1, 2, 4):
-            hyp = check_generalization(h4g3, s, cg)
+            hyp = check_generalization(h4g3, s)
             assert hyp.applicable and hyp.mu == 1
             es = hyp.exponent
             assert es == cg.e * s and digit_sum(es, 2) <= hyp.mu

@@ -545,6 +545,14 @@ def test_search_h_budget_refuses_large_class_groups():
         "total": 16, "passing": [],
         "outcomes": {"class-group:budget-exceeded": 8,
                      "ring-valid:singular": 8}}
+    # below 1 no class group fits; the search is refused, not run
+    argv = argv[:-1] + ("-1",)
+    res = run(*argv)
+    assert res.exit_code == 1
+    assert res.text == "error: h_budget must be at least 1, got -1"
+    code, doc = jrun(*argv)
+    assert code == 1 and doc == {
+        "error": "h_budget must be at least 1, got -1", "kind": "ValueError"}
 
 
 def test_search_checkpoint(tmp_path):

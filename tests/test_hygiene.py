@@ -5,8 +5,9 @@ the tests, library modules import at module level only and nothing beyond
 ffzeta and the standard library, one function holds the library's only
 square-and-multiply loop, one function reads the power-sum budget, one
 function compares ideal candidate counts with a budget, one predicate tests
-for digits, no command-line flag is read with Python's int, and every
-module parses at the declared Python floor."""
+for digits, no command-line flag is read with Python's int, every search
+verdict is listed in the output schema, and every module parses at the
+declared Python floor."""
 
 import ast
 import importlib.util
@@ -378,6 +379,50 @@ def test_tracer_targets_resolve():
             owner = owner.__dict__[cls]
         assert attr in owner.__dict__, f"{owner_path}.{attr}"
         assert callable(owner.__dict__[attr])
+
+
+def verdict_marks(source, function="evaluate_candidate"):
+    """How docs/schema.md must write each verdict `function` returns as the
+    second item of a tuple: a string constant in backticks, an f-string's
+    literal prefix after an opening backtick, anything else as its source."""
+    marks = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.FunctionDef) and node.name == function):
+            continue
+        for ret in ast.walk(node):
+            if not (isinstance(ret, ast.Return)
+                    and isinstance(ret.value, ast.Tuple)):
+                continue
+            verdict = ret.value.elts[1]
+            if isinstance(verdict, ast.Constant):
+                marks.add(f"`{verdict.value}`")
+            elif isinstance(verdict, ast.JoinedStr):
+                prefix = ""
+                for part in verdict.values:
+                    if not isinstance(part, ast.Constant):
+                        break
+                    prefix += part.value
+                marks.add(f"`{prefix}")
+            else:
+                marks.add(ast.unparse(verdict))
+    return sorted(marks)
+
+
+def test_detects_an_unlisted_verdict():
+    src = ("def evaluate_candidate(x):\n    if x:\n        return 'a', 'x', None\n"
+           "    if x > 1:\n        return 'a', f'bad: {x}!', None\n"
+           "    return 'b', VERDICT, x\n\n"
+           "def other():\n    return 'a', 'y', None\n")
+    assert verdict_marks(src) == ["VERDICT", "`bad: ", "`x`"]
+
+
+def test_every_search_verdict_is_documented():
+    # a verdict search can record is one a reader of a checkpoint can look up
+    source = (SRC / "search.py").read_text(encoding="utf-8")
+    schema = (TESTS.parent / "docs" / "schema.md").read_text(encoding="utf-8")
+    marks = verdict_marks(source)
+    assert len(marks) == 6
+    assert [m for m in marks if m not in schema] == []
 
 
 def python_floor():

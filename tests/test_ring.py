@@ -327,6 +327,11 @@ def test_elem_str_roundtrip(h4g3):
     assert elem_from_str(h4g3, elem_to_str(e)) == e
     # bare polynomial literals embed through the poly part
     assert elem_from_str(h4g3, "x^2 + x") == h4g3.elem_from_poly(P(F2, "x^2 + x"))
+    # elem() checks what it is handed: m coordinates over the ring's field
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+        h4g3.elem((P(F2, "x"),))
+    with pytest.raises(ValueError, match="polynomials over the ring's field"):
+        h4g3.elem((P(F2, "x"), P(GF(3), "x")))
 
 
 def test_poly_part(h4g3):

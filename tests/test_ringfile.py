@@ -85,6 +85,10 @@ def test_custom_form_accepts_lower_triangle():
     text = serialize_ring_spec(custom).replace("t_0_1", "t_1_0")
     parsed = parse_ring_text(text)
     assert parsed.table == custom.table
+    # both cells of a mirror pair may be given when they agree
+    text = serialize_ring_spec(custom).replace("t_0_1 = 0, 1",
+                                               "t_0_1 = 0, 1\nt_1_0 = 0,1")
+    assert parse_ring_text(text).table == custom.table
 
 
 # -- diagnostics ------------------------------------------------------------
@@ -181,6 +185,30 @@ CUSTOM_HEAD = "[field]\np = 2\n\n[ring]\nform = custom\ndelta = 0, 7\n"
      "[ring] t_1_1 needs 2 coordinates, got 1"),
 ], ids=["polyring-m", "cab-m", "custom-m", "custom-cell", "custom-length"])
 def test_shape_errors_name_the_key(text, message):
+    assert err(text) == message
+
+
+CUSTOM_CELLS = "t_0_0 = 1, 0\nt_0_1 = 0, 1\nt_1_1 = x^7 + x, x^2 + x\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[field]\np = 2\nq = 4\n\n[ring]\nform = polyring\n",
+     "unknown key 'q' in [field]"),
+    (f"{CAB_HEAD}c0 = x^3 + x + 1\nc1 = 0\nc2 = x\n",
+     "unknown key 'c2' in [ring]"),
+    ("[field]\np = 2\n\n[ring]\nform = polyring\nc0 = x\n",
+     "unknown key 'c0' in [ring]"),
+    (f"{CUSTOM_HEAD}{CUSTOM_CELLS}t_0_2 = 0, 0\n",
+     "unknown key 't_0_2' in [ring]"),
+    (f"{CUSTOM_HEAD}{CUSTOM_CELLS}t_1_0 = 1, 0\n",
+     "[ring] t_1_0 contradicts t_0_1"),
+    ("[field]\np = 2\n\n[ring]\nform = polyring\n\n[notes]\nby = me\n",
+     "unknown section [notes]"),
+    ("[DEFAULT]\nname = z\n\n[field]\np = 2\n\n[ring]\nform = polyring\n",
+     "unknown key 'name' in [field]"),
+], ids=["field-q", "cab-c2", "polyring-c0", "custom-cell", "custom-mirror",
+        "section", "default-section"])
+def test_keys_that_would_be_ignored_are_refused(text, message):
     assert err(text) == message
 
 

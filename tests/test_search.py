@@ -1,12 +1,14 @@
 import dataclasses
 
 import pytest
+from oracles import involution
 
 import ffzeta.gf
 import ffzeta.search as search
 from ffzeta.errors import CheckpointError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
-from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group
+from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, class_group,
+                           ideal_from_generators)
 from ffzeta.ring import RingSpec
 from ffzeta.search import (
     SearchSpace, SearchSummary, candidate_key, evaluate_candidate,
@@ -149,6 +151,9 @@ def test_space_validation():
     for r in (0, -5):
         with pytest.raises(ValueError, match=f"^min_r must be at least 1, got {r}$"):
             SearchSpace(F2, min_r=r)
+        with pytest.raises(ValueError,
+                           match=f"^h_budget must be at least 1, got {r}$"):
+            SearchSpace(F2, h_budget=r)
 
 
 def test_describe(family_space):
@@ -207,10 +212,41 @@ def test_evaluate_known_pass():
     assert report.applicable
     classes = witness(report, "class group computed")
     assert classes["h"] == 4
-    assert report.exponent == classes["e"] * 1    # the least s is 1
+    assert report.exponent == classes["e"] * 1    # at s = q - 1 = 1
     # search takes the conditions only: no zeta, so no order and no remark
     assert report.computed is None
     assert report.remark is None
+
+
+@pytest.mark.parametrize("space", [
+    SearchSpace(F2, fixed_a=poly_from_str(F2, "x^2 + x"), deg_b=(7, 7),
+                b_multiple_of_a=True),
+    SearchSpace(F2, deg_a=(1, 2), deg_b=(5, 5)),
+], ids=["crit9", "q2a12b5"])
+def test_class_conditions_force_exponent_at_most_two(space):
+    # a chain past "each f_k squarefree and divides b(x)" has f_k in F_2[x],
+    # fixed by the involution sigma: sigma(I_k) = I_k, so I_k^2 = (N I_k)
+    # and e <= 2; a chain that goes on to its digit condition passes it at
+    # s = q - 1 = 1
+    seen = 0
+    for _, a, b in space.candidates():
+        _, verdict, report = evaluate_candidate(space, a, b)
+        if report is None or not any(
+                c.name == "each f_k squarefree and divides b(x)" and c.passed
+                for c in report.checks):
+            continue
+        spec = RingSpec.cab(F2, (-b, -a))
+        cg = class_group(spec)
+        assert cg.e <= 2
+        for cls in cg.nontrivial():
+            gens = [involution(g) for g in cls.rep.generators()]
+            assert ideal_from_generators(gens, spec) == cls.rep
+        if report.mu is None:    # stopped before the digit condition
+            assert verdict == "failed: mu >= 1"
+            continue
+        assert verdict == "pass" and report.exponent == cg.e
+        seen += 1
+    assert seen
 
 
 def test_known_pass_chain_attaches_the_remark():
@@ -370,6 +406,14 @@ def test_corrupt_checkpoint_refused(tmp_path, family_space):
     records, _ = search_run(dataclasses.replace(family_space, stop=1),
                             checkpoint=str(ckpt))
     assert not records[0].resumed     # blank lines fine, key unknown
+    # a verdict no search gives now, such as the hypotheses:no-small-s of
+    # an older scan over s, resumes as it was written
+    key = next(candidate_key(a, b) for _, a, b in family_space.candidates())
+    ckpt.write_text(f"{key}\thypotheses\tno-small-s\n")
+    records, summary = search_run(dataclasses.replace(family_space, stop=1),
+                                  checkpoint=str(ckpt))
+    assert records[0].resumed
+    assert summary.outcomes == {"hypotheses:no-small-s": 1}
 
 
 def test_checkpoint_of_another_search_refused(tmp_path):

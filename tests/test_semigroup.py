@@ -47,6 +47,8 @@ def test_from_gaps_matches_generators(quintic):
 def test_bad_gap_set_rejected():
     with pytest.raises(ValueError, match="co-closed"):
         NumericalSemigroup.from_gaps((1, 4))   # 2 + 2 = 4 would be a gap
+    with pytest.raises(ValueError, match="^0 cannot be a gap$"):
+        NumericalSemigroup.from_gaps([0])
 
 
 def test_from_generators_matches_membership_oracle():
@@ -73,6 +75,8 @@ def test_from_generators_matches_membership_oracle():
 def test_gcd_refused():
     with pytest.raises(ValueError, match="gcd"):
         NumericalSemigroup.from_generators((4, 6))
+    with pytest.raises(ValueError, match="needs a positive generator"):
+        NumericalSemigroup.from_generators([])
 
 
 def test_full_semigroup():

@@ -5,9 +5,8 @@ from oracles import check_hyperelliptic_rgap_proposition
 
 import ffzeta.theorems as theorems
 from ffzeta.errors import BudgetError
-from ffzeta.gf import GF, poly_from_str, valuation_profile
+from ffzeta.gf import GF, poly_from_str
 from ffzeta.ideal_zeta import ideal_zeta_classwise
-from ffzeta.ideals import class_group
 from ffzeta.ring import RingSpec
 from ffzeta.semigroup import NumericalSemigroup, r_gap_values
 from ffzeta.theorems import (
@@ -118,8 +117,8 @@ def test_dinesh_quintic_semigroup():
 
 # -- all-ideals chains ------------------------------------------------------
 
-def test_tesismc_h4g3(h4g3, h4g3_classes):
-    rep = check_tesismc(h4g3, 1, h4g3_classes)
+def test_tesismc_h4g3(h4g3):
+    rep = check_tesismc(h4g3, 1)
     assert rep.applicable
     assert [c.passed for c in rep.checks] == [True] * 10
     assert rep.predicted == ("at_least", 2)
@@ -131,8 +130,8 @@ def test_tesismc_h4g3(h4g3, h4g3_classes):
     assert rep.remark.order_exactly_q
 
 
-def test_tesismc_squarefree_relaxation_witness(h4g3, h4g3_classes):
-    rep = check_tesismc(h4g3, 1, h4g3_classes)
+def test_tesismc_squarefree_relaxation_witness(h4g3):
+    rep = check_tesismc(h4g3, 1)
     (item,) = [c for c in rep.checks
                if c.name == "each f_k squarefree and divides b(x)"]
     assert item.passed
@@ -213,38 +212,36 @@ def test_non_maximal_ring_fails_at_the_class_group(check):
     assert bad.witness["error"].startswith("finite singular locus at x")
 
 
-def test_tesismc_digit_condition(h4g3, h4g3_classes):
+def test_tesismc_digit_condition(h4g3):
     # l_2(es) <= mu = 1 forces es to a power of two; s = 3 gives es = 6
-    rep = check_tesismc(h4g3, 3, h4g3_classes)
+    rep = check_tesismc(h4g3, 3)
     assert not rep.applicable
     assert rep.failed_check().name == "l_q(es)/(q-1) <= mu"
+    assert rep.mu == 1 and rep.exponent == 6
 
 
-def test_tesismc_conditions_take_the_first_s_that_passes(h4g3, h4g3_classes,
-                                                         monkeypatch):
-    # s = 3 and 5 give es = 6 and 10, digit sums 2 > mu = 1; s = 2 gives
-    # es = 4.  The conditions free of s run once, and no zeta is computed
-    want = check_tesismc(h4g3, 2, h4g3_classes)
-    profiles = []
-
-    def counted(*args):
-        profiles.append(args)
-        return valuation_profile(*args)
-
-    monkeypatch.setattr(theorems, "valuation_profile", counted)
+def test_tesismc_conditions_take_one_s_and_a_deferred_class_group(
+        h4g3, h4g3_classes, wild, monkeypatch):
+    # the conditions alone: no zeta, so no order and no remark; the class
+    # report is called once the equation conditions hold, and not before
+    want = check_tesismc(h4g3, 2)
     monkeypatch.setattr(theorems, "ideal_zeta_classwise", None)
-    rep, cg = theorems.tesismc_conditions(h4g3, (3, 5, 2, 1), h4g3_classes)
-    assert len(profiles) == 1 and cg is h4g3_classes
+    rep, cg = theorems.tesismc_conditions(h4g3, 2, lambda: h4g3_classes)
+    assert cg is h4g3_classes
     assert rep.applicable and rep.mu == 1 and rep.exponent == 4
     assert rep.checks == want.checks
     assert rep.computed is None and rep.remark is None
-    rep, _ = theorems.tesismc_conditions(h4g3, (3, 5), h4g3_classes)
-    assert not rep.applicable and rep.mu == 1 and rep.exponent == 10
-    assert rep.failed_check() is rep.checks[-1]
+
+    def refuse():
+        raise AssertionError("class group computed before the equation")
+
+    rep, cg = theorems.tesismc_conditions(wild, 1, refuse)
+    assert cg is None and not rep.applicable
+    assert rep.mu is None and rep.exponent is None
 
 
-def test_generalization_h4g3(h4g3, h4g3_classes):
-    rep = check_generalization(h4g3, 1, h4g3_classes)
+def test_generalization_h4g3(h4g3):
+    rep = check_generalization(h4g3, 1)
     assert rep.applicable
     assert rep.predicted == ("at_least", 2)
     assert rep.computed == 2
@@ -269,11 +266,10 @@ def test_all_ideals_predictions_hold(name, request):
     # every applicable all-ideals chain with a computed order meets its
     # lower bound ord >= q
     spec = request.getfixturevalue(name)
-    cg = class_group(spec)
     seen = 0
     for check in (check_generalization, check_tesismc):
         for s in range(1, 9):
-            rep = check(spec, s, cg)
+            rep = check(spec, s)
             if rep.applicable and rep.computed is not None:
                 assert rep.predicted == ("at_least", spec.field.q)
                 assert rep.computed >= spec.field.q
@@ -299,7 +295,7 @@ def test_generalization_q3_rejected(ex36):
     assert rep.failed_check().name == "q = 2"
 
 
-def test_chain_computes_classwise_zeta_once(h4g3, h4g3_classes, monkeypatch):
+def test_chain_computes_classwise_zeta_once(h4g3, monkeypatch):
     calls = []
 
     def counting(t, *args, **kwargs):
@@ -308,19 +304,18 @@ def test_chain_computes_classwise_zeta_once(h4g3, h4g3_classes, monkeypatch):
 
     for module in ("ffzeta.ideal_zeta", "ffzeta.theorems"):
         monkeypatch.setattr(f"{module}.ideal_zeta_classwise", counting)
-    rep = check_tesismc(h4g3, 1, h4g3_classes)
+    rep = check_tesismc(h4g3, 1)
     assert rep.applicable and rep.computed == 2
     assert rep.remark.identity_holds
     assert calls == [2]
 
 
-def test_chain_over_budget_leaves_order_and_remark_unset(h4g3, h4g3_classes,
-                                                        monkeypatch):
+def test_chain_over_budget_leaves_order_and_remark_unset(h4g3, monkeypatch):
     def refuse(*args, **kwargs):
         raise BudgetError("over the element budget")
 
     monkeypatch.setattr("ffzeta.theorems.ideal_zeta_classwise", refuse)
-    rep = check_tesismc(h4g3, 1, h4g3_classes)
+    rep = check_tesismc(h4g3, 1)
     assert rep.applicable
     assert rep.computed is None and rep.remark is None
 

@@ -34,6 +34,8 @@ def test_digit_sum():
     assert digit_sum(8, 3) == 4       # 22 base 3
     assert digit_sum(100, 10) == 1
     assert digit_sum(0, 2) == 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        digit_sum(-1, 2)
 
 
 def test_digit_sum_subadditive():
@@ -74,6 +76,8 @@ def test_f_inside_span_rejected():
     W = (spec.elem_from_poly(P(F2, "1")), spec.elem_from_poly(P(F2, "x")))
     with pytest.raises(ValueError, match="span"):
         affine_power_sum(spec.elem_from_poly(P(F2, "x + 1")), W, 3)
+    with pytest.raises(ValueError, match="basis is linearly dependent"):
+        affine_power_sum(spec.elem_from_poly(P(F2, "x^2")), W + W[:1], 3)
 
 
 def test_vanishing_above_threshold_randomized():
