@@ -64,6 +64,7 @@ def _lit(v):
 
 
 def _jsonable(v):
+    """v as JSON data; a type with no rendering here is refused."""
     v = _lit(v)
     if v is None or isinstance(v, (bool, int, str)):
         return v
@@ -71,7 +72,7 @@ def _jsonable(v):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple, set, frozenset)):
         return [_jsonable(x) for x in v]
-    return str(v)
+    raise TypeError(f"no JSON rendering for a {type(v).__name__} value")
 
 
 def _field_doc(field):

@@ -579,6 +579,24 @@ def poly_gcd(a, b):
     return a.monic()
 
 
+def poly_xgcd(a, b):
+    """(g, s, t) with s a + t b = g, g the monic gcd; (0, 1, 0) for
+    a = b = 0."""
+    f = a.field
+    r0, r1 = a, b
+    s0, s1 = Poly.one(f), Poly.zero(f)
+    t0, t1 = Poly.zero(f), Poly.one(f)
+    while not r1.is_zero:
+        qq, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - qq * s1
+        t0, t1 = t1, t0 - qq * t1
+    if r0.is_zero or r0.lc == 1:
+        return r0, s0, t0
+    c = f.inv(r0.lc)
+    return Poly._scale(r0, c), Poly._scale(s0, c), Poly._scale(t0, c)
+
+
 # -- enumeration ------------------------------------------------------------
 
 def monic_polys(field, degree):

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 from ffzeta.errors import ConsistencyError
 from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, elem_divexact,
-                           enumerate_ideals, ideal_is_principal, ideal_pow,
-                           reduced_basis, require_ideal_scan)
+                           enumerate_ideals, power_route, reduced_basis,
+                           require_ideal_scan)
 from ffzeta.ring import RingElement, RingSpec
 from ffzeta.zeta import (ZetaPolynomial, affine_power_sum,
                          require_positive_exponent, term_leads, zeta_neg)
@@ -69,9 +69,11 @@ def _require_exponent(t, report):
 
 
 def ideal_power_value(I, t, report):
-    """I^t as a ring element: a^(t/e) for a the monic generator of I^e."""
+    """I^t as a ring element: a^(t/e) for a the monic generator of I^e,
+    on the power route of `class_group`."""
     _require_exponent(t, report)
-    ok, a = ideal_is_principal(ideal_pow(I, report.e))
+    start, power, principal = power_route(report.spec, report.genus)
+    ok, a = principal(power(start(I), report.e))
     if not ok:
         raise ConsistencyError("I^e is not principal; class data inconsistent")
     return a ** (t // report.e)

@@ -39,6 +39,11 @@ least divisor k of h with I^k principal, and only the divisors are tried, in
 ascending order; each I^k is built from the largest power I^b already built
 with b | k, as (I^b)^(k/b).  (1) is the one reduced ideal of the principal
 class, so a representative of positive degree starts at the second divisor.
+The powers follow `power_route`.  At m = 2 they are Miller triples under
+Cantor's group law (`CantorLaw`): I^k = (u, y - v) (num / den) with (u, v)
+a reduced Mumford pair, principal exactly when u = 1, and then generated by
+monic(num / den), so no Hermite form is built.  At other m they are Hermite
+forms, tested by `ideal_is_principal`.
 
 Ideals are `IdealHNF` values, immutable by convention like the `Poly` and
 `RingElement` values they are built from.
@@ -52,7 +57,7 @@ from math import lcm
 
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
 from ffzeta.gf import (TABLE_CAP, Poly, monic_polys, poly_det, poly_to_str,
-                       polys_below, square_and_multiply)
+                       poly_xgcd, polys_below, square_and_multiply)
 from ffzeta.ring import RingElement, count_affine_points
 from ffzeta.semigroup import semigroup_from_ring
 
@@ -227,6 +232,104 @@ def ideal_is_principal(I):
     if not I.contains(gen):
         raise ConsistencyError("degree-matched element is not in the ideal; ideal bug")
     return True, gen
+
+
+# -- Cantor's group law at rank 2 -------------------------------------------
+
+class CantorLaw:
+    """Cantor's group law on the rank-2 ring y^2 + h y = f, where
+    (f, -h) = mul_table()[1][1] (Math. Comp. 48, 1987), with the factors of
+    Miller's double-and-add (J. Cryptology 17, 2004).
+
+    A Miller triple (u, v, num, den) stands for the ideal
+    (u, y - v) * (num / den): (u, v) is a Mumford pair, u monic with
+    u | f - h v - v^2 and deg v < deg u, num a ring element and den a monic
+    polynomial.  `mul` composes two pairs into d (u, y - v), d the gcd of
+    u1, u2 and v1 + v2 + h, and reduces while deg u > g, each step
+    (u, y - v) = (u', y - v') (y - v) / u'.  At the fixed degrees of the
+    one-place ring (deg f = 2g + 1, deg h <= g) a step lowers deg u, and the
+    reduced pairs are the classes, so a triple stands for a principal ideal
+    exactly when u = 1, and then monic(num / den) generates it.  Every
+    division is exact, and a remainder raises ConsistencyError.
+    """
+
+    def __init__(self, spec, g):
+        self.spec = spec
+        self.g = g
+        self.f, r1 = spec.mul_table()[1][1]
+        self.h = -r1
+
+    def triple(self, I):
+        """The reduced triple of I = w J, w the content of I: the primitive
+        J has Hermite columns (a, 0), (b, 1), its pair is (a, -b mod a), and
+        num = w."""
+        (a, _), (b, w) = I.cols
+        u, v = a // w, b // w
+        return self._reduce(u, -v % u, self.spec.elem_from_poly(w),
+                            Poly.one(w.field))
+
+    def _reduce(self, u, v, num, den):
+        f, h = self.f, self.h
+        while u.degree > self.g:
+            up, r = divmod(f - h * v - v * v, u)
+            if r:
+                raise ConsistencyError(
+                    "Mumford pair with u not dividing f - h v - v^2")
+            up = up.monic()
+            num *= RingElement(self.spec, (-v, Poly.one(u.field)))
+            den *= up
+            u, v = up, (-h - v) % up
+        return u, v, num, den
+
+    def mul(self, P, Q):
+        """The triple of the product of the ideals P and Q stand for."""
+        u1, v1, n1, d1 = P
+        u2, v2, n2, d2 = Q
+        if P is Q:
+            d0, e1, e2 = u1, Poly.one(u1.field), Poly.zero(u1.field)
+        else:
+            d0, e1, e2 = poly_xgcd(u1, u2)
+        num = n1 * n2
+        if d0.degree:
+            d, c1, c2 = poly_xgcd(d0, v1 + v2 + self.h)
+            w = c1 * (e1 * u1 * v2 + e2 * u2 * v1) + c2 * (v1 * v2 + self.f)
+            u, r = divmod(u1 * u2, d * d)
+            w, r2 = divmod(w, d)
+            if r or r2:
+                raise ConsistencyError("Cantor composition left a remainder")
+            if d.degree:
+                num = num.scale(d)
+        else:
+            u, w = u1 * u2, e1 * u1 * v2 + e2 * u2 * v1
+        return self._reduce(u, w % u, num, d1 * d2)
+
+    def power(self, P, k):
+        return square_and_multiply(P, k, self.mul)
+
+    def principal(self, P):
+        """(True, monic generator) or (False, None), like
+        `ideal_is_principal` on the ideal P stands for."""
+        u, _, num, den = P
+        if u.degree:
+            return False, None
+        vec = []
+        for c in num.vec:
+            qq, r = divmod(c, den)
+            if r:
+                raise ConsistencyError("Miller generator left a remainder")
+            vec.append(qq)
+        return True, RingElement(self.spec, tuple(vec)).monic()
+
+
+def power_route(spec, g):
+    """(start, power, principal) of an order walk at spec's rank: the k-th
+    power of the ideal I is power(start(I), k), and principal on a power
+    is `ideal_is_principal` on the ideal it stands for.  At m = 2 the powers
+    are Miller triples under `CantorLaw`; at other m, Hermite forms."""
+    if spec.m != 2:
+        return (lambda I: I), ideal_pow, ideal_is_principal
+    law = CantorLaw(spec, g)
+    return law.triple, law.power, law.principal
 
 
 # -- quotients and class equivalence ----------------------------------------
@@ -497,15 +600,16 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
             f"found {len(reps)} reduced ideals of degree <= g = {g}, "
             f"but h = {h}")
     divisors = [k for k in range(1, h + 1) if h % k == 0]
+    start, power, principal = power_route(spec, g)
     classes = []
     for I in reps:
         # (1) is the one reduced ideal of the principal class, so a rep of
         # positive degree is not principal
-        powers = {1: I}
+        powers = {1: start(I)}
         for k in divisors[1 if I.deg else 0:]:
             b = max(b for b in powers if k % b == 0)
-            powers[k] = ideal_pow(powers[b], k // b)
-            ok, gen = ideal_is_principal(powers[k])
+            powers[k] = power(powers[b], k // b)
+            ok, gen = principal(powers[k])
             if ok:
                 break
         else:

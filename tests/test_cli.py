@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from oracles import brute_points
 
 import ffzeta.ideal_zeta
-from ffzeta.cli import build_parser, dispatch
+from ffzeta.cli import _jsonable, build_parser, dispatch
 from ffzeta.ringfile import serialize_ring_spec, parse_ring_spec
 from ffzeta.theorems import THEOREMS
 
@@ -25,6 +26,13 @@ def jrun(*argv):
     res = dispatch(list(argv) + ["--json"])
     assert res.exit_code in (0, 1), res.text
     return res.exit_code, json.loads(res.text)
+
+
+def test_jsonable_refuses_a_type_it_cannot_render():
+    assert _jsonable({1: (Fraction(1, 2), None, {True})}) == {
+        "1": ["1/2", None, [True]]}
+    with pytest.raises(TypeError, match="no JSON rendering for a float"):
+        _jsonable([1.5])
 
 
 # -- zeta -------------------------------------------------------------------

@@ -7,7 +7,7 @@ from oracles import elem_from_str, poly_eval
 from ffzeta.gf import (
     _PRIMES, GF, NEG_INF, Poly, default_modulus, is_irreducible, is_squarefree,
     monic_polys, poly_factor, poly_from_str, poly_gcd, poly_to_str,
-    polys_below, square_and_multiply, valuation_profile,
+    poly_xgcd, polys_below, square_and_multiply, valuation_profile,
 )
 from ffzeta.ideals import ideal_from_generators, ideal_mul
 
@@ -352,31 +352,16 @@ def test_eval_and_derivative():
     assert P(F2, "x^4 + x^2 + 1").derivative().is_zero
 
 
-def poly_xgcd(a, b):
-    """(g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    f = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.one(f), Poly.zero(f)
-    t0, t1 = Poly.zero(f), Poly.one(f)
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    c = Poly.const(f, f.inv(r0.lc))
-    return r0.monic(), c * s0, c * t0
-
-
 def test_xgcd_bezout():
     rng = random.Random(14)
-    for _ in range(60):
-        a = Poly(F3, [rng.randrange(3) for _ in range(rng.randrange(6))])
-        b = Poly(F3, [rng.randrange(3) for _ in range(rng.randrange(6))])
-        g, u, v = poly_xgcd(a, b)
-        assert u * a + v * b == g
-        assert g == poly_gcd(a, b)
+    for field in (F3, F9):
+        for _ in range(60):
+            a, b = (Poly(field, [rng.randrange(field.q)
+                                 for _ in range(rng.randrange(6))])
+                    for _ in range(2))
+            g, u, v = poly_xgcd(a, b)
+            assert u * a + v * b == g
+            assert g == poly_gcd(a, b)
 
 
 # -- enumeration ------------------------------------------------------------

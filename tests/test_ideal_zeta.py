@@ -3,13 +3,16 @@ from pathlib import Path
 import pytest
 from oracles import elem_from_str
 
+import ffzeta.ideals as ideals
 from ffzeta.errors import BudgetError, ConsistencyError
 from ffzeta.gf import GF, poly_from_str
 from ffzeta.ideal_zeta import (
     _class_cuts, ideal_power_value, ideal_zeta_classwise, ideal_zeta_direct,
     remark_exact_check,
 )
-from ffzeta.ideals import class_group, enumerate_ideals, ideal_from_generators
+from ffzeta.ideals import (class_group, enumerate_ideals,
+                           ideal_from_generators, ideal_is_principal,
+                           ideal_pow)
 from ffzeta.ring import RingSpec, elem_to_str
 from ffzeta.ringfile import parse_ring_spec
 from ffzeta.theorems import check_tesismc
@@ -44,6 +47,37 @@ def test_ideal_power_value(h4g3, h4g3_classes):
     assert ideal_power_value(Px, 4, h4g3_classes) == elem_from_str(h4g3, "x^2")
     principal = ideal_from_generators([y], h4g3)
     assert ideal_power_value(principal, 2, h4g3_classes) == y ** 2
+
+
+@pytest.mark.parametrize("name", ["h4g3", "h8g2"])
+def test_ideal_power_value_matches_hermite_powers(name, request):
+    # every ideal I = w J of degree <= 3, w its content and J primitive:
+    # Cantor's law on J against the Hermite-form power of I
+    spec = (request.getfixturevalue(name) if name == "h4g3" else
+            parse_ring_spec(PERFBENCH_RINGS / f"{name}.ring"))
+    rep = class_group(spec)
+    e = rep.e
+    seen = set()
+    for d in range(4):
+        for I in enumerate_ideals(spec, d):
+            (a, _), (_, w) = I.cols
+            seen.add("primitive" if not w.degree else
+                     "w J, J = (1)" if a == w else "w J, J != (1)")
+            ok, gen = ideal_is_principal(ideal_pow(I, e))
+            assert ok
+            for t in (e, 2 * e):
+                assert ideal_power_value(I, t, rep) == gen ** (t // e)
+    assert seen == {"primitive", "w J, J = (1)", "w J, J != (1)"}
+
+
+def test_direct_at_rank_two_takes_no_hermite_power(h4g3_classes, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Hermite-form power or principality test")
+
+    want = ideal_zeta_classwise(4, h4g3_classes).coeffs
+    monkeypatch.setattr(ideals, "ideal_pow", refuse)
+    monkeypatch.setattr(ideals, "ideal_is_principal", refuse)
+    assert ideal_zeta_direct(4, h4g3_classes).coeffs == want
 
 
 def test_ideal_power_needs_exponent_multiple(h4g3, h4g3_classes):

@@ -5,7 +5,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from oracles import brute_points, elem_from_str, ideal_echelon
+from oracles import brute_points, elem_from_str, ideal_echelon, involution
 
 import ffzeta.ideals as ideals
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
@@ -705,16 +705,16 @@ def test_class_group_tests_only_divisors_of_h(h34, monkeypatch):
     # each class ends at its first principal power; before it, at most one
     # test per divisor of h (a power-by-power search makes one per power),
     # and none at k = 1 but for the trivial class, whose rep (1) is the one
-    # reduced ideal of degree 0
+    # reduced ideal of degree 0.  At rank 2 the walk tests Miller triples.
     results = []
-    real = ideals.ideal_is_principal
+    real = ideals.CantorLaw.principal
 
-    def counting(I):
-        out = real(I)
+    def counting(law, P):
+        out = real(law, P)
         results.append(out[0])
         return out
 
-    monkeypatch.setattr(ideals, "ideal_is_principal", counting)
+    monkeypatch.setattr(ideals.CantorLaw, "principal", counting)
     rep = class_group(h34)
     per_class, run = [], 0
     for ok in results:
@@ -727,6 +727,104 @@ def test_class_group_tests_only_divisors_of_h(h34, monkeypatch):
     assert n_divisors == 4
     assert per_class[0] == 1
     assert max(per_class[1:]) <= n_divisors - 1
+
+
+# -- Cantor's law and Miller triples at rank 2 ------------------------------
+
+def stored_ring(name, request):
+    """A fixture ring, or a stored one from perfbench/rings."""
+    if name in ("h8g2", "ell5"):
+        return parse_ring_spec(PERFBENCH_RINGS / f"{name}.ring")
+    return request.getfixturevalue(name)
+
+
+def triple_ideal(spec, triple):
+    """den * I for the ideal I = (u, y - v) * (num / den) a triple stands
+    for, an integral ideal."""
+    u, v, num, den = triple
+    return ideal_from_generators(
+        [num * u, num * spec.elem((-v, Poly.one(spec.field)))], spec)
+
+
+@pytest.mark.parametrize("name", ["h4g3", "ex26", "ex36", "h8g2", "ell5",
+                                  "h20g2", "h34"])
+def test_cantor_powers_match_hermite_powers(name, request):
+    # the Hermite-form route is the oracle: for every representative and
+    # every divisor k of h up to its order, the k-th power by Cantor's law
+    # stands for I^k, and is principal, with the same generator, exactly
+    # when I^k is
+    spec = stored_ring(name, request)
+    rep = class_group(spec)
+    law = ideals.CantorLaw(spec, rep.genus)
+    for c in rep.classes:
+        for k in (k for k in range(1, c.order + 1) if rep.h % k == 0):
+            P = law.power(law.triple(c.rep), k)
+            Ik = ideal_pow(c.rep, k)
+            assert triple_ideal(spec, P) == ideal_from_generators(
+                [g * P[3] for g in Ik.generators()], spec)
+            assert law.principal(P) == ideal_is_principal(Ik)
+
+
+def test_class_group_at_rank_two_takes_no_hermite_power(h20g2, h34,
+                                                        monkeypatch):
+    want = {spec.name: [(c.rep, c.order, c.generator)
+                        for c in class_group(spec).classes]
+            for spec in (h20g2, h34)}
+
+    def refuse(*args):
+        raise AssertionError("a Hermite-form power or principality test")
+
+    monkeypatch.setattr(ideals, "ideal_pow", refuse)
+    monkeypatch.setattr(ideals, "ideal_is_principal", refuse)
+    for spec in (h20g2, h34):
+        assert [(c.rep, c.order, c.generator)
+                for c in class_group(spec).classes] == want[spec.name]
+
+
+def test_cantor_division_failure_raises(h20g2, monkeypatch):
+    # a remainder anywhere in the law is a bug, and is not rounded away
+    rep = class_group(h20g2)
+    law = ideals.CantorLaw(h20g2, rep.genus)
+    law.f += Poly.one(F3)
+    with pytest.raises(ConsistencyError, match="remainder|dividing"):
+        for c in rep.classes:
+            law.power(law.triple(c.rep), c.order)
+
+
+def sigma_ideal(I):
+    """The image of I under the hyperelliptic involution."""
+    return ideal_from_generators([involution(g) for g in I.generators()],
+                                 I.spec)
+
+
+@pytest.mark.parametrize("name", ["h4g3", "ex36", "ex26", "h8g2", "h20g2",
+                                  "ell5", "h34"])
+def test_involution_maps_each_class_to_its_inverse(name, request):
+    # sigma(rep C) is the representative of C^-1, of the same order, and
+    # sigma of C's generator, made monic, generates it
+    spec = stored_ring(name, request)
+    rep = class_group(spec)
+    by_rep = {c.rep: c for c in rep.classes}
+    for c in rep.classes:
+        inv = by_rep[sigma_ideal(c.rep)]
+        assert ideal_is_principal(ideal_mul(c.rep, inv.rep))[0]
+        assert inv.order == c.order
+        assert inv.generator == involution(c.generator).monic()
+
+
+def test_class_group_over_f13():
+    # y^2 = x^5 + x + 1 over F_13: a class group past the reach of
+    # Hermite-form powers at every class, checked at three of them
+    F13 = GF(13)
+    spec = RingSpec.cab(F13, (P(F13, "12*x^5 + 12*x + 12"), P(F13, "0")),
+                        name="f13")
+    rep = class_group(spec)
+    assert (rep.h, rep.e) == (188, 94)
+    assert rep.classes[0].order == 1
+    for c in (rep.classes[1], rep.classes[-1],
+              max(rep.classes, key=lambda c: (c.order, c.degree))):
+        assert ideal_is_principal(ideal_pow(c.rep, c.order)) == (True,
+                                                                 c.generator)
 
 
 # -- counts up to degree g, functional equation, point-count certificate ----
