@@ -72,7 +72,7 @@ def ideal_power_value(I, t, report):
     """I^t as a ring element: a^(t/e) for a the monic generator of I^e,
     on the power route of `class_group`."""
     _require_exponent(t, report)
-    start, power, principal = power_route(report.spec, report.genus)
+    start, power, principal = power_route(report.spec)
     ok, a = principal(power(start(I), report.e))
     if not ok:
         raise ConsistencyError("I^e is not principal; class data inconsistent")

@@ -20,6 +20,11 @@ As (alpha) inside I has codimension deg alpha, I is principal exactly when
 deg w_0 = deg I, and then monic(w_0), the unique monic element of least
 degree, generates: (w_0) lies in I with the same codimension.
 
+At m = 2 the ideal scan (`enumerate_ideals`) keeps the candidate with
+Hermite columns (w u', 0), (w v', w) exactly when (u', -v') passes the
+Mumford condition of Cantor's law, u' | f - h v - v^2 at v = -v'
+(`CantorLaw.mumford`).
+
 The L-polynomial (`l_polynomial`) enumerates the ideals of degree 0..g once
 `require_ideal_scan` admits degree g, forms p_d = c_d - q c_{d-1} for
 d <= g, fills p_{g+1}..p_{2g} by the functional equation
@@ -237,15 +242,16 @@ def ideal_is_principal(I):
 # -- Cantor's group law at rank 2 -------------------------------------------
 
 class CantorLaw:
-    """Cantor's group law on the rank-2 ring y^2 + h y = f, where
-    (f, -h) = mul_table()[1][1] (Math. Comp. 48, 1987), with the factors of
-    Miller's double-and-add (J. Cryptology 17, 2004).
+    """Cantor's group law on the rank-2 ring y^2 + h y = f
+    (`RingSpec.hyperelliptic`; Math. Comp. 48, 1987) of genus
+    g = (N - 1) / 2, with the factors of Miller's double-and-add
+    (J. Cryptology 17, 2004).
 
     A Miller triple (u, v, num, den) stands for the ideal
     (u, y - v) * (num / den): (u, v) is a Mumford pair, u monic with
-    u | f - h v - v^2 and deg v < deg u, num a ring element and den a monic
-    polynomial.  `mul` composes two pairs into d (u, y - v), d the gcd of
-    u1, u2 and v1 + v2 + h, and reduces while deg u > g, each step
+    u | f - h v - v^2 (`mumford`) and deg v < deg u, num a ring element and
+    den a monic polynomial.  `mul` composes two pairs into d (u, y - v), d
+    the gcd of u1, u2 and v1 + v2 + h, and reduces while deg u > g, each step
     (u, y - v) = (u', y - v') (y - v) / u'.  At the fixed degrees of the
     one-place ring (deg f = 2g + 1, deg h <= g) a step lowers deg u, and the
     reduced pairs are the classes, so a triple stands for a principal ideal
@@ -253,11 +259,15 @@ class CantorLaw:
     division is exact, and a remainder raises ConsistencyError.
     """
 
-    def __init__(self, spec, g):
+    def __init__(self, spec):
         self.spec = spec
-        self.g = g
-        self.f, r1 = spec.mul_table()[1][1]
-        self.h = -r1
+        self.g = (spec.N - 1) // 2
+        self.f, self.h = spec.hyperelliptic()
+
+    def mumford(self, v):
+        """f - h v - v^2: a monic u with deg v < deg u makes (u, y - v) an
+        ideal, the Mumford pair (u, v), exactly when u divides it."""
+        return self.f - self.h * v - v * v
 
     def triple(self, I):
         """The reduced triple of I = w J, w the content of I: the primitive
@@ -269,16 +279,15 @@ class CantorLaw:
                             Poly.one(w.field))
 
     def _reduce(self, u, v, num, den):
-        f, h = self.f, self.h
         while u.degree > self.g:
-            up, r = divmod(f - h * v - v * v, u)
+            up, r = divmod(self.mumford(v), u)
             if r:
                 raise ConsistencyError(
                     "Mumford pair with u not dividing f - h v - v^2")
             up = up.monic()
             num *= RingElement(self.spec, (-v, Poly.one(u.field)))
             den *= up
-            u, v = up, (-h - v) % up
+            u, v = up, (-self.h - v) % up
         return u, v, num, den
 
     def mul(self, P, Q):
@@ -321,14 +330,14 @@ class CantorLaw:
         return True, RingElement(self.spec, tuple(vec)).monic()
 
 
-def power_route(spec, g):
+def power_route(spec):
     """(start, power, principal) of an order walk at spec's rank: the k-th
     power of the ideal I is power(start(I), k), and principal on a power
     is `ideal_is_principal` on the ideal it stands for.  At m = 2 the powers
     are Miller triples under `CantorLaw`; at other m, Hermite forms."""
     if spec.m != 2:
         return (lambda I: I), ideal_pow, ideal_is_principal
-    law = CantorLaw(spec, g)
+    law = CantorLaw(spec)
     return law.triple, law.power, law.principal
 
 
@@ -458,10 +467,11 @@ def require_ideal_scan(spec, top, budget):
 def enumerate_ideals(spec, d):
     """All ideals of degree d in a fixed documented order, as an iterator.
 
-    m = 2: stability prunes the triangular candidates to w | u, w | v and
-    u' | F(-v') (u = w u', v = w v'), scanned by ascending deg w, then w,
-    u', v' in counting order.  Other m: full candidate scan with stability
-    filtering (for m = 1, the monic generators in counting order).
+    m = 2: the triangular candidates with columns (w u', 0), (w v', w) and
+    Mumford pair (u', -v') (`CantorLaw.mumford`), scanned by ascending
+    deg w, then w, u', v' in counting order.  Other m: full candidate scan
+    with stability filtering (for m = 1, the monic generators in counting
+    order).
     """
     spec.require_valid()
     if spec.m == 2:
@@ -472,17 +482,17 @@ def enumerate_ideals(spec, d):
 def _enumerate_ideals_m2(spec, d):
     field = spec.field
     zero = Poly.zero(field)
-    r0, r1 = spec.mul_table()[1][1]    # b_1^2 = r0 + r1 b_1
+    law = CantorLaw(spec)
     for jw in range(d // 2 + 1):
         iu = d - 2 * jw
-        # u' | F(v') = v'^2 - r1 v' - r0 certifies A-stability; F(v') is
+        # w (u', y + v') is an ideal exactly when u' divides mumford(-v'),
         # formed once per v' and tested against every (w, u')
-        values = [(vp, vp * vp - r1 * vp - r0) for vp in polys_below(field, iu)]
+        values = [(vp, law.mumford(-vp)) for vp in polys_below(field, iu)]
         for w in monic_polys(field, jw):
             for up in monic_polys(field, iu):
                 col0 = (w * up, zero)
-                for vp, f in values:
-                    if not f % up:
+                for vp, cond in values:
+                    if not cond % up:
                         yield IdealHNF(spec, (col0, (w * vp, w)))
 
 
@@ -600,7 +610,7 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
             f"found {len(reps)} reduced ideals of degree <= g = {g}, "
             f"but h = {h}")
     divisors = [k for k in range(1, h + 1) if h % k == 0]
-    start, power, principal = power_route(spec, g)
+    start, power, principal = power_route(spec)
     classes = []
     for I in reps:
         # (1) is the one reduced ideal of the principal class, so a rep of
@@ -625,7 +635,7 @@ def _is_reduced(I):
 
     m = 2: whether I is primitive, that is, w = 1 in its Hermite columns
     (a, 0), (b, w).  w is the content of I = w J: b_1 (a, 0) = (0, a) lies
-    in I only if w | a, and b_1 (b, w) = (r0 w, b + r1 w) only if w | b.
+    in I only if w | a, and b_1 (b, w) = (f w, b - h w) only if w | b.
     With the one place at infinity ramified, a primitive ideal of degree
     <= g is the unique reduced divisor of its class (Mumford's
     representation; Cantor, Math. Comp. 48, 1987).

@@ -15,10 +15,16 @@ degree offsets delta_j, and grades elements by deg(x^i b_j) = i*m + delta_j
 
 Every form multiplies through one table of basis products b_i * b_j
 (`RingSpec.mul_table`): the custom table as given, and for cab and polyring
-the cells y^(i+j) reduced by F.  The ring is commutative, so a product
-applies each distinct cell once, to the sum of the products a_i b_j of the
-pairs i <= j that share it and of their mirrors (for cab, y^(i+j) serves
-every pair with one sum i + j).
+the cells y^(i+j) reduced by F, built once per spec.  The ring is
+commutative, so a product applies each distinct cell once, to the sum of
+the products a_i b_j of the pairs i <= j that share it and of their
+mirrors (for cab, y^(i+j) serves every pair with one sum i + j).
+
+The rank-2 equation.  At m = 2 the one cell b_1^2 = f - h b_1 is read as
+the equation b_1^2 + h b_1 = f (`RingSpec.hyperelliptic`), so a cab ring
+y^2 + c_1 y + c_0 has f = -c_0 and h = c_1.  The singular locus, Cantor's
+group law and the ideal scan of `ideals`, and the form test of `theorems`
+take (f, h) from there, in this one sign convention.
 
 Elements are coordinate vectors of m polynomials, immutable by convention.
 The degree of a nonzero element is attained by a unique monomial (the
@@ -61,7 +67,7 @@ class RingSpec:
     """Presentation of a one-place affine coordinate ring."""
 
     __slots__ = ("field", "form", "m", "delta", "coeffs", "table", "name",
-                 "_report", "_cells", "_basis_qpow")
+                 "_report", "_table", "_cells", "_basis_qpow")
 
     def __init__(self, field, form, m, delta, coeffs=None, table=None, name=None):
         self.field = field
@@ -72,6 +78,7 @@ class RingSpec:
         self.table = table
         self.name = name
         self._report = None
+        self._table = table
         self._cells = None
         self._basis_qpow = None
 
@@ -189,9 +196,9 @@ class RingSpec:
 
     def mul_table(self):
         """table[i][j] = coordinate vector of b_i * b_j.  For cab and polyring
-        b_i = y^i, so the cell is y^(i+j) reduced by F."""
-        if self.table is not None:
-            return self.table
+        b_i = y^i, so the cell is y^(i+j) reduced by F, built on first use."""
+        if self._table is not None:
+            return self._table
         m = self.m
         zero = Poly.zero(self.field)
         top = tuple(-c for c in self.coeffs or ())    # y^m
@@ -200,7 +207,15 @@ class RingSpec:
             prev = ypow[-1]
             ypow.append(tuple((prev[i - 1] if i else zero) + prev[-1] * top[i]
                               for i in range(m)))
-        return tuple(tuple(ypow[i + j] for j in range(m)) for i in range(m))
+        self._table = tuple(tuple(ypow[i + j] for j in range(m))
+                            for i in range(m))
+        return self._table
+
+    def hyperelliptic(self):
+        """(f, h) of the rank-2 equation b_1^2 + h b_1 = f, read from the
+        cell b_1^2 = f - h b_1; for cab, f = -c_0 and h = c_1."""
+        f, minus_h = self.mul_table()[1][1]
+        return f, -minus_h
 
     def _mul_vec(self, a, b):
         """Per distinct cell of the table, sum the products a_i b_j of the
@@ -585,7 +600,7 @@ def ring_validate(spec):
     """Check the invariants of the presented form; failures carry witnesses.
 
     The finite singular locus is computed for valid specs of rank m <= 2,
-    from the relation b_1^2 = r0 + r1 b_1 when m = 2; it is None otherwise.
+    from the equation b_1^2 + h b_1 = f when m = 2; it is None otherwise.
     """
     failures = []
     m = spec.m
@@ -602,9 +617,7 @@ def ring_validate(spec):
     if not failures and m == 1:
         singular = ()
     elif not failures and m == 2:
-        # b_1^2 = r0 + r1 b_1 means y^2 - r1 y - r0 = 0
-        r0, r1 = spec.mul_table()[1][1]
-        singular = _singular_locus_m2(spec.field, -r0, -r1)
+        singular = _singular_locus_m2(spec.field, *spec.hyperelliptic())
     return RingValidationReport(not failures, failures, singular)
 
 
@@ -629,14 +642,14 @@ def _validate_cab(spec, failures):
                 ("weight", f"w(c_{j} y^{j}) = {m * cj.degree + j * N} >= m*N = {m * N}"))
 
 
-def _singular_locus_m2(field, c0, c1):
-    """Monic irreducibles over whose roots y^2 + c1 y + c0 = 0 is singular."""
+def _singular_locus_m2(field, f, h):
+    """Monic irreducibles over whose roots y^2 + h y = f is singular."""
     if field.p == 2:
-        d0, d1 = c0.derivative(), c1.derivative()
-        g = poly_gcd(c1, d1 * d1 * c0 + d0 * d0)
+        df, dh = f.derivative(), h.derivative()
+        g = poly_gcd(h, dh * dh * f + df * df)
     else:
         inv4 = Poly.const(field, field.inv(field.mul(2, 2)))
-        disc = c1 * c1 * inv4 - c0
+        disc = h * h * inv4 + f
         g = poly_gcd(disc, disc.derivative())
     if g.degree < 1:
         return ()

@@ -198,7 +198,8 @@ def _generalization_form(spec, need):
     need("q = 2", q == 2, {"q": q})
     ok = spec.m == 2 and N % 2 == 1
     if ok:
-        b, a = spec.mul_table()[1][1]    # b_1^2 = b + a b_1
+        b, h = spec.hyperelliptic()    # y^2 - a y = b with a = -h
+        a = -h
         ok = not a.is_zero
     need("form y^2 - a y = b, N odd", ok,
          {"a": poly_to_str(a), "b": poly_to_str(b)}

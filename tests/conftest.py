@@ -23,6 +23,12 @@ def ex36():
 
 
 @pytest.fixture(scope="session")
+def xy5():
+    """y^2 + x y = x^5 + x + 1 over F_5: genus 2, h = 25, a y-term at odd p."""
+    return _cab(GF(5), "4*x^5 + 4*x + 4", "x", "xy5")
+
+
+@pytest.fixture(scope="session")
 def e1():
     """y^2 + y = x^3 + x + 1 over F_2: genus 1, h = 1."""
     return _cab(GF(2), "x^3 + x + 1", "1", "e1")

@@ -165,12 +165,12 @@ def newton_polygon(coeffs):
 # -- the rank-2 involution --------------------------------------------------
 
 def involution(e):
-    """sigma(g0 + g1 y) = (g0 + r1 g1) - g1 y on a rank-2 ring with
-    y^2 = r0 + r1 y: the automorphism over F_q[x] that swaps y with the
-    other root r1 - y of its equation."""
-    _, r1 = e.spec.mul_table()[1][1]
+    """sigma(g0 + g1 y) = (g0 - h g1) - g1 y on a rank-2 ring with
+    y^2 + h y = f: the automorphism over F_q[x] that swaps y with the
+    other root -h - y of its equation."""
+    _, h = e.spec.hyperelliptic()
     g0, g1 = e.vec
-    return e.spec.elem((g0 + r1 * g1, -g1))
+    return e.spec.elem((g0 - h * g1, -g1))
 
 
 # -- the hyperelliptic r-gap proposition ------------------------------------

@@ -330,6 +330,30 @@ def test_classgroup_refuses_singular(tmp_path):
     assert "singular" in res.text
 
 
+def test_y_term_at_odd_p(tmp_path):
+    # y^2 + x y = x^5 + x + 1 over F_5: the ideal scan must read the sign
+    # of the y-term, or Cantor's law meets a non-ideal and fails
+    p = tmp_path / "xy5.ring"
+    p.write_text("[field]\np = 5\n\n[ring]\nform = cab\nm = 2\n"
+                 "c0 = 4*x^5 + 4*x + 4\nc1 = x\n")
+    code, doc = jrun("classgroup", "--ring", str(p))
+    assert code == 0
+    assert (doc["h"], doc["e"]) == (25, 25)
+    assert doc["counts"] == [1, 4, 25, 120, 625]
+    assert run("classgroup", "--ring", str(p)).exit_code == 0
+    code, doc = jrun("lpoly", "--ring", str(p))
+    assert code == 0 and doc["lpoly"] == [1, -1, 5, -5, 25]
+    routes = []
+    for extra in ([], ["--direct"]):
+        assert run("zeta", "--ring", str(p), "--all-ideals", "-s", "25",
+                   *extra).exit_code == 0
+        code, doc = jrun("zeta", "--ring", str(p), "--all-ideals", "-s",
+                         "25", *extra)
+        assert code == 0
+        routes.append((doc["d_max"], doc["coeffs"]))
+    assert routes[0] == routes[1]
+
+
 # -- check ------------------------------------------------------------------
 
 def test_check_hiper():

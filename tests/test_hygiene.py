@@ -4,8 +4,9 @@ somewhere in it or exported, every export but a listed few is read outside
 the tests, library modules import at module level only and nothing beyond
 ffzeta and the standard library, one function holds the library's only
 square-and-multiply loop, one function reads the power-sum budget, one
-function compares ideal candidate counts with a budget, one predicate tests
-for digits, no command-line flag is read with Python's int, every search
+function compares ideal candidate counts with a budget, one function reads
+the rank-2 equation from the multiplication table, one predicate tests for
+digits, no command-line flag is read with Python's int, every search
 verdict is listed in the output schema, and every module parses at the
 declared Python floor."""
 
@@ -265,9 +266,9 @@ def test_no_per_call_budget_knobs():
     assert budget_knobs(sources) == BUDGET_KNOBS
 
 
-def readers_of(sources, name):
-    """(module, function) of every function that reads `name`, bare or as
-    an attribute; a read outside any function counts as "<module>"."""
+def owners_of(sources, matches):
+    """(module, function) of every function that holds a node `matches`
+    accepts; a node outside any function counts as "<module>"."""
     found = set()
 
     def visit(node, module, owner):
@@ -275,15 +276,22 @@ def readers_of(sources, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, module, child.name)
                 continue
-            if (isinstance(child, ast.Name) and child.id == name
-                    and isinstance(child.ctx, ast.Load)
-                    or isinstance(child, ast.Attribute) and child.attr == name):
+            if matches(child):
                 found.add((module, owner))
             visit(child, module, owner)
 
     for module, source in sources.items():
         visit(ast.parse(source), module, "<module>")
     return sorted(found)
+
+
+def readers_of(sources, name):
+    """(module, function) of every function that reads `name`, bare or as
+    an attribute."""
+    return owners_of(sources, lambda node: (
+        isinstance(node, ast.Name) and node.id == name
+        and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and node.attr == name))
 
 
 def test_detects_a_budget_reader():
@@ -309,6 +317,40 @@ def test_one_ideal_budget_rule():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
     assert readers_of(sources, "count_ideal_candidates") == [
         ("ideals", "require_ideal_scan")]
+
+
+def rank2_equation_readers(sources):
+    """(module, function) of every function that subscripts a call of
+    mul_table at [1][1], the cell b_1^2 that holds the rank-2 equation."""
+    def cell(node):
+        for _ in range(2):
+            if not (isinstance(node, ast.Subscript)
+                    and isinstance(node.slice, ast.Constant)
+                    and node.slice.value == 1):
+                return False
+            node = node.value
+        return (isinstance(node, ast.Call) and "mul_table" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)))
+
+    return owners_of(sources, cell)
+
+
+def test_detects_a_rank2_equation_reader():
+    sources = {
+        "a": "def f(s):\n    return s.mul_table()[1][1]\n\n"
+             "def g(s):\n    t = s.mul_table()\n"
+             "    return t[1][1], s.mul_table()[0][1], s.table[1][1]\n",
+        "b": "def h():\n    r0, r1 = mul_table()[1][1]\n    return r0\n\n"
+             "CELL = spec.mul_table()[1][1][0]\n",
+    }
+    assert rank2_equation_readers(sources) == [("a", "f"), ("b", "<module>"),
+                                               ("b", "h")]
+
+
+def test_one_rank2_equation_reader():
+    # one sign convention for y^2 + h y = f, read in one place
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert rank2_equation_readers(sources) == [("ring", "hyperelliptic")]
 
 
 def unicode_digit_tests(sources):

@@ -131,13 +131,14 @@ def test_constant_term_enforced(h4g3):
 
 # -- agreement with the direct enumeration oracle ---------------------------
 
-def test_classwise_equals_direct(h4g3, ex26, ex36, elliptic, f4as,
+def test_classwise_equals_direct(h4g3, ex26, ex36, elliptic, f4as, xy5,
                                  h4g3_classes):
     jobs = [(h4g3, h4g3_classes, (2, 4, 30)),
             (ex26, class_group(ex26), (2, 4)),
             (ex36, class_group(ex36), (2,)),
             (elliptic, class_group(elliptic), (7, 14)),
-            (f4as, class_group(f4as), (1, 2, 3))]
+            (f4as, class_group(f4as), (1, 2, 3)),
+            (xy5, class_group(xy5), (25,))]
     for spec, rep, ts in jobs:
         for t in ts:
             zc = ideal_zeta_classwise(t, rep)

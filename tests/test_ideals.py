@@ -492,6 +492,20 @@ def test_enumeration_fast_equals_general(h4g3):
         assert fast == general
 
 
+def test_rank_two_scan_with_a_y_term_equals_stable_scan(xy5):
+    # at odd p with h != 0, (u', y + v') is an ideal when (u', -v') is a
+    # Mumford pair, u' | f + h v' - v'^2; the sign of h matters
+    for d in range(4):
+        assert (set(enumerate_ideals(xy5, d))
+                == set(_enumerate_ideals_general(xy5, d)))
+
+
+def test_class_group_with_a_y_term_at_odd_p(xy5):
+    rep = class_group(xy5)
+    assert (rep.h, rep.e) == (25, 25)
+    assert rep.lpoly == (1, -1, 5, -5, 25)
+
+
 def documented_order(spec, d):
     """Oracle for the m = 2 enumeration order: the Hermite forms
     ((w u', 0), (w v', w)) of degree d by ascending deg w, then w, u' and v'
@@ -747,7 +761,7 @@ def triple_ideal(spec, triple):
 
 
 @pytest.mark.parametrize("name", ["h4g3", "ex26", "ex36", "h8g2", "ell5",
-                                  "h20g2", "h34"])
+                                  "h20g2", "h34", "xy5"])
 def test_cantor_powers_match_hermite_powers(name, request):
     # the Hermite-form route is the oracle: for every representative and
     # every divisor k of h up to its order, the k-th power by Cantor's law
@@ -755,7 +769,7 @@ def test_cantor_powers_match_hermite_powers(name, request):
     # when I^k is
     spec = stored_ring(name, request)
     rep = class_group(spec)
-    law = ideals.CantorLaw(spec, rep.genus)
+    law = ideals.CantorLaw(spec)
     for c in rep.classes:
         for k in (k for k in range(1, c.order + 1) if rep.h % k == 0):
             P = law.power(law.triple(c.rep), k)
@@ -784,7 +798,7 @@ def test_class_group_at_rank_two_takes_no_hermite_power(h20g2, h34,
 def test_cantor_division_failure_raises(h20g2, monkeypatch):
     # a remainder anywhere in the law is a bug, and is not rounded away
     rep = class_group(h20g2)
-    law = ideals.CantorLaw(h20g2, rep.genus)
+    law = ideals.CantorLaw(h20g2)
     law.f += Poly.one(F3)
     with pytest.raises(ConsistencyError, match="remainder|dividing"):
         for c in rep.classes:
@@ -798,7 +812,7 @@ def sigma_ideal(I):
 
 
 @pytest.mark.parametrize("name", ["h4g3", "ex36", "ex26", "h8g2", "h20g2",
-                                  "ell5", "h34"])
+                                  "ell5", "h34", "xy5"])
 def test_involution_maps_each_class_to_its_inverse(name, request):
     # sigma(rep C) is the representative of C^-1, of the same order, and
     # sigma of C's generator, made monic, generates it
