@@ -20,13 +20,17 @@ As (alpha) inside I has codimension deg alpha, I is principal exactly when
 deg w_0 = deg I, and then monic(w_0), the unique monic element of least
 degree, generates: (w_0) lies in I with the same codimension.
 
-At m = 2 the ideal scan (`enumerate_ideals`) keeps the candidate with
-Hermite columns (w u', 0), (w v', w) exactly when (u', -v') passes the
-Mumford condition of Cantor's law, u' | f - h v - v^2 at v = -v'
-(`CantorLaw.mumford`).
+At m = 2 `enumerate_ideals` builds the ideals from the primes and scans no
+candidate.  An ideal of degree d is w J, w monic of degree j and J primitive
+of degree d - 2j with Hermite columns (u', 0), (v', 1): J = (u, y - v) for
+the Mumford pair (u, v) = (u', -v' mod u') of Cantor's law, and
+`_PrimitivePairs` builds these pairs as products of prime-power pairs by
+Cantor's composition (`CantorLaw.compose`).  That needs a maximal ring, so
+a ring with finite singular points is refused (`require_maximal`).
 
 The L-polynomial (`l_polynomial`) enumerates the ideals of degree 0..g once
-`require_ideal_scan` admits degree g, forms p_d = c_d - q c_{d-1} for
+`require_ideal_scan` admits degree g (at m = 2 the candidate count only
+measures the work, as nothing is scanned), forms p_d = c_d - q c_{d-1} for
 d <= g, fills p_{g+1}..p_{2g} by the functional equation
 p_{2g-i} = q^{g-i} p_i and rebuilds c_{g+1}..c_{2g} from them.  The point
 counts N_k over F_{q^k}, k = 1..K (K = min(2g, largest k with q^k <= 512)),
@@ -57,7 +61,7 @@ Ideals are `IdealHNF` values, immutable by convention like the `Poly` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import lcm
 
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
@@ -250,8 +254,9 @@ class CantorLaw:
     A Miller triple (u, v, num, den) stands for the ideal
     (u, y - v) * (num / den): (u, v) is a Mumford pair, u monic with
     u | f - h v - v^2 (`mumford`) and deg v < deg u, num a ring element and
-    den a monic polynomial.  `mul` composes two pairs into d (u, y - v), d
-    the gcd of u1, u2 and v1 + v2 + h, and reduces while deg u > g, each step
+    den a monic polynomial.  `compose` takes two pairs to d (u, y - v), d
+    the gcd of u1, u2 and v1 + v2 + h, and `mul` scales num by d and
+    reduces while deg u > g, each step
     (u, y - v) = (u', y - v') (y - v) / u'.  At the fixed degrees of the
     one-place ring (deg f = 2g + 1, deg h <= g) a step lowers deg u, and the
     reduced pairs are the classes, so a triple stands for a principal ideal
@@ -290,15 +295,18 @@ class CantorLaw:
             u, v = up, (-self.h - v) % up
         return u, v, num, den
 
-    def mul(self, P, Q):
-        """The triple of the product of the ideals P and Q stand for."""
-        u1, v1, n1, d1 = P
-        u2, v2, n2, d2 = Q
+    def compose(self, P, Q):
+        """Cantor's composition with no reduction: (u, v, d) with
+        (u1, y - v1) (u2, y - v2) = d (u, y - v) for the Mumford pairs
+        (u1, v1) and (u2, v2) that open P and Q, d the monic gcd of u1, u2
+        and v1 + v2 + h.  Coprime u1, u2 give d = 1 and u = u1 u2."""
+        u1, v1 = P[0], P[1]
+        u2, v2 = Q[0], Q[1]
+        one = Poly.one(u1.field)
         if P is Q:
-            d0, e1, e2 = u1, Poly.one(u1.field), Poly.zero(u1.field)
+            d0, e1, e2 = u1, one, Poly.zero(u1.field)
         else:
             d0, e1, e2 = poly_xgcd(u1, u2)
-        num = n1 * n2
         if d0.degree:
             d, c1, c2 = poly_xgcd(d0, v1 + v2 + self.h)
             w = c1 * (e1 * u1 * v2 + e2 * u2 * v1) + c2 * (v1 * v2 + self.f)
@@ -306,11 +314,17 @@ class CantorLaw:
             w, r2 = divmod(w, d)
             if r or r2:
                 raise ConsistencyError("Cantor composition left a remainder")
-            if d.degree:
-                num = num.scale(d)
         else:
-            u, w = u1 * u2, e1 * u1 * v2 + e2 * u2 * v1
-        return self._reduce(u, w % u, num, d1 * d2)
+            d, u, w = one, u1 * u2, e1 * u1 * v2 + e2 * u2 * v1
+        return u, w % u, d
+
+    def mul(self, P, Q):
+        """The triple of the product of the ideals P and Q stand for."""
+        u, v, d = self.compose(P, Q)
+        num = P[2] * Q[2]
+        if d.degree:
+            num = num.scale(d)
+        return self._reduce(u, v, num, P[3] * Q[3])
 
     def power(self, P, k):
         return square_and_multiply(P, k, self.mul)
@@ -428,7 +442,9 @@ def class_equivalent(I, J_inv):
 # -- enumeration ------------------------------------------------------------
 
 def count_ideal_candidates(spec, d):
-    """Size of the candidate matrix family scanned for degree d."""
+    """Size of the family of candidate Hermite forms of degree d: the one
+    `enumerate_ideals` scans at m != 2.  At m = 2 nothing is scanned, and
+    the count is only the measure `require_ideal_scan` budgets."""
     m = spec.m
     q = spec.field.q
     if m == 2:
@@ -464,36 +480,183 @@ def require_ideal_scan(spec, top, budget):
                           f"candidates, over the budget {budget}")
 
 
+def require_maximal(spec):
+    """Refuse an invalid ring, or one with finite singular points: such a
+    ring is not maximal, so its ideals do not factor into primes."""
+    rep = spec.require_valid()
+    if rep.singular_finite:
+        locus = ", ".join(poly_to_str(p) for p in rep.singular_finite)
+        raise NonMaximalRingError(
+            f"finite singular locus at {locus}; the ring is not maximal")
+
+
 def enumerate_ideals(spec, d):
     """All ideals of degree d in a fixed documented order, as an iterator.
 
-    m = 2: the triangular candidates with columns (w u', 0), (w v', w) and
-    Mumford pair (u', -v') (`CantorLaw.mumford`), scanned by ascending
-    deg w, then w, u', v' in counting order.  Other m: full candidate scan
-    with stability filtering (for m = 1, the monic generators in counting
+    m = 2: the ideals w (u', y + v') with Hermite columns (w u', 0),
+    (w v', w), built from the primes (`_PrimitivePairs`), by ascending
+    deg w, then w, u', v' in counting order; a ring that is not maximal is
+    refused (`require_maximal`).  Other m: full candidate scan with
+    stability filtering (for m = 1, the monic generators in counting
     order).
     """
-    spec.require_valid()
     if spec.m == 2:
+        require_maximal(spec)
         return _enumerate_ideals_m2(spec, d)
+    spec.require_valid()
     return _enumerate_ideals_general(spec, d)
 
 
 def _enumerate_ideals_m2(spec, d):
-    field = spec.field
-    zero = Poly.zero(field)
-    law = CantorLaw(spec)
+    zero = Poly.zero(spec.field)
+    if spec._pairs is None:
+        spec._pairs = _PrimitivePairs(spec)
+    pairs = spec._pairs.upto(d)
     for jw in range(d // 2 + 1):
-        iu = d - 2 * jw
-        # w (u', y + v') is an ideal exactly when u' divides mumford(-v'),
-        # formed once per v' and tested against every (w, u')
-        values = [(vp, law.mumford(-vp)) for vp in polys_below(field, iu)]
-        for w in monic_polys(field, jw):
-            for up in monic_polys(field, iu):
-                col0 = (w * up, zero)
-                for vp, cond in values:
-                    if not cond % up:
-                        yield IdealHNF(spec, (col0, (w * vp, w)))
+        for w in monic_polys(spec.field, jw):
+            for u, _, _, vp in pairs[d - 2 * jw]:
+                yield IdealHNF(spec, ((w * u, zero), (w * vp, w)))
+
+
+class _PrimitivePairs:
+    """The primitive ideals (u, y - v) of a maximal rank-2 ring, built from
+    its primes degree by degree and kept on the spec.
+
+    Such an ideal is a product of prime-power pairs with coprime u: a split
+    prime P gives (P, r) for each of its two roots r of v^2 + h v - f mod P
+    (`_prime_roots`) and the powers (P^k, v) along each root, a ramified
+    prime gives (P, r) alone, an inert prime nothing.  Primes are numbered
+    by degree, then counting order, and a pair of degree e is a prime power
+    or the composition (`CantorLaw.compose`) of a pair of lower degree,
+    whose primes all come earlier, with a prime power, so each pair is
+    built once.
+    Every pair passes the Mumford condition before it is kept.  Per degree,
+    `upto` lists (u, v, number of the last prime, v' = -v mod u) by u, then
+    v', in counting order.
+    """
+
+    def __init__(self, spec):
+        self.law = CantorLaw(spec)
+        one, zero = Poly.one(spec.field), Poly.zero(spec.field)
+        self.primes = [[]]              # monic irreducibles by degree
+        self.powers = [[]]              # (prime number, pair, root pair)
+        self.pairs = [[(one, zero, -1, zero)]]
+
+    def upto(self, d):
+        while len(self.pairs) <= d:
+            self._extend()
+        return self.pairs
+
+    def _checked(self, u, v):
+        if self.law.mumford(v) % u:
+            raise ConsistencyError(
+                "Mumford pair with u not dividing f - h v - v^2")
+        return u, v
+
+    def _extend(self):
+        law = self.law
+        field = law.spec.field
+        e = len(self.pairs)
+        # product sieve: the monic polynomials of degree e that are no
+        # product of a prime of degree <= e/2 and a monic cofactor
+        composite = {(P * M).packed for j in range(1, e // 2 + 1)
+                     for P in self.primes[j] for M in monic_polys(field, e - j)}
+        numbered = sum(map(len, self.primes))
+        self.primes.append([M for M in monic_polys(field, e)
+                            if M.packed not in composite])
+        # the next power along each root of a split prime of degree | e
+        powers = [(i, self._checked(*law.compose(pair, root)[:2]), root)
+                  for j in range(1, e) for i, pair, root in self.powers[j]
+                  if root is not None and root[0].degree == e - j]
+        for i, P in enumerate(self.primes[e], numbered):
+            roots = _prime_roots(law, P)
+            for r in roots:
+                pair = self._checked(P, r)
+                powers.append((i, pair, pair if len(roots) == 2 else None))
+        self.powers.append(powers)
+        built = chain(((*pair, i) for i, pair, _ in powers), (
+            self._checked(*law.compose(R, pair)[:2]) + (i,)
+            for k in range(1, e) for i, pair, _ in self.powers[k]
+            for R in self.pairs[e - k] if R[2] < i))
+        self.pairs.append(sorted(((u, v, i, -v % u) for u, v, i in built),
+                                 key=lambda t: (t[0].packed, t[3].packed)))
+
+
+def _prime_roots(law, P):
+    """The roots v mod P of v^2 + h v - f: two at a split prime, one at a
+    ramified prime, none at an inert one.
+
+    F_q[x]/P is the field of Q = q^deg P elements.  Odd p: the roots are
+    (-h +- s) / 2 with s^2 = h^2 + 4 f, taken by Tonelli-Shanks; P ramifies
+    when it divides h^2 + 4 f and is inert when that is no square.  p = 2:
+    P ramifies when it divides h, and v = f^(Q/2) is the square root of f.
+    Otherwise v = h z, z^2 + z = c for c = f / h^2, with roots exactly when
+    the absolute trace of c, sum_(i<N) c^(2^i) over Q = 2^N, is 0.  Then
+    z = sum_(0<i<N) T_i c^(2^i), T_i = sum_(j<i) tau^(2^j), for any tau of
+    trace 1: tau = 1 when N is odd, which makes z the half-trace, and
+    otherwise the first tau in counting order with trace 1 (the trace
+    split).  The other root is v + h.
+    """
+    field = P.field
+    one, zero = Poly.one(field), Poly.zero(field)
+    Q = field.q ** P.degree
+
+    def mul(a, b):
+        return a * b % P
+
+    def power(a, k):
+        return square_and_multiply(a, k, mul) if k else one
+
+    f, h = law.f % P, law.h % P
+    if field.p == 2:
+        if not h:
+            return [power(f, Q // 2)]
+        N = Q.bit_length() - 1
+
+        def conjugates(a):
+            out = [a]
+            for _ in range(N - 1):
+                out.append(mul(out[-1], out[-1]))
+            return out
+
+        cs = conjugates(mul(f, power(mul(h, h), Q - 2)))
+        if sum(cs, zero):
+            return []
+        tau = one if N % 2 else next(
+            t for t in polys_below(field, P.degree) if sum(conjugates(t), zero))
+        z = T = zero
+        for ti, ci in zip(conjugates(tau), cs):
+            z += mul(T, ci)
+            T += ti
+        v = mul(h, z)
+        return [v, v + h]
+    half = field.inv(2)
+    disc = (h * h + Poly._scale(f, 4 % field.p)) % P
+    if not disc:
+        return [Poly._scale(-h, half)]
+    if power(disc, (Q - 1) // 2) != one:
+        return []
+    # Tonelli-Shanks with Q - 1 = 2^S T, T odd
+    S, T = 0, Q - 1
+    while not T % 2:
+        S, T = S + 1, T // 2
+    t, s = power(disc, T), power(disc, (T + 1) // 2)
+    if t != one:
+        # a nonsquare; the constants are squares when deg P is even
+        others = islice(polys_below(field, P.degree),
+                        field.q if P.degree % 2 == 0 else 1, None)
+        c = power(next(a for a in others
+                       if power(a, (Q - 1) // 2) != one), T)
+        while t != one:
+            i, t2 = 1, mul(t, t)
+            while t2 != one:
+                i, t2 = i + 1, mul(t2, t2)
+            b = c
+            for _ in range(S - i - 1):
+                b = mul(b, b)
+            S, c = i, mul(b, b)
+            t, s = mul(t, c), mul(s, b)
+    return [Poly._scale(s - h, half), Poly._scale(-s - h, half)]
 
 
 def _enumerate_ideals_general(spec, d):
@@ -571,11 +734,7 @@ class ClassGroupReport(LPolynomial):
 def l_polynomial(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     """The certified L-polynomial; refuses rings with finite singular
     points."""
-    rep = spec.require_valid()
-    if rep.singular_finite:
-        locus = ", ".join(poly_to_str(p) for p in rep.singular_finite)
-        raise NonMaximalRingError(
-            f"finite singular locus at {locus}; the ring is not maximal")
+    require_maximal(spec)
     S = semigroup_from_ring(spec)
     g = S.genus
     q = spec.field.q

@@ -23,8 +23,9 @@ mirrors (for cab, y^(i+j) serves every pair with one sum i + j).
 The rank-2 equation.  At m = 2 the one cell b_1^2 = f - h b_1 is read as
 the equation b_1^2 + h b_1 = f (`RingSpec.hyperelliptic`), so a cab ring
 y^2 + c_1 y + c_0 has f = -c_0 and h = c_1.  The singular locus, Cantor's
-group law and the ideal scan of `ideals`, and the form test of `theorems`
-take (f, h) from there, in this one sign convention.
+group law and the prime roots that build the ideals in `ideals`, and the
+form test of `theorems` take (f, h) from there, in this one sign
+convention.
 
 Elements are coordinate vectors of m polynomials, immutable by convention.
 The degree of a nonzero element is attained by a unique monomial (the
@@ -67,7 +68,7 @@ class RingSpec:
     """Presentation of a one-place affine coordinate ring."""
 
     __slots__ = ("field", "form", "m", "delta", "coeffs", "table", "name",
-                 "_report", "_table", "_cells", "_basis_qpow")
+                 "_report", "_table", "_cells", "_basis_qpow", "_pairs")
 
     def __init__(self, field, form, m, delta, coeffs=None, table=None, name=None):
         self.field = field
@@ -81,6 +82,7 @@ class RingSpec:
         self._table = table
         self._cells = None
         self._basis_qpow = None
+        self._pairs = None
 
     # -- constructors -------------------------------------------------------
 

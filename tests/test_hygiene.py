@@ -4,8 +4,9 @@ somewhere in it or exported, every export but a listed few is read outside
 the tests, library modules import at module level only and nothing beyond
 ffzeta and the standard library, one function holds the library's only
 square-and-multiply loop, one function reads the power-sum budget, one
-function compares ideal candidate counts with a budget, one function reads
-the rank-2 equation from the multiplication table, one predicate tests for
+function compares ideal candidate counts with a budget, Cantor's
+composition has one home and two readers, one function reads the rank-2
+equation from the multiplication table, one predicate tests for
 digits, no command-line flag is read with Python's int, every search
 verdict is listed in the output schema, and every module parses at the
 declared Python floor."""
@@ -317,6 +318,16 @@ def test_one_ideal_budget_rule():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
     assert readers_of(sources, "count_ideal_candidates") == [
         ("ideals", "require_ideal_scan")]
+
+
+def test_one_cantor_composition():
+    # Cantor's composition formula has one home, CantorLaw.compose: the
+    # walk's product and the prime route's pairs both go through it, and
+    # no other function takes the extended gcd the formula needs
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert readers_of(sources, "compose") == [("ideals", "_extend"),
+                                              ("ideals", "mul")]
+    assert readers_of(sources, "poly_xgcd") == [("ideals", "compose")]
 
 
 def rank2_equation_readers(sources):

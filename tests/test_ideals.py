@@ -524,14 +524,88 @@ def documented_order(spec, d):
     return out
 
 
-@pytest.mark.parametrize("ring", ["h4g3", "ex36", "h20g2", "h8g2"])
+def curve(q, f, h="0"):
+    """y^2 + h y = f over F_q as a cab ring, c0 = -f and c1 = h."""
+    field = GF(q)
+    return RingSpec.cab(field, (-P(field, f), P(field, h)))
+
+
+@pytest.fixture(scope="module")
+def ram3():
+    """y^2 + x y = x^5 + 2x^2 + 2x over F_3: h^2 + 4f = x (x + 1) (x + 2)
+    (x^2 + 1), so primes of degree 1 and 2 ramify at odd p with h != 0;
+    h = 8."""
+    return curve(3, "x^5 + 2*x^2 + 2*x", "x")
+
+
+@pytest.fixture(scope="module")
+def f4h():
+    """y^2 + (x + 1) y = x^5 + x + 1 over F_4: x + 1 ramifies, and every
+    other prime has even degree over F_2; h = 40."""
+    return RingSpec.cab(F4, (P(F4, "x^5 + x + 1"), P(F4, "x + 1")),
+                        name="f4h")
+
+
+# the prime route's cases: p = 2 over F_2 (h4g3, ell5) and over F_4, where
+# every extension degree is even (f4as, f4h: the trace split); ramified
+# primes at p = 2 (h4g3, f4h) and at odd p (ex36, h20g2, ram3); a y-term at
+# odd p (xy5, ram3)
+@pytest.mark.parametrize("ring", ["h4g3", "ex36", "h20g2", "h8g2", "xy5",
+                                  "ell5", "f4as", "f4h", "ram3"])
 def test_enumeration_follows_documented_order(ring, request):
     # class numbering in `classgroup` output follows this order
     spec = (parse_ring_spec(PERFBENCH_RINGS / f"{ring}.ring")
-            if ring == "h8g2" else request.getfixturevalue(ring))
+            if ring in ("h8g2", "ell5") else request.getfixturevalue(ring))
     g = semigroup_from_ring(spec).genus
-    for d in range(g + 3):
+    # degrees 0..g + 2, or 0..g where the oracle's q^(2d) candidates at
+    # d = g + 2 exceed 10^4
+    top = g + 2 if spec.field.q ** (2 * g + 4) <= 10 ** 4 else g
+    for d in range(top + 1):
         assert list(enumerate_ideals(spec, d)) == documented_order(spec, d)
+
+
+@pytest.mark.parametrize("q, lpoly", [(11, (1, -4, 14, -44, 121)),
+                                      (13, (1, 1, 4, 13, 169))])
+def test_genus_two_l_polynomials_from_the_primes(q, lpoly):
+    # y^2 = x^5 + x + 1: h = 88 over F_11 and h = 188 over F_13
+    lp = ideals.l_polynomial(curve(q, "x^5 + x + 1"))
+    assert lp.lpoly == lpoly
+    assert lp.h == {11: 88, 13: 188}[q]
+
+
+def test_rank_two_enumeration_refuses_a_singular_ring():
+    # y^2 = x^5 + x + 1 over F_9 is singular at x + 2, so not maximal: its
+    # ideals do not factor into primes, and a product of primes would miss
+    # 9 of its 130 ideal matrices of degree 2
+    F9 = GF(3, 2)
+    spec = RingSpec.cab(F9, (P(F9, "2*x^5 + 2*x + 2"), P(F9, "0")))
+    message = r"^finite singular locus at x \+ 2; the ring is not maximal$"
+    with pytest.raises(NonMaximalRingError, match=message):
+        enumerate_ideals(spec, 2)
+    with pytest.raises(NonMaximalRingError, match=message):
+        ideals.l_polynomial(spec)
+
+
+def test_a_wrong_root_fails_the_mumford_check(monkeypatch):
+    real = ideals._prime_roots
+    monkeypatch.setattr(ideals, "_prime_roots", lambda law, prime: [
+        r + Poly.one(prime.field) for r in real(law, prime)])
+    with pytest.raises(ConsistencyError, match="^Mumford pair"):
+        list(enumerate_ideals(curve(3, "2*x^5 + 2*x^4 + 2*x^2 + x"), 1))
+
+
+def test_primitive_pairs_are_built_once_per_spec(monkeypatch):
+    spec = curve(3, "x^5 + 2*x^2 + 2*x", "x")
+    first = [list(enumerate_ideals(spec, d)) for d in range(4)]
+
+    def refuse(*args):
+        raise AssertionError("a root was taken again")
+
+    monkeypatch.setattr(ideals, "_prime_roots", refuse)
+    assert [list(enumerate_ideals(spec, d)) for d in range(4)] == first
+    # an equal spec keeps its own pairs, and dies with them
+    with pytest.raises(AssertionError, match="again"):
+        list(enumerate_ideals(curve(3, "x^5 + 2*x^2 + 2*x", "x"), 1))
 
 
 def test_enumeration_counts_h4g3(h4g3):
