@@ -310,7 +310,6 @@ def _cmd_search(args):
                else poly_from_str(field, args.fix_a))
     space = SearchSpace(field=field, family=args.family,
                         deg_a=args.deg_a, deg_b=args.deg_b,
-                        min_r=args.min_r,
                         h_budget=args.h_budget,
                         fixed_a=fixed_a,
                         b_multiple_of_a=args.b_div_a)
@@ -438,7 +437,6 @@ def build_parser():
                     metavar="LO..HI")
     sp.add_argument("--deg-b", type=_range_pair, default=(3, 3),
                     metavar="LO..HI")
-    sp.add_argument("--min-r", type=_integer)
     sp.add_argument("--h-budget", type=_integer, default=DEFAULT_IDEAL_BUDGET)
     sp.add_argument("--parts", type=_integer, help="split into N contiguous blocks")
     sp.add_argument("--part", type=_integer, help="run block I of N (1-based)")

@@ -169,15 +169,6 @@ class RingSpec:
 
     # -- element constructors -----------------------------------------------
 
-    def elem(self, vec):
-        vec = tuple(vec)
-        if len(vec) != self.m:
-            raise ValueError(f"expected {self.m} coordinates, got {len(vec)}")
-        for g in vec:
-            if not isinstance(g, Poly) or g.field != self.field:
-                raise ValueError("coordinates must be polynomials over the ring's field")
-        return RingElement(self, vec)
-
     def zero(self):
         return RingElement(self, (Poly.zero(self.field),) * self.m)
 

@@ -6,16 +6,17 @@ Candidates are (a, b) pairs defining y^q - a(x)^{q-1} y = b(x), scanned
 lexicographically: degree of a ascending, a in counting order, degree of b
 ascending, b in counting order (through the quotient b/a when the family
 restricts b to multiples of a).  Each candidate runs a staged pipeline,
-cheapest first: the ring's validation and singular points (stage
-`ring-valid`); its r-gap structure (`gap-structure`); the class-group
-budget, decided by a count of ideal candidates with no enumeration
-(`class-group`); then the tesismc conditions alone, with no zeta
-(`hypotheses`): those on the equation, the class group, and only then the
-class conditions, mu and the digit condition at s = q - 1.  The stage
-reached and its verdict are the record, which keeps no report of the
-stages.  A checkpoint stores one `coeffs<TAB>stage<TAB>verdict` line per
-finished candidate, so a killed run resumes by skipping whatever is
-already present.
+cheapest first, each stage asking the module that owns its rule: the
+ring's maximality (`ideals.require_maximal`, stage `ring-valid`); an
+r-gap structure with r >= q - 1 (`semigroup.theorem_r_values`,
+`gap-structure`); the class-group budget, a count of ideal candidates
+with no enumeration (`ideals.require_ideal_scan`, `class-group`); then
+the tesismc conditions alone, with no zeta (`hypotheses`): those on the
+equation, the class group, and only then the class conditions, mu and the
+digit condition at s = q - 1.  The stage reached and its verdict are the
+record, which keeps no report of the stages.  A checkpoint stores one
+`coeffs<TAB>stage<TAB>verdict` line per finished candidate, so a killed
+run resumes by skipping whatever is already present.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from ffzeta.errors import BudgetError, CheckpointError
+from ffzeta.errors import (BudgetError, CheckpointError, NonMaximalRingError,
+                           RingValidationError)
 from ffzeta.gf import Poly, monic_poly_at, poly_to_str
-from ffzeta.ideals import DEFAULT_IDEAL_BUDGET, class_group, require_ideal_scan
+from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, class_group, require_ideal_scan,
+                           require_maximal)
 from ffzeta.ring import RingSpec
-from ffzeta.semigroup import r_gap_values, semigroup_from_ring
+from ffzeta.semigroup import semigroup_from_ring, theorem_r_values
 from ffzeta.theorems import tesismc_conditions
 
 STAGES = ("ring-valid", "gap-structure", "class-group", "hypotheses")
@@ -42,7 +45,6 @@ class SearchSpace:
     family: str = "artin-schreier"
     deg_a: tuple = (1, 1)
     deg_b: tuple = (3, 3)
-    min_r: int = None
     h_budget: int = DEFAULT_IDEAL_BUDGET
     fixed_a: object = None
     b_multiple_of_a: bool = False
@@ -55,8 +57,6 @@ class SearchSpace:
         for lo, hi in (self.deg_a, self.deg_b):
             if lo < 0 or hi < lo:
                 raise ValueError("degree ranges must be 0 <= lo <= hi")
-        if self.min_r is not None and self.min_r < 1:
-            raise ValueError(f"min_r must be at least 1, got {self.min_r}")
         if self.h_budget < 1:
             raise ValueError(f"h_budget must be at least 1, got {self.h_budget}")
         if self.fixed_a is not None and self.fixed_a.is_zero:
@@ -115,7 +115,7 @@ class SearchSpace:
     def describe(self):
         d = {"q": self.field.q, "family": self.family,
              "deg_a": list(self.deg_a), "deg_b": list(self.deg_b),
-             "min_r": self.min_r, "h_budget": self.h_budget,
+             "h_budget": self.h_budget,
              "b_multiple_of_a": self.b_multiple_of_a,
              "window": list(self.window()), "size": self.size()}
         if self.fixed_a is not None:
@@ -151,15 +151,15 @@ def evaluate_candidate(space, a, b):
     q = space.field.q
     coeffs = [-b, -(a ** (q - 1))] + [Poly.zero(space.field)] * (q - 2)
     spec = RingSpec.cab(space.field, tuple(coeffs))
-    report = spec.validate()
-    if not report.ok:
+    try:
+        require_maximal(spec)
+    except RingValidationError:
         return "ring-valid", "invalid", None
-    if report.singular_finite:
+    except NonMaximalRingError:
         return "ring-valid", "singular", None
 
     S = semigroup_from_ring(spec)
-    if not any(r >= max(q - 1, space.min_r or 1)
-               for r in r_gap_values(S, q)):
+    if not theorem_r_values(S, q):
         return "gap-structure", "no-valid-r", None
     try:
         require_ideal_scan(spec, S.genus, space.h_budget)
@@ -202,11 +202,10 @@ def search_run(space, checkpoint=None):
 
     Returns (records, summary).  A record carries the stage and verdict
     only, stored in the checkpoint or freshly evaluated.  A new
-    checkpoint opens with a header of q, min_r and h_budget; a checkpoint
-    with another header is refused, one without is read as it is.
+    checkpoint opens with a header of q and h_budget; a checkpoint with
+    another header is refused, one without is read as it is.
     """
-    header = (f"# search q={space.field.q} min_r={space.min_r} "
-              f"h_budget={space.h_budget}")
+    header = f"# search q={space.field.q} h_budget={space.h_budget}"
     seen = _read_checkpoint(checkpoint, header) if checkpoint else {}
     out = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     records = []

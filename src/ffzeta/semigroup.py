@@ -14,7 +14,8 @@ F <= (a_1 - 1)(a_k - 1) - 1; `from_gaps` checks that the gaps are co-closed;
 
 The r-gap structure of a semigroup, for a fixed field size q: r >= 1 is valid
 when l(iq) = i+1 for 1 <= i <= r, l(g+r) = r+1 and rq <= g+r, where g is the
-genus; `r_gap_values` returns the valid r as an ascending tuple.
+genus; `r_gap_values` returns the valid r as an ascending tuple, and
+`theorem_r_values` those with r >= q - 1, the hypothesis of the theorems.
 Enumeration by genus uses the removal tree (remove one minimal generator
 above the Frobenius number per step); a brute-force subset filter
 cross-checks it in the tests.
@@ -141,6 +142,12 @@ def r_gap_values(S, q):
         and S.l(g + r) == r + 1 and r * q <= g + r)
 
 
+def theorem_r_values(S, q):
+    """The valid r >= q - 1, ascending: the r-gap structures the theorems
+    (dinesh, tesismc, the degree-q statement) and search ask for."""
+    return tuple(r for r in r_gap_values(S, q) if r >= q - 1)
+
+
 @dataclass
 class DegreeQReport:
     q: int
@@ -156,7 +163,7 @@ def degree_q_theorem_check(S, q, r):
     exactly q, 2q, .., rq; in particular S has an element of degree q."""
     if r not in r_gap_values(S, q):
         return DegreeQReport(q, r, False, False, (), f"no {r}-gap structure for q={q}")
-    if r < q - 1:
+    if r not in theorem_r_values(S, q):
         return DegreeQReport(q, r, False, False, (), f"r = {r} < q - 1 = {q - 1}")
     elems = tuple(n for n in range(1, r * q + 1) if n in S)
     expected = tuple(i * q for i in range(1, r + 1))

@@ -43,7 +43,8 @@ from ffzeta.gf import (Poly, is_irreducible, is_squarefree, poly_factor,
 from ffzeta.ideal_zeta import (ideal_zeta_classwise, matches_base_substituted,
                                remark_exact_check)
 from ffzeta.ideals import class_group
-from ffzeta.semigroup import r_gap_values, semigroup_from_ring
+from ffzeta.semigroup import (r_gap_values, semigroup_from_ring,
+                               theorem_r_values)
 from ffzeta.zeta import (digit_sum, require_positive_exponent,
                          vanishing_threshold, zeta_neg)
 
@@ -137,10 +138,9 @@ def _dinesh_checks(S, q, s):
     need = functools.partial(_need, checks)
     with suppress(_ChainStop):
         need("(q-1) | s", s % (q - 1) == 0, {"q": q, "s": s})
-        valid_r = r_gap_values(S, q)
-        good = [r for r in valid_r if r >= q - 1]
+        good = theorem_r_values(S, q)
         need("r-gap structure with r >= q-1", bool(good),
-             {"valid_r": list(valid_r), "required": q - 1})
+             {"valid_r": list(r_gap_values(S, q)), "required": q - 1})
         ratio = vanishing_threshold(s, q)
         need("l_q(s)/(q-1) <= r", ratio <= max(good),
              {"ratio": str(ratio), "r": max(good)})
@@ -184,10 +184,10 @@ def _tesismc_form(spec, need):
     need("negative exponents of u = b/a^q coprime to p", not bad,
          {"profile": [(poly_to_str(f), n) for f, n in profile],
           "violations": bad})
-    valid_r = r_gap_values(semigroup_from_ring(spec), q)
-    good_r = [r for r in valid_r if r >= q - 1]
+    S = semigroup_from_ring(spec)
+    good_r = theorem_r_values(S, q)
     need("r-gap structure with r >= q-1", bool(good_r),
-         {"valid_r": list(valid_r)})
+         {"valid_r": list(r_gap_values(S, q))})
     return b, max(good_r)
 
 

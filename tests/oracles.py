@@ -1,10 +1,11 @@
 """Small independent helpers that several test modules use as oracles."""
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
 from ffzeta.gf import GF, Poly, poly_from_str
-from ffzeta.ring import echelon_insert
+from ffzeta.ring import RingElement, echelon_insert
 from ffzeta.semigroup import NumericalSemigroup, r_gap_values
 from ffzeta.zeta import vanishing_threshold
 
@@ -42,6 +43,18 @@ def brute_points(spec, k):
     return total
 
 
+def elem(spec, vec):
+    """The element of spec with coordinates vec, checked to be m
+    polynomials over the ring's field."""
+    vec = tuple(vec)
+    if len(vec) != spec.m:
+        raise ValueError(f"expected {spec.m} coordinates, got {len(vec)}")
+    for g in vec:
+        if not isinstance(g, Poly) or g.field != spec.field:
+            raise ValueError("coordinates must be polynomials over the ring's field")
+    return RingElement(spec, vec)
+
+
 def elem_from_str(spec, s):
     """The ring element with coordinate literals separated by ';' or ',';
     a bare polynomial literal is the F_q[x] part embedded."""
@@ -51,7 +64,7 @@ def elem_from_str(spec, s):
     if len(parts) != spec.m:
         raise ValueError(
             f"element literal needs {spec.m} comma-separated components, got {len(parts)}")
-    return spec.elem(tuple(poly_from_str(spec.field, part) for part in parts))
+    return elem(spec, (poly_from_str(spec.field, part) for part in parts))
 
 
 def ideal_echelon(I, up_to):
@@ -162,6 +175,41 @@ def newton_polygon(coeffs):
     return hull
 
 
+# -- carry-free digit splits on F_q[T] --------------------------------------
+
+def split_degrees(s, q, p, d_top):
+    """deg_T S_d(s) on F_q[T] for d = 0 .. d_top, None where S_d(s) = 0.
+
+    The monic a = T^d + c_(d-1) T^(d-1) + .. + c_0 has a^s = sum over the
+    splits s = k_0 + .. + k_d that are carry-free in base p (Lucas) of
+    multinomial * T^(d k_d) * prod (c_i T^i)^(k_i), and summing c_i over F_q
+    keeps a split exactly when k_i is a positive multiple of q - 1 for every
+    i < d.  The largest split degree sum_i i k_i never cancels, so S_d(s) is
+    nonzero exactly when some split is kept, of that degree.  With R_t =
+    k_t + .. + k_d the degree is R_1 + .. + R_d, so best(j, r) below is the
+    largest R_1 + .. + R_j over chains r = R_0 > R_1 > .. > R_j that drop
+    a kept part at each step, digit by digit in base p."""
+    def subdigits(r):
+        """Every k <= r digitwise in base p, k > 0."""
+        out = [0]
+        place = 1
+        while r:
+            r, digit = divmod(r, p)
+            out = [k + c * place for k in out for c in range(digit + 1)]
+            place *= p
+        return out[1:]
+
+    @functools.cache
+    def best(j, r):
+        if j == 0:
+            return 0
+        found = [r - k + rest for k in subdigits(r) if k % (q - 1) == 0
+                 if (rest := best(j - 1, r - k)) is not None]
+        return max(found, default=None)
+
+    return [best(d, s) for d in range(d_top + 1)]
+
+
 # -- the rank-2 involution --------------------------------------------------
 
 def involution(e):
@@ -170,7 +218,7 @@ def involution(e):
     other root -h - y of its equation."""
     _, h = e.spec.hyperelliptic()
     g0, g1 = e.vec
-    return e.spec.elem((g0 - h * g1, -g1))
+    return elem(e.spec, (g0 - h * g1, -g1))
 
 
 # -- the hyperelliptic r-gap proposition ------------------------------------

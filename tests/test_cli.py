@@ -587,6 +587,14 @@ def test_search_h_budget_refuses_large_class_groups():
         "error": "h_budget must be at least 1, got -1", "kind": "ValueError"}
 
 
+def test_search_has_no_min_r_flag():
+    # the r >= q - 1 threshold is the theorems' own; search adds no other
+    res = run("search", "--q", "2", "--family", "artin-schreier",
+              "--deg-b", "3", "--min-r", "2")
+    assert res.exit_code == 2
+    assert "unrecognized arguments: --min-r 2" in res.text
+
+
 def test_search_checkpoint(tmp_path):
     ckpt = tmp_path / "cli.ckpt"
     code, first = jrun(*FAMILY, "--parts", "2", "--part", "1",

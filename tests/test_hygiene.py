@@ -6,10 +6,11 @@ ffzeta and the standard library, one function holds the library's only
 square-and-multiply loop, one function reads the power-sum budget, one
 function compares ideal candidate counts with a budget, Cantor's
 composition has one home and two readers, one function reads the rank-2
-equation from the multiplication table, one predicate tests for
-digits, no command-line flag is read with Python's int, every search
-verdict is listed in the output schema, and every module parses at the
-declared Python floor."""
+equation from the multiplication table, one function reads the singular
+locus, one writes the theorems' r >= q - 1, the search space has a pinned
+list of fields, one predicate tests for digits, no command-line flag is
+read with Python's int, every search verdict is listed in the output
+schema, and every module parses at the declared Python floor."""
 
 import ast
 import importlib.util
@@ -328,6 +329,96 @@ def test_one_cantor_composition():
     assert readers_of(sources, "compose") == [("ideals", "_extend"),
                                               ("ideals", "mul")]
     assert readers_of(sources, "poly_xgcd") == [("ideals", "compose")]
+
+
+def test_detects_a_singular_locus_reader():
+    # the report's field declaration is no read of it
+    sources = {
+        "ring": "@dataclass\nclass Report:\n    singular_finite: tuple\n",
+        "a": "def refuse(rep):\n    if rep.singular_finite:\n"
+             "        raise ValueError\n\n"
+             "def stage(spec):\n    return spec.validate().singular_finite\n",
+    }
+    assert readers_of(sources, "singular_finite") == [("a", "refuse"),
+                                                      ("a", "stage")]
+
+
+def test_one_singular_locus_reader():
+    # one rule refuses a ring that is not maximal: every caller, search's
+    # ring-valid stage too, asks require_maximal
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert readers_of(sources, "singular_finite") == [
+        ("ideals", "require_maximal")]
+
+
+def q_minus_one_comparisons(sources):
+    """(module, function) of every function that compares a value with
+    q - 1, bare or as an argument of a call such as max(q - 1, ...)."""
+    def q_minus_one(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 1
+                and "q" in (getattr(node.left, "id", None),
+                            getattr(node.left, "attr", None)))
+
+    def compares(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        return any(q_minus_one(op) or isinstance(op, ast.Call)
+                   and any(map(q_minus_one, op.args))
+                   for op in [node.left, *node.comparators])
+
+    return owners_of(sources, compares)
+
+
+def test_detects_a_q_minus_one_comparison():
+    sources = {
+        "a": "def good(rs, q):\n    return [r for r in rs if r >= q - 1]\n\n"
+             "def floor(r, f):\n    return max(f.q - 1, 2) <= r\n\n"
+             "def divides(s, q):\n    return s % (q - 1) == 0\n",
+        "b": "def size(q):\n    return q - 1\n\n"
+             "def low(r, q):\n    if r < q - 1:\n        return r\n",
+    }
+    assert q_minus_one_comparisons(sources) == [("a", "floor"), ("a", "good"),
+                                                ("b", "low")]
+
+
+def test_one_r_threshold():
+    # the theorems' r >= q - 1 is written once, next to r_gap_values; search
+    # and the checks read it there and add no threshold of their own
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert q_minus_one_comparisons(sources) == [
+        ("semigroup", "theorem_r_values")]
+    assert readers_of(sources, "theorem_r_values") == [
+        ("search", "evaluate_candidate"),
+        ("semigroup", "degree_q_theorem_check"),
+        ("theorems", "_dinesh_checks"), ("theorems", "_tesismc_form")]
+
+
+def class_fields(source, name):
+    """The annotated class-level fields of class `name`, in order."""
+    return [s.target.id for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) and node.name == name
+            for s in node.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+
+
+def test_detects_class_fields():
+    src = ("@dataclass\nclass Space:\n    field: object\n    lo: int = 0\n"
+           "    LIMIT = 3\n\n    def f(self):\n        x: int = 1\n\n"
+           "class Other:\n    hi: int = 1\n")
+    assert class_fields(src, "Space") == ["field", "lo"]
+
+
+# what a search scans and within which budget; a new knob is a rule search
+# would hold apart from the theorems, so it needs an edit here
+SEARCH_SPACE_FIELDS = ["field", "family", "deg_a", "deg_b", "h_budget",
+                       "fixed_a", "b_multiple_of_a", "start", "stop"]
+
+
+def test_search_space_fields():
+    source = (SRC / "search.py").read_text(encoding="utf-8")
+    assert class_fields(source, "SearchSpace") == SEARCH_SPACE_FIELDS
 
 
 def rank2_equation_readers(sources):

@@ -5,19 +5,21 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from oracles import brute_points, elem_from_str, ideal_echelon, involution
+from oracles import (brute_points, elem, elem_from_str, ideal_echelon,
+                     involution)
 
 import ffzeta.ideals as ideals
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
-from ffzeta.gf import GF, Poly, monic_polys, poly_from_str, polys_below
+from ffzeta.gf import (TABLE_CAP, GF, Poly, monic_polys, poly_from_str,
+                       polys_below)
 from ffzeta.ideals import (
     class_equivalent, class_group, count_ideal_candidates, elem_divexact,
     enumerate_ideals, ideal_from_generators, ideal_is_principal, ideal_mul,
     ideal_pow, ideal_quotient, reduced_basis, require_ideal_scan,
     _enumerate_ideals_general,
 )
-from ffzeta.ring import (RingSpec, affine_combinations, count_affine_points,
-                         elem_to_str)
+from ffzeta.ring import (RingSpec, _horner, _quadratic_roots,
+                         affine_combinations, count_affine_points, elem_to_str)
 from ffzeta.ringfile import parse_ring_spec
 from ffzeta.semigroup import semigroup_from_ring
 
@@ -198,7 +200,7 @@ def test_principal_ideal_roundtrip(h4g3):
         vec = tuple(poly_from_str(F2, "0") + sum(
             (P(F2, f"x^{k}") for k in range(6) if rng.randrange(2)),
             P(F2, "0")) for _ in range(2))
-        alpha = h4g3.elem(vec)
+        alpha = elem(h4g3, vec)
         if alpha.is_zero:
             continue
         I = ideal_from_generators([alpha], h4g3)
@@ -831,7 +833,7 @@ def triple_ideal(spec, triple):
     for, an integral ideal."""
     u, v, num, den = triple
     return ideal_from_generators(
-        [num * u, num * spec.elem((-v, Poly.one(spec.field)))], spec)
+        [num * u, num * elem(spec, (-v, Poly.one(spec.field)))], spec)
 
 
 @pytest.mark.parametrize("name", ["h4g3", "ex26", "ex36", "h8g2", "ell5",
@@ -985,6 +987,43 @@ def test_point_count_matches_brute_force(name, k_max, request):
 def test_point_count_polyring():
     for k in (1, 2, 3):
         assert count_affine_points(RingSpec.polyring(F4), k) == 4 ** k
+
+
+# every bundled and benchmark rank-2 ring, and y^2 = f genus-2 curves
+@pytest.mark.parametrize("name", ["ex26", "ex36", "h4g3", "ell5", "h8g2",
+                                  "h20g2", "h20g4", "F13", "F19"])
+def test_rank_two_root_tables_match_the_root_scan(name, monkeypatch):
+    # count_affine_points reads the roots of T^2 + c1 T + c0 from the two
+    # tables of _quadratic_roots at m = 2 and scans F_(q^k) at other m;
+    # each root list it reads must be the one the scan finds, at every k
+    # with q^k <= TABLE_CAP
+    if name in ("F13", "F19"):
+        spec = curve(int(name[1:]), "x^5 + x + 1" if name == "F13"
+                     else "x^5 + 3*x + 1")
+    elif name.startswith("ex") or name == "h4g3":
+        spec = parse_ring_spec(name)
+    else:
+        spec = parse_ring_spec(PERFBENCH_RINGS / f"{name}.ring")
+    assert spec.m == 2
+    asked = []
+
+    def checked(E):
+        table = _quadratic_roots(E)
+
+        def roots(cs):
+            got = table(cs)
+            scan = [b for b in range(E.q)
+                    if not _horner(cs, b, E._addl, E._mull)]
+            asked.append((cs, sorted(got) == scan))
+            return got
+        return roots
+
+    monkeypatch.setattr("ffzeta.ring._quadratic_roots", checked)
+    k = 1
+    while spec.q ** k <= TABLE_CAP:
+        count_affine_points(spec, k)
+        k += 1
+    assert asked and [cs for cs, same in asked if not same] == []
 
 
 @pytest.mark.parametrize("k", [1, 3])

@@ -149,8 +149,6 @@ def test_space_validation():
     with pytest.raises(ValueError, match="nonzero"):
         SearchSpace(F2, fixed_a=Poly.zero(F2))
     for r in (0, -5):
-        with pytest.raises(ValueError, match=f"^min_r must be at least 1, got {r}$"):
-            SearchSpace(F2, min_r=r)
         with pytest.raises(ValueError,
                            match=f"^h_budget must be at least 1, got {r}$"):
             SearchSpace(F2, h_budget=r)
@@ -193,15 +191,12 @@ def test_evaluate_invalid_even_degree():
     assert (stage, verdict) == ("ring-valid", "invalid")
 
 
-def test_evaluate_min_r_filter():
-    a = poly_from_str(F2, "x^2 + x")
-    b = poly_from_str(F2, "x^7 + x^6 + x^5 + x")
-    stage, verdict, report = evaluate_candidate(SearchSpace(F2, min_r=7), a, b)
-    assert (stage, verdict, report) == ("gap-structure", "no-valid-r", None)
-    # without the filter the chain runs, and its valid r all lie below 7
-    _, _, report = evaluate_candidate(SearchSpace(F2), a, b)
-    valid_r = witness(report, "r-gap structure with r >= q-1")["valid_r"]
-    assert valid_r and max(valid_r) < 7
+def test_evaluate_no_valid_r_at_q3():
+    # at q >= 3 the semigroup <q, N> has no valid r >= q - 1 (see
+    # `theorems`), so a candidate that validates stops at the gap stage
+    a, b = poly_from_str(F3, "x"), poly_from_str(F3, "x^5 + x + 1")
+    assert evaluate_candidate(SearchSpace(F3), a, b) == (
+        "gap-structure", "no-valid-r", None)
 
 
 def test_evaluate_known_pass():
@@ -378,7 +373,7 @@ def test_resume_skips_checkpointed(tmp_path, family_space, family_run):
     first = dataclasses.replace(family_space, stop=16)
     search_run(first, checkpoint=str(ckpt))
     lines = ckpt.read_text().splitlines()
-    assert lines[0] == "# search q=2 min_r=None h_budget=4000000"
+    assert lines[0] == "# search q=2 h_budget=4000000"
     assert len(lines[1:]) == 16
 
     resumed_records, resumed_summary = search_run(family_space,
@@ -426,7 +421,6 @@ def test_checkpoint_of_another_search_refused(tmp_path):
                                                for r in records}
     before = ckpt.read_text()
     for space in (SearchSpace(F3, deg_b=(3, 3)),
-                  dataclasses.replace(q2, min_r=2),
                   dataclasses.replace(q2, h_budget=1000)):
         with pytest.raises(CheckpointError, match="header '# search q=2 "):
             search_run(space, checkpoint=str(ckpt))
@@ -435,6 +429,23 @@ def test_checkpoint_of_another_search_refused(tmp_path):
     again, _ = search_run(dataclasses.replace(q2, deg_b=(2, 3)),
                           checkpoint=str(ckpt))
     assert sum(r.resumed for r in again) == len(records)
+
+
+def test_checkpoint_with_a_min_r_header(tmp_path, family_space, family_run):
+    # a checkpoint written while search had a min_r knob is refused as any
+    # other header is, and resumes once its header line is deleted
+    records, _ = family_run
+    ckpt = tmp_path / "min_r.ckpt"
+    body = "".join(f"{r.coeffs}\t{r.stage}\t{r.verdict}\n" for r in records[:4])
+    ckpt.write_text("# search q=2 min_r=None h_budget=4000000\n" + body)
+    with pytest.raises(CheckpointError, match="^.*: header '# search q=2 "
+                       "min_r=None h_budget=4000000', not '# search q=2 "
+                       "h_budget=4000000'$"):
+        search_run(family_space, checkpoint=str(ckpt))
+    ckpt.write_text(body)
+    resumed, _ = search_run(family_space, checkpoint=str(ckpt))
+    assert [r.resumed for r in resumed] == [True] * 4 + [False] * 28
+    assert shape(resumed) == shape(records)
 
 
 def test_headerless_checkpoint_read_and_extended(tmp_path, family_space,
@@ -454,7 +465,7 @@ def test_headerless_checkpoint_read_and_extended(tmp_path, family_space,
 def test_header_only_on_the_first_line(tmp_path, family_space):
     ckpt = tmp_path / "late.ckpt"
     ckpt.write_text("a=x;b=x^3\tring-valid\tinvalid\n"
-                    "# search q=2 min_r=None h_budget=4000000\n")
+                    "# search q=2 h_budget=4000000\n")
     with pytest.raises(CheckpointError, match="line 2"):
         search_run(family_space, checkpoint=str(ckpt))
 

@@ -6,7 +6,7 @@ import pytest
 from ffzeta.errors import BudgetError
 from ffzeta.semigroup import (
     GENUS_CAP, NumericalSemigroup, degree_q_theorem_check,
-    enumerate_semigroups, r_gap_values, semigroup_from_ring,
+    enumerate_semigroups, r_gap_values, semigroup_from_ring, theorem_r_values,
 )
 
 
@@ -138,6 +138,20 @@ def test_degree_q_examples(S27, quintic):
     assert rep.applicable and rep.passed
     assert rep.elements == (3, 6)
     assert not degree_q_theorem_check(S27, 2, 1).applicable
+
+
+def test_theorem_r_values_drop_r_below_q_minus_one():
+    # <3,7,8> has a 1- and a 2-gap structure at q = 3; the theorems take 2
+    S = NumericalSemigroup.from_generators((3, 7, 8))
+    assert r_gap_values(S, 3) == (1, 2)
+    assert theorem_r_values(S, 3) == (2,)
+    rep = degree_q_theorem_check(S, 3, 1)
+    assert not rep.applicable and rep.reason == "r = 1 < q - 1 = 2"
+    assert degree_q_theorem_check(S, 3, 2).applicable
+    # at q = 2 every valid r qualifies
+    for g in range(7):
+        for T in enumerate_semigroups(g):
+            assert theorem_r_values(T, 2) == r_gap_values(T, 2)
 
 
 # -- genus-5 story ----------------------------------------------------------

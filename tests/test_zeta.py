@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 from oracles import (binom_mod_p, elem_from_str, involution, newton_polygon,
-                     ord_from_coeffs)
+                     ord_from_coeffs, split_degrees)
 
 from ffzeta.errors import BudgetError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
@@ -213,6 +213,28 @@ def test_newton_polygon_slopes_are_simple_on_fq_x(ring, s_max):
     for s in range(1, s_max + 1):
         hull = newton_polygon(zeta_neg(s, spec).coeffs)
         assert all(d1 - d0 == 1 for (d0, _), (d1, _) in zip(hull, hull[1:])), s
+
+
+# (ring, s_max, how many zetas end in a zero coefficient): d_max is the
+# degree of zeta(-s, X) at prime q, and can lie above it at q = p^n, n > 1
+@pytest.mark.parametrize("ring, s_max, zero_tops", [
+    ("fqx2", 300, 0), ("fqx3", 300, 0), ("fqx4", 300, 38),
+    ((5, 1), 200, 0), ((2, 3), 200, 24), ((3, 2), 200, 12)],
+    ids=["fqx2", "fqx3", "fqx4", "F5", "F8", "F9"])
+def test_coefficient_degrees_from_digit_splits(ring, s_max, zero_tops):
+    # each coefficient S_d(s) of zeta(-s, X) on F_q[T]: zero or not, and its
+    # T-degree, from the carry-free splits of s (Carlitz; Sheats 1998);
+    # the split rule also says S_(d_max + 1)(s) = 0
+    spec = (parse_ring_spec(ring) if isinstance(ring, str)
+            else RingSpec.polyring(GF(*ring)))
+    q, p = spec.field.q, spec.field.p
+    tops = 0
+    for s in range(1, s_max + 1):
+        coeffs = zeta_neg(s, spec).coeffs
+        degrees = [None if c.is_zero else c.vec[0].degree for c in coeffs]
+        assert split_degrees(s, q, p, len(coeffs)) == degrees + [None], s
+        tops += degrees[-1] is None
+    assert tops == zero_tops
 
 
 def test_newton_polygon_merges_collinear_points():
