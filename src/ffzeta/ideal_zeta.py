@@ -8,13 +8,15 @@ I^t := a^(t/e) with a the monic generator of I^e, and
 Two computations are provided, and the tests check that they agree.  Both
 return a `zeta.ZetaPolynomial`, the value type of the element zeta.  The
 direct path enumerates all ideals per degree up to the largest class
-cutoff.  The classwise path splits the sum by ideal class, and sums every
+cutoff.  The classwise path splits the sum by ideal class, and treats every
 class the same way: the class-k part collects monic elements alpha of the
 representative I_k at degree d + d_k, read off its reduced basis (those
 alpha are exactly the products I_k * I over integral I of degree d in the
 inverse class), divided by the constant prefactor f_k^(t/e_k).  The
 principal class is one of them: its representative is (1), with d = 0 and
-f = 1, so its part is the element zeta, slice by slice S(d).  Each class
+f = 1, so its part is the element zeta, slice by slice S(d).  At m = 2
+the involution y -> -h - y pairs each class with its inverse, and only one
+class of each pair is summed (`ideal_zeta_classwise`).  Each class
 term has its leads from `zeta.term_leads` over the reduced basis of its
 representative, and the last lead's degree is the term's certified cutoff
 (`_class_cuts`, shared by both paths), so the classwise result is a
@@ -40,8 +42,8 @@ from dataclasses import dataclass
 
 from ffzeta.errors import ConsistencyError
 from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, elem_divexact,
-                           enumerate_ideals, power_route, reduced_basis,
-                           require_ideal_scan)
+                           enumerate_ideals, involution, involution_partners,
+                           power_route, reduced_basis, require_ideal_scan)
 from ffzeta.ring import RingElement, RingSpec
 from ffzeta.zeta import (ZetaPolynomial, affine_power_sum,
                          require_positive_exponent, term_leads, zeta_neg)
@@ -109,20 +111,44 @@ def ideal_zeta_classwise(t, report):
 
     Every class's leads, the principal one's included, pass the budget
     before the first power.  A class term whose exact division leaves the
-    ring raises ConsistencyError.
+    ring raises ConsistencyError.  At m = 2 the involution sigma pairs each
+    class C with C^-1 (`involution_partners`), and only the earlier of the
+    two is summed.  sigma maps the monic elements of I_C at degree D to
+    lambda_D times those of I_(C^-1), lambda_D the leading coefficient of
+    sigma(lead), and f_C to mu f_(C^-1), mu that of sigma(f_C); so the
+    term of C^-1 at D is lambda_D^(-t) mu^(t/k) sigma(term of C), k the
+    order of C.
     """
     spec = report.spec
+    field = spec.field
     require_monic_products(spec)
     _require_exponent(t, report)
+    classes = report.classes
+    partners = (involution_partners([c.rep for c in classes])
+                if spec.m == 2 else range(len(classes)))
     coeffs = []
+    pending = {}    # partner index -> (lead, term) pairs of a class summed
     # every class's leads are refused or built before the first power
-    for cls, leads, cut in list(_class_cuts(t, report)):
-        denom = cls.generator ** (t // cls.order)
+    for i, (cls, leads, cut) in enumerate(list(_class_cuts(t, report))):
         coeffs += [spec.zero()] * (cut + 1 - len(coeffs))
-        for i, lead in enumerate(leads):
-            acc = affine_power_sum(lead, leads[:i], t)
+        if i in pending:
+            mu = involution(classes[partners[i]].generator).leading()[2]
+            for lead, term in pending.pop(i):
+                lam = involution(lead).leading()[2]
+                c = field.mul(field.pow(lam, -t),
+                              field.pow(mu, t // cls.order))
+                coeffs[lead.degree - cls.degree] += (
+                    involution(term).scale_const(c))
+            continue
+        denom = cls.generator ** (t // cls.order)
+        terms = []
+        for j, lead in enumerate(leads):
+            acc = affine_power_sum(lead, leads[:j], t)
             if not acc.is_zero:
-                coeffs[lead.degree - cls.degree] += elem_divexact(acc, denom)
+                terms.append((lead, elem_divexact(acc, denom)))
+                coeffs[lead.degree - cls.degree] += terms[-1][1]
+        if partners[i] > i:
+            pending[partners[i]] = terms
     return ZetaPolynomial(spec, t, coeffs)
 
 

@@ -53,7 +53,13 @@ The powers follow `power_route`.  At m = 2 they are Miller triples under
 Cantor's group law (`CantorLaw`): I^k = (u, y - v) (num / den) with (u, v)
 a reduced Mumford pair, principal exactly when u = 1, and then generated by
 monic(num / den), so no Hermite form is built.  At other m they are Hermite
-forms, tested by `ideal_is_principal`.
+forms, tested by `ideal_is_principal`.  At m = 2 only one class of each pair
+{C, C^-1} is walked: the involution sigma: y -> -h - y (`involution`) maps
+the representative (u, y - v) of C to (u, y + h + v), that of C^-1
+(`involution_partners`), so the later of the two takes the earlier one's
+order and sigma(generator), made monic.  A representative of positive
+degree that sigma fixes, u | 2v + h, is 2-torsion with I^2 = I sigma(I) =
+(u), so its order is 2 and its generator u, with no walk.
 
 Ideals are `IdealHNF` values, immutable by convention like the `Poly` and
 `RingElement` values they are built from.
@@ -354,6 +360,44 @@ def power_route(spec):
         return (lambda I: I), ideal_pow, ideal_is_principal
     law = CantorLaw(spec)
     return law.triple, law.power, law.principal
+
+
+def involution(e):
+    """sigma(g0 + g1 y) = (g0 - h g1) - g1 y on the rank-2 ring
+    y^2 + h y = f (`RingSpec.hyperelliptic`): the automorphism over F_q[x]
+    that swaps y with the other root -h - y of its equation.  It keeps
+    degrees, as deg h < deg y, so it sends a monic element of degree d to
+    (-1)^d times a monic one; and as I sigma(I) = (N I) is principal, it
+    sends each ideal class C to C^-1."""
+    _, h = e.spec.hyperelliptic()
+    g0, g1 = e.vec
+    return RingElement(e.spec, (g0 - h * g1, -g1))
+
+
+def _involution_image(I):
+    """sigma(I) for a primitive rank-2 ideal I = (u, y - v) with Hermite
+    columns (u, 0), (v', 1), v' = -v mod u: (u, y + h + v), with columns
+    (u, 0), ((h - v') mod u, 1)."""
+    (u, zero), (vp, one) = I.cols
+    _, h = I.spec.hyperelliptic()
+    return IdealHNF(I.spec, ((u, zero), ((h - vp) % u, one)))
+
+
+def involution_partners(reps):
+    """Per representative I of a rank-2 class, the index in reps of
+    sigma(I), the representative of the inverse class: sigma keeps degree
+    and primitivity, so it maps reduced ideals to reduced ideals.  An image
+    that is no representative raises ConsistencyError."""
+    index = {I: i for i, I in enumerate(reps)}
+    partners = []
+    for I in reps:
+        j = index.get(_involution_image(I))
+        if j is None:
+            raise ConsistencyError(
+                "the involution maps a class representative to an ideal "
+                "that is no representative")
+        partners.append(j)
+    return partners
 
 
 # -- quotients and class equivalence ----------------------------------------
@@ -770,10 +814,40 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
         raise ConsistencyError(
             f"found {len(reps)} reduced ideals of degree <= g = {g}, "
             f"but h = {h}")
+    walk = _order_walk(spec, h)
+    if spec.m != 2:
+        classes = [walk(I) for I in reps]
+    else:
+        # sigma pairs each class C with C^-1, of the same order: the later
+        # of the two takes sigma of the earlier one's generator, and a class
+        # sigma fixes is 2-torsion, I^2 = I sigma(I) = (u)
+        classes = []
+        for I, j in zip(reps, involution_partners(reps)):
+            if j < len(classes):
+                c = classes[j]
+                classes.append(ClassData(
+                    rep=I, degree=I.deg, order=c.order,
+                    generator=involution(c.generator).monic()))
+            elif j == len(classes) and I.deg:
+                if h % 2:
+                    raise ConsistencyError(
+                        f"a class of order 2, but h = {h} is odd")
+                classes.append(ClassData(
+                    rep=I, degree=I.deg, order=2,
+                    generator=spec.elem_from_poly(I.cols[0][0])))
+            else:
+                classes.append(walk(I))
+    e = lcm(*(c.order for c in classes))
+    return ClassGroupReport(**vars(lp), e=e, classes=tuple(classes))
+
+
+def _order_walk(spec, h):
+    """The class data of a representative I by its order walk: the least
+    divisor k of h with I^k principal, on the powers of `power_route`."""
     divisors = [k for k in range(1, h + 1) if h % k == 0]
     start, power, principal = power_route(spec)
-    classes = []
-    for I in reps:
+
+    def walk(I):
         # (1) is the one reduced ideal of the principal class, so a rep of
         # positive degree is not principal
         powers = {1: start(I)}
@@ -782,12 +856,10 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
             powers[k] = power(powers[b], k // b)
             ok, gen = principal(powers[k])
             if ok:
-                break
-        else:
-            raise ConsistencyError("class order exceeds h; group law violated")
-        classes.append(ClassData(rep=I, degree=I.deg, order=k, generator=gen))
-    e = lcm(*(c.order for c in classes))
-    return ClassGroupReport(**vars(lp), e=e, classes=tuple(classes))
+                return ClassData(rep=I, degree=I.deg, order=k, generator=gen)
+        raise ConsistencyError("class order exceeds h; group law violated")
+
+    return walk
 
 
 def _is_reduced(I):

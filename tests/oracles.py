@@ -2,12 +2,16 @@
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 
 from ffzeta.gf import GF, Poly, poly_from_str
+from ffzeta.ideal_zeta import _class_cuts
+from ffzeta.ideals import (_is_reduced, elem_divexact, l_polynomial,
+                           power_route)
 from ffzeta.ring import RingElement, echelon_insert
 from ffzeta.semigroup import NumericalSemigroup, r_gap_values
-from ffzeta.zeta import vanishing_threshold
+from ffzeta.zeta import affine_power_sum, vanishing_threshold
 
 
 def poly_eval(f, a):
@@ -210,15 +214,47 @@ def split_degrees(s, q, p, d_top):
     return [best(d, s) for d in range(d_top + 1)]
 
 
-# -- the rank-2 involution --------------------------------------------------
+# -- every class on its own ------------------------------------------------
 
-def involution(e):
-    """sigma(g0 + g1 y) = (g0 - h g1) - g1 y on a rank-2 ring with
-    y^2 + h y = f: the automorphism over F_q[x] that swaps y with the
-    other root -h - y of its equation."""
-    _, h = e.spec.hyperelliptic()
-    g0, g1 = e.vec
-    return elem(e.spec, (g0 - h * g1, -g1))
+def walk_every_class(spec):
+    """Oracle for `class_group`'s classes: (rep, degree, order, generator)
+    for every reduced ideal of degree <= g in enumeration order, each found
+    by its own order walk, the least divisor k of h with I^k principal on
+    the powers of `power_route`, with no pairing of a class and its
+    inverse."""
+    lp = l_polynomial(spec)
+    h = lp.h
+    divisors = [k for k in range(1, h + 1) if h % k == 0]
+    start, power, principal = power_route(spec)
+    out = []
+    for I in chain.from_iterable(lp.low_ideals):
+        if not _is_reduced(I):
+            continue
+        powers = {1: start(I)}
+        for k in divisors[1 if I.deg else 0:]:
+            b = max(b for b in powers if k % b == 0)
+            powers[k] = power(powers[b], k // b)
+            ok, gen = principal(powers[k])
+            if ok:
+                out.append((I, I.deg, k, gen))
+                break
+    return out
+
+
+def classwise_terms(t, report):
+    """Oracle for `ideal_zeta_classwise`: per class, its term by X-degree,
+    each class summed from its own leads and divided by its own
+    f_k^(t/e_k), with no use of the involution."""
+    out = []
+    for cls, leads, _ in _class_cuts(t, report):
+        denom = cls.generator ** (t // cls.order)
+        term = {}
+        for i, lead in enumerate(leads):
+            acc = affine_power_sum(lead, leads[:i], t)
+            if not acc.is_zero:
+                term[lead.degree - cls.degree] = elem_divexact(acc, denom)
+        out.append(term)
+    return out
 
 
 # -- the hyperelliptic r-gap proposition ------------------------------------

@@ -1,8 +1,9 @@
 from pathlib import Path
 
 import pytest
-from oracles import elem_from_str
+from oracles import classwise_terms, elem_from_str
 
+import ffzeta.ideal_zeta as ideal_zeta
 import ffzeta.ideals as ideals
 from ffzeta.errors import BudgetError, ConsistencyError
 from ffzeta.gf import GF, poly_from_str
@@ -12,7 +13,7 @@ from ffzeta.ideal_zeta import (
 )
 from ffzeta.ideals import (class_group, enumerate_ideals,
                            ideal_from_generators, ideal_is_principal,
-                           ideal_pow)
+                           ideal_pow, involution, involution_partners)
 from ffzeta.ring import RingSpec, elem_to_str
 from ffzeta.ringfile import parse_ring_spec
 from ffzeta.theorems import check_tesismc
@@ -138,13 +139,62 @@ def test_classwise_equals_direct(h4g3, ex26, ex36, elliptic, f4as, xy5,
             (ex36, class_group(ex36), (2,)),
             (elliptic, class_group(elliptic), (7, 14)),
             (f4as, class_group(f4as), (1, 2, 3)),
-            (xy5, class_group(xy5), (25,))]
+            (xy5, class_group(xy5), (25, 50))]
     for spec, rep, ts in jobs:
         for t in ts:
             zc = ideal_zeta_classwise(t, rep)
             # the direct route's default cutoff is the classwise one
             zd = ideal_zeta_direct(t, rep)
             assert (zd.d_max, zd.coeffs) == (zc.d_max, zc.coeffs)
+
+
+@pytest.mark.parametrize("name,flips", [
+    ("xy5", {"mu"}), ("elliptic", {"lambda", "mu"}), ("ell5", set()),
+    ("h8g2", set()), ("h34", set())],
+    ids=["xy5", "elliptic", "ell5", "h8g2", "h34"])
+def test_sigma_pairs_match_the_every_class_sums(name, flips, request,
+                                                monkeypatch):
+    # the oracle sums every class; ideal_zeta_classwise sums one class of
+    # each pair {C, C^-1} and maps the other by sigma.  By the parity law,
+    # lambda_D = (-1)^D and mu = (-1)^(k d_C), so the term of C^-1 at X^j,
+    # D = j + d_C, is (-1)^(t D) (-1)^(t d_C) sigma(term of C).  flips names
+    # the factors that are -1 at some summed term at t = e: both need odd p
+    # and odd t (xy5 at t = e = 25, elliptic at t = e = 7), and on xy5 every
+    # summed term has even D
+    spec = (request.getfixturevalue(name) if name in ("xy5", "elliptic") else
+            parse_ring_spec(GOLDEN / "h34.ring") if name == "h34" else
+            parse_ring_spec(PERFBENCH_RINGS / f"{name}.ring"))
+    rep = class_group(spec)
+    partners = involution_partners([c.rep for c in rep.classes])
+    summed = sum(1 for i, j in enumerate(partners) if j >= i)
+    assert summed < rep.h
+    seen = set()
+    for t in (rep.e, 2 * rep.e):
+        terms = classwise_terms(t, rep)
+        for i, j in enumerate(partners):
+            d = rep.classes[i].degree
+            assert terms[j].keys() == terms[i].keys()
+            for x, term in terms[i].items():
+                lam, mu = (-1) ** (t * (x + d)), (-1) ** (t * d)
+                assert terms[j][x] == involution(term).scale_const(
+                    lam * mu % spec.field.p)
+                if j > i and spec.field.p > 2:
+                    seen |= {"lambda"} if lam < 0 else set()
+                    seen |= {"mu"} if mu < 0 else set()
+        width = 1 + max(cut for *_, cut in _class_cuts(t, rep))
+        want = [spec.zero()] * width
+        for term in terms:
+            for x, c in term.items():
+                want[x] += c
+        calls = []
+        real = ideal_zeta.affine_power_sum
+        monkeypatch.setattr(ideal_zeta, "affine_power_sum",
+                            lambda *a: calls.append(1) or real(*a))
+        assert ideal_zeta_classwise(t, rep).coeffs == tuple(want)
+        monkeypatch.undo()
+        leads = len(next(_class_cuts(t, rep))[1])
+        assert len(calls) == summed * leads
+    assert seen == flips
 
 
 def test_trivial_group_divides_by_one_without_a_solve(f4as, monkeypatch):
@@ -190,6 +240,7 @@ def test_direct_beyond_certified_cutoff_is_zero(h4g3, h4g3_classes):
 
 
 PERFBENCH_RINGS = Path(__file__).resolve().parent.parent / "perfbench" / "rings"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 RINGS = (["ex26", "ex36", "fqx2", "fqx3", "fqx4", "h4g3"]
          + sorted(str(p) for p in PERFBENCH_RINGS.glob("*.ring")))
 

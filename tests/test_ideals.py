@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 from oracles import (brute_points, elem, elem_from_str, ideal_echelon,
-                     involution)
+                     walk_every_class)
 
 import ffzeta.ideals as ideals
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
@@ -15,7 +15,7 @@ from ffzeta.gf import (TABLE_CAP, GF, Poly, monic_polys, poly_from_str,
 from ffzeta.ideals import (
     class_equivalent, class_group, count_ideal_candidates, elem_divexact,
     enumerate_ideals, ideal_from_generators, ideal_is_principal, ideal_mul,
-    ideal_pow, ideal_quotient, reduced_basis, require_ideal_scan,
+    ideal_pow, ideal_quotient, involution, reduced_basis, require_ideal_scan,
     _enumerate_ideals_general,
 )
 from ffzeta.ring import (RingSpec, _horner, _quadratic_roots,
@@ -791,11 +791,14 @@ def test_class_orders_divide_h(h4g3_classes, elliptic, h34):
         assert rep.classes[0].order == 1
 
 
-def test_class_group_tests_only_divisors_of_h(h34, monkeypatch):
-    # each class ends at its first principal power; before it, at most one
-    # test per divisor of h (a power-by-power search makes one per power),
-    # and none at k = 1 but for the trivial class, whose rep (1) is the one
-    # reduced ideal of degree 0.  At rank 2 the walk tests Miller triples.
+def test_class_group_tests_only_divisors_of_h(h34, h20g2, monkeypatch):
+    # the trivial class takes one test, at k = 1: its rep (1) is the one
+    # reduced ideal of degree 0.  Then one walk per pair {C, C^-1} and none
+    # at a 2-torsion class: h34 (cyclic) has one class of order 2, so
+    # (34 - 2) / 2 walks, and h20g2 (Z/2 x Z/10) three, so (20 - 4) / 2.
+    # Each walk ends at its first principal power, with at most one test per
+    # divisor of h (a power-by-power search makes one per power), and none at
+    # k = 1.  At rank 2 the walk tests Miller triples.
     results = []
     real = ideals.CantorLaw.principal
 
@@ -805,18 +808,50 @@ def test_class_group_tests_only_divisors_of_h(h34, monkeypatch):
         return out
 
     monkeypatch.setattr(ideals.CantorLaw, "principal", counting)
-    rep = class_group(h34)
-    per_class, run = [], 0
-    for ok in results:
-        run += 1
-        if ok:
-            per_class.append(run)
-            run = 0
-    assert run == 0 and len(per_class) == rep.h
-    n_divisors = sum(1 for k in range(1, rep.h + 1) if rep.h % k == 0)
-    assert n_divisors == 4
-    assert per_class[0] == 1
-    assert max(per_class[1:]) <= n_divisors - 1
+    for spec, walks in ((h34, 16), (h20g2, 8)):
+        results.clear()
+        rep = class_group(spec)
+        per_class, run = [], 0
+        for ok in results:
+            run += 1
+            if ok:
+                per_class.append(run)
+                run = 0
+        assert run == 0 and per_class[0] == 1
+        two_torsion = sum(1 for c in rep.nontrivial() if c.order == 2)
+        assert len(per_class) - 1 == (rep.h - 1 - two_torsion) // 2 == walks
+        n_divisors = sum(1 for k in range(1, rep.h + 1) if rep.h % k == 0)
+        assert max(per_class[1:]) <= n_divisors - 1
+
+
+@pytest.mark.parametrize("name", ["h4g3", "ex36", "ex26", "h8g2", "ell5",
+                                  "h20g2", "h34", "xy5", "F11", "F13"])
+def test_class_group_matches_the_every_class_walk(name, request):
+    # the oracle walks every class on its own; class_group walks one class
+    # of each pair {C, C^-1} and none of order 2
+    if name in ("F11", "F13"):
+        spec = curve(int(name[1:]), "x^5 + x + 1")
+    else:
+        spec = stored_ring(name, request)
+    assert [(c.rep, c.degree, c.order, c.generator)
+            for c in class_group(spec).classes] == walk_every_class(spec)
+
+
+def test_involution_image_outside_the_reps_raises(h20g2, monkeypatch):
+    # x I has content x, so it is no reduced ideal
+    x = Poly.monomial(F3, 1)
+    monkeypatch.setattr(ideals, "_involution_image", lambda I: ideals.IdealHNF(
+        I.spec, tuple(tuple(x * g for g in col) for col in I.cols)))
+    with pytest.raises(ConsistencyError, match="no representative"):
+        class_group(h20g2)
+
+
+def test_self_paired_class_at_odd_h_raises(xy5, monkeypatch):
+    # a class sigma fixes has order 2, which cannot divide h = 25
+    monkeypatch.setattr(ideals, "_involution_image", lambda I: I)
+    with pytest.raises(ConsistencyError,
+                       match="a class of order 2, but h = 25 is odd"):
+        class_group(xy5)
 
 
 # -- Cantor's law and Miller triples at rank 2 ------------------------------
@@ -896,6 +931,7 @@ def test_involution_maps_each_class_to_its_inverse(name, request):
     rep = class_group(spec)
     by_rep = {c.rep: c for c in rep.classes}
     for c in rep.classes:
+        assert ideals._involution_image(c.rep) == sigma_ideal(c.rep)
         inv = by_rep[sigma_ideal(c.rep)]
         assert ideal_is_principal(ideal_mul(c.rep, inv.rep))[0]
         assert inv.order == c.order

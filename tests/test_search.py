@@ -1,14 +1,13 @@
 import dataclasses
 
 import pytest
-from oracles import involution
 
 import ffzeta.gf
 import ffzeta.search as search
 from ffzeta.errors import CheckpointError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
 from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, class_group,
-                           ideal_from_generators)
+                           ideal_from_generators, involution)
 from ffzeta.ring import RingSpec
 from ffzeta.search import (
     SearchSpace, SearchSummary, candidate_key, evaluate_candidate,

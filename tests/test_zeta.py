@@ -4,13 +4,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from oracles import (binom_mod_p, elem_from_str, involution, newton_polygon,
+from oracles import (binom_mod_p, elem_from_str, newton_polygon,
                      ord_from_coeffs, split_degrees)
 
 from ffzeta.errors import BudgetError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
 from ffzeta.ideal_zeta import ideal_zeta_classwise
-from ffzeta.ideals import class_group
+from ffzeta.ideals import class_group, involution
 from ffzeta.ring import RingSpec
 from ffzeta.ringfile import bundled_ring_names, parse_ring_spec
 from ffzeta.zeta import (
