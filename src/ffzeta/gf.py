@@ -6,6 +6,12 @@ of the residue polynomial in the generator t, lowest power first, reduced by
 the field modulus.  All element operations go through tables precomputed on
 the `FF` instance, so values stay exact machine ints throughout.
 
+A field also keeps the tables that depend on it alone, each built on first
+use (`FF` lists them): the Frobenius orbits, the quadratic-root tables, the
+embeddings of its subfields and its monic irreducibles by degree.  `GF()`
+hands out one `FF` per field, and only fields with q <= TABLE_CAP exist, so
+every ring over a field reads the same tables and their memory is bounded.
+
 Polynomials are `Poly` values: a field reference plus one packed Python int,
 immutable by convention (no operation writes to an existing `Poly`).  The
 int holds one little-endian byte per base-p digit: byte n*j + i is digit i
@@ -56,13 +62,28 @@ TABLE_CAP = 512
 
 
 class FF:
-    """Tables for F_q, q = p^n <= 512, elements encoded as ints in [0, q)."""
+    """Tables for F_q, q = p^n <= 512, elements encoded as ints in [0, q).
+
+    The arithmetic tables are built with the field.  Four more are built on
+    first use and kept:
+    * `frobenius_orbits(r)`: one code per orbit of x -> x^r, with its size,
+      per subfield order r;
+    * `roots`: for a monic quadratic, the square roots and the roots of
+      Z^2 + Z, one tuple of codes per value;
+    * `embedding(sub)`: the codes of a subfield's elements, per subfield;
+    * `irreducibles(d)`: the monic irreducibles of degree d, about q^d / d
+      of them, for the degrees the ideal scans ask for, which their budget
+      bounds.
+    The first three hold at most q entries per key, and a field has at most
+    nine subfields.
+    """
 
     __slots__ = (
         "p", "n", "q", "modulus",
         "_addl", "_mull", "_invl",
         "_dig", "_codeb", "_packl", "_unpack", "_mulb", "_mods", "_fold",
         "_slot_bound",
+        "_orbits", "_root_tables", "_embeddings", "_irreducibles",
     )
 
     def __init__(self, p, n=1, modulus=None):
@@ -91,6 +112,10 @@ class FF:
                 raise ValueError(f"modulus {modulus} is reducible over F_{p}")
             self.modulus = modulus
         self._build_tables()
+        self._orbits = {}
+        self._root_tables = None
+        self._embeddings = {}
+        self._irreducibles = [()]
 
     # -- table construction -------------------------------------------------
 
@@ -158,6 +183,115 @@ class FF:
         for d in reversed(tuple(ds)):
             c = c * self.p + (int(d) % self.p)
         return c
+
+    def evaluate(self, cs, x):
+        """The value at x of the polynomial with codes cs, lowest power
+        first, by Horner's rule."""
+        addl, mull = self._addl, self._mull
+        acc = 0
+        for c in reversed(cs):
+            acc = addl[mull[acc][x]][c]
+        return acc
+
+    # -- kept tables --------------------------------------------------------
+
+    def frobenius_orbits(self, r):
+        """(x, size) per orbit of x -> x^r on this field, r the order of a
+        subfield, x the least code of its orbit, ascending.  x^r is
+        F_p-linear: the code a is a % p + t (a // p), so its image is
+        a % p + t^r (a // p)^r, one table step from that of a // p."""
+        orbits = self._orbits.get(r)
+        if orbits is None:
+            if r not in (self.p ** i for i in range(1, self.n + 1)
+                         if self.n % i == 0):
+                raise ValueError(f"{r} is the order of no subfield of {self!r}")
+            addl, mull = self._addl, self._mull
+            t_r = self.pow(self.p, r) if self.n > 1 else 0    # code p is t
+            image = [0] * self.q
+            for a in range(1, self.q):
+                image[a] = addl[mull[t_r][image[a // self.p]]][a % self.p]
+            seen = bytearray(self.q)
+            orbits = []
+            for x in range(self.q):
+                size, y = 0, x
+                while not seen[y]:
+                    seen[y] = 1
+                    size += 1
+                    y = image[y]
+                if size:
+                    orbits.append((x, size))
+            orbits = self._orbits[r] = tuple(orbits)
+        return orbits
+
+    def roots(self, cs):
+        """The roots in this field of the polynomial with codes cs, lowest
+        power first, as a sequence of codes.
+
+        A monic quadratic T^2 + c1 T + c0 reads them from two kept tables:
+        the Z with Z^2 = v, and the Z with Z^2 + Z = v.  If c1 = 0 the roots
+        are the square roots of -c0; otherwise T = c1 Z turns the equation
+        into Z^2 + Z = -c0 / c1^2.  Both hold in every characteristic.  Any
+        other polynomial is evaluated at every code.
+        """
+        if len(cs) != 3 or cs[2] != 1:
+            return [b for b in range(self.q) if not self.evaluate(cs, b)]
+        mull = self._mull
+        if self._root_tables is None:
+            addl = self._addl
+            sqrts = [[] for _ in range(self.q)]
+            shifted = [[] for _ in range(self.q)]
+            for z in range(self.q):
+                z2 = mull[z][z]
+                sqrts[z2].append(z)
+                shifted[addl[z2][z]].append(z)
+            self._root_tables = (tuple(map(tuple, sqrts)),
+                                 tuple(map(tuple, shifted)))
+        sqrts, shifted = self._root_tables
+        c0, c1, _ = cs
+        negl = mull[self.p - 1]
+        if not c1:
+            return sqrts[negl[c0]]
+        inv = self._invl[c1]
+        return [mull[c1][z] for z in shifted[mull[negl[c0]][mull[inv][inv]]]]
+
+    def embedding(self, sub):
+        """The codes in this field of the elements of its subfield `sub`:
+        the identity on a prime field, else t goes to the least root of
+        sub's modulus here (F_p codes agree)."""
+        emb = self._embeddings.get(sub)
+        if emb is None:
+            if sub.p != self.p or self.n % sub.n:
+                raise ValueError(f"{sub!r} is no subfield of {self!r}")
+            if sub.n == 1:
+                emb = tuple(range(sub.p))
+            else:
+                addl, mull = self._addl, self._mull
+                theta = min(self.roots(sub.modulus))
+                powers = [1]
+                for _ in range(sub.n - 1):
+                    powers.append(mull[powers[-1]][theta])
+                emb = []
+                for a in range(sub.q):
+                    acc = 0
+                    for d, tp in zip(sub.digits(a), powers):
+                        acc = addl[acc][mull[d][tp]]
+                    emb.append(acc)
+                emb = tuple(emb)
+            self._embeddings[sub] = emb
+        return emb
+
+    def irreducibles(self, d):
+        """The monic irreducibles of degree d >= 1, in counting order, by a
+        product sieve: the monic polynomials of degree d that are no
+        product of an irreducible of degree <= d/2 and a monic cofactor."""
+        irr = self._irreducibles
+        while len(irr) <= d:
+            e = len(irr)
+            composite = {(P * M).packed for j in range(1, e // 2 + 1)
+                         for P in irr[j] for M in monic_polys(self, e - j)}
+            irr.append(tuple(M for M in monic_polys(self, e)
+                             if M.packed not in composite))
+        return irr[d]
 
     # -- element literals ---------------------------------------------------
 

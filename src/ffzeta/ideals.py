@@ -36,7 +36,8 @@ by the functional equation p_{2g-i} = q^{g-i} p_i and rebuilds
 c_{g+1}..c_{2g} from them.  The point counts N_k over F_{q^k}, k = 1..K
 (K = min(2g, largest k with q^k <= 512)), certify the result: below g
 they test the enumeration, beyond g the half the functional equation
-filled in.  The class group (`class_group`) reads off
+filled in.  One `count_affine_points` call gives them all, on tables
+the fields keep.  The class group (`class_group`) reads off
 h = P(1), then keeps, in degree order, the enumerated ideals that are
 reduced: every class holds exactly one integral ideal of least degree, its
 reduced ideal (Hess's reduction), of degree <= g by Riemann-Roch
@@ -299,30 +300,36 @@ class CantorLaw:
             up = up.monic()
             num *= RingElement(self.spec, (-v, Poly.one(u.field)))
             den *= up
-            u, v = up, (-self.h - v) % up
+            # (u', v) is a Mumford pair, and the step goes to its sigma-image
+            u, v = self.involution(up, v)
         return u, v, num, den
+
+    def involution(self, u, v):
+        """The pair of sigma((u, y - v)) = (u, y + h + v), sigma the
+        involution y -> -h - y (`involution`): (u, -h - v mod u)."""
+        return u, (-self.h - v) % u
 
     def compose(self, P, Q):
         """Cantor's composition with no reduction: (u, v, d) with
         (u1, y - v1) (u2, y - v2) = d (u, y - v) for the Mumford pairs
         (u1, v1) and (u2, v2) that open P and Q, d the monic gcd of u1, u2
-        and v1 + v2 + h.  Coprime u1, u2 give d = 1 and u = u1 u2."""
+        and v1 + v2 + h.  Coprime u1, u2 give d = 1, u = u1 u2 and, by the
+        Chinese remainder theorem, v = v1 + u1 ((v2 - v1) s mod u2) for
+        s u1 + t u2 = 1: v = v1 mod u1, v = v2 mod u2 and deg v < deg u."""
         u1, v1 = P[0], P[1]
         u2, v2 = Q[0], Q[1]
-        one = Poly.one(u1.field)
         if P is Q:
-            d0, e1, e2 = u1, one, Poly.zero(u1.field)
+            d0, e1, e2 = u1, Poly.one(u1.field), Poly.zero(u1.field)
         else:
             d0, e1, e2 = poly_xgcd(u1, u2)
-        if d0.degree:
-            d, c1, c2 = poly_xgcd(d0, v1 + v2 + self.h)
-            w = c1 * (e1 * u1 * v2 + e2 * u2 * v1) + c2 * (v1 * v2 + self.f)
-            u, r = divmod(u1 * u2, d * d)
-            w, r2 = divmod(w, d)
-            if r or r2:
-                raise ConsistencyError("Cantor composition left a remainder")
-        else:
-            d, u, w = one, u1 * u2, e1 * u1 * v2 + e2 * u2 * v1
+        if not d0.degree:
+            return u1 * u2, v1 + u1 * ((v2 - v1) * e1 % u2), d0
+        d, c1, c2 = poly_xgcd(d0, v1 + v2 + self.h)
+        w = c1 * (e1 * u1 * v2 + e2 * u2 * v1) + c2 * (v1 * v2 + self.f)
+        u, r = divmod(u1 * u2, d * d)
+        w, r2 = divmod(w, d)
+        if r or r2:
+            raise ConsistencyError("Cantor composition left a remainder")
         return u, w % u, d
 
     def mul(self, P, Q):
@@ -571,11 +578,16 @@ class _PrimitivePairs:
     Such an ideal is a product of prime-power pairs with coprime u: a split
     prime P gives (P, r) for each of its two roots r of v^2 + h v - f mod P
     (`_prime_roots`) and the powers (P^k, v) along each root, a ramified
-    prime gives (P, r) alone, an inert prime nothing.  Primes are numbered
-    by degree, then counting order, and a pair of degree e is a prime power
-    or the composition (`CantorLaw.compose`) of a pair of lower degree,
-    whose primes all come earlier, with a prime power, so each pair is
-    built once.
+    prime gives (P, r) alone, an inert prime nothing.  Primes are the
+    field's irreducibles (`FF.irreducibles`), numbered by degree, then
+    counting order, and a pair of degree e is a prime power or the
+    composition (`CantorLaw.compose`) of a pair of lower degree, whose
+    primes all come earlier, with a prime power, so each pair is built
+    once.  Only the powers along the first root of a split prime are
+    composed: sigma swaps the two roots and keeps u, so it maps the pairs
+    whose primes all come earlier onto themselves, and
+    R sigma(X) = sigma(sigma(R) X) gives the products along the second root
+    as sigma-images (`CantorLaw.involution`).
     Every pair passes the Mumford condition before it is kept.  Per degree,
     `upto` lists (u, v, number of the last prime, v' = -v mod u) by u, then
     v', in counting order.
@@ -584,7 +596,6 @@ class _PrimitivePairs:
     def __init__(self, spec):
         self.law = CantorLaw(spec)
         one, zero = Poly.one(spec.field), Poly.zero(spec.field)
-        self.primes = [[]]              # monic irreducibles by degree
         self.powers = [[]]              # (prime number, pair, root pair)
         self.pairs = [[(one, zero, -1, zero)]]
 
@@ -603,27 +614,29 @@ class _PrimitivePairs:
         law = self.law
         field = law.spec.field
         e = len(self.pairs)
-        # product sieve: the monic polynomials of degree e that are no
-        # product of a prime of degree <= e/2 and a monic cofactor
-        composite = {(P * M).packed for j in range(1, e // 2 + 1)
-                     for P in self.primes[j] for M in monic_polys(field, e - j)}
-        numbered = sum(map(len, self.primes))
-        self.primes.append([M for M in monic_polys(field, e)
-                            if M.packed not in composite])
-        # the next power along each root of a split prime of degree | e
+        # the next power along the first root of each split prime of
+        # degree | e, then the primes of degree e; a ramified prime has no
+        # root pair, as its square is principal
         powers = [(i, self._checked(*law.compose(pair, root)[:2]), root)
                   for j in range(1, e) for i, pair, root in self.powers[j]
                   if root is not None and root[0].degree == e - j]
-        for i, P in enumerate(self.primes[e], numbered):
+        numbered = sum(len(field.irreducibles(j)) for j in range(1, e))
+        for i, P in enumerate(field.irreducibles(e), numbered):
             roots = _prime_roots(law, P)
-            for r in roots:
-                pair = self._checked(P, r)
+            if roots:
+                pair = self._checked(P, roots[0])
                 powers.append((i, pair, pair if len(roots) == 2 else None))
         self.powers.append(powers)
-        built = chain(((*pair, i) for i, pair, _ in powers), (
-            self._checked(*law.compose(R, pair)[:2]) + (i,)
-            for k in range(1, e) for i, pair, _ in self.powers[k]
-            for R in self.pairs[e - k] if R[2] < i))
+        built = []
+        for k in range(1, e + 1):
+            for i, X, root in self.powers[k]:
+                products = [X] if k == e else [
+                    self._checked(*law.compose(R, X)[:2])
+                    for R in self.pairs[e - k] if R[2] < i]
+                for Y in products:
+                    built.append((*Y, i))
+                    if root is not None:
+                        built.append((*self._checked(*law.involution(*Y)), i))
         self.pairs.append(sorted(((u, v, i, -v % u) for u, v, i in built),
                                  key=lambda t: (t[0].packed, t[3].packed)))
 
@@ -899,11 +912,11 @@ def _certify_by_points(spec, g, lpoly):
     while K < 2 * g and q ** (K + 1) <= TABLE_CAP:
         K += 1
     sums = []
-    for k in range(1, K + 1):
+    for k, points in enumerate(count_affine_points(spec, K), 1):
         s_k = -k * lpoly[k] - sum(sums[j - 1] * lpoly[k - j] for j in range(1, k))
         sums.append(s_k)
         want = q ** k + 1 - s_k
-        got = count_affine_points(spec, k) + 1
+        got = points + 1
         if got != want:
             raise ConsistencyError(
                 f"N_{k} = {got} points over GF({q}^{k}), but the L-polynomial "

@@ -453,84 +453,55 @@ def echelon_insert(ech, v):
 
 # -- points -----------------------------------------------------------------
 
-def count_affine_points(spec, k):
-    """Affine points of the ring over F_{q^k}: pairs of x0 in F_{q^k} and
-    basis images beta_0 = 1, beta_1 .. beta_{m-1} in F_{q^k} that satisfy
-    beta_i beta_j = sum_l T_ijl(x0) beta_l for every cell of the table.
+def count_affine_points(spec, K):
+    """Affine points of the ring over F_{q^k} for k = 1..K, as a list: pairs
+    of x0 in F_{q^k} and basis images beta_0 = 1, beta_1 .. beta_{m-1} in
+    F_{q^k} that satisfy beta_i beta_j = sum_l T_ijl(x0) beta_l for every
+    cell of the table.
 
     Such a beta_j is an eigenvalue of multiplication by b_j at x0, so the
-    candidates are the roots of that characteristic polynomial, and every
-    tuple of them is tested against all cells.  The characteristic
-    polynomials are taken once over F_q[x] and evaluated at each x0.  For
-    m = 2 the roots of T^2 + c1 T + c0 are read from two tables over F_{q^k}
-    (`_quadratic_roots`); for other m every element is tried.  The table has
+    candidates are the roots of that characteristic polynomial
+    (`FF.roots`: two tables at m = 2, a scan of F_{q^k} at other m), and
+    every tuple of them is tested against all cells.  The characteristic
+    polynomials are taken once over F_q[x], and each distinct polynomial
+    among them and the cells is evaluated once per x0.  The table has
     coefficients in F_q, so x0 and its conjugate x0^q carry equally many
-    points: one x0 per Frobenius orbit is solved and counted with the
-    orbit's size.  F_{q^k} is GF(p, n k) with F_q embedded by a root of
-    F_q's modulus.
+    points: one x0 per Frobenius orbit (`FF.frobenius_orbits`) is solved
+    and counted with the orbit's size.  F_{q^k} is GF(p, n k) with F_q
+    embedded by a root of F_q's modulus (`FF.embedding`).  Orbits, root
+    tables and embeddings are kept on the fields, so only the first count
+    over a field builds them.
     """
     field = spec.field
-    E = GF(field.p, field.n * k)
-    addl, mull = E._addl, E._mull
-    emb = _embedding(field, E)
     m = spec.m
-    table = [[[[emb[c] for c in g.coeffs] for g in cell] for cell in row]
-             for row in spec.mul_table()]
-    chis = [[[emb[c] for c in e.coeffs] for e in chi] for chi in _char_polys(spec)]
-    if m == 2:
-        roots = _quadratic_roots(E)
-    else:
-        def roots(cs):
-            return [b for b in range(E.q) if not _horner(cs, b, addl, mull)]
+    table = spec.mul_table()
     pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    seen = bytearray(E.q)
-    count = 0
-    for x0 in range(E.q):
-        orbit = 0
-        y = x0
-        while not seen[y]:
-            seen[y] = 1
-            orbit += 1
-            y = E.pow(y, field.q)
-        if not orbit:
-            continue
-        cells = [[[_horner(cs, x0, addl, mull) for cs in cell] for cell in row]
-                 for row in table]
-        cands = [(1,)]
-        for chi in chis:
-            cands.append(roots([_horner(e, x0, addl, mull) for e in chi]))
-        for beta in product(*cands):
-            if all(mull[beta[i]][beta[j]] == _dot(cells[i][j], beta, addl, mull)
-                   for i, j in pairs):
-                count += orbit
-    return count
+    distinct = {}
 
+    def index(g):
+        return distinct.setdefault(g.coeffs, len(distinct))
 
-def _quadratic_roots(E):
-    """roots(cs): the roots in E of T^2 + c1 T + c0, cs = (c0, c1, 1).
-
-    Two tables, built once: the Z with Z^2 = v, and the Z with Z^2 + Z = v.
-    If c1 = 0 the roots are the square roots of -c0; otherwise T = c1 Z
-    turns the equation into Z^2 + Z = -c0 / c1^2.  Both hold in every
-    characteristic.
-    """
-    addl, mull, invl = E._addl, E._mull, E._invl
-    negl = mull[E.p - 1]
-    sqrts = [[] for _ in range(E.q)]
-    shifted = [[] for _ in range(E.q)]
-    for z in range(E.q):
-        z2 = mull[z][z]
-        sqrts[z2].append(z)
-        shifted[addl[z2][z]].append(z)
-
-    def roots(cs):
-        c0, c1, _ = cs
-        if not c1:
-            return sqrts[negl[c0]]
-        inv = invl[c1]
-        return [mull[c1][z] for z in shifted[mull[negl[c0]][mull[inv][inv]]]]
-
-    return roots
+    cells = [[index(g) for g in table[i][j]] for i, j in pairs]
+    chis = [[index(e) for e in chi] for chi in _char_polys(spec)]
+    counts = []
+    for k in range(1, K + 1):
+        E = GF(field.p, field.n * k)
+        addl, mull = E._addl, E._mull
+        emb = E.embedding(field)
+        polys = [[emb[c] for c in cs] for cs in distinct]
+        count = 0
+        for x0, orbit in E.frobenius_orbits(field.q):
+            vals = [E.evaluate(cs, x0) for cs in polys]
+            rows = [[vals[c] for c in cell] for cell in cells]
+            cands = [(1,)]
+            for chi in chis:
+                cands.append(E.roots([vals[c] for c in chi]))
+            for beta in product(*cands):
+                if all(mull[beta[i]][beta[j]] == _dot(row, beta, addl, mull)
+                       for (i, j), row in zip(pairs, rows)):
+                    count += orbit
+        counts.append(count)
+    return counts
 
 
 def _char_polys(spec):
@@ -551,33 +522,6 @@ def _char_polys(spec):
             chi.append(-e if k % 2 else e)
         out.append(chi)
     return out
-
-
-def _embedding(field, E):
-    """Codes of F_q in E, a field of order q^k: the identity on a prime field,
-    else t goes to the least root of F_q's modulus in E (F_p codes agree)."""
-    if field.n == 1:
-        return list(range(field.p))
-    addl, mull = E._addl, E._mull
-    theta = next(r for r in range(E.q)
-                 if not _horner(field.modulus, r, addl, mull))
-    powers = [1]
-    for _ in range(field.n - 1):
-        powers.append(mull[powers[-1]][theta])
-    emb = []
-    for a in range(field.q):
-        acc = 0
-        for d, tp in zip(field.digits(a), powers):
-            acc = addl[acc][mull[d][tp]]
-        emb.append(acc)
-    return emb
-
-
-def _horner(coeffs, x, addl, mull):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = addl[mull[acc][x]][c]
-    return acc
 
 
 def _dot(vec, beta, addl, mull):

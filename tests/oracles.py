@@ -5,10 +5,12 @@ from dataclasses import dataclass
 from itertools import chain
 from math import comb
 
-from ffzeta.gf import GF, Poly, poly_from_str
+from ffzeta.errors import ConsistencyError
+from ffzeta.gf import (GF, Poly, is_irreducible, monic_polys, poly_from_str,
+                       poly_xgcd)
 from ffzeta.ideal_zeta import _class_cuts
-from ffzeta.ideals import (_is_reduced, elem_divexact, l_polynomial,
-                           power_route)
+from ffzeta.ideals import (_is_reduced, _prime_roots, elem_divexact,
+                           l_polynomial, power_route)
 from ffzeta.ring import RingElement, echelon_insert
 from ffzeta.semigroup import NumericalSemigroup, r_gap_values
 from ffzeta.zeta import affine_power_sum, vanishing_threshold
@@ -277,3 +279,60 @@ def check_hyperelliptic_rgap_proposition(n_values=range(3, 22, 2)):
         entries.append((N, S.genus, valid_r, ok))
     return PropositionReport(entries=tuple(entries),
                              all_ok=all(e[3] for e in entries))
+
+
+def cantor_compose(law, P, Q):
+    """Cantor's composition by the general formula for every pair, the
+    coprime u1, u2 included: w = c1 (e1 u1 v2 + e2 u2 v1) + c2 (v1 v2 + f)
+    with e1 u1 + e2 u2 = gcd(u1, u2) and c1, c2 the Bezout factors of
+    d = gcd(u1, u2, v1 + v2 + h), then (u1 u2 / d^2, (w / d) mod u, d)."""
+    u1, v1 = P[0], P[1]
+    u2, v2 = Q[0], Q[1]
+    one = Poly.one(u1.field)
+    if P is Q:
+        d0, e1, e2 = u1, one, Poly.zero(u1.field)
+    else:
+        d0, e1, e2 = poly_xgcd(u1, u2)
+    if d0.degree:
+        d, c1, c2 = poly_xgcd(d0, v1 + v2 + law.h)
+        w = c1 * (e1 * u1 * v2 + e2 * u2 * v1) + c2 * (v1 * v2 + law.f)
+        u, r = divmod(u1 * u2, d * d)
+        w, r2 = divmod(w, d)
+        if r or r2:
+            raise ConsistencyError("Cantor composition left a remainder")
+    else:
+        d, u, w = one, u1 * u2, e1 * u1 * v2 + e2 * u2 * v1
+    return u, w % u, d
+
+
+def primitive_pairs_by_composition(law, d):
+    """Per degree 0..d, the primitive pairs (u, v, number of the last
+    prime, -v mod u) of the rank-2 ring of `law` as `ideals._PrimitivePairs`
+    lists them, with every product composed: the powers along both roots
+    of each split prime, and the primes found by `is_irreducible`."""
+    field = law.spec.field
+    one, zero = Poly.one(field), Poly.zero(field)
+    pairs = [[(one, zero, -1, zero)]]
+    powers = [[]]
+    numbered = 0
+    for e in range(1, d + 1):
+        level = [(i, cantor_compose(law, pair, root)[:2], root)
+                 for j in range(1, e) for i, pair, root in powers[j]
+                 if root is not None and root[0].degree == e - j]
+        primes = [P for P in monic_polys(field, e) if is_irreducible(P)]
+        for i, P in enumerate(primes, numbered):
+            roots = _prime_roots(law, P)
+            for r in roots:
+                level.append((i, (P, r), (P, r) if len(roots) == 2 else None))
+        numbered += len(primes)
+        powers.append(level)
+        built = [(*pair, i) for i, pair, _ in level]
+        built += [(*cantor_compose(law, R, pair)[:2], i)
+                  for k in range(1, e) for i, pair, _ in powers[k]
+                  for R in pairs[e - k] if R[2] < i]
+        for u, v, _ in built:
+            if law.mumford(v) % u:
+                raise AssertionError("not a Mumford pair")
+        pairs.append(sorted(((u, v, i, -v % u) for u, v, i in built),
+                            key=lambda t: (t[0].packed, t[3].packed)))
+    return pairs

@@ -1,15 +1,18 @@
 import operator
 import random
+from pathlib import Path
 
 import pytest
 from oracles import elem_from_str, poly_eval
 
 from ffzeta.gf import (
-    _PRIMES, GF, NEG_INF, Poly, default_modulus, is_irreducible, is_squarefree,
+    _PRIMES, FF, GF, NEG_INF, TABLE_CAP, Poly, default_modulus, is_irreducible,
+    is_squarefree,
     monic_polys, poly_factor, poly_from_str, poly_gcd, poly_to_str,
     poly_xgcd, polys_below, square_and_multiply, valuation_profile,
 )
-from ffzeta.ideals import ideal_from_generators, ideal_mul
+from ffzeta.ideals import class_group, ideal_from_generators, ideal_mul
+from ffzeta.ringfile import parse_ring_spec
 
 F2 = GF(2)
 F3 = GF(3)
@@ -592,3 +595,103 @@ def test_divmod_long_quotient_lazy_reduction(p):
         b = tuple(rng.randrange(p) for _ in range(rng.randrange(1, 60))) + (rng.randrange(1, p),)
         qq, r = divmod(Poly(field, a), Poly(field, b))
         assert (qq.coeffs, r.coeffs) == t_divmod(field, a, b)
+
+
+# -- tables kept on the field ----------------------------------------------
+
+# every field with q <= TABLE_CAP: the base fields of the test rings and
+# the fields F_(q^k) their point counts run over are among them
+EVERY_FIELD = [(p, n) for p in _PRIMES for n in range(1, 10)
+               if p ** n <= TABLE_CAP]
+
+
+def orbits_by_walk(E, r):
+    """One (x, size) per orbit of x -> x^r, x the least code of its orbit,
+    walked by field powers."""
+    seen = set()
+    out = []
+    for x in range(E.q):
+        size, y = 0, x
+        while y not in seen:
+            seen.add(y)
+            size += 1
+            y = E.pow(y, r)
+        if size:
+            out.append((x, size))
+    return tuple(out)
+
+
+def embedding_by_scan(sub, E):
+    """The codes in E of sub's elements, t sent to the least root of sub's
+    modulus in E."""
+    if sub.n == 1:
+        return tuple(range(sub.p))
+    theta = next(r for r in range(E.q)
+                 if poly_eval(Poly(E, sub.modulus), r) == 0)
+    return tuple(poly_eval(Poly(E, sub.digits(a)), theta)
+                 for a in range(sub.q))
+
+
+@pytest.mark.parametrize("p,n", EVERY_FIELD,
+                         ids=[f"{p}^{n}" for p, n in EVERY_FIELD])
+def test_kept_tables_equal_fresh_builds(p, n):
+    # the tables GF(p, n) keeps, whichever test built them first, equal
+    # those of a fresh FF(p, n) and an independent build
+    kept, fresh = GF(p, n), FF(p, n)
+    subfields = [GF(p, i) for i in range(1, n + 1) if n % i == 0]
+    for field in (kept, fresh):
+        for sub in subfields:
+            assert field.frobenius_orbits(sub.q) == orbits_by_walk(field, sub.q)
+            assert field.embedding(sub) == embedding_by_scan(sub, field)
+        d = 1
+        while field.q ** d <= TABLE_CAP:
+            assert field.irreducibles(d) == tuple(
+                M for M in monic_polys(field, d) if is_irreducible(M))
+            d += 1
+        field.roots((0, 0, 1))
+        squares = [[] for _ in range(field.q)]
+        shifted = [[] for _ in range(field.q)]
+        for z in range(field.q):
+            squares[field.mul(z, z)].append(z)
+            shifted[field.add(field.mul(z, z), z)].append(z)
+        assert field._root_tables == (tuple(map(tuple, squares)),
+                                      tuple(map(tuple, shifted)))
+
+
+def test_kept_tables_refuse_a_field_that_is_no_subfield():
+    F16 = GF(2, 4)
+    for r in (3, 8, 32):
+        with pytest.raises(ValueError, match="no subfield"):
+            F16.frobenius_orbits(r)
+    for sub in (F3, GF(2, 3)):
+        with pytest.raises(ValueError, match="no subfield"):
+            F16.embedding(sub)
+
+
+def test_rings_over_one_field_read_the_same_tables(monkeypatch):
+    # ex36 and h8g2 are genus-2 rings over F_3: the class group of the
+    # second reads every table the first read, as the same objects
+    reads = []
+    for name in ("frobenius_orbits", "embedding", "irreducibles"):
+        def reader(field, key, real=getattr(FF, name), name=name):
+            table = real(field, key)
+            reads.append(((name, field, key), table))
+            return table
+        monkeypatch.setattr(FF, name, reader)
+
+    def tables(ring):
+        del reads[:]
+        class_group(ring)
+        fields = {key[1] for key, _ in reads if key[0] == "frobenius_orbits"}
+        return dict(reads), {E: E._root_tables for E in fields}
+
+    first, first_roots = tables(parse_ring_spec("ex36"))
+    second, second_roots = tables(parse_ring_spec(
+        Path(__file__).resolve().parent.parent / "perfbench/rings/h8g2.ring"))
+    assert {key[0] for key in first} == {"frobenius_orbits", "embedding",
+                                         "irreducibles"}
+    assert second.keys() == first.keys()
+    assert all(second[key] is first[key] for key in first)
+    assert second_roots.keys() == first_roots.keys()
+    assert all(second_roots[E] is first_roots[E] is not None
+               for E in first_roots)

@@ -10,7 +10,9 @@ equation from the multiplication table, one function reads the singular
 locus, one writes the theorems' r >= q - 1, the search space has a pinned
 list of fields, one predicate tests for digits, no command-line flag is
 read with Python's int, every search verdict is listed in the output
-schema, and every module parses at the declared Python floor."""
+schema, per-field tables are built in gf alone and the field cache is the
+only module-level cache, and every module parses at the declared Python
+floor."""
 
 import ast
 import importlib.util
@@ -477,6 +479,101 @@ def test_one_digit_predicate():
     # integers in literals and ring files are ASCII digits, tested in one place
     sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
     assert unicode_digit_tests(sources) == [("gf", "is_ascii_digits")]
+
+
+def module_caches(sources):
+    """(module, name) of every module-level cache: a name bound at module
+    level to a dict that a function writes to (by subscript, or by
+    setdefault, update, pop or clear), and a function decorated with
+    functools.cache or lru_cache."""
+    writes = ("setdefault", "update", "pop", "popitem", "clear")
+    found = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        dicts = set()
+        for node in tree.body:
+            value = getattr(node, "value", None)
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            if isinstance(value, (ast.Dict, ast.DictComp)) or (
+                    isinstance(value, ast.Call)
+                    and getattr(value.func, "id", None) == "dict"):
+                dicts |= {t.id for t in targets if isinstance(t, ast.Name)}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if (getattr(dec, "attr", None) or getattr(dec, "id", None)
+                            ) in ("cache", "lru_cache"):
+                        found.add((module, node.name))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Subscript)
+                        and isinstance(node.ctx, (ast.Store, ast.Del))):
+                    name = node.value
+                elif (isinstance(node, ast.Attribute) and node.attr in writes
+                      and isinstance(node.ctx, ast.Load)):
+                    name = node.value
+                else:
+                    continue
+                if isinstance(name, ast.Name) and name.id in dicts:
+                    found.add((module, name.id))
+    return sorted(found)
+
+
+def test_detects_a_module_cache():
+    sources = {
+        "a": "_SEEN = {}\nNAMES = {'x': 1}\n\ndef get(k):\n"
+             "    if k not in _SEEN:\n        _SEEN[k] = NAMES[k]\n"
+             "    return _SEEN[k]\n",
+        "b": "import functools\n_T: dict = dict()\n\n@functools.lru_cache(8)\n"
+             "def f(x):\n    return _T.setdefault(x, x)\n\n"
+             "def g(x, local={}):\n    local[x] = 1\n",
+    }
+    assert module_caches(sources) == [("a", "_SEEN"), ("b", "_T"), ("b", "f")]
+
+
+def field_scans(sources):
+    """(module, function) of every function that runs over each code of a
+    field, range(<field>.q), or over the monic polynomials of a degree,
+    monic_polys(...): the loops that build per-field tables."""
+    def scan(node):
+        if not isinstance(node, ast.Call):
+            return False
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        return name == "monic_polys" or (
+            name == "range" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Attribute)
+            and node.args[0].attr == "q")
+
+    return owners_of(sources, scan)
+
+
+def test_detects_a_field_scan():
+    sources = {
+        "a": "def roots(E, f):\n    return [b for b in range(E.q) if f(b)]\n\n"
+             "def count(q):\n    return [b for b in range(q ** 2)]\n",
+        "b": "from gf import monic_polys\n\ndef primes(F, d):\n"
+             "    return [M for M in monic_polys(F, d) if M]\n\n"
+             "def size(F):\n    return range(F.q, 2)\n",
+    }
+    assert field_scans(sources) == [("a", "roots"), ("b", "primes")]
+
+
+def test_per_field_tables_have_one_home():
+    # orbits, root tables, embeddings and irreducibles are built and kept by
+    # gf's FF, so every ring over a field reads one copy; the field cache
+    # GF() keeps is the library's only module-level cache of data, beside
+    # the one command-line parser a process builds.  Outside gf, only the
+    # ideal enumerators run over monic polynomials, to list ideals
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in LIBRARY}
+    assert module_caches(sources) == [("cli", "build_parser"),
+                                      ("gf", "_FIELDS")]
+    assert [found for found in field_scans(sources) if found[0] != "gf"] == [
+        ("ideals", "_enumerate_ideals_general"),
+        ("ideals", "_enumerate_ideals_m2")]
 
 
 def int_type_arguments(source):

@@ -5,21 +5,22 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from oracles import (brute_points, elem, elem_from_str, ideal_echelon,
+from oracles import (brute_points, cantor_compose, elem, elem_from_str,
+                     ideal_echelon, primitive_pairs_by_composition,
                      walk_every_class)
 
 import ffzeta.ideals as ideals
 from ffzeta.errors import BudgetError, ConsistencyError, NonMaximalRingError
-from ffzeta.gf import (TABLE_CAP, GF, Poly, monic_polys, poly_from_str,
-                       polys_below)
+from ffzeta.gf import (FF, TABLE_CAP, GF, Poly, monic_polys, poly_from_str,
+                       poly_gcd, polys_below)
 from ffzeta.ideals import (
     class_equivalent, class_group, count_ideal_candidates, elem_divexact,
     enumerate_ideals, ideal_from_generators, ideal_is_principal, ideal_mul,
     ideal_pow, ideal_quotient, involution, reduced_basis, require_ideal_scan,
     _enumerate_ideals_general,
 )
-from ffzeta.ring import (RingSpec, _horner, _quadratic_roots,
-                         affine_combinations, count_affine_points, elem_to_str)
+from ffzeta.ring import (RingSpec, affine_combinations, count_affine_points,
+                         elem_to_str)
 from ffzeta.ringfile import parse_ring_spec
 from ffzeta.semigroup import semigroup_from_ring
 
@@ -494,12 +495,17 @@ def test_enumeration_fast_equals_general(h4g3):
         assert fast == general
 
 
-def test_rank_two_scan_with_a_y_term_equals_stable_scan(xy5):
+def test_rank_two_scan_with_a_y_term_equals_stable_scan(xy5, h4g3):
     # at odd p with h != 0, (u', y + v') is an ideal when (u', -v') is a
-    # Mumford pair, u' | f + h v' - v'^2; the sign of h matters
-    for d in range(4):
-        assert (set(enumerate_ideals(xy5, d))
-                == set(_enumerate_ideals_general(xy5, d)))
+    # Mumford pair, u' | f + h v' - v'^2; the sign of h matters.  h4g3 has
+    # a y-term at p = 2, and h8g2 none at odd p; degree g + 1 is the first
+    # past the reduced ideals that class_group reads
+    h8g2 = parse_ring_spec(PERFBENCH_RINGS / "h8g2.ring")
+    for spec in (xy5, h4g3, h8g2):
+        g = semigroup_from_ring(spec).genus
+        for d in range(g + 2):
+            assert (set(enumerate_ideals(spec, d))
+                    == set(_enumerate_ideals_general(spec, d)))
 
 
 def test_class_group_with_a_y_term_at_odd_p(xy5):
@@ -564,6 +570,76 @@ def test_enumeration_follows_documented_order(ring, request):
     top = g + 2 if spec.field.q ** (2 * g + 4) <= 10 ** 4 else g
     for d in range(top + 1):
         assert list(enumerate_ideals(spec, d)) == documented_order(spec, d)
+
+
+# every rank-2 ring of the fixtures and of perfbench/rings, and the genus-2
+# F_13 curve y^2 = x^5 + x + 1
+RANK_TWO = ["ex26", "ex36", "h4g3", "xy5", "e1", "elliptic", "f4as", "h20g2",
+            "g2f5", "h34", "ram3", "f4h", "ell5", "h8g2", "h20g4", "F13"]
+
+
+def rank_two_ring(name, request):
+    if name == "F13":
+        return curve(13, "x^5 + x + 1")
+    if name in ("ell5", "h8g2", "h20g4"):
+        return parse_ring_spec(PERFBENCH_RINGS / f"{name}.ring")
+    return request.getfixturevalue(name)
+
+
+@pytest.mark.parametrize("name", RANK_TWO)
+def test_crt_composition_matches_the_general_formula(name, request):
+    # compose takes coprime u1, u2 by the Chinese remainder theorem; the
+    # oracle forms w = e1 u1 v2 + e2 u2 v1 and reduces it mod u1 u2.  The
+    # pairs meet the first 16 in the library's order, themselves included,
+    # so the doubling and the shared-factor branches are checked too
+    spec = rank_two_ring(name, request)
+    g = semigroup_from_ring(spec).genus
+    law = ideals.CantorLaw(spec)
+    pairs = [P for level in ideals._PrimitivePairs(spec).upto(g)
+             for P in level]
+    coprime = 0
+    for P in pairs:
+        for Q in pairs[:16]:
+            assert law.compose(P, Q) == cantor_compose(law, P, Q)
+            coprime += (P[0].degree > 0 and Q[0].degree > 0
+                        and P is not Q and poly_gcd(P[0], Q[0]).degree == 0)
+    # ex26, e1 and f4as have at most one pair of positive degree up to g
+    assert coprime or sum(P[0].degree > 0 for P in pairs) <= 1
+
+
+@pytest.mark.parametrize("name", RANK_TWO)
+def test_sigma_products_match_the_composed_pairs(name, request):
+    # the library composes along the first root of each split prime and
+    # takes the second root's products as sigma-images; the oracle composes
+    # along both roots, with primes from is_irreducible
+    spec = rank_two_ring(name, request)
+    g = semigroup_from_ring(spec).genus
+    law = ideals.CantorLaw(spec)
+    assert (ideals._PrimitivePairs(spec).upto(g + 1)
+            == primitive_pairs_by_composition(law, g + 1))
+
+
+# the affine point counts N_k - 1 over F_(q^k), k = 1..K, and so K, as the
+# certificate found them before the tables were kept on the fields
+PINNED_POINTS = {
+    "ex26": [0, 6, 0, 6, 20, 42],
+    "ex36": [3, 5, 27, 109],
+    "h4g3": [2, 2, 2, 6, 22, 86],
+    "ell5": [4, 4],
+    "h8g2": [3, 5, 27, 109],
+    "h20g2": [5, 9, 41, 77],
+    "h20g4": [2, 6, 8, 6, 32, 102, 128, 318],
+    "xy5": [4, 34, 124],
+    "F13": [14, 176],
+}
+
+
+@pytest.mark.parametrize("name", PINNED_POINTS)
+def test_point_counts_and_points_checked_are_pinned(name, request):
+    spec = rank_two_ring(name, request)
+    want = PINNED_POINTS[name]
+    assert count_affine_points(spec, len(want)) == want
+    assert ideals.l_polynomial(spec).points_checked == len(want)
 
 
 @pytest.mark.parametrize("q, lpoly", [(11, (1, -4, 14, -44, 121)),
@@ -1014,15 +1090,13 @@ def test_point_count_matches_brute_force(name, k_max, request):
         spec = request.getfixturevalue(name)
     spec.require_valid()
     twin = RingSpec.custom(spec.field, spec.delta, spec.mul_table())
-    for k in range(1, k_max + 1):
-        want = brute_points(spec, k)
-        assert count_affine_points(spec, k) == want
-        assert count_affine_points(twin, k) == want
+    want = [brute_points(spec, k) for k in range(1, k_max + 1)]
+    assert count_affine_points(spec, k_max) == want
+    assert count_affine_points(twin, k_max) == want
 
 
 def test_point_count_polyring():
-    for k in (1, 2, 3):
-        assert count_affine_points(RingSpec.polyring(F4), k) == 4 ** k
+    assert count_affine_points(RingSpec.polyring(F4), 3) == [4, 16, 64]
 
 
 # every bundled and benchmark rank-2 ring, and y^2 = f genus-2 curves
@@ -1030,9 +1104,10 @@ def test_point_count_polyring():
                                   "h20g2", "h20g4", "F13", "F19"])
 def test_rank_two_root_tables_match_the_root_scan(name, monkeypatch):
     # count_affine_points reads the roots of T^2 + c1 T + c0 from the two
-    # tables of _quadratic_roots at m = 2 and scans F_(q^k) at other m;
-    # each root list it reads must be the one the scan finds, at every k
-    # with q^k <= TABLE_CAP
+    # tables FF.roots keeps at m = 2, and scans F_(q^k) at other m; each
+    # root list it reads, whether the tables were built now or by an
+    # earlier count, must be the one the scan finds, at every k with
+    # q^k <= TABLE_CAP
     if name in ("F13", "F19"):
         spec = curve(int(name[1:]), "x^5 + x + 1" if name == "F13"
                      else "x^5 + 3*x + 1")
@@ -1042,30 +1117,26 @@ def test_rank_two_root_tables_match_the_root_scan(name, monkeypatch):
         spec = parse_ring_spec(PERFBENCH_RINGS / f"{name}.ring")
     assert spec.m == 2
     asked = []
+    kept = FF.roots
 
-    def checked(E):
-        table = _quadratic_roots(E)
+    def checked(E, cs):
+        got = kept(E, cs)
+        scan = [b for b in range(E.q) if not E.evaluate(cs, b)]
+        asked.append((cs, len(cs) == 3 and sorted(got) == scan))
+        return got
 
-        def roots(cs):
-            got = table(cs)
-            scan = [b for b in range(E.q)
-                    if not _horner(cs, b, E._addl, E._mull)]
-            asked.append((cs, sorted(got) == scan))
-            return got
-        return roots
-
-    monkeypatch.setattr("ffzeta.ring._quadratic_roots", checked)
-    k = 1
-    while spec.q ** k <= TABLE_CAP:
-        count_affine_points(spec, k)
-        k += 1
+    monkeypatch.setattr(FF, "roots", checked)
+    K = 1
+    while spec.q ** (K + 1) <= TABLE_CAP:
+        K += 1
+    count_affine_points(spec, K)
     assert asked and [cs for cs, same in asked if not same] == []
 
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_point_count_mismatch_raises(k, ex36, monkeypatch):
     real = ideals.count_affine_points
-    monkeypatch.setattr(ideals, "count_affine_points",
-                        lambda spec, j: real(spec, j) + (j == k))
+    monkeypatch.setattr(ideals, "count_affine_points", lambda spec, K: [
+        n + (j == k) for j, n in enumerate(real(spec, K), 1)])
     with pytest.raises(ConsistencyError, match=f"N_{k} = "):
         class_group(ex36)
