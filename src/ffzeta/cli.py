@@ -322,8 +322,9 @@ def _cmd_search(args):
             raise _UsageError(f"--part must be in 1..{args.parts}")
         space = search_block(space, args.parts, args.part - 1)
     records, summary = search_run(space, checkpoint=args.checkpoint)
+    d = space.describe()
     data = {
-        "space": space.describe(),
+        "space": d,
         "records": [{"index": r.index, "coeffs": r.coeffs, "stage": r.stage,
                      "verdict": r.verdict, "resumed": r.resumed}
                     for r in records],
@@ -331,7 +332,6 @@ def _cmd_search(args):
                     "outcomes": dict(sorted(summary.outcomes.items())),
                     "passing": list(summary.passing)},
     }
-    d = space.describe()
     head = (f"search: family {d['family']}, q = {d['q']}, "
             f"deg_a {d['deg_a'][0]}..{d['deg_a'][1]}, "
             f"deg_b {d['deg_b'][0]}..{d['deg_b'][1]}, "

@@ -6,17 +6,35 @@ Candidates are (a, b) pairs defining y^q - a(x)^{q-1} y = b(x), scanned
 lexicographically: degree of a ascending, a in counting order, degree of b
 ascending, b in counting order (through the quotient b/a when the family
 restricts b to multiples of a).  Each candidate runs a staged pipeline,
-cheapest first, each stage asking the module that owns its rule: the
-ring's maximality (`ideals.require_maximal`, stage `ring-valid`); an
-r-gap structure with r >= q - 1 (`semigroup.theorem_r_values`,
-`gap-structure`); the class-group budget, a count of ideal candidates
-with no enumeration (`ideals.require_ideal_scan`, `class-group`); then
-the tesismc conditions alone, with no zeta (`hypotheses`): those on the
-equation, the class group, and only then the class conditions, mu and the
-digit condition at s = q - 1.  The stage reached and its verdict are the
-record, which keeps no report of the stages.  A checkpoint stores one
-`coeffs<TAB>stage<TAB>verdict` line per finished candidate, so a killed
-run resumes by skipping whatever is already present.
+cheapest first, each stage asking the module that owns its rule.  In the
+order a candidate meets them:
+
+1. ring validity (`RingSpec.validate`, stage `ring-valid`, verdict
+   `invalid`), decided per degree cell;
+2. an r-gap structure with r >= q - 1 (`semigroup.theorem_r_values`,
+   `gap-structure`), decided per degree cell;
+3. the ring's maximality (`ideals.require_maximal`, `ring-valid`, verdict
+   `singular`), per candidate;
+4. the class-group budget, a count of ideal candidates with no enumeration
+   (`ideals.require_ideal_scan`, `class-group`), decided per degree cell
+   and recorded after maximality;
+5. the tesismc conditions alone, with no zeta (`hypotheses`): those on
+   the equation, the class group, and only then the class conditions, mu
+   and the digit condition at s = q - 1.
+
+Stages 1, 2 and 4 read only the degree cell (q, deg a, deg b): validity
+reads deg c_0 = deg b, gcd(q, deg b) and the weight of c_1 = -a^(q-1); the
+semigroup is <q, deg b>; the budget counts from q, m = q and the genus.  So
+`search_run` decides each cell once, from its first candidate's ring, and
+a candidate of a cell that fails validity or the gap structure is given
+its verdict with no ring built.  Testing the gap structure before
+maximality changes no verdict: at m = 2, the one rank with a singular-locus
+test, a valid cell fails the gap structure only at genus 0 (deg b = 1),
+where a has degree at most 0 and y^2 + a y = b is nonsingular, and at
+q >= 3 every valid cell fails it (see `theorems`).  The stage reached and
+its verdict are the record, which keeps no report of the stages.  A
+checkpoint stores one `coeffs<TAB>stage<TAB>verdict` line per finished
+candidate, so a killed run resumes by skipping whatever is already present.
 """
 
 from __future__ import annotations
@@ -26,8 +44,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 
-from ffzeta.errors import (BudgetError, CheckpointError, NonMaximalRingError,
-                           RingValidationError)
+from ffzeta.errors import BudgetError, CheckpointError, NonMaximalRingError
 from ffzeta.gf import Poly, monic_poly_at, poly_to_str
 from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, class_group, require_ideal_scan,
                            require_maximal)
@@ -143,32 +160,68 @@ def candidate_key(a, b):
     return f"a={poly_to_str(a)};b={poly_to_str(b)}"
 
 
-def evaluate_candidate(space, a, b):
-    """Run the staged pipeline on one (a, b) of `space`; returns (stage,
-    verdict, report), the report that of the tesismc conditions, None
-    before them.  The class group is computed, under `space.h_budget`, only
-    for a candidate within it whose equation meets the tesismc conditions."""
+def _cab_spec(space, a, b):
+    """The ring y^q - a^(q-1) y = b as a cab spec over the space's field."""
     q = space.field.q
     coeffs = [-b, -(a ** (q - 1))] + [Poly.zero(space.field)] * (q - 2)
-    spec = RingSpec.cab(space.field, tuple(coeffs))
-    try:
-        require_maximal(spec)
-    except RingValidationError:
-        return "ring-valid", "invalid", None
-    except NonMaximalRingError:
-        return "ring-valid", "singular", None
+    return RingSpec.cab(space.field, tuple(coeffs))
 
+
+def _cell_stage(space, spec):
+    """The stage at which every candidate in the degree cell of `spec`
+    stops, or None if the cell passes the three stages that read only
+    (q, deg a, deg b): validity (`ring-valid`), the gap structure
+    (`gap-structure`) and the class-group budget (`class-group`)."""
+    if not spec.validate().ok:
+        return "ring-valid"
     S = semigroup_from_ring(spec)
-    if not theorem_r_values(S, q):
-        return "gap-structure", "no-valid-r", None
+    if not theorem_r_values(S, space.field.q):
+        return "gap-structure"
     try:
         require_ideal_scan(spec, S.genus, space.h_budget)
     except BudgetError:
+        return "class-group"
+    return None
+
+
+def evaluate_candidate(space, a, b, cells=None):
+    """Run the staged pipeline on one (a, b) of `space`; returns (stage,
+    verdict, report), the report that of the tesismc conditions, None
+    before them.
+
+    `cells` maps each degree cell (deg a, deg b) met so far in one run of
+    `space` to its `_cell_stage`, decided from the ring of the cell's first
+    candidate; without it the candidate's cell is decided afresh.  A
+    candidate whose cell fails validity or the gap structure gets its
+    verdict with no ring of its own.  Otherwise its ring's maximality comes
+    next, then the cell's budget verdict, then the hypotheses; the class
+    group is computed, under `space.h_budget`, only for a candidate whose
+    equation meets the tesismc conditions."""
+    if cells is None:
+        cells = {}
+    cell = (a.degree, b.degree)
+    spec = None
+    if cell not in cells:
+        spec = _cab_spec(space, a, b)
+        cells[cell] = _cell_stage(space, spec)
+    stop = cells[cell]
+    if stop == "ring-valid":
+        return "ring-valid", "invalid", None
+    if stop == "gap-structure":
+        return "gap-structure", "no-valid-r", None
+    if spec is None:
+        spec = _cab_spec(space, a, b)
+    try:
+        require_maximal(spec)
+    except NonMaximalRingError:
+        return "ring-valid", "singular", None
+    if stop == "class-group":
         return "class-group", "budget-exceeded", None
 
     # the equation conditions come first; the class group, under this
     # budget, only once they hold.  A chain that reaches the digit condition
     # has q = 2 and e <= 2 (see `theorems`), so s = q - 1 decides it
+    q = space.field.q
     hyp, _ = tesismc_conditions(spec, q - 1, functools.partial(
         class_group, spec, budget=space.h_budget))
     if hyp.applicable:
@@ -198,7 +251,8 @@ def _read_checkpoint(path, header):
 
 
 def search_run(space, checkpoint=None):
-    """Evaluate every candidate in the window once across resumed runs.
+    """Evaluate every candidate in the window once across resumed runs,
+    deciding the stages of each degree cell once per call.
 
     Returns (records, summary).  A record carries the stage and verdict
     only, stored in the checkpoint or freshly evaluated.  A new
@@ -209,6 +263,7 @@ def search_run(space, checkpoint=None):
     seen = _read_checkpoint(checkpoint, header) if checkpoint else {}
     out = open(checkpoint, "a", encoding="utf-8") if checkpoint else None
     records = []
+    cells = {}
     try:
         if out is not None and out.tell() == 0:
             out.write(header + "\n")
@@ -219,7 +274,7 @@ def search_run(space, checkpoint=None):
                 records.append(SearchRecord(idx, key, stage, verdict,
                                             resumed=True))
                 continue
-            stage, verdict, _ = evaluate_candidate(space, a, b)
+            stage, verdict, _ = evaluate_candidate(space, a, b, cells)
             records.append(SearchRecord(idx, key, stage, verdict))
             if out is not None:
                 out.write(f"{key}\t{stage}\t{verdict}\n")

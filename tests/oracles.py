@@ -5,14 +5,18 @@ from dataclasses import dataclass
 from itertools import chain
 from math import comb
 
-from ffzeta.errors import ConsistencyError
+from ffzeta.errors import (BudgetError, ConsistencyError, NonMaximalRingError,
+                           RingValidationError)
 from ffzeta.gf import (GF, Poly, is_irreducible, monic_polys, poly_from_str,
                        poly_xgcd)
 from ffzeta.ideal_zeta import _class_cuts
-from ffzeta.ideals import (_is_reduced, _prime_roots, elem_divexact,
-                           l_polynomial, power_route)
-from ffzeta.ring import RingElement, echelon_insert
-from ffzeta.semigroup import NumericalSemigroup, r_gap_values
+from ffzeta.ideals import (_is_reduced, _prime_roots, class_group,
+                           elem_divexact, l_polynomial, power_route,
+                           require_ideal_scan, require_maximal)
+from ffzeta.ring import RingElement, RingSpec, echelon_insert
+from ffzeta.semigroup import (NumericalSemigroup, r_gap_values,
+                              semigroup_from_ring, theorem_r_values)
+from ffzeta.theorems import tesismc_conditions
 from ffzeta.zeta import affine_power_sum, vanishing_threshold
 
 
@@ -336,3 +340,33 @@ def primitive_pairs_by_composition(law, d):
         pairs.append(sorted(((u, v, i, -v % u) for u, v, i in built),
                             key=lambda t: (t[0].packed, t[3].packed)))
     return pairs
+
+
+# -- search -----------------------------------------------------------------
+
+def search_verdict_per_ring(space, a, b):
+    """(stage, verdict) of one search candidate, every stage asked of its
+    own ring in the order maximality, gap structure, class-group budget,
+    hypotheses: the pipeline `search.evaluate_candidate` ran before it
+    decided the stages that read only the degree cell once per cell."""
+    q = space.field.q
+    coeffs = [-b, -(a ** (q - 1))] + [Poly.zero(space.field)] * (q - 2)
+    spec = RingSpec.cab(space.field, tuple(coeffs))
+    try:
+        require_maximal(spec)
+    except RingValidationError:
+        return "ring-valid", "invalid"
+    except NonMaximalRingError:
+        return "ring-valid", "singular"
+    S = semigroup_from_ring(spec)
+    if not theorem_r_values(S, q):
+        return "gap-structure", "no-valid-r"
+    try:
+        require_ideal_scan(spec, S.genus, space.h_budget)
+    except BudgetError:
+        return "class-group", "budget-exceeded"
+    hyp, _ = tesismc_conditions(spec, q - 1, functools.partial(
+        class_group, spec, budget=space.h_budget))
+    if hyp.applicable:
+        return "hypotheses", "pass"
+    return "hypotheses", f"failed: {hyp.failed_check().name}"

@@ -392,7 +392,7 @@ def test_one_r_threshold():
     assert q_minus_one_comparisons(sources) == [
         ("semigroup", "theorem_r_values")]
     assert readers_of(sources, "theorem_r_values") == [
-        ("search", "evaluate_candidate"),
+        ("search", "_cell_stage"),
         ("semigroup", "degree_q_theorem_check"),
         ("theorems", "_dinesh_checks"), ("theorems", "_tesismc_form")]
 

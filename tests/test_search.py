@@ -4,16 +4,17 @@ import pytest
 
 import ffzeta.gf
 import ffzeta.search as search
-from ffzeta.errors import CheckpointError
+from ffzeta.errors import CheckpointError, NonMaximalRingError
 from ffzeta.gf import GF, Poly, monic_polys, poly_from_str
 from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, class_group,
-                           ideal_from_generators, involution)
+                           ideal_from_generators, involution, require_maximal)
 from ffzeta.ring import RingSpec
 from ffzeta.search import (
     SearchSpace, SearchSummary, candidate_key, evaluate_candidate,
     merge_summaries, search_partition, search_run, summarize,
 )
 from ffzeta.theorems import CheckItem, check_tesismc
+from oracles import search_verdict_per_ring
 
 F2 = GF(2)
 F3 = GF(3)
@@ -305,6 +306,90 @@ def test_h_budget_above_the_default_keeps_the_verdict(b, verdict,
     assert evaluate_candidate(
         SearchSpace(F2, h_budget=2 * DEFAULT_IDEAL_BUDGET), a, b) == default
     assert budgets == [DEFAULT_IDEAL_BUDGET, 2 * DEFAULT_IDEAL_BUDGET]
+
+
+# -- stages decided per degree cell -----------------------------------------
+
+# beside WINDOWS: cells failing each validity rule (deg b = 0; even deg b at
+# q = 2; 2 deg a >= deg b; 3 | deg b at q = 3), the genus-0 cell deg b = 1 at
+# q = 2, small q = 4 and q = 5 windows, a --fix-a window, and a budget that
+# refuses the genus-2 cells (18 ideal candidates at degree 2) but not the
+# genus-1 ones
+CELL_WINDOWS = [space for space, _ in WINDOWS] + [
+    SearchSpace(F2, deg_a=(0, 2), deg_b=(0, 4)),
+    SearchSpace(F2, deg_a=(1, 3), deg_b=(4, 6)),
+    SearchSpace(F3, deg_a=(0, 1), deg_b=(0, 5)),
+    SearchSpace(GF(2, 2), deg_a=(0, 1), deg_b=(1, 4)),
+    SearchSpace(GF(5), deg_a=(0, 1), deg_b=(1, 4)),
+    SearchSpace(F2, fixed_a=poly_from_str(F2, "x"), deg_b=(3, 5)),
+    SearchSpace(F2, deg_a=(0, 1), deg_b=(3, 5), h_budget=17),
+]
+
+
+def test_cell_decisions_match_the_per_ring_pipeline():
+    seen = set()
+    for space in CELL_WINDOWS:
+        records, summary = search_run(space)
+        assert len(records) == space.size()
+        assert [(r.stage, r.verdict) for r in records] == [
+            search_verdict_per_ring(space, a, b)
+            for _, a, b in space.candidates()], space
+        seen |= {label.partition(": ")[0] for label in summary.outcomes}
+    # the windows meet every verdict search gives
+    assert seen == {"ring-valid:invalid", "ring-valid:singular",
+                    "gap-structure:no-valid-r", "class-group:budget-exceeded",
+                    "hypotheses:pass", "hypotheses:failed"}
+
+
+def test_maximality_at_rank_three_changes_no_verdict(monkeypatch):
+    # a singular-locus test at every rank, once it lands, meets only cells
+    # that pass the gap structure; at q >= 3 there are none, so the q = 3
+    # and q = 4 verdicts stay as they are and no ring is asked
+    asked = []
+
+    def refuse_rank_three(spec):
+        if spec.m >= 3:
+            asked.append(spec)
+            raise NonMaximalRingError("refused at rank >= 3")
+        require_maximal(spec)
+
+    spaces = [search_partition(WINDOWS[2][0], 91)[0],
+              SearchSpace(GF(2, 2), deg_a=(0, 1), deg_b=(1, 3)),
+              SearchSpace(F2, deg_a=(1, 2), deg_b=(5, 5))]
+    before = [shape(search_run(space)[0]) for space in spaces]
+    monkeypatch.setattr(search, "require_maximal", refuse_rank_three)
+    assert [shape(search_run(space)[0]) for space in spaces] == before
+    assert asked == []
+    assert ("ring-valid", "singular") in {r[2:] for r in before[2]}
+    assert evaluate_candidate(SearchSpace(F2), Poly.zero(F2),
+                              poly_from_str(F2, "x^3")) == (
+        "ring-valid", "singular", None)
+
+
+def test_one_cell_block_decides_its_cell_once(monkeypatch):
+    # a q3a1b5 block lies in the one cell (deg a, deg b) = (1, 5): its
+    # semigroup is built once, its rings validated once, and no candidate's
+    # maximality is asked, since the cell fails the gap structure
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(search, "semigroup_from_ring",
+                        counted("semigroup", search.semigroup_from_ring))
+    monkeypatch.setattr(search, "require_maximal",
+                        counted("maximal", search.require_maximal))
+    monkeypatch.setattr(RingSpec, "validate",
+                        counted("validate", RingSpec.validate))
+    block = search_partition(WINDOWS[2][0], 91)[0]
+    _, summary = search_run(block)
+    assert summary.outcomes == {"gap-structure:no-valid-r": 9}
+    assert calls.count("semigroup") <= 1
+    assert calls.count("validate") <= 1
+    assert calls.count("maximal") == 0
 
 
 # -- full runs --------------------------------------------------------------
