@@ -15,8 +15,8 @@ alpha are exactly the products I_k * I over integral I of degree d in the
 inverse class), divided by the constant prefactor f_k^(t/e_k).  The
 principal class is one of them: its representative is (1), with d = 0 and
 f = 1, so its part is the element zeta, slice by slice S(d).  At m = 2
-the involution y -> -h - y pairs each class with its inverse, and only one
-class of each pair is summed (`ideal_zeta_classwise`).  Each class
+the involution y -> -h - y pairs each class with its inverse
+(`report.partners`), and only one class of each pair is summed.  Each class
 term has its leads from `zeta.term_leads` over the reduced basis of its
 representative, and the last lead's degree is the term's certified cutoff
 (`_class_cuts`, shared by both paths), so the classwise result is a
@@ -42,8 +42,8 @@ from dataclasses import dataclass
 
 from ffzeta.errors import ConsistencyError
 from ffzeta.ideals import (DEFAULT_IDEAL_BUDGET, elem_divexact,
-                           enumerate_ideals, involution, involution_partners,
-                           power_route, reduced_basis, require_ideal_scan)
+                           enumerate_ideals, involution, power_route,
+                           reduced_basis, require_ideal_scan)
 from ffzeta.ring import RingElement, RingSpec
 from ffzeta.zeta import (ZetaPolynomial, affine_power_sum,
                          require_positive_exponent, term_leads, zeta_neg)
@@ -112,8 +112,8 @@ def ideal_zeta_classwise(t, report):
     Every class's leads, the principal one's included, pass the budget
     before the first power.  A class term whose exact division leaves the
     ring raises ConsistencyError.  At m = 2 the involution sigma pairs each
-    class C with C^-1 (`involution_partners`), and only the earlier of the
-    two is summed.  sigma maps the monic elements of I_C at degree D to
+    class C with C^-1, whose index is `report.partners`, and only the
+    earlier of the two is summed.  sigma maps the monic elements of I_C at degree D to
     lambda_D times those of I_(C^-1), lambda_D the leading coefficient of
     sigma(lead), and f_C to mu f_(C^-1), mu that of sigma(f_C); so the
     term of C^-1 at D is lambda_D^(-t) mu^(t/k) sigma(term of C), k the
@@ -124,8 +124,7 @@ def ideal_zeta_classwise(t, report):
     require_monic_products(spec)
     _require_exponent(t, report)
     classes = report.classes
-    partners = (involution_partners([c.rep for c in classes])
-                if spec.m == 2 else range(len(classes)))
+    partners = report.partners or range(len(classes))
     coeffs = []
     pending = {}    # partner index -> (lead, term) pairs of a class summed
     # every class's leads are refused or built before the first power

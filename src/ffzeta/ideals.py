@@ -28,39 +28,41 @@ the Mumford pair (u, v) = (u', -v' mod u') of Cantor's law, and
 Cantor's composition (`CantorLaw.compose`).  That needs a maximal ring, so
 a ring with finite singular points is refused (`require_maximal`).
 
-The L-polynomial (`l_polynomial`) enumerates the ideals of degree 0..g once
+The L-polynomial (`l_polynomial`) counts the ideals of degree 0..g once
 `require_ideal_scan` admits degree g (at m = 2 it counts the Hermite scan
 the primes replaced, which still keeps `class_group` from Miller walks of
-minutes), forms p_d = c_d - q c_{d-1} for d <= g, fills p_{g+1}..p_{2g}
-by the functional equation p_{2g-i} = q^{g-i} p_i and rebuilds
-c_{g+1}..c_{2g} from them.  The point counts N_k over F_{q^k}, k = 1..K
-(K = min(2g, largest k with q^k <= 512)), certify the result: below g
-they test the enumeration, beyond g the half the functional equation
-filled in.  One `count_affine_points` call gives them all, on tables
-the fields keep.  The class group (`class_group`) reads off
-h = P(1), then keeps, in degree order, the enumerated ideals that are
-reduced: every class holds exactly one integral ideal of least degree, its
-reduced ideal (Hess's reduction), of degree <= g by Riemann-Roch
-(`_is_reduced`).  For m = 2 these are the primitive ideals of degree <= g,
-read off the Hermite form (Mumford's representation; Cantor, Math. Comp. 48,
-1987); for other m one ideal quotient per ideal tests it.  At every rank
-each ideal of degree <= g is tested, and the reduced ones are counted
-against h.  A class order divides h (Lagrange), so the order of I is the
-least divisor k of h with I^k principal, and only the divisors are tried, in
-ascending order; each I^k is built from the largest power I^b already built
-with b | k, as (I^b)^(k/b).  (1) is the one reduced ideal of the principal
-class, so a representative of positive degree starts at the second divisor.
-The powers follow `power_route`.  At m = 2 they are Miller triples under
-Cantor's group law (`CantorLaw`): I^k = (u, y - v) (num / den) with (u, v)
-a reduced Mumford pair, principal exactly when u = 1, and then generated by
-monic(num / den), so no Hermite form is built.  At other m they are Hermite
-forms, tested by `ideal_is_principal`.  At m = 2 only one class of each pair
-{C, C^-1} is walked: the involution sigma: y -> -h - y (`involution`) maps
-the representative (u, y - v) of C to (u, y + h + v), that of C^-1
-(`involution_partners`), so the later of the two takes the earlier one's
-order and sigma(generator), made monic.  A representative of positive
-degree that sigma fixes, u | 2v + h, is 2-torsion with I^2 = I sigma(I) =
-(u), so its order is 2 and its generator u, with no walk.
+minutes): at m = 2 by c_d = sum_(j <= d/2) q^j n_(d-2j), n_e the pairs of
+degree e, with no ideal built; at other m by enumerating them.  It forms
+p_d = c_d - q c_{d-1} for d <= g, fills p_{g+1}..p_{2g} by the functional
+equation p_{2g-i} = q^{g-i} p_i and rebuilds c_{g+1}..c_{2g} from them.
+The point counts N_k over F_{q^k}, k = 1..K (K = min(2g, largest k with
+q^k <= 512)), certify the result: below g they test the counts, beyond g
+the half the functional equation filled in.  One `count_affine_points`
+call gives them all, on tables the fields keep.  The class group
+(`class_group`) reads off h = P(1) and keeps, in degree order, one reduced
+ideal per class: every class holds exactly one integral ideal of least
+degree (Hess's reduction), of degree <= g by Riemann-Roch.  At m = 2 these
+are the pairs of degree <= g (Mumford's representation; Cantor, Math.
+Comp. 48, 1987), the only ideals given a Hermite form; at other m, the
+enumerated ideals one ideal quotient each finds reduced (`_is_reduced`).
+They are counted against h.  A class order divides h (Lagrange), so the
+order of I is the least divisor k of h with I^k principal, and only the
+divisors are tried, in ascending order; each I^k is built from the largest
+power I^b already built with b | k, as (I^b)^(k/b).  (1) is the one reduced
+ideal of the principal class, so a representative of positive degree starts
+at the second divisor.  The powers follow `power_route`.  At m = 2 they are
+Miller triples under Cantor's group law (`CantorLaw`):
+I^k = (u, y - v) (num / den) with (u, v) a reduced Mumford pair, principal
+exactly when u = 1, and then generated by monic(num / den), so no Hermite
+form is built.  At other m they are Hermite forms, tested by
+`ideal_is_principal`.  At m = 2 only one class of each pair {C, C^-1} is
+walked: the involution sigma: y -> -h - y (`involution`) maps the pair
+(u, v) of C to (u, -h - v mod u) (`CantorLaw.involution`), that of C^-1,
+whose index is kept as C's partner (`ClassGroupReport.partners`); the later
+of the two takes the earlier one's order and sigma(generator), made monic.
+A representative of positive degree that sigma fixes, u | 2v + h, is
+2-torsion with I^2 = I sigma(I) = (u), so its order is 2 and its generator
+u, with no walk.
 
 Ideals are `IdealHNF` values, immutable by convention like the `Poly` and
 `RingElement` values they are built from.
@@ -381,32 +383,6 @@ def involution(e):
     return RingElement(e.spec, (g0 - h * g1, -g1))
 
 
-def _involution_image(I):
-    """sigma(I) for a primitive rank-2 ideal I = (u, y - v) with Hermite
-    columns (u, 0), (v', 1), v' = -v mod u: (u, y + h + v), with columns
-    (u, 0), ((h - v') mod u, 1)."""
-    (u, zero), (vp, one) = I.cols
-    _, h = I.spec.hyperelliptic()
-    return IdealHNF(I.spec, ((u, zero), ((h - vp) % u, one)))
-
-
-def involution_partners(reps):
-    """Per representative I of a rank-2 class, the index in reps of
-    sigma(I), the representative of the inverse class: sigma keeps degree
-    and primitivity, so it maps reduced ideals to reduced ideals.  An image
-    that is no representative raises ConsistencyError."""
-    index = {I: i for i, I in enumerate(reps)}
-    partners = []
-    for I in reps:
-        j = index.get(_involution_image(I))
-        if j is None:
-            raise ConsistencyError(
-                "the involution maps a class representative to an ideal "
-                "that is no representative")
-        partners.append(j)
-    return partners
-
-
 # -- quotients and class equivalence ----------------------------------------
 
 def ideal_quotient(alpha, J):
@@ -562,8 +538,7 @@ def enumerate_ideals(spec, d):
 
 def _enumerate_ideals_m2(spec, d):
     zero = Poly.zero(spec.field)
-    if spec._pairs is None:
-        spec._pairs = _PrimitivePairs(spec)
+    spec._pairs = spec._pairs or _PrimitivePairs(spec)
     pairs = spec._pairs.upto(d)
     for jw in range(d // 2 + 1):
         for w in monic_polys(spec.field, jw):
@@ -772,7 +747,6 @@ class LPolynomial:
     counts: tuple      # c_0 .. c_{2g}
     lpoly: tuple       # integer coefficients p_0 .. p_{2g}
     points_checked: int    # K: N_1 .. N_K matched the point counts
-    low_ideals: tuple  # per degree 0 .. g, its ideals in enumeration order
 
     @property
     def h(self):
@@ -782,9 +756,10 @@ class LPolynomial:
 
 @dataclass
 class ClassGroupReport(LPolynomial):
-    """The L-polynomial and the classes read off its ideals."""
+    """The L-polynomial and the classes, one reduced ideal each."""
     e: int             # lcm of the class orders
     classes: tuple     # ClassData, classes[0] is the trivial class
+    partners: tuple    # m = 2: per class, the index of its inverse; else None
 
     def nontrivial(self):
         return self.classes[1:]
@@ -794,12 +769,26 @@ def l_polynomial(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     """The certified L-polynomial; refuses rings with finite singular
     points."""
     require_maximal(spec)
-    S = semigroup_from_ring(spec)
-    g = S.genus
-    q = spec.field.q
+    g = semigroup_from_ring(spec).genus
     require_ideal_scan(spec, g, budget)
-    low = tuple(tuple(enumerate_ideals(spec, d)) for d in range(g + 1))
-    counts = [len(ideals) for ideals in low]
+    return _l_polynomial(spec, g)[0]
+
+
+def _l_polynomial(spec, g):
+    """(L-polynomial, low) of a ring of genus g whose scan is admitted: low
+    lists, per degree 0..g, the primitive pairs (u, v, prime number, v') of
+    `_PrimitivePairs` at m = 2, which give the counts
+    c_d = sum_(j <= d/2) q^j n_(d-2j), n_e = len(low[e]); at other m, the
+    ideals `enumerate_ideals` lists, which it counts."""
+    q = spec.field.q
+    if spec.m == 2:
+        spec._pairs = spec._pairs or _PrimitivePairs(spec)
+        low = spec._pairs.upto(g)[:g + 1]
+        counts = [sum(q ** j * len(low[d - 2 * j]) for j in range(d // 2 + 1))
+                  for d in range(g + 1)]
+    else:
+        low = [tuple(enumerate_ideals(spec, d)) for d in range(g + 1)]
+        counts = [len(ideals) for ideals in low]
     if counts[0] != 1:
         raise ConsistencyError(f"c_0 = {counts[0]} != 1")
     lpoly = [1] + [counts[d] - q * counts[d - 1] for d in range(1, g + 1)]
@@ -810,32 +799,48 @@ def l_polynomial(spec, *, budget=DEFAULT_IDEAL_BUDGET):
     if sum(lpoly) < 1:
         raise ConsistencyError(f"P(1) = {sum(lpoly)} < 1")
     return LPolynomial(spec=spec, genus=g, counts=tuple(counts),
-                       lpoly=tuple(lpoly), points_checked=points_checked,
-                       low_ideals=low)
+                       lpoly=tuple(lpoly),
+                       points_checked=points_checked), low
 
 
 def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
-    """Certified class group data on the ideals `l_polynomial` enumerated;
-    refuses rings with finite singular points."""
-    lp = l_polynomial(spec, budget=budget)
-    g, h = lp.genus, lp.h
-    # each class has one reduced ideal, of degree <= g; the ascending
-    # enumeration meets it before any other ideal of its class.  Every
-    # ideal of degree <= g is tested, so the reduced ones count against h.
-    reps = [I for I in chain.from_iterable(lp.low_ideals) if _is_reduced(I)]
+    """Certified class group data, one reduced ideal per class; refuses
+    rings with finite singular points."""
+    require_maximal(spec)
+    g = semigroup_from_ring(spec).genus
+    require_ideal_scan(spec, g, budget)
+    lp, low = _l_polynomial(spec, g)
+    h = lp.h
+    low = list(chain.from_iterable(low))
+    if spec.m == 2:
+        # every pair of degree <= g is the reduced ideal of its class
+        one, zero = Poly.one(spec.field), Poly.zero(spec.field)
+        reps = [IdealHNF(spec, ((u, zero), (vp, one))) for u, _, _, vp in low]
+    else:
+        # each class has one reduced ideal, of degree <= g; the ascending
+        # enumeration meets it before any other ideal of its class.  Every
+        # ideal of degree <= g is tested, so the reduced ones count against h.
+        reps = [I for I in low if _is_reduced(I)]
     if len(reps) != h:
         raise ConsistencyError(
             f"found {len(reps)} reduced ideals of degree <= g = {g}, "
             f"but h = {h}")
     walk = _order_walk(spec, h)
     if spec.m != 2:
-        classes = [walk(I) for I in reps]
+        classes, partners = [walk(I) for I in reps], None
     else:
         # sigma pairs each class C with C^-1, of the same order: the later
         # of the two takes sigma of the earlier one's generator, and a class
         # sigma fixes is 2-torsion, I^2 = I sigma(I) = (u)
+        law = CantorLaw(spec)
+        index = {(u, v): i for i, (u, v, _, _) in enumerate(low)}
+        partners = tuple(index.get(law.involution(u, v)) for u, v, _, _ in low)
+        if None in partners:
+            raise ConsistencyError(
+                "the involution maps a class representative to an ideal "
+                "that is no representative")
         classes = []
-        for I, j in zip(reps, involution_partners(reps)):
+        for I, j in zip(reps, partners):
             if j < len(classes):
                 c = classes[j]
                 classes.append(ClassData(
@@ -851,7 +856,8 @@ def class_group(spec, *, budget=DEFAULT_IDEAL_BUDGET):
             else:
                 classes.append(walk(I))
     e = lcm(*(c.order for c in classes))
-    return ClassGroupReport(**vars(lp), e=e, classes=tuple(classes))
+    return ClassGroupReport(**vars(lp), e=e, classes=tuple(classes),
+                            partners=partners)
 
 
 def _order_walk(spec, h):
@@ -879,21 +885,12 @@ def _is_reduced(I):
     """Whether I, of degree <= g, is the least-degree integral ideal of its
     class.
 
-    m = 2: whether I is primitive, that is, w = 1 in its Hermite columns
-    (a, 0), (b, w).  w is the content of I = w J: b_1 (a, 0) = (0, a) lies
-    in I only if w | a, and b_1 (b, w) = (f w, b - h w) only if w | b.
-    With the one place at infinity ramified, a primitive ideal of degree
-    <= g is the unique reduced divisor of its class (Mumford's
-    representation; Cantor, Math. Comp. 48, 1987).
-
-    Other m: for nonzero alpha in I, the integral ideals of I's class are
+    For nonzero alpha in I, the integral ideals of I's class are
     (beta/alpha) I for nonzero beta in (alpha) : I, of degree
     deg I + deg beta - deg alpha, and alpha itself is such a beta; so I is
     reduced exactly when the quotient has no nonzero element of degree below
     deg alpha.  Any alpha would do; this takes w_0 of the reduced basis.
     """
-    if I.spec.m == 2:
-        return I.cols[1][1].degree == 0
     alpha = reduced_basis(I)[0]
     return reduced_basis(ideal_quotient(alpha, I))[0].degree >= alpha.degree
 

@@ -2,7 +2,6 @@
 
 import functools
 from dataclasses import dataclass
-from itertools import chain
 from math import comb
 
 from ffzeta.errors import (BudgetError, ConsistencyError, NonMaximalRingError,
@@ -11,7 +10,7 @@ from ffzeta.gf import (GF, Poly, is_irreducible, monic_polys, poly_from_str,
                        poly_xgcd)
 from ffzeta.ideal_zeta import _class_cuts
 from ffzeta.ideals import (_is_reduced, _prime_roots, class_group,
-                           elem_divexact, l_polynomial, power_route,
+                           elem_divexact, enumerate_ideals, power_route,
                            require_ideal_scan, require_maximal)
 from ffzeta.ring import RingElement, RingSpec, echelon_insert
 from ffzeta.semigroup import (NumericalSemigroup, r_gap_values,
@@ -227,15 +226,18 @@ def walk_every_class(spec):
     for every reduced ideal of degree <= g in enumeration order, each found
     by its own order walk, the least divisor k of h with I^k principal on
     the powers of `power_route`, with no pairing of a class and its
-    inverse."""
-    lp = l_polynomial(spec)
-    h = lp.h
+    inverse.  The reduced ideals are found by scanning `enumerate_ideals`
+    with the quotient test `_is_reduced`, and h is their number, so at
+    m = 2 this is a second route to the pairs `class_group` takes as its
+    representatives."""
+    g = semigroup_from_ring(spec).genus
+    reps = [I for d in range(g + 1) for I in enumerate_ideals(spec, d)
+            if _is_reduced(I)]
+    h = len(reps)
     divisors = [k for k in range(1, h + 1) if h % k == 0]
     start, power, principal = power_route(spec)
     out = []
-    for I in chain.from_iterable(lp.low_ideals):
-        if not _is_reduced(I):
-            continue
+    for I in reps:
         powers = {1: start(I)}
         for k in divisors[1 if I.deg else 0:]:
             b = max(b for b in powers if k % b == 0)

@@ -235,6 +235,46 @@ def test_lpoly_finds_no_class_representatives(monkeypatch):
     assert doc["lpoly"] == [1, 0, -1, -2, -2, 0, 8]
 
 
+H20G2 = str(Path(__file__).resolve().parent.parent / "perfbench" / "rings"
+            / "h20g2.ring")
+
+
+def test_rank_two_counts_and_classes_build_no_ideal_with_content(
+        monkeypatch):
+    # at m = 2 the counts and the representatives come from the Mumford
+    # pairs alone: no monic content w is listed and no ideal is enumerated
+    want = {(cmd, ring): run(cmd, "--ring", ring).text
+            for cmd in ("lpoly", "classgroup") for ring in ("h4g3", H20G2)}
+
+    def refuse(*args):
+        raise AssertionError("an ideal with content was built")
+
+    monkeypatch.setattr("ffzeta.ideals.monic_polys", refuse)
+    monkeypatch.setattr("ffzeta.ideals.enumerate_ideals", refuse)
+    for (cmd, ring), text in want.items():
+        res = run(cmd, "--ring", ring)
+        assert res.exit_code == 0 and res.text == text
+    assert want["lpoly", "h4g3"].endswith(
+        "P(t) = 1 - t^2 - 2*t^3 - 2*t^4 + 8*t^6\nP(1) = 4\n"
+        "functional equation: verified")
+    assert want["classgroup", "h4g3"].endswith(
+        "genus = 3\nideal counts c_0..c_6: 1, 2, 3, 4, 6, 12, 32\n"
+        "h = 4, exponent e = 2\n"
+        "class 1: d_1 = 1, e_1 = 2, f_1 = x\n"
+        "class 2: d_2 = 1, e_2 = 2, f_2 = x + 1\n"
+        "class 3: d_3 = 2, e_3 = 2, f_3 = x^2 + x")
+    assert want["lpoly", H20G2].endswith(
+        "P(t) = 1 + 2*t + 2*t^2 + 6*t^3 + 9*t^4\nP(1) = 20\n"
+        "functional equation: verified")
+    code, doc = jrun("classgroup", "--ring", H20G2)
+    assert (doc["counts"], doc["h"], doc["e"]) == ([1, 5, 17, 57, 180], 20, 10)
+    assert [(c["d"], c["e"]) for c in doc["classes"]] == [
+        (1, 2), (1, 10), (1, 10), (1, 10), (1, 10), (2, 2), (2, 10), (2, 10),
+        (2, 10), (2, 10), (2, 10), (2, 10), (2, 5), (2, 5), (2, 2), (2, 10),
+        (2, 10), (2, 5), (2, 5)]
+    assert doc["classes"][5]["f"] == "x^2 + 1"
+
+
 def test_lpoly_reports_points_checked():
     res = run("lpoly", "--ring", "h4g3.ring")
     assert res.text.endswith("functional equation: verified")

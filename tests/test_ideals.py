@@ -388,14 +388,14 @@ def test_class_group_counts_every_reduced_ideal_against_h(shift, h20g2, m3f5,
     # every reduced ideal of degree <= g is counted, at rank 2 (h20g2) and
     # rank 3 (m3f5), so an L-polynomial whose P(1) is off by one either way
     # raises: h + 1 finds too few, h - 1 too many
-    real = ideals.l_polynomial
+    real = ideals._l_polynomial
 
-    def off_by(spec, **kw):
-        lp = real(spec, **kw)
+    def off_by(spec, g):
+        lp, low = real(spec, g)
         lpoly = lp.lpoly[:-1] + (lp.lpoly[-1] + shift,)
-        return dataclasses.replace(lp, lpoly=lpoly)
+        return dataclasses.replace(lp, lpoly=lpoly), low
 
-    monkeypatch.setattr(ideals, "l_polynomial", off_by)
+    monkeypatch.setattr(ideals, "_l_polynomial", off_by)
     for spec, h in ((h20g2, 20), (m3f5, 6)):
         with pytest.raises(ConsistencyError,
                            match=f"found {h} reduced ideals .* but h = {h + shift}"):
@@ -914,20 +914,39 @@ def test_class_group_matches_the_every_class_walk(name, request):
 
 
 def test_involution_image_outside_the_reps_raises(h20g2, monkeypatch):
-    # x I has content x, so it is no reduced ideal
+    # (x u, v) has degree above g, so it is no representative; the first
+    # call builds the pairs, so the patched involution reaches only the
+    # partner lookup
+    class_group(h20g2)
     x = Poly.monomial(F3, 1)
-    monkeypatch.setattr(ideals, "_involution_image", lambda I: ideals.IdealHNF(
-        I.spec, tuple(tuple(x * g for g in col) for col in I.cols)))
+    monkeypatch.setattr(ideals.CantorLaw, "involution",
+                        lambda self, u, v: (x * u, v))
     with pytest.raises(ConsistencyError, match="no representative"):
         class_group(h20g2)
 
 
 def test_self_paired_class_at_odd_h_raises(xy5, monkeypatch):
-    # a class sigma fixes has order 2, which cannot divide h = 25
-    monkeypatch.setattr(ideals, "_involution_image", lambda I: I)
+    # a class sigma fixes has order 2, which cannot divide h = 25; the
+    # first call builds the pairs, and the principal class is walked with
+    # no reduction step, so the patched involution reaches only the
+    # partner lookup
+    class_group(xy5)
+    monkeypatch.setattr(ideals.CantorLaw, "involution",
+                        lambda self, u, v: (u, v))
     with pytest.raises(ConsistencyError,
                        match="a class of order 2, but h = 25 is odd"):
         class_group(xy5)
+
+
+def test_rank_three_class_group_enumerates_once(m3f2, monkeypatch):
+    # the counts and the representatives share one enumeration per degree,
+    # and with no sigma beyond m = 2 the report has no partners
+    real, asked = ideals.enumerate_ideals, []
+    monkeypatch.setattr(ideals, "enumerate_ideals",
+                        lambda spec, d: asked.append(d) or real(spec, d))
+    rep = class_group(m3f2)
+    assert asked == list(range(rep.genus + 1))
+    assert rep.partners is None
 
 
 # -- Cantor's law and Miller triples at rank 2 ------------------------------
@@ -1005,10 +1024,9 @@ def test_involution_maps_each_class_to_its_inverse(name, request):
     # sigma of C's generator, made monic, generates it
     spec = stored_ring(name, request)
     rep = class_group(spec)
-    by_rep = {c.rep: c for c in rep.classes}
-    for c in rep.classes:
-        assert ideals._involution_image(c.rep) == sigma_ideal(c.rep)
-        inv = by_rep[sigma_ideal(c.rep)]
+    for c, j in zip(rep.classes, rep.partners):
+        inv = rep.classes[j]
+        assert inv.rep == sigma_ideal(c.rep)
         assert ideal_is_principal(ideal_mul(c.rep, inv.rep))[0]
         assert inv.order == c.order
         assert inv.generator == involution(c.generator).monic()
@@ -1031,7 +1049,7 @@ def test_class_group_over_f13():
 
 # -- counts up to degree g, functional equation, point-count certificate ----
 
-RINGS = ["h4g3", "ex26", "ex36", "elliptic", "f4as", "h20g2"]
+RINGS = ["h4g3", "ex26", "ex36", "elliptic", "f4as", "h20g2", "xy5", "h34"]
 
 
 def full_enumeration(spec):
